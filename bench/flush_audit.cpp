@@ -197,11 +197,13 @@ int main(int argc, char** argv) {
     }
   });
 
-  // Hashtable puts, sized to trigger several rehash doublings from 1k
-  // buckets (reserve/publish staging + rehash node copies + header tx).
+  // Hashtable puts with auto-grow on, sized to grow the table twice from 1k
+  // buckets (at 4097 and 16385 entries): reserve/publish staging, plus per
+  // growth the rebuild's node-copy flushes under one drain and the header tx.
   audit("ht-put", 512ull << 20, [](Device& dev) {
     Pool pool = Pool::create(dev, 0, 512ull << 20);
     HashTable table = HashTable::create(pool, 1024);
+    table.set_auto_grow(true);
     const std::string value(256, 'v');
     for (int i = 0; i < 20000; ++i) {
       table.put("key" + std::to_string(i), value.data(), value.size());

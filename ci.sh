@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: lint, then build + full test suite in five configs —
-# plain Release, AddressSanitizer + UBSan (PMEMCPY_SANITIZE), the
+# plain Release (which also self-checks perfbench, the repo benchmark),
+# AddressSanitizer + UBSan (PMEMCPY_SANITIZE), the
 # persistency-order checker build (PMEMCPY_PERSIST_CHECK, with violations
 # fatal so any unconsumed finding fails the suite), the tracing build
 # (PMEMCPY_TRACE, every test with the observability layer recording), and
@@ -53,6 +54,14 @@ run_config() {
   # regrowth of lock traffic or metadata persists.
   "${dir}/bench/alloc_audit" --json "${dir}/BENCH_alloc_audit.json" \
     --baseline bench/alloc_audit_baseline.json
+  if [[ "${name}" == "release" ]]; then
+    echo "==== [${name}] benchmark self-check ===="
+    # perfbench is its own CMake package compiling ../src into .bench_build/;
+    # the self-check builds it and runs every workload at tiny sizes, so a
+    # library change that breaks the benchmark's build or its correctness
+    # checks fails here rather than only in the benchmark pipeline.
+    python3 perfbench/run.py --self-check
+  fi
 }
 
 run_checker_config() {

@@ -17,15 +17,24 @@
 //     are shared, not copied), then swaps the header atomically under a
 //     transaction; a crash before the swap only leaks the new copies.
 //
-// Thread-safety: operations take one of 64 stripe locks chosen by key hash,
-// so ranks writing different variables proceed in parallel (the paper's
-// "metadata updates were parallelized").  One HashTable instance must be
-// shared by all threads operating on the same persistent table.
+// Read path: the persistent header is mirrored in DRAM (loaded at
+// construction, updated only once the matching persistent store is durable),
+// and each chain node's fixed header is fetched with one PMEM read — the key
+// bytes with a second read only when the key length matches (DESIGN.md §8,
+// "Hashtable read path").
+//
+// Thread-safety: operations take one of 64 stripe locks chosen by bucket
+// index, so every key of a chain shares one lock while ranks writing
+// different variables proceed in parallel (the paper's "metadata updates
+// were parallelized").  One HashTable instance must be shared by all threads
+// operating on the same persistent table, and it must be the only one in
+// use: another instance's header mirror would not see this one's growth.
 #pragma once
 
 #include <pmemcpy/obj/pool.hpp>
 
 #include <array>
+#include <atomic>
 #include <functional>
 #include <optional>
 #include <span>
@@ -92,12 +101,14 @@ class HashTable {
    private:
     friend class HashTable;
     Inserter(HashTable& t, std::string_view key, std::uint64_t node_off,
-             std::uint64_t val_off, std::uint64_t val_size);
+             std::uint64_t val_off, std::uint64_t val_size,
+             std::uint64_t meta);
     HashTable* table_;
     std::string key_;
     std::uint64_t node_off_;
     std::uint64_t val_off_;
     std::uint64_t val_size_;
+    std::uint64_t meta_;  ///< the node's meta word, kept so it is never re-read
     bool published_ = false;
     bool scope_open_ = true;
   };
@@ -150,6 +161,8 @@ class HashTable {
   /// Zero-copy pointer to the value, charging a bulk DAX read of its size.
   [[nodiscard]] const std::byte* value_direct(const ValueRef& ref) const;
 
+  /// Entry count and bucket count, from the DRAM header mirror (no PMEM
+  /// read).
   [[nodiscard]] std::size_t count() const;
   [[nodiscard]] std::size_t nbuckets() const;
 
@@ -157,12 +170,15 @@ class HashTable {
   void rehash(std::size_t new_nbuckets);
 
   /// Enable automatic geometric growth: when the load factor exceeds 4 the
-  /// table rehashes to 4x the buckets after the triggering insert.  Off by
+  /// table rehashes to 4x the buckets after the triggering insert.  The
+  /// load factor is re-checked once every stripe is held, so concurrent
+  /// publishers crossing the same threshold rebuild the table once.  Off by
   /// default so fixed-size tables stay fixed (e.g. for ablations).
   void set_auto_grow(bool on) noexcept { auto_grow_ = on; }
   [[nodiscard]] bool auto_grow() const noexcept { return auto_grow_; }
 
-  /// Iterate all entries (takes all stripe locks; don't mutate from @p fn).
+  /// Iterate all entries (takes all stripe locks, released even if @p fn
+  /// throws; don't mutate from @p fn).
   void for_each(
       const std::function<void(std::string_view, const ValueRef&)>& fn) const;
   /// Iterate entries whose key starts with @p prefix.
@@ -173,35 +189,62 @@ class HashTable {
  private:
   static constexpr std::size_t kStripes = 64;
 
-  HashTable(Pool& pool, std::uint64_t hoff);
+  /// DRAM state shared by every thread using the table: the stripe locks
+  /// and the mirror of the persistent header.  The persistent header stays
+  /// the source of truth; the mirror changes only after the corresponding
+  /// store is durable (count) or the rehash transaction has committed
+  /// (nbuckets, buckets_off).
+  struct Shared {
+    std::array<std::mutex, kStripes> stripes;
+    std::mutex count_mu;  ///< serializes count stores (after stripe locks)
+    /// Read without a lock to pick a stripe; written under every stripe.
+    std::atomic<std::uint64_t> nbuckets{0};
+    std::uint64_t buckets_off = 0;  ///< read under any stripe lock
+    std::atomic<std::uint64_t> count{0};
+  };
 
-  struct Node;  // persistent node layout (see .cpp)
+  /// One chain position matching a key, with the node's next pointer and
+  /// value offset as read during the walk.
+  struct Match {
+    std::uint64_t prev;  ///< predecessor node, 0 = bucket head
+    std::uint64_t node;
+    std::uint64_t next;
+    std::uint64_t val_off;
+  };
 
-  [[nodiscard]] std::uint64_t bucket_slot(std::string_view key) const;
-  /// Every (prev, node) chain position matching @p key, head-first.  More
-  /// than one match is a crash leftover: an overwrite that published its
-  /// new head but lost power before unlinking the superseded node.
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>>
-  find_chain(std::uint64_t slot, std::string_view key) const;
+  HashTable(Pool& pool, std::uint64_t hoff, std::uint64_t nbuckets,
+            std::uint64_t buckets_off, std::uint64_t count);
+
+  /// Lock the stripe guarding @p key's chain into @p lk and return the
+  /// chain's bucket slot.
+  std::uint64_t lock_bucket(std::string_view key,
+                            std::unique_lock<std::mutex>& lk) const;
+  /// Every chain position matching @p key, head-first; @p head receives the
+  /// bucket head.  More than one match is a crash leftover: an overwrite
+  /// that published its new head but lost power before unlinking the
+  /// superseded node.
+  [[nodiscard]] std::vector<Match> find_chain(std::uint64_t slot,
+                                              std::string_view key,
+                                              std::uint64_t& head) const;
   /// Unlink @p node (whose predecessor is @p prev, 0 = bucket head) and
   /// free its storage.
   void unlink_free(std::uint64_t slot, std::uint64_t prev, std::uint64_t node);
-  /// Link @p node_off under @p key, replacing any existing entry.  The
+  /// Link @p ins's node under its key, replacing any existing entry.  The
   /// bucket-head store is the commit point: @p linked_out (when non-null)
   /// flips to true the instant that store is durable, so a caller unwinding
   /// from a fault in the post-publish tail (count bump, stale-entry unlink)
   /// can tell a reachable entry from an abandoned reservation.
-  bool link_replace(std::string_view key, std::uint64_t node_off,
-                    bool keep_existing, bool* linked_out = nullptr);
+  bool link_replace(const Inserter& ins, bool keep_existing,
+                    bool* linked_out = nullptr);
+  [[nodiscard]] bool over_load() const noexcept;
   void maybe_grow();
+  /// Build the replacement table and swap it in; every stripe must be held.
+  void rebuild(std::size_t new_nbuckets);
   void bump_count(std::int64_t delta);
-  [[nodiscard]] std::string read_key(std::uint64_t node_off) const;
 
   Pool* pool_;
   std::uint64_t hoff_;
-  std::unique_ptr<std::array<std::mutex, kStripes>> stripes_ =
-      std::make_unique<std::array<std::mutex, kStripes>>();
-  std::unique_ptr<std::mutex> count_mu_ = std::make_unique<std::mutex>();
+  std::unique_ptr<Shared> s_ = std::make_unique<Shared>();
   bool auto_grow_ = false;
 };
 

@@ -345,26 +345,26 @@ void PMEM::remove(const std::string& id) {
   auto& st = engine_ref();
   bool any = st.erase(id);
   any |= st.erase(detail::dims_key(id));
-  std::vector<std::string> pieces;
-  st.for_each_prefix(detail::piece_prefix(id),
+  // One scan collects both the piece ("<id>#p:") and the attribute
+  // ("<id>#attr:") keys under their shared "<id>#" prefix.
+  const std::string piece_prefix = detail::piece_prefix(id);
+  const std::string attr_prefix = detail::attr_prefix(id);
+  std::vector<std::string> keys;
+  st.for_each_prefix(id + "#",
                      [&](const std::string& key, const engine::EntryInfo&) {
-                       pieces.push_back(key);
+                       if (key.starts_with(piece_prefix) ||
+                           key.starts_with(attr_prefix)) {
+                         keys.push_back(key);
+                       }
                      });
-  for (const auto& key : pieces) any |= st.erase(key);
-  std::vector<std::string> attrs;
-  st.for_each_prefix(detail::attr_prefix(id),
-                     [&](const std::string& key, const engine::EntryInfo&) {
-                       attrs.push_back(key);
-                     });
-  for (const auto& key : attrs) any |= st.erase(key);
+  for (const auto& key : keys) any |= st.erase(key);
   invalidate_piece_cache(id);
   if (read_cache_) {
     // Drop every erased binding: the scalar, the dims entry, and each piece
     // and attribute key.
     read_cache_->invalidate(id);
     read_cache_->invalidate(detail::dims_key(id));
-    for (const auto& key : pieces) read_cache_->invalidate(key);
-    for (const auto& key : attrs) read_cache_->invalidate(key);
+    for (const auto& key : keys) read_cache_->invalidate(key);
   }
   if (!any) throw KeyError(id);
 }

@@ -3,8 +3,10 @@
 #include <pmemcpy/trace/trace.hpp>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <map>
+#include <numeric>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -20,18 +22,9 @@ struct TableHeader {
   std::uint64_t count;
 };
 
-// Persistent node layout (key bytes appended).
-constexpr std::uint64_t kNodeNext = 0;
-constexpr std::uint64_t kNodeValOff = 8;
-constexpr std::uint64_t kNodeValSize = 16;
-constexpr std::uint64_t kNodeMeta = 24;
-constexpr std::uint64_t kNodeKeyLen = 32;
-constexpr std::uint64_t kNodeKey = 40;
-
-/// Staging image of the fixed node header (kNodeNext..kNodeKeyLen): written
-/// with one store and persisted together with the key by publish(), instead
-/// of one flush+fence per field (the persist checker flagged the old
-/// per-field set() chain as a duplicate flush at publish time).
+/// Persistent node layout: this fixed header, then the key bytes.  Staged
+/// with one store (reserve, rehash copies) and fetched with one load, so a
+/// chain step costs one latency-bound PMEM read instead of one per field.
 struct NodeHeaderImage {
   std::uint64_t next;
   std::uint64_t val_off;
@@ -40,7 +33,10 @@ struct NodeHeaderImage {
   std::uint32_t key_len;
   std::uint32_t pad;
 };
-static_assert(sizeof(NodeHeaderImage) == kNodeKey);
+constexpr std::uint64_t kNodeNext = offsetof(NodeHeaderImage, next);
+constexpr std::uint64_t kNodeMeta = offsetof(NodeHeaderImage, meta);
+constexpr std::uint64_t kNodeKey = sizeof(NodeHeaderImage);
+static_assert(kNodeKey == 40);
 
 std::uint64_t fnv1a(std::string_view s) {
   std::uint64_t h = 1469598103934665603ull;
@@ -50,6 +46,57 @@ std::uint64_t fnv1a(std::string_view s) {
   }
   return h;
 }
+
+NodeHeaderImage read_header(const Pool& pool, std::uint64_t node) {
+  NodeHeaderImage h;
+  pool.read(node, &h, sizeof(h));
+  return h;
+}
+
+std::string read_key(const Pool& pool, std::uint64_t node,
+                     const NodeHeaderImage& h) {
+  std::string key(h.key_len, '\0');
+  if (h.key_len != 0) pool.read(node + kNodeKey, key.data(), h.key_len);
+  return key;
+}
+
+/// Whether @p node (header @p h) holds @p key.  The key bytes are read only
+/// when the lengths match.
+bool holds_key(const Pool& pool, std::uint64_t node, const NodeHeaderImage& h,
+               std::string_view key) {
+  return h.key_len == key.size() && read_key(pool, node, h) == key;
+}
+
+/// A set of stripe locks, taken in ascending order (the one order every
+/// multi-stripe locker uses) and released in reverse — also when an
+/// exception unwinds through the holder.
+class StripeLocks {
+ public:
+  explicit StripeLocks(std::span<std::mutex> stripes) : stripes_(stripes) {}
+  StripeLocks(const StripeLocks&) = delete;
+  StripeLocks& operator=(const StripeLocks&) = delete;
+  ~StripeLocks() { release(); }
+
+  /// Release what is held, then lock @p ids (sorted, unique).
+  void lock(std::vector<std::size_t> ids) {
+    release();
+    ids_ = std::move(ids);
+    for (; held_ < ids_.size(); ++held_) stripes_[ids_[held_]].lock();
+  }
+  void lock_all() {
+    std::vector<std::size_t> ids(stripes_.size());
+    std::iota(ids.begin(), ids.end(), std::size_t{0});
+    lock(std::move(ids));
+  }
+  void release() {
+    while (held_ > 0) stripes_[ids_[--held_]].unlock();
+  }
+
+ private:
+  std::span<std::mutex> stripes_;
+  std::vector<std::size_t> ids_;
+  std::size_t held_ = 0;
+};
 
 /// Flush the distinct cachelines covering a set of small ranges as
 /// contiguous runs (the same coalescing Transaction::commit does), without
@@ -90,17 +137,22 @@ void zero_range(Pool& pool, std::uint64_t off, std::size_t len) {
 
 }  // namespace
 
-HashTable::HashTable(Pool& pool, std::uint64_t hoff)
-    : pool_(&pool), hoff_(hoff) {}
+HashTable::HashTable(Pool& pool, std::uint64_t hoff, std::uint64_t nbuckets,
+                     std::uint64_t buckets_off, std::uint64_t count)
+    : pool_(&pool), hoff_(hoff) {
+  s_->nbuckets.store(nbuckets, std::memory_order_relaxed);
+  s_->buckets_off = buckets_off;
+  s_->count.store(count, std::memory_order_relaxed);
+}
 
 HashTable HashTable::create(Pool& pool, std::size_t nbuckets) {
   if (nbuckets == 0) nbuckets = 1;
   const std::uint64_t buckets = pool.alloc(nbuckets * 8);
   zero_range(pool, buckets, nbuckets * 8);
   const std::uint64_t hoff = pool.alloc(sizeof(TableHeader));
-  TableHeader hdr{nbuckets, buckets, 0};
+  const TableHeader hdr{nbuckets, buckets, 0};
   pool.set(hoff, hdr);
-  return HashTable(pool, hoff);
+  return HashTable(pool, hoff, hdr.nbuckets, hdr.buckets_off, hdr.count);
 }
 
 HashTable HashTable::open(Pool& pool, std::uint64_t header_off) {
@@ -108,35 +160,37 @@ HashTable HashTable::open(Pool& pool, std::uint64_t header_off) {
   if (hdr.nbuckets == 0 || hdr.buckets_off == 0) {
     throw PoolError("HashTable::open: invalid header");
   }
-  return HashTable(pool, header_off);
+  return HashTable(pool, header_off, hdr.nbuckets, hdr.buckets_off,
+                   hdr.count);
 }
 
-std::uint64_t HashTable::bucket_slot(std::string_view key) const {
-  const auto hdr = pool_->get<TableHeader>(hoff_);
-  const std::uint64_t b = fnv1a(key) % hdr.nbuckets;
-  return hdr.buckets_off + b * 8;
-}
-
-std::string HashTable::read_key(std::uint64_t node_off) const {
-  const auto len = pool_->get<std::uint32_t>(node_off + kNodeKeyLen);
-  std::string key(len, '\0');
-  pool_->read(node_off + kNodeKey, key.data(), len);
-  return key;
+std::uint64_t HashTable::lock_bucket(std::string_view key,
+                                     std::unique_lock<std::mutex>& lk) const {
+  const std::uint64_t h = fnv1a(key);
+  for (;;) {
+    const std::uint64_t nb = s_->nbuckets.load(std::memory_order_acquire);
+    const std::uint64_t b = h % nb;
+    std::unique_lock stripe(s_->stripes[b % kStripes]);
+    // A rehash that committed between the load and the lock moved the key
+    // to another bucket, and maybe under another stripe: drop this stripe
+    // (holding it while taking another would break the ascending order
+    // the every-stripe lockers rely on) and retry.
+    if (s_->nbuckets.load(std::memory_order_relaxed) == nb) {
+      lk = std::move(stripe);
+      return s_->buckets_off + b * 8;
+    }
+  }
 }
 
 std::optional<ValueRef> HashTable::find(std::string_view key) const {
-  std::lock_guard lk((*stripes_)[fnv1a(key) % kStripes]);
-  std::uint64_t node = pool_->get<std::uint64_t>(bucket_slot(key));
+  std::unique_lock<std::mutex> lk;
+  std::uint64_t node = pool_->get<std::uint64_t>(lock_bucket(key, lk));
   while (node != 0) {
-    if (read_key(node) == key) {
-      ValueRef ref;
-      ref.node_off = node;
-      ref.val_off = pool_->get<std::uint64_t>(node + kNodeValOff);
-      ref.val_size = pool_->get<std::uint64_t>(node + kNodeValSize);
-      ref.meta = pool_->get<std::uint64_t>(node + kNodeMeta);
-      return ref;
+    const auto h = read_header(*pool_, node);
+    if (holds_key(*pool_, node, h, key)) {
+      return ValueRef{node, h.val_off, h.val_size, h.meta};
     }
-    node = pool_->get<std::uint64_t>(node + kNodeNext);
+    node = h.next;
   }
   return std::nullopt;
 }
@@ -155,7 +209,7 @@ HashTable::Inserter HashTable::reserve(std::string_view key,
   if (!key.empty()) {
     pool_->write(node + kNodeKey, key.data(), key.size());
   }
-  return Inserter(*this, key, node, val, val_size);
+  return Inserter(*this, key, node, val, val_size, meta);
 }
 
 void HashTable::put(std::string_view key, const void* data, std::size_t len,
@@ -168,57 +222,57 @@ void HashTable::put(std::string_view key, const void* data, std::size_t len,
   (void)ins.publish();  // replace mode: always links
 }
 
-std::vector<std::pair<std::uint64_t, std::uint64_t>> HashTable::find_chain(
-    std::uint64_t slot, std::string_view key) const {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> matches;
+std::vector<HashTable::Match> HashTable::find_chain(
+    std::uint64_t slot, std::string_view key, std::uint64_t& head) const {
+  std::vector<Match> matches;
+  head = pool_->get<std::uint64_t>(slot);
   std::uint64_t prev = 0;
-  std::uint64_t node = pool_->get<std::uint64_t>(slot);
-  while (node != 0) {
-    const std::uint64_t next = pool_->get<std::uint64_t>(node + kNodeNext);
-    if (read_key(node) == key) matches.emplace_back(prev, node);
+  for (std::uint64_t node = head; node != 0;) {
+    const auto h = read_header(*pool_, node);
+    if (holds_key(*pool_, node, h, key)) {
+      matches.push_back({prev, node, h.next, h.val_off});
+    }
     prev = node;
-    node = next;
+    node = h.next;
   }
   return matches;
 }
 
 void HashTable::unlink_free(std::uint64_t slot, std::uint64_t prev,
                             std::uint64_t node) {
-  const std::uint64_t next = pool_->get<std::uint64_t>(node + kNodeNext);
-  if (prev == 0) {
-    pool_->set<std::uint64_t>(slot, next);
-  } else {
-    pool_->set<std::uint64_t>(prev + kNodeNext, next);
-  }
-  const auto val = pool_->get<std::uint64_t>(node + kNodeValOff);
+  const auto h = read_header(*pool_, node);
+  pool_->set<std::uint64_t>(prev == 0 ? slot : prev + kNodeNext, h.next);
   pool_->free(node);
-  if (val != 0) pool_->free(val);
+  if (h.val_off != 0) pool_->free(h.val_off);
 }
 
-bool HashTable::link_replace(std::string_view key, std::uint64_t node_off,
-                             bool keep_existing, bool* linked_out) {
-  std::lock_guard lk((*stripes_)[fnv1a(key) % kStripes]);
-  const std::uint64_t slot = bucket_slot(key);
-  auto matches = find_chain(slot, key);
+bool HashTable::link_replace(const Inserter& ins, bool keep_existing,
+                             bool* linked_out) {
+  std::unique_lock<std::mutex> lk;
+  const std::uint64_t slot = lock_bucket(ins.key_, lk);
+  std::uint64_t head = 0;
+  auto matches = find_chain(slot, ins.key_, head);
 
   if (!matches.empty() && keep_existing) {
     // First writer won: discard this reservation.
-    const auto val = pool_->get<std::uint64_t>(node_off + kNodeValOff);
-    pool_->free(node_off);
-    if (val != 0) pool_->free(val);
+    pool_->free(ins.node_off_);
+    if (ins.val_off_ != 0) pool_->free(ins.val_off_);
     return false;
   }
 
   // Crash leftovers first: an overwrite interrupted between its head
   // publish and its unlink leaves a stale duplicate shadowed behind the
   // live (first) match.  Readers never see those, so sweeping them
-  // deepest-first is invisible at every intermediate crash point.
+  // deepest-first is invisible at every intermediate crash point.  The
+  // sweep never touches the bucket head (every swept node sits behind the
+  // live match), but it may relink the live match's next pointer.
+  const bool swept = matches.size() > 1;
   while (matches.size() > 1) {
-    unlink_free(slot, matches.back().first, matches.back().second);
+    unlink_free(slot, matches.back().prev, matches.back().node);
     matches.pop_back();
   }
 
-  const std::uint64_t head = pool_->get<std::uint64_t>(slot);
+  const std::uint64_t node_off = ins.node_off_;
   if (matches.empty()) {
     // Fresh key: the head store is the atomic publish.
     pool_->set<std::uint64_t>(node_off + kNodeNext, head);
@@ -228,13 +282,13 @@ bool HashTable::link_replace(std::string_view key, std::uint64_t node_off,
     return true;
   }
 
-  const auto [prev, old] = matches.front();
-  if (prev == 0) {
+  Match old = matches.front();
+  if (swept) old.next = read_header(*pool_, old.node).next;
+  if (old.prev == 0) {
     // The superseded entry IS the head: point the new node past it first,
     // so the single head store atomically swaps old for new.  No crash
     // point can see both versions chained.
-    pool_->set<std::uint64_t>(node_off + kNodeNext,
-                              pool_->get<std::uint64_t>(old + kNodeNext));
+    pool_->set<std::uint64_t>(node_off + kNodeNext, old.next);
     pool_->set<std::uint64_t>(slot, node_off);
     if (linked_out != nullptr) *linked_out = true;
   } else {
@@ -244,19 +298,18 @@ bool HashTable::link_replace(std::string_view key, std::uint64_t node_off,
     pool_->set<std::uint64_t>(node_off + kNodeNext, head);
     pool_->set<std::uint64_t>(slot, node_off);
     if (linked_out != nullptr) *linked_out = true;
-    pool_->set<std::uint64_t>(prev + kNodeNext,
-                              pool_->get<std::uint64_t>(old + kNodeNext));
+    pool_->set<std::uint64_t>(old.prev + kNodeNext, old.next);
   }
-  const auto old_val = pool_->get<std::uint64_t>(old + kNodeValOff);
-  pool_->free(old);
-  if (old_val != 0) pool_->free(old_val);
+  pool_->free(old.node);
+  if (old.val_off != 0) pool_->free(old.val_off);
   return true;
 }
 
 bool HashTable::erase(std::string_view key) {
-  std::lock_guard lk((*stripes_)[fnv1a(key) % kStripes]);
-  const std::uint64_t slot = bucket_slot(key);
-  auto matches = find_chain(slot, key);
+  std::unique_lock<std::mutex> lk;
+  const std::uint64_t slot = lock_bucket(key, lk);
+  std::uint64_t head = 0;
+  auto matches = find_chain(slot, key, head);
   if (matches.empty()) return false;
   // Deepest-first: shadowed crash-leftover duplicates go before the live
   // head entry, so every intermediate crash point still reads exactly the
@@ -264,7 +317,7 @@ bool HashTable::erase(std::string_view key) {
   // single unlink was the resurrection bug the property fuzzer caught — it
   // re-exposed a stale duplicate as the live value.
   while (!matches.empty()) {
-    unlink_free(slot, matches.back().first, matches.back().second);
+    unlink_free(slot, matches.back().prev, matches.back().node);
     matches.pop_back();
   }
   bump_count(-1);
@@ -281,44 +334,40 @@ const std::byte* HashTable::value_direct(const ValueRef& ref) const {
 }
 
 std::size_t HashTable::count() const {
-  return pool_->get<TableHeader>(hoff_).count;
+  return s_->count.load(std::memory_order_relaxed);
 }
 
 std::size_t HashTable::nbuckets() const {
-  return pool_->get<TableHeader>(hoff_).nbuckets;
+  return s_->nbuckets.load(std::memory_order_relaxed);
 }
 
 void HashTable::bump_count(std::int64_t delta) {
-  std::lock_guard lk(*count_mu_);
-  auto hdr = pool_->get<TableHeader>(hoff_);
-  hdr.count = static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(hdr.count) + delta);
-  pool_->set<std::uint64_t>(hoff_ + offsetof(TableHeader, count), hdr.count);
+  std::lock_guard lk(s_->count_mu);
+  const auto count = static_cast<std::uint64_t>(
+      static_cast<std::int64_t>(s_->count.load(std::memory_order_relaxed)) +
+      delta);
+  pool_->set<std::uint64_t>(hoff_ + offsetof(TableHeader, count), count);
+  s_->count.store(count, std::memory_order_relaxed);  // durable now
 }
 
 void HashTable::for_each(
     const std::function<void(std::string_view, const ValueRef&)>& fn) const {
   // Hold every stripe so the view is consistent.
-  for (auto& m : *stripes_) m.lock();
-  const auto hdr = pool_->get<TableHeader>(hoff_);
+  StripeLocks all(s_->stripes);
+  all.lock_all();
   // Scan the bucket array with one bulk read (a sequential-streaming
   // access), not one charged random read per slot.
-  std::vector<std::uint64_t> heads(hdr.nbuckets);
-  pool_->read(hdr.buckets_off, heads.data(), hdr.nbuckets * 8);
-  for (std::uint64_t b = 0; b < hdr.nbuckets; ++b) {
-    std::uint64_t node = heads[b];
+  std::vector<std::uint64_t> heads(
+      s_->nbuckets.load(std::memory_order_relaxed));
+  pool_->read(s_->buckets_off, heads.data(), heads.size() * 8);
+  for (std::uint64_t node : heads) {
     while (node != 0) {
-      const std::string key = read_key(node);
-      ValueRef ref;
-      ref.node_off = node;
-      ref.val_off = pool_->get<std::uint64_t>(node + kNodeValOff);
-      ref.val_size = pool_->get<std::uint64_t>(node + kNodeValSize);
-      ref.meta = pool_->get<std::uint64_t>(node + kNodeMeta);
-      fn(key, ref);
-      node = pool_->get<std::uint64_t>(node + kNodeNext);
+      const auto h = read_header(*pool_, node);
+      fn(read_key(*pool_, node, h),
+         ValueRef{node, h.val_off, h.val_size, h.meta});
+      node = h.next;
     }
   }
-  for (auto it = stripes_->rbegin(); it != stripes_->rend(); ++it) it->unlock();
 }
 
 void HashTable::for_each_prefix(
@@ -333,51 +382,72 @@ void HashTable::for_each_prefix(
 }
 
 void HashTable::rehash(std::size_t new_nbuckets) {
+  StripeLocks all(s_->stripes);
+  all.lock_all();
+  rebuild(new_nbuckets == 0 ? 1 : new_nbuckets);
+}
+
+bool HashTable::over_load() const noexcept {
+  return s_->count.load(std::memory_order_relaxed) >
+         s_->nbuckets.load(std::memory_order_relaxed) * 4;
+}
+
+void HashTable::maybe_grow() {
+  if (!auto_grow_ || !over_load()) return;
+  StripeLocks all(s_->stripes);
+  all.lock_all();
+  // Every publisher that crossed the threshold gets here; the first to hold
+  // the stripes grows the table and the rest find it already grown.
+  if (over_load()) rebuild(s_->nbuckets.load(std::memory_order_relaxed) * 4);
+}
+
+void HashTable::rebuild(std::size_t new_nbuckets) {
   trace::Span span("ht.rehash");
-  if (new_nbuckets == 0) new_nbuckets = 1;
-  for (auto& m : *stripes_) m.lock();
-  const auto hdr = pool_->get<TableHeader>(hoff_);
+  std::vector<std::uint64_t> old_heads(
+      s_->nbuckets.load(std::memory_order_relaxed));
+  const std::uint64_t old_off = s_->buckets_off;
+  pool_->read(old_off, old_heads.data(), old_heads.size() * 8);
 
   // Build a complete replacement: new array + copied nodes sharing the old
-  // value blobs.  Nothing existing is mutated until the header swap.
-  const std::uint64_t nbuckets_off = pool_->alloc(new_nbuckets * 8);
-  zero_range(*pool_, nbuckets_off, new_nbuckets * 8);
-
+  // value blobs.  Nothing existing is mutated until the header swap.  Each
+  // copy is written back as it is made and the new heads collect in DRAM;
+  // one drain after the array store makes all of it durable at once.
+  const std::uint64_t new_off = pool_->alloc(new_nbuckets * 8);
+  std::vector<std::uint64_t> heads(new_nbuckets, 0);
   std::vector<std::uint64_t> old_nodes;
   std::vector<std::uint64_t> dup_vals;
-  for (std::uint64_t b = 0; b < hdr.nbuckets; ++b) {
-    std::uint64_t node = pool_->get<std::uint64_t>(hdr.buckets_off + b * 8);
+  std::vector<std::byte> image;
+  for (std::uint64_t node : old_heads) {
     std::set<std::string> seen;  // keys copied from this chain
     while (node != 0) {
       old_nodes.push_back(node);
-      const std::string key = read_key(node);
+      const auto h = read_header(*pool_, node);
+      const std::string key = read_key(*pool_, node, h);
       if (!seen.insert(key).second) {
         // Shadowed crash-leftover duplicate (see link_replace): copying it
         // would RE-ORDER it above the live entry, because this loop
         // prepends while walking head-to-tail.  Drop it instead; its value
         // blob is freed with the other retired storage after the swap.
-        dup_vals.push_back(pool_->get<std::uint64_t>(node + kNodeValOff));
-        node = pool_->get<std::uint64_t>(node + kNodeNext);
+        dup_vals.push_back(h.val_off);
+        node = h.next;
         continue;
       }
       const std::uint64_t copy = pool_->alloc(kNodeKey + key.size());
-      const std::uint64_t nslot =
-          nbuckets_off + (fnv1a(key) % new_nbuckets) * 8;
-      // Stage the copy, persist it as one unit, then link it.
-      const NodeHeaderImage nh{pool_->get<std::uint64_t>(nslot),
-                               pool_->get<std::uint64_t>(node + kNodeValOff),
-                               pool_->get<std::uint64_t>(node + kNodeValSize),
-                               pool_->get<std::uint64_t>(node + kNodeMeta),
-                               static_cast<std::uint32_t>(key.size()), 0};
-      pool_->write(copy, &nh, sizeof(nh));
-      if (!key.empty()) {
-        pool_->write(copy + kNodeKey, key.data(), key.size());
-      }
-      pool_->persist(copy, kNodeKey + key.size());
-      pool_->set<std::uint64_t>(nslot, copy);
-      node = pool_->get<std::uint64_t>(node + kNodeNext);
+      std::uint64_t& head = heads[fnv1a(key) % new_nbuckets];
+      const NodeHeaderImage nh{head, h.val_off, h.val_size, h.meta,
+                               h.key_len, 0};
+      image.resize(kNodeKey + key.size());
+      std::memcpy(image.data(), &nh, sizeof(nh));
+      std::memcpy(image.data() + kNodeKey, key.data(), key.size());
+      pool_->write(copy, image.data(), image.size());
+      pool_->flush(copy, image.size());
+      head = copy;
+      node = h.next;
     }
   }
+  pool_->write(new_off, heads.data(), heads.size() * 8);
+  pool_->flush(new_off, heads.size() * 8);
+  pool_->drain();
 
   {
     Transaction tx(*pool_);
@@ -387,17 +457,20 @@ void HashTable::rehash(std::size_t new_nbuckets) {
     // made commit's own flush a checker-flagged duplicate).
     const std::uint64_t nb = new_nbuckets;
     pool_->write(hoff_ + offsetof(TableHeader, nbuckets), &nb, sizeof(nb));
-    pool_->write(hoff_ + offsetof(TableHeader, buckets_off), &nbuckets_off,
-                 sizeof(nbuckets_off));
+    pool_->write(hoff_ + offsetof(TableHeader, buckets_off), &new_off,
+                 sizeof(new_off));
     tx.commit();
   }
+  // The swap is durable: move the mirror over before retiring the old
+  // storage (a fault while freeing must not leave it pointing back).
+  s_->buckets_off = new_off;
+  s_->nbuckets.store(new_nbuckets, std::memory_order_release);
 
   for (std::uint64_t node : old_nodes) pool_->free(node);
   for (std::uint64_t val : dup_vals) {
     if (val != 0) pool_->free(val);
   }
-  pool_->free(hdr.buckets_off);
-  for (auto it = stripes_->rbegin(); it != stripes_->rend(); ++it) it->unlock();
+  pool_->free(old_off);
 }
 
 // ---------------------------------------------------------------------------
@@ -406,12 +479,13 @@ void HashTable::rehash(std::size_t new_nbuckets) {
 
 HashTable::Inserter::Inserter(HashTable& t, std::string_view key,
                               std::uint64_t node_off, std::uint64_t val_off,
-                              std::uint64_t val_size)
+                              std::uint64_t val_size, std::uint64_t meta)
     : table_(&t),
       key_(key),
       node_off_(node_off),
       val_off_(val_off),
-      val_size_(val_size) {}
+      val_size_(val_size),
+      meta_(meta) {}
 
 HashTable::Inserter::Inserter(Inserter&& o) noexcept
     : table_(o.table_),
@@ -419,6 +493,7 @@ HashTable::Inserter::Inserter(Inserter&& o) noexcept
       node_off_(o.node_off_),
       val_off_(o.val_off_),
       val_size_(o.val_size_),
+      meta_(o.meta_),
       published_(o.published_),
       scope_open_(o.scope_open_) {
   o.published_ = true;  // the moved-from shell owns nothing
@@ -452,13 +527,12 @@ void HashTable::Inserter::close_checker_scope() {
 }
 
 void HashTable::Inserter::set_meta_high(std::uint32_t hi) {
-  auto meta = table_->pool_->get<std::uint64_t>(node_off_ + kNodeMeta);
-  meta = (meta & 0xFFFFFFFFull) | (static_cast<std::uint64_t>(hi) << 32);
+  meta_ = (meta_ & 0xFFFFFFFFull) | (static_cast<std::uint64_t>(hi) << 32);
   if (published_) {
-    table_->pool_->set<std::uint64_t>(node_off_ + kNodeMeta, meta);
+    table_->pool_->set<std::uint64_t>(node_off_ + kNodeMeta, meta_);
   } else {
     // Still staged: publish() persists the whole header in one flush.
-    table_->pool_->write(node_off_ + kNodeMeta, &meta, sizeof(meta));
+    table_->pool_->write(node_off_ + kNodeMeta, &meta_, sizeof(meta_));
   }
 }
 
@@ -479,7 +553,7 @@ bool HashTable::Inserter::publish(bool keep_existing) {
   bool head_linked = false;
   bool linked;
   try {
-    linked = table_->link_replace(key_, node_off_, keep_existing, &head_linked);
+    linked = table_->link_replace(*this, keep_existing, &head_linked);
   } catch (...) {
     // A fault in the post-publish tail (count bump, stale-entry unlink or
     // free) unwinds through here with the entry already durably reachable.
@@ -504,12 +578,6 @@ bool HashTable::Inserter::publish(bool keep_existing) {
   }
   if (linked) table_->maybe_grow();
   return linked;
-}
-
-void HashTable::maybe_grow() {
-  if (!auto_grow_) return;
-  const auto hdr = pool_->get<TableHeader>(hoff_);
-  if (hdr.count > hdr.nbuckets * 4) rehash(hdr.nbuckets * 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -562,31 +630,28 @@ void HashTable::publish_group(std::span<GroupPut> puts) {
     }
   }
 
-  // Lock the stripes of every winning key in ascending order (the order
-  // rehash/for_each use), so the persistent chains are stable below us.
-  std::vector<std::size_t> stripe_ids;
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    if (!discard[i]) stripe_ids.push_back(fnv1a(live[i]->ins->key_) % kStripes);
-  }
-  std::sort(stripe_ids.begin(), stripe_ids.end());
-  stripe_ids.erase(std::unique(stripe_ids.begin(), stripe_ids.end()),
-                   stripe_ids.end());
+  // Lock the stripes of every winning key's bucket, so the persistent
+  // chains are stable below us.  The stripes follow the bucket count, which
+  // is re-checked once they are held in case a rehash committed in between.
   // RAII so a crash-point exception thrown below cannot leak the locks;
   // released explicitly before maybe_grow(), which takes every stripe.
-  struct StripeGuard {
-    std::array<std::mutex, kStripes>* stripes;
-    const std::vector<std::size_t>* ids;
-    bool held = true;
-    void release() {
-      if (!held) return;
-      held = false;
-      for (auto it = ids->rbegin(); it != ids->rend(); ++it) {
-        (*stripes)[*it].unlock();
-      }
+  std::vector<std::uint64_t> hash(live.size());
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    hash[i] = fnv1a(live[i]->ins->key_);
+  }
+  StripeLocks stripe_locks(s_->stripes);
+  std::uint64_t nb = 0;
+  do {
+    nb = s_->nbuckets.load(std::memory_order_acquire);
+    std::vector<std::size_t> stripe_ids;
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      if (!discard[i]) stripe_ids.push_back(hash[i] % nb % kStripes);
     }
-    ~StripeGuard() { release(); }
-  } stripe_guard{stripes_.get(), &stripe_ids};
-  for (auto id : stripe_ids) (*stripes_)[id].lock();
+    std::sort(stripe_ids.begin(), stripe_ids.end());
+    stripe_ids.erase(std::unique(stripe_ids.begin(), stripe_ids.end()),
+                     stripe_ids.end());
+    stripe_locks.lock(std::move(stripe_ids));
+  } while (s_->nbuckets.load(std::memory_order_relaxed) != nb);
 
   // Wire the winners into per-bucket shadow chains: each new node's next
   // pointer is a plain store that rides along in the phase-A flush of the
@@ -604,7 +669,7 @@ void HashTable::publish_group(std::span<GroupPut> puts) {
   for (std::size_t i = 0; i < live.size(); ++i) {
     if (discard[i]) continue;
     Inserter& ins = *live[i]->ins;
-    const std::uint64_t slot = bucket_slot(ins.key_);
+    const std::uint64_t slot = s_->buckets_off + (hash[i] % nb) * 8;
     auto oh = orig_head.find(slot);
     if (oh == orig_head.end()) {
       const auto head = pool_->get<std::uint64_t>(slot);
@@ -612,8 +677,10 @@ void HashTable::publish_group(std::span<GroupPut> puts) {
       shadow_head.emplace(slot, head);
     }
     std::uint64_t old = oh->second;
-    while (old != 0 && read_key(old) != ins.key_) {
-      old = pool_->get<std::uint64_t>(old + kNodeNext);
+    while (old != 0) {
+      const auto h = read_header(*pool_, old);
+      if (holds_key(*pool_, old, h, ins.key_)) break;
+      old = h.next;
     }
     if (old != 0 && live[i]->keep_existing) {
       discard[i] = true;
@@ -653,23 +720,31 @@ void HashTable::publish_group(std::span<GroupPut> puts) {
 
     // Fence #2 — visibility: one 8-byte head store per touched bucket plus
     // the count bump, all flushed together under a second single drain.
+    // The count store stays under count_mu until it is durable, so no other
+    // publisher stores to its line in between and the mirror follows it.
     std::vector<std::pair<std::uint64_t, std::size_t>> vis;
     for (const auto& [slot, head] : shadow_head) {
       if (head == orig_head.find(slot)->second) continue;  // all discarded
       pool_->write(slot, &head, sizeof(head));
       vis.emplace_back(slot, sizeof(head));
     }
+    std::unique_lock clk(s_->count_mu, std::defer_lock);
+    std::uint64_t count = 0;
     if (fresh_links != 0) {
-      std::lock_guard clk(*count_mu_);
-      auto hdr = pool_->get<TableHeader>(hoff_);
-      const std::uint64_t count = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(hdr.count) + fresh_links);
+      clk.lock();
+      count = static_cast<std::uint64_t>(
+          static_cast<std::int64_t>(s_->count.load(std::memory_order_relaxed)) +
+          fresh_links);
       pool_->write(hoff_ + offsetof(TableHeader, count), &count,
                    sizeof(count));
       vis.emplace_back(hoff_ + offsetof(TableHeader, count), sizeof(count));
     }
     flush_coalesced(*pool_, vis);
     pool_->drain();
+    if (clk.owns_lock()) {
+      s_->count.store(count, std::memory_order_relaxed);
+      clk.unlock();
+    }
 
     // The new chains are durable and visible; unlink the superseded
     // duplicates they shadow (same discipline as single publish(): a crash
@@ -677,21 +752,17 @@ void HashTable::publish_group(std::span<GroupPut> puts) {
     for (const auto& r : replaces) {
       std::uint64_t prev = 0;
       std::uint64_t cur = pool_->get<std::uint64_t>(r.slot);
-      while (cur != 0 && cur != r.old_node) {
+      NodeHeaderImage h{};
+      while (cur != 0) {
+        h = read_header(*pool_, cur);
+        if (cur == r.old_node) break;
         prev = cur;
-        cur = pool_->get<std::uint64_t>(cur + kNodeNext);
+        cur = h.next;
       }
       if (cur == 0) continue;
-      const std::uint64_t old_next =
-          pool_->get<std::uint64_t>(r.old_node + kNodeNext);
-      if (prev == 0) {
-        pool_->set<std::uint64_t>(r.slot, old_next);
-      } else {
-        pool_->set<std::uint64_t>(prev + kNodeNext, old_next);
-      }
-      const auto old_val = pool_->get<std::uint64_t>(r.old_node + kNodeValOff);
+      pool_->set<std::uint64_t>(prev == 0 ? r.slot : prev + kNodeNext, h.next);
       pool_->free(r.old_node);
-      if (old_val != 0) pool_->free(old_val);
+      if (h.val_off != 0) pool_->free(h.val_off);
     }
   }
 
@@ -703,7 +774,7 @@ void HashTable::publish_group(std::span<GroupPut> puts) {
     if (ins.val_off_ != 0) pool_->free(ins.val_off_);
   }
 
-  stripe_guard.release();
+  stripe_locks.release();
 
   // Checker scopes were already closed (at stage time or by the fallback
   // above); only mark the reservations consumed so their destructors

@@ -371,6 +371,30 @@ TEST_P(CoreApiTest, AttributesRoundtripAndList) {
   pmem.munmap();
 }
 
+TEST_P(CoreApiTest, RemoveLeavesIdsSharingAPrefix) {
+  // remove() collects pieces and attributes in one scan under "<id>#";
+  // ids that merely start with the removed id keep every entry.
+  PMEM pmem{config()};
+  pmem.mmap("/rm-prefix");
+  const std::size_t dims = 4, off = 0;
+  const std::vector<double> v(4, 2.0);
+  for (const std::string id : {"t", "t2", "t#x"}) {
+    pmem.alloc<double>(id, 1, &dims);
+    pmem.store(id, v.data(), 1, &off, &dims);
+    pmem.store_attribute(id, "units", std::string("K"));
+  }
+  pmem.remove("t");
+  EXPECT_FALSE(pmem.exists("t"));
+  EXPECT_TRUE(pmem.attributes("t").empty());
+  for (const std::string id : {"t2", "t#x"}) {
+    std::vector<double> out(4);
+    pmem.load(id, out.data(), 1, &off, &dims);
+    EXPECT_EQ(out, v) << id;
+    EXPECT_EQ(pmem.load_attribute<std::string>(id, "units"), "K") << id;
+  }
+  pmem.munmap();
+}
+
 TEST(CoreApiHierarchical, SlashCreatesDirectories) {
   PmemNode node(small_node());
   Config cfg;

@@ -1,17 +1,30 @@
 // Tests for the persistent hashtable with chaining.
+#include <pmemcpy/check/persist_checker.hpp>
 #include <pmemcpy/obj/hashtable.hpp>
+#include <pmemcpy/trace/trace.hpp>
 
 #include <gtest/gtest.h>
 
+#include <sys/types.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <csignal>
+#include <cstdlib>
 #include <cstring>
+#include <latch>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 namespace {
 
+using pmemcpy::check::Violation;
 using pmemcpy::obj::HashTable;
 using pmemcpy::obj::Pool;
 using pmemcpy::pmem::Device;
+namespace trace = pmemcpy::trace;
 
 constexpr std::size_t kPool = 32ull << 20;
 
@@ -234,6 +247,153 @@ TEST_F(HashTableTest, ConcurrentSameKeyReplaceStaysConsistent) {
   EXPECT_EQ(table.count(), 1u);
   const std::string v = get_str("contended");
   EXPECT_EQ(v.substr(0, 6), "writer");
+}
+
+/// With the persist checker attached, publishers racing on one pool trip two
+/// cross-thread artifacts on shared metadata lines (allocator undo lanes,
+/// the table header): a scope commit finds a line another thread has
+/// flushed but not yet fenced (dirty-at-commit), and a flush finds a line
+/// another thread's flush already cleaned (clean-flush).  The HashTableTest
+/// Concurrent* cases above hit them too, under CPU load.  The tests below
+/// check what the checker cannot see (lost inserts, rebuild counts), so they
+/// consume those two kinds and fail on any other finding.
+void expect_only_cross_thread_findings(Device& dev) {
+  if (dev.checker() == nullptr) return;
+  for (const auto& f : dev.checker()->take_report().findings) {
+    EXPECT_TRUE(f.kind == Violation::kDirtyAtCommit ||
+                f.kind == Violation::kCleanFlush)
+        << pmemcpy::check::violation_name(f.kind) << " line " << f.line
+        << " scope " << f.scope << ": " << f.detail;
+  }
+}
+
+TEST(HashTableConcurrent, DistinctKeysWithBucketCountNotAMultipleOfStripes) {
+  // 100 buckets over 64 stripes: bucket b and bucket b+64 would share a
+  // stripe if it were chosen by key hash, while keys of one bucket could
+  // hold different ones — and two racing inserts into that bucket then read
+  // the same head and one of them is lost.
+  Device dev(kPool);
+  Pool pool = Pool::create(dev, 0, kPool);
+  HashTable table = HashTable::create(pool, 100);
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 125;
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int i = 0; i < kPerThread; ++i) {
+        const std::string key =
+            "t" + std::to_string(t) + "_" + std::to_string(i);
+        table.put(key, key.data(), key.size());
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(table.count(), static_cast<std::size_t>(kThreads * kPerThread));
+  std::size_t visited = 0;
+  table.for_each(
+      [&](std::string_view, const pmemcpy::obj::ValueRef&) { ++visited; });
+  EXPECT_EQ(visited, static_cast<std::size_t>(kThreads * kPerThread));
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      const std::string key =
+          "t" + std::to_string(t) + "_" + std::to_string(i);
+      auto ref = table.find(key);
+      ASSERT_TRUE(ref.has_value()) << key;
+      std::string out(ref->val_size, '\0');
+      table.read_value(*ref, out.data());
+      EXPECT_EQ(out, key);
+    }
+  }
+  expect_only_cross_thread_findings(dev);
+}
+
+TEST(HashTableConcurrent, AutoGrowRebuildsOncePerGrowth) {
+  // 4 publishers push a 64-bucket table past both growth thresholds (256
+  // and 1024 entries).  Each growth must rebuild the table exactly once: a
+  // publisher that lost the race for the stripes finds the table already
+  // grown instead of growing it again.  Whether publishers race at a
+  // threshold depends on host scheduling, so the scenario repeats on fresh
+  // tables.
+  constexpr int kRounds = 5;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 1000;  // 4000 entries: 4x256 < 4000 <= 4x1024
+  const bool was_enabled = trace::enabled();
+  trace::set_enabled(true);
+  for (int round = 0; round < kRounds; ++round) {
+    trace::reset();
+    Device dev(kPool);
+    Pool pool = Pool::create(dev, 0, kPool);
+    HashTable table = HashTable::create(pool, 64);
+    table.set_auto_grow(true);
+    std::latch start(kThreads);  // publish concurrently across thresholds
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        for (int i = 0; i < kPerThread; ++i) {
+          const std::string key =
+              "g" + std::to_string(t) + "_" + std::to_string(i);
+          table.put(key, key.data(), key.size());
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    std::size_t rebuilds = 0;
+    for (const auto& s : trace::snapshot()) {
+      if (std::strcmp(s.name, "ht.rehash") == 0) ++rebuilds;
+    }
+    EXPECT_EQ(trace::dropped_spans(), 0u);
+    EXPECT_EQ(rebuilds, 2u) << "round " << round;
+    EXPECT_EQ(table.nbuckets(), 1024u) << "round " << round;
+    EXPECT_EQ(table.count(), static_cast<std::size_t>(kThreads * kPerThread));
+    for (int t = 0; t < kThreads; ++t) {
+      for (int i = 0; i < kPerThread; ++i) {
+        EXPECT_TRUE(
+            table.find("g" + std::to_string(t) + "_" + std::to_string(i)))
+            << t << "/" << i;
+      }
+    }
+    expect_only_cross_thread_findings(dev);
+  }
+  trace::reset();
+  trace::set_enabled(was_enabled);
+}
+
+TEST_F(HashTableTest, ThrowingForEachCallbackReleasesStripes) {
+  put_str("a", "1");
+  // The scenario runs in a child process: if the throw leaked the stripe
+  // locks, the put would block forever, and the timeout below turns that
+  // into a failure instead of a hung test.
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    try {
+      table.for_each([](std::string_view, const pmemcpy::obj::ValueRef&) {
+        throw std::runtime_error("callback failed");
+      });
+    } catch (const std::runtime_error&) {
+    }
+    put_str("b", "2");
+    std::_Exit(get_str("b") == "2" ? 0 : 1);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  int status = 0;
+  pid_t done = 0;
+  while ((done = waitpid(pid, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (done == 0) {
+    kill(pid, SIGKILL);
+    waitpid(pid, &status, 0);
+    FAIL() << "put blocked after a for_each callback threw";
+  }
+  ASSERT_EQ(done, pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 TEST(HashTableCrash, UnpublishedInsertInvisibleAfterCrash) {
