@@ -170,8 +170,10 @@ struct BaselineRow {
   std::uint64_t metadata_persists = 0;
 };
 
-/// Parses the one-object-per-line JSON write_json() emits.  Phases present
-/// only on one side are skipped (new phases must not fail old baselines).
+/// Parses the one-object-per-line JSON write_json() emits.  A phase with
+/// no baseline row passes (new phases must not fail old baselines), but a
+/// row with no phase fails: a deleted or renamed phase must not drop its
+/// gate silently.
 bool check_baseline(const char* path) {
   std::FILE* f = std::fopen(path, "r");
   if (f == nullptr) {
@@ -216,6 +218,13 @@ bool check_baseline(const char* path) {
                 it->second.metadata_persists);
       ok = false;
     }
+  }
+  for (const auto& p : phases) base.erase(p.name);
+  for (const auto& row : base) {
+    std::fprintf(stderr,
+                 "alloc_audit: STALE baseline row %s matches no phase\n",
+                 row.first.c_str());
+    ok = false;
   }
   return ok;
 }

@@ -77,31 +77,12 @@ inline bool is_pmcpy(IoLib lib) {
   return lib == IoLib::kPmcpyA || lib == IoLib::kPmcpyB;
 }
 
-/// Shard count for the pmemcpy stacks (PMEMCPY_BENCH_SHARDS, default 1).
-inline std::size_t bench_shards() {
-  if (const char* s = std::getenv("PMEMCPY_BENCH_SHARDS")) {
-    const int n = std::atoi(s);
-    if (n > 0) return static_cast<std::size_t>(n);
-  }
-  return 1;
-}
-
 /// Fresh node sized for @p data_bytes of payload under the given stack.
 inline std::unique_ptr<PmemNode> make_node(IoLib lib,
                                            std::size_t data_bytes) {
   PmemNode::Options o;
-  if (is_pmcpy(lib)) {
-    o.pool_fraction = 0.9;
-    // Sharding splits the pool area evenly but hash-partitions keys
-    // unevenly, so the fullest shard needs roughly 2x the mean load —
-    // double the payload headroom whenever shards are on.
-    const double headroom = bench_shards() > 1 ? 3.2 : 1.6;
-    o.capacity =
-        static_cast<std::size_t>(data_bytes * headroom) + (64ull << 20);
-  } else {
-    o.pool_fraction = 0.02;
-    o.capacity = static_cast<std::size_t>(data_bytes * 1.6) + (64ull << 20);
-  }
+  o.pool_fraction = is_pmcpy(lib) ? 0.9 : 0.02;
+  o.capacity = static_cast<std::size_t>(data_bytes * 1.6) + (64ull << 20);
   return std::make_unique<PmemNode>(o);
 }
 
@@ -113,12 +94,6 @@ inline pmemcpy::Config pmcpy_config(IoLib lib, PmemNode& node) {
   cfg.map_sync = lib == IoLib::kPmcpyB;
   cfg.serializer = pmemcpy::serial::SerializerId::kBp4;
   cfg.layout = pmemcpy::Layout::kHashTable;
-  // PMEMCPY_BENCH_SHARDS=S hash-partitions keys across S shard pools, so
-  // the shards ablation (EXPERIMENTS.md) runs without a rebuild.
-  if (const char* s = std::getenv("PMEMCPY_BENCH_SHARDS")) {
-    const int n = std::atoi(s);
-    if (n > 0) cfg.shards = static_cast<std::size_t>(n);
-  }
   return cfg;
 }
 

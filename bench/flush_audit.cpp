@@ -16,7 +16,6 @@
 #include <pmemcpy/check/persist_checker.hpp>
 #include <pmemcpy/fs/filesystem.hpp>
 #include <pmemcpy/obj/hashtable.hpp>
-#include <pmemcpy/obj/plist.hpp>
 #include <pmemcpy/trace/trace.hpp>
 
 #include <cstdint>
@@ -32,7 +31,6 @@ using pmemcpy::check::Report;
 using pmemcpy::fs::FileSystem;
 using pmemcpy::fs::OpenMode;
 using pmemcpy::obj::HashTable;
-using pmemcpy::obj::PList;
 using pmemcpy::obj::Pool;
 using pmemcpy::obj::Transaction;
 using pmemcpy::pmem::Device;
@@ -116,8 +114,10 @@ struct BaselineRow {
   unsigned long long fence_ops = 0;
 };
 
-/// Parses the one-object-per-line JSON write_json() emits.  Phases present
-/// only on one side are skipped (new phases must not fail old baselines).
+/// Parses the one-object-per-line JSON write_json() emits.  A phase with
+/// no baseline row passes (new phases must not fail old baselines), but a
+/// row with no phase fails: a deleted or renamed phase must not drop its
+/// gate silently.
 bool check_baseline(const char* path) {
   std::FILE* f = std::fopen(path, "r");
   if (f == nullptr) {
@@ -161,6 +161,13 @@ bool check_baseline(const char* path) {
                    it->second.fence_ops);
       ok = false;
     }
+  }
+  for (const auto& p : phases) base.erase(p.name);
+  for (const auto& row : base) {
+    std::fprintf(stderr,
+                 "flush_audit: STALE baseline row %s matches no phase\n",
+                 row.first.c_str());
+    ok = false;
   }
   return ok;
 }
@@ -249,16 +256,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-
-  // Persistent list push/pop (node persist + link-in discipline).
-  audit("plist", 64ull << 20, [](Device& dev) {
-    Pool pool = Pool::create(dev, 0, 64ull << 20);
-    PList list = PList::create(pool, 64);
-    std::vector<std::byte> rec(64, std::byte{2});
-    for (int i = 0; i < 10000; ++i) list.push(rec.data());
-    while (list.pop(rec.data())) {
-    }
-  });
 
   // Filesystem format (bitmap + inode-table persist).
   audit("fs-format", 64ull << 20, [](Device& dev) {

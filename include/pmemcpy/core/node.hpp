@@ -54,10 +54,6 @@ class PmemNode {
                                                  std::size_t size,
                                                  obj::PoolOptions opts = {});
   [[nodiscard]] bool has_pool(const std::string& name);
-  /// Bytes of the pool area not yet claimed by any pool (pools pack from the
-  /// bottom of the area and are never deleted).  The sharded engine divides
-  /// this across its shards when the config asks for "the rest" (size 0).
-  [[nodiscard]] std::size_t pool_area_available();
 
   /// Shared HashTable instance bound to (pool, header offset).
   std::shared_ptr<obj::HashTable> table_for(

@@ -1,7 +1,7 @@
 // The storage-engine contract: everything above this layer (PMEM, the C API,
 // benchmarks) speaks one key-value interface; everything below it (the flat
-// hashtable pool, the DAX-filesystem tree, the sharded composition) is an
-// interchangeable implementation.
+// hashtable pool or the DAX-filesystem tree) is an interchangeable
+// implementation.
 //
 // The contract:
 //   * Entries are (key, blob, 64-bit meta word).  Keys are flat strings;
@@ -49,7 +49,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 namespace pmemcpy {
 class PmemNode;
@@ -71,14 +70,6 @@ namespace pmemcpy::engine {
 struct EntryInfo {
   std::uint64_t size = 0;
   std::uint64_t meta = 0;
-};
-
-/// Physical placement of an entry, for repair/scrub diagnostics: which shard
-/// holds it and where its blob starts on the device.  Engines without a
-/// meaningful physical address (the tree engine) report the defaults.
-struct Provenance {
-  int shard = 0;              ///< index within a sharded composition
-  std::uint64_t dev_off = 0;  ///< device-absolute blob offset; 0 = unknown
 };
 
 class Engine {
@@ -124,8 +115,10 @@ class Engine {
     [[nodiscard]] std::span<const std::byte> stored_span() {
       return stored_span(info().size);
     }
-    /// Physical placement (shard + device offset) for diagnostics.
-    [[nodiscard]] virtual Provenance provenance() const { return {}; }
+    /// Device-absolute offset of the stored blob, for repair/scrub
+    /// diagnostics; 0 when the engine has no meaningful physical address
+    /// (the tree engine).
+    [[nodiscard]] virtual std::uint64_t dev_off() const { return 0; }
   };
 
   /// Group-commit scope (see contract above for visibility semantics).
@@ -159,11 +152,11 @@ class Engine {
       const std::function<void(const std::string&, const EntryInfo&)>& fn) = 0;
   virtual std::unique_ptr<Batch> begin_batch() = 0;
 
-  /// Record the device-absolute range [dev_off, dev_off+len) in the owning
-  /// shard's persistent quarantine table so its space is never allocated
-  /// again (the self-healing put path calls this with DeviceError
-  /// coordinates before retrying).  Returns false when no shard owns the
-  /// range or the engine has no quarantine support (the tree engine).
+  /// Record the device-absolute range [dev_off, dev_off+len) in the pool's
+  /// persistent quarantine table so its space is never allocated again (the
+  /// self-healing put path calls this with DeviceError coordinates before
+  /// retrying).  Returns false when the range lies outside the pool or the
+  /// engine has no quarantine support (the tree engine).
   virtual bool quarantine(std::size_t dev_off, std::size_t len) {
     (void)dev_off;
     (void)len;
@@ -181,19 +174,13 @@ std::unique_ptr<Engine> make_table_engine(std::shared_ptr<obj::Pool> pool,
 std::unique_ptr<Engine> make_tree_engine(fs::FileSystem& fs, std::string root,
                                          bool map_sync);
 
-/// Hash-partition keys across @p shards (routing is engine-agnostic, so any
-/// engine mix shards).  Batches fan out into per-shard sub-batches.
-std::unique_ptr<Engine> make_sharded_engine(
-    std::vector<std::unique_ptr<Engine>> shards);
-
 /// Options for the standard pool-backed open path.
 struct PoolEngineOptions {
-  std::string name;            ///< pool name (shards append ".s<k>")
-  std::size_t pool_size = 0;   ///< bytes per shard; 0 = split what's left
-  std::size_t nbuckets = 8192; ///< total buckets (divided across shards)
+  std::string name;            ///< pool name
+  std::size_t pool_size = 0;   ///< pool bytes; 0 = the rest of the pool area
+  std::size_t nbuckets = 8192; ///< initial hashtable buckets (0 acts as 1)
   bool auto_grow = true;
   bool map_sync = false;
-  std::size_t shards = 1;
   /// Allocator hot-path knobs (DESIGN.md §14).  -1 defers to the
   /// PMEMCPY_MAGAZINE_SIZE / PMEMCPY_ALLOC_STRIPES env vars, then to the
   /// engine defaults (magazines of 8, 8 stripes); 0 disables magazines /
@@ -202,11 +189,11 @@ struct PoolEngineOptions {
   int alloc_stripes = -1;
 };
 
-/// Open (creating if needed) the table engine(s) for @p opts.  Collective
-/// when @p comm is non-null: rank 0 creates every shard pool + table, then
-/// all ranks open the shared instances.  Each pool's expected-contender
-/// count is set to ceil(nranks / shards) — the simulated-clock serialization
-/// sharding exists to relieve.
+/// Open (creating if needed) the table engine for @p opts.  Collective when
+/// @p comm is non-null: rank 0 creates the pool and its table, then all
+/// ranks open the shared instances.  The pool's expected-contender count is
+/// set to the number of ranks, which the simulated-clock contention model
+/// charges against.
 std::unique_ptr<Engine> open_pool_engine(PmemNode& node,
                                          const PoolEngineOptions& opts,
                                          par::Comm* comm);

@@ -78,7 +78,6 @@ class HashTable {
 
     /// Charged, crash-tracked writable span over the reserved blob.
     [[nodiscard]] std::span<std::byte> value();
-    [[nodiscard]] std::uint64_t value_off() const noexcept { return val_off_; }
     /// Overwrite the high 32 bits of the entry's meta word (the blob
     /// checksum slot) before publishing.
     void set_meta_high(std::uint32_t hi);
@@ -90,8 +89,8 @@ class HashTable {
 
     /// Close this reservation's persistency-checker scope early, for group
     /// staging.  The checker's scope stack is strictly LIFO per thread, but
-    /// a batch stager interleaves reservations (across buckets, tables and
-    /// shards) and publishes them in a different order — so each staged
+    /// a batch stager interleaves reservations (across buckets) and
+    /// publishes them in a different order — so each staged
     /// scope must be popped while it is still the innermost one, i.e. right
     /// after the value is serialized and before the next reservation.  The
     /// staged lines stay deliberately dirty; publish_group()'s coalesced

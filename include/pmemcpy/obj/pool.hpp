@@ -1,8 +1,7 @@
 // PMDK-like transactional persistent object store ("libpmemobj-lite").
 //
 // A Pool lives inside a region of an emulated PMEM device and provides:
-//   * offset-based persistent pointers (PPtr<T>) that stay valid across
-//     re-opens,
+//   * pool-relative offsets that stay valid across re-opens,
 //   * a crash-safe allocator (striped size-class free lists + bump arena;
 //     every multi-store metadata mutation is made atomic by per-stripe
 //     allocator undo lanes, so a crash at any persist boundary rolls the
@@ -35,14 +34,6 @@
 #include <vector>
 
 namespace pmemcpy::obj {
-
-/// Typed persistent pointer: an offset from the pool base.  0 is null.
-template <typename T>
-struct PPtr {
-  std::uint64_t off = 0;
-  [[nodiscard]] explicit operator bool() const noexcept { return off != 0; }
-  friend bool operator==(PPtr, PPtr) = default;
-};
 
 struct PoolOptions {
   /// Charge MAP_SYNC synchronous-fault semantics on every DAX store.
@@ -133,11 +124,10 @@ class Pool {
   /// Expected number of ranks/threads concurrently hammering this pool's
   /// serialized metadata path (allocator lock, undo logs).  A pure
   /// simulation knob: every alloc()/free() charges a queueing delay of
-  /// (n-1) * PmemModel::pool_op_queue_cost.  Engines set it to
-  /// ceil(nranks/shards) at open; the default of 1 charges nothing, so
-  /// serial code is unaffected.
+  /// (n-1) * PmemModel::pool_op_queue_cost.  Engines set it to the rank
+  /// count at open; the default of 1 charges nothing, so serial code is
+  /// unaffected.
   void set_expected_contenders(int n) noexcept { contenders_ = n < 1 ? 1 : n; }
-  [[nodiscard]] int expected_contenders() const noexcept { return contenders_; }
 
   /// Per-rank magazine capacity: the refill batch K.  0 (the default for a
   /// raw pool) disables magazines entirely — every alloc/free takes the
@@ -256,17 +246,6 @@ class Pool {
   /// Account a bulk zero-copy read of @p len bytes.
   void charge_read(std::size_t len) const {
     dev_->charge_dax_read(len, opts_.map_sync);
-  }
-
-  // --- typed persistent pointers ----------------------------------------------
-
-  template <typename T>
-  [[nodiscard]] T pget(PPtr<T> p) const {
-    return get<T>(p.off);
-  }
-  template <typename T>
-  void pset(PPtr<T> p, const T& v) {
-    set<T>(p.off, v);
   }
 
   // --- transactions -------------------------------------------------------------

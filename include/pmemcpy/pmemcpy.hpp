@@ -85,13 +85,7 @@ struct Config {
   /// a cached blob never goes stale.  The PMEMCPY_READ_CACHE env var
   /// overrides this at mmap() time (accepts k/m/g suffixes).
   std::size_t read_cache_bytes = 0;
-  /// Hash-partition the flat layout's keys across this many pools (each
-  /// with its own allocator and metadata table), so concurrent ranks stop
-  /// serializing on one pool's metadata path.  1 = the classic single-pool
-  /// layout.  The shard count is part of the persistent layout: reopen a
-  /// region with the same value it was created with.
-  std::size_t shards = 1;
-  /// Allocator hot-path knobs (DESIGN.md §14), forwarded to every shard
+  /// Allocator hot-path knobs (DESIGN.md §14), forwarded to the region's
   /// pool.  -1 defers to PMEMCPY_MAGAZINE_SIZE / PMEMCPY_ALLOC_STRIPES and
   /// then to the engine defaults (8 / 8); 0 disables magazines, 1 collapses
   /// the metadata stripes back to one fully serialized lane.  Purely
@@ -120,13 +114,12 @@ struct IntegrityError : std::runtime_error {
 };
 
 /// Result of PMEM::scrub(): every stored key whose payload failed its
-/// checksum or could not be read back.  Keys are deduplicated across
-/// sharded pools; each item carries its physical provenance.
+/// checksum or could not be read back, each examined once and reported with
+/// the device offset of its blob.
 struct ScrubReport {
   struct Item {
     std::string key;
     std::string issue;
-    int shard = 0;              ///< shard that held the entry
     std::uint64_t dev_off = 0;  ///< device-absolute blob offset; 0 = unknown
   };
   std::size_t entries = 0;  ///< distinct keys examined
@@ -199,8 +192,8 @@ class PMEM {
 
   /// A group-commit scope (DESIGN.md §8).  Stores issued while a Batch is
   /// open are staged and published together by commit(): the flat layout
-  /// pays one coalesced flush pass and two fences per touched shard instead
-  /// of per entry.  Staged entries are invisible to loads — including this
+  /// pays one coalesced flush pass and two fences per batch instead of per
+  /// entry.  Staged entries are invisible to loads — including this
   /// process's own, so loading an id stored earlier in the same open batch
   /// throws KeyError.  Destroying the Batch without commit() discards every
   /// staged entry; a crash during commit() may publish a prefix of the

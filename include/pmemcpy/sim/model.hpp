@@ -64,12 +64,11 @@ struct PmemModel {
   /// free lists and undo logs sit behind one lock, so concurrent ranks
   /// serialize on every alloc/free — the µs-scale small-allocation critical
   /// section van Renen et al. and Marathe et al. measure for pmemobj-style
-  /// heaps.  Charged per metadata op and per expected contender beyond the
-  /// first (Pool::set_expected_contenders); sharded engines divide the
-  /// contenders across pools, which is exactly the effect they exist to model.
-  /// 0.1 µs keeps the single-pool charge at 48 ranks within the figure
-  /// benches' millisecond print resolution while still separating the
-  /// shard counts (EXPERIMENTS.md §shards).
+  /// heaps.  Charged per locked metadata op and per expected contender
+  /// beyond the first on the same metadata stripe
+  /// (Pool::set_expected_contenders / set_alloc_stripes, DESIGN.md §14).
+  /// 0.1 µs keeps the charge at 48 ranks within the figure benches'
+  /// millisecond print resolution.
   double pool_op_queue_cost = 0.1e-6;
 };
 

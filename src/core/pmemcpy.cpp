@@ -161,7 +161,6 @@ void PMEM::do_mmap(const std::string& filename, par::Comm* comm) {
     eopts.nbuckets = cfg_.nbuckets;
     eopts.auto_grow = cfg_.auto_grow_table;
     eopts.map_sync = cfg_.map_sync;
-    eopts.shards = cfg_.shards;
     eopts.magazine_size = cfg_.magazine_size;
     eopts.alloc_stripes = cfg_.alloc_stripes;
     engine_ = engine::open_pool_engine(*node_, eopts, comm);
@@ -373,10 +372,10 @@ ScrubReport PMEM::scrub() {
   trace::Span span("core.scrub");
   auto& st = engine_ref();
   ScrubReport rep;
-  // Ordered-set dedupe: a key can surface from more than one shard pool
-  // (e.g. a region resharded after its shard-0 pool already held keys that
-  // now route elsewhere), and find() only ever returns the routed copy —
-  // examine and report each distinct key once.
+  // Ordered-set dedupe: a crash can leave a shadowed duplicate of a key
+  // inside one chain (HashTable's link_replace), for_each_prefix visits
+  // both copies, and find() only ever returns the live one — examine and
+  // report each distinct key once.
   std::set<std::string> keys;
   st.for_each_prefix("",
                      [&](const std::string& key, const engine::EntryInfo&) {
@@ -384,21 +383,20 @@ ScrubReport PMEM::scrub() {
                      });
   for (const auto& key : keys) {
     auto entry = st.find(key);
-    if (!entry) continue;  // concurrently removed (or unrouted stale copy)
+    if (!entry) continue;  // concurrently removed
     ++rep.entries;
     const auto info = entry->info();
-    const auto prov = entry->provenance();
+    const std::uint64_t dev_off = entry->dev_off();
     std::vector<std::byte> blob(info.size);
     try {
       entry->read(0, blob.data(), blob.size());
     } catch (const pmem::DeviceError& e) {
-      rep.corrupt.push_back({key, std::string("media error: ") + e.what(),
-                             prov.shard, prov.dev_off});
+      rep.corrupt.push_back(
+          {key, std::string("media error: ") + e.what(), dev_off});
       continue;
     }
     if (crc32c(blob.data(), blob.size()) != detail::meta_crc(info.meta)) {
-      rep.corrupt.push_back(
-          {key, "checksum mismatch", prov.shard, prov.dev_off});
+      rep.corrupt.push_back({key, "checksum mismatch", dev_off});
     }
   }
   return rep;
@@ -454,36 +452,38 @@ RepairReport PMEM::repair() {
   auto& st = engine_ref();
   auto& dev = node_->device();
   RepairReport rep;
+  // Same ordered-set dedupe as scrub(): a shadowed duplicate left in a chain
+  // by a crash must not be examined (or relocated) twice.
   std::set<std::string> keys;
   st.for_each_prefix("",
                      [&](const std::string& key, const engine::EntryInfo&) {
                        keys.insert(key);
                      });
   const auto mark_damaged = [&](const std::string& key, std::string issue,
-                                const engine::Provenance& prov) {
-    rep.damaged.push_back({key, std::move(issue), prov.shard, prov.dev_off});
+                                std::uint64_t dev_off) {
+    rep.damaged.push_back({key, std::move(issue), dev_off});
     damaged_.insert(key);
     trace::count(trace::Counter::kFtDamagedKeys);
   };
   for (const auto& key : keys) {
     auto entry = st.find(key);
-    if (!entry) continue;  // concurrently removed (or unrouted stale copy)
+    if (!entry) continue;  // concurrently removed
     ++rep.entries;
     const auto info = entry->info();
-    const auto prov = entry->provenance();
+    const std::uint64_t dev_off = entry->dev_off();
     std::vector<std::byte> blob(info.size);
     try {
       entry->read(0, blob.data(), blob.size());
     } catch (const pmem::DeviceError& e) {
       // Unreadable: there is nothing to relocate from.
-      mark_damaged(key, std::string("media error: ") + e.what(), prov);
+      mark_damaged(key, std::string("media error: ") + e.what(), dev_off);
       continue;
     }
     if (crc32c(blob.data(), blob.size()) != detail::meta_crc(info.meta)) {
-      mark_damaged(key, "checksum mismatch", prov);
+      mark_damaged(key, "checksum mismatch", dev_off);
       continue;
     }
-    if (prov.dev_off == 0 || !dev.media_failing(prov.dev_off, info.size)) {
+    if (dev_off == 0 || !dev.media_failing(dev_off, info.size)) {
       continue;  // intact and on healthy media
     }
     // Intact bytes on failing media (sticky writes still read back): fence
@@ -493,7 +493,7 @@ RepairReport PMEM::repair() {
     // leaves either the old (still readable) or the new entry.
     bool fenced = true;
     for (const auto& [soff, slen] : dev.sticky_ranges()) {
-      if (soff < prov.dev_off + info.size && prov.dev_off < soff + slen) {
+      if (soff < dev_off + info.size && dev_off < soff + slen) {
         fenced = st.quarantine(soff, slen) && fenced;
       }
     }
@@ -512,7 +512,7 @@ RepairReport PMEM::repair() {
                                       : "relocation failed (unfenced: "
                                         "quarantine table full): ") +
                        e.what(),
-                   prov);
+                   dev_off);
     }
   }
   // Relocation rewrites bindings and quarantine reshapes the allocatable

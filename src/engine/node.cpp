@@ -144,13 +144,6 @@ bool PmemNode::has_pool(const std::string& name) {
   return find_pool(name).has_value();
 }
 
-std::size_t PmemNode::pool_area_available() {
-  std::lock_guard lk(mu_);
-  std::uint64_t base = pool_area_begin_;
-  for (const auto& e : registry_) base = std::max(base, e.base + e.size);
-  return pool_area_end_ - base;
-}
-
 std::shared_ptr<obj::HashTable> PmemNode::table_for(
     const std::shared_ptr<obj::Pool>& pool, std::uint64_t header_off) {
   std::lock_guard lk(mu_);

@@ -62,8 +62,8 @@ class TableEntry final : public Engine::Entry {
     return {pool_->direct(ref_.val_off), ref_.val_size};
   }
 
-  Provenance provenance() const override {
-    return {0, pool_->base() + ref_.val_off};
+  std::uint64_t dev_off() const override {
+    return pool_->base() + ref_.val_off;
   }
 
  private:
@@ -101,7 +101,7 @@ class TableBatchPut final : public Engine::PutHandle {
     ins_.set_meta_high(payload_crc);
     // The checker's scope stack is LIFO per thread: pop this put's scope
     // now, while it is still innermost — the group commit publishes staged
-    // entries in an unrelated order (and possibly across shards).
+    // entries in an unrelated order.
     ins_.close_checker_scope();
     st_->staged.push_back({std::move(ins_), keep_existing_});
     staged_ = true;
@@ -192,8 +192,8 @@ class TableEngine final : public Engine {
   }
 
   bool quarantine(std::size_t dev_off, std::size_t len) override {
-    // Translate the device-absolute range into this shard's pool; ranges
-    // outside the pool belong to another shard.
+    // Translate the device-absolute range into the pool; ranges outside it
+    // are not ours to fence.
     if (len == 0) return false;
     const std::size_t base = pool_->base();
     if (dev_off < base || dev_off - base >= pool_->size() ||

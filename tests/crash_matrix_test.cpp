@@ -138,6 +138,12 @@ MatrixPlan counting_run() {
   pmemcpy::PMEM p(make_cfg(node));
   p.mmap(kPoolFile);
   plan.setup_ops = node.device().persist_ops();
+  {
+    // The engine must build the table it was asked for: at 64 buckets none
+    // of the workload's keys would share a chain.
+    const auto pool = node.open_pool(kPoolFile);
+    EXPECT_EQ(node.table_for(pool, pool->root())->nbuckets(), 4u);
+  }
   plan.marks = run_workload(p, node.device());
   plan.total_ops = node.device().persist_ops();
 

@@ -1,5 +1,5 @@
 // Conformance suite for the storage-engine contract (engine/engine.hpp):
-// every engine — flat table, hierarchical tree, sharded composition — must
+// every engine — flat table and hierarchical tree — must
 // satisfy the same put/find/erase/prefix-iteration/batch semantics the core
 // relies on.  The whole suite runs with the persistency-order checker
 // attached, so any flush/fence-ordering violation in an engine's write path
@@ -30,15 +30,10 @@ using pmemcpy::engine::EntryInfo;
 using pmemcpy::pmem::CrashError;
 using pmemcpy::pmem::FaultPlan;
 
-enum class Kind { kTable, kTree, kSharded };
+enum class Kind { kTable, kTree };
 
 const char* kind_name(Kind k) {
-  switch (k) {
-    case Kind::kTable: return "Table";
-    case Kind::kTree: return "Tree";
-    case Kind::kSharded: return "Sharded";
-  }
-  return "?";
+  return k == Kind::kTable ? "Table" : "Tree";
 }
 
 std::unique_ptr<Engine> open_engine(PmemNode& node, Kind kind) {
@@ -48,7 +43,6 @@ std::unique_ptr<Engine> open_engine(PmemNode& node, Kind kind) {
   pmemcpy::engine::PoolEngineOptions o;
   o.name = "test";
   o.nbuckets = 256;
-  o.shards = kind == Kind::kSharded ? 4 : 1;
   return pmemcpy::engine::open_pool_engine(node, o, nullptr);
 }
 
@@ -332,8 +326,7 @@ TEST_P(EngineTest, LargeBatchRoundtrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, EngineTest,
-                         ::testing::Values(Kind::kTable, Kind::kTree,
-                                           Kind::kSharded),
+                         ::testing::Values(Kind::kTable, Kind::kTree),
                          [](const auto& info) {
                            return kind_name(info.param);
                          });
@@ -366,75 +359,6 @@ TEST(EngineBatchFences, TableBatchCommitIsTwoFences) {
   EXPECT_TRUE(rep.ok()) << rep.to_string();
 }
 
-// A sharded batch pays at most two fences per *touched shard*.
-TEST(EngineBatchFences, ShardedBatchFencesScaleWithShards) {
-  PmemNode::Options o;
-  o.capacity = 64ull << 20;
-  PmemNode node(o);
-  node.device().enable_checker();
-  auto eng = open_engine(node, Kind::kSharded);
-
-  auto batch = eng->begin_batch();
-  for (int i = 0; i < 32; ++i) {
-    const std::string v = "payload-" + std::to_string(i);
-    auto put = batch->put("k" + std::to_string(i), v.size(), 0, false);
-    put->sink().write(v.data(), v.size());
-    put->commit(0);
-  }
-  const auto before = node.device().checker()->report();
-  batch->commit();
-  const auto after = node.device().checker()->report();
-  EXPECT_LE(after.fence_ops - before.fence_ops, 2u * 4u);
-
-  eng.reset();
-  const auto rep = node.device().checker()->take_report();
-  EXPECT_TRUE(rep.ok()) << rep.to_string();
-}
-
-// --- sharded layout ---------------------------------------------------------
-
-TEST(ShardedEngine, KeysSpreadAcrossShardPools) {
-  PmemNode::Options o;
-  o.capacity = 64ull << 20;
-  PmemNode node(o);
-  auto eng = open_engine(node, Kind::kSharded);
-  constexpr int kN = 200;
-  for (int i = 0; i < kN; ++i) {
-    const std::string v = "v" + std::to_string(i);
-    auto put = eng->put("key/" + std::to_string(i), v.size(), 0, false);
-    put->sink().write(v.data(), v.size());
-    put->commit(0);
-  }
-  // Union over shards is exactly the key set.
-  std::set<std::string> seen;
-  eng->for_each_prefix("key/", [&](const std::string& k, const EntryInfo&) {
-    seen.insert(k);
-  });
-  EXPECT_EQ(seen.size(), static_cast<std::size_t>(kN));
-  // Every shard pool exists and holds a nontrivial share of the keys.
-  for (int s = 0; s < 4; ++s) {
-    auto pool = node.open_pool("test.s" + std::to_string(s));
-    auto table = node.table_for(pool, pool->root());
-    EXPECT_GT(table->count(), 10u) << "shard " << s << " underloaded";
-  }
-}
-
-TEST(ShardedEngine, ReopenSeesSameData) {
-  PmemNode::Options o;
-  o.capacity = 64ull << 20;
-  PmemNode node(o);
-  {
-    auto eng = open_engine(node, Kind::kSharded);
-    auto put = eng->put("persist/me", 4, 9, false);
-    put->sink().write("data", 4);
-    put->commit(0);
-  }
-  auto eng = open_engine(node, Kind::kSharded);
-  auto e = eng->find("persist/me");
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->info().meta, 9u);
-}
-
 // --- crash-at-every-persist sweep of the group-commit publish path ----------
 
 struct CrashKv {
@@ -453,19 +377,16 @@ std::vector<CrashKv> crash_kv() {
   return kv;
 }
 
-std::unique_ptr<Engine> open_crash_engine(PmemNode& node, std::size_t shards) {
+std::unique_ptr<Engine> open_crash_engine(PmemNode& node) {
   pmemcpy::engine::PoolEngineOptions o;
   o.name = "crash";
   o.nbuckets = 4;       // force chained buckets
   o.auto_grow = false;  // keep the op sequence flat and deterministic
-  o.shards = shards;
   return pmemcpy::engine::open_pool_engine(node, o, nullptr);
 }
 
 PmemNode::Options crash_node_opts() {
   PmemNode::Options o;
-  // Large enough that a 4-way shard split still clears the per-pool
-  // minimum (heap_start + 64K ≈ 1.1 MB per shard).
   o.capacity = 32ull << 20;
   o.pool_fraction = 0.5;
   o.crash_shadow = true;
@@ -482,15 +403,19 @@ void run_crash_batch(Engine& eng, const std::vector<CrashKv>& kv) {
   batch->commit();
 }
 
-void crash_sweep(std::size_t shards, bool torn) {
+void crash_sweep(bool torn) {
   const auto kv = crash_kv();
 
   // Counting run: learn the persist-op window of the batched workload.
   std::uint64_t setup = 0, total = 0;
   {
     PmemNode node(crash_node_opts());
-    auto eng = open_crash_engine(node, shards);
+    auto eng = open_crash_engine(node);
     setup = node.device().persist_ops();
+    // The engine must build the table it was asked for: at 64 buckets none
+    // of the batch's keys would share a chain.
+    const auto pool = node.open_pool("crash");
+    EXPECT_EQ(node.table_for(pool, pool->root())->nbuckets(), 4u);
     run_crash_batch(*eng, kv);
     total = node.device().persist_ops();
     for (const auto& e : kv) {
@@ -506,7 +431,7 @@ void crash_sweep(std::size_t shards, bool torn) {
     PmemNode node(crash_node_opts());
     auto& dev = node.device();
     {
-      auto eng = open_crash_engine(node, shards);
+      auto eng = open_crash_engine(node);
       ASSERT_EQ(dev.persist_ops(), setup);
       FaultPlan fp;
       fp.crash_at_persist = k;
@@ -525,7 +450,7 @@ void crash_sweep(std::size_t shards, bool torn) {
     dev.revive();
     node.remount();
 
-    auto eng = open_crash_engine(node, shards);
+    auto eng = open_crash_engine(node);
     // Atomicity invariant: each key is absent or completely intact.  A
     // crash mid-commit may publish any prefix of the batch, never a torn
     // entry.
@@ -541,18 +466,14 @@ void crash_sweep(std::size_t shards, bool torn) {
 }
 
 TEST(EngineCrashMatrix, TableGroupCommitAtomicPerEntry) {
-  crash_sweep(1, /*torn=*/false);
+  crash_sweep(/*torn=*/false);
 }
 
 TEST(EngineCrashMatrix, TableGroupCommitAtomicPerEntryTorn) {
-  crash_sweep(1, /*torn=*/true);
+  crash_sweep(/*torn=*/true);
 }
 
-TEST(EngineCrashMatrix, ShardedGroupCommitAtomicPerEntry) {
-  crash_sweep(4, /*torn=*/false);
-}
-
-// --- PMEM-level batch scope and shards --------------------------------------
+// --- PMEM-level batch scope -------------------------------------------------
 
 TEST(PmemBatch, ScopeStagesAndCommits) {
   PmemNode::Options o;
@@ -590,39 +511,6 @@ TEST(PmemBatch, AbandonedScopeDiscards) {
   p.store("x", 22);  // a fresh unbatched store works afterwards
   EXPECT_EQ(p.load<int>("x"), 22);
   p.munmap();
-}
-
-TEST(PmemShards, MultiRankShardedRoundtrip) {
-  constexpr int kRanks = 8;
-  PmemNode::Options o;
-  o.capacity = 256ull << 20;
-  PmemNode node(o);
-  pmemcpy::par::Runtime::run(kRanks, [&](pmemcpy::par::Comm& comm) {
-    pmemcpy::Config cfg;
-    cfg.node = &node;
-    cfg.shards = 4;
-    pmemcpy::PMEM p(cfg);
-    p.mmap("shards.pool", comm);
-    const std::size_t dims[1] = {kRanks * 16};
-    p.alloc<double>("v", 1, dims);
-    std::vector<double> mine(16);
-    for (std::size_t i = 0; i < mine.size(); ++i) {
-      mine[i] = comm.rank() * 100.0 + static_cast<double>(i);
-    }
-    const std::size_t off = static_cast<std::size_t>(comm.rank()) * 16;
-    const std::size_t cnt = 16;
-    p.store("v", mine.data(), 1, &off, &cnt);
-    comm.barrier();
-    std::vector<double> back(16, -1.0);
-    p.load("v", back.data(), 1, &off, &cnt);
-    EXPECT_EQ(back, mine);
-    // Cross-rank read: the piece written by the neighbour.
-    const std::size_t noff =
-        static_cast<std::size_t>((comm.rank() + 1) % kRanks) * 16;
-    p.load("v", back.data(), 1, &noff, &cnt);
-    EXPECT_EQ(back[0], ((comm.rank() + 1) % kRanks) * 100.0);
-    p.munmap();
-  });
 }
 
 }  // namespace

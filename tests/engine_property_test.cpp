@@ -2,7 +2,7 @@
 //
 // A seeded deterministic RNG drives long random sequences of puts, gets,
 // erases, group commits, keep-existing races and prefix scans against every
-// engine (flat table, hierarchical tree, 4-way sharded composition), with an
+// engine (flat table and hierarchical tree), with an
 // in-memory reference model replayed alongside.  After every mutating op the
 // engine must agree with the model byte-for-byte — info().size, the
 // CRC-stamped meta word, read() contents and the zero-copy stored_span()
@@ -42,14 +42,14 @@ using pmemcpy::engine::Engine;
 using pmemcpy::pmem::CrashError;
 using pmemcpy::pmem::FaultPlan;
 
-enum class Kind { kTable, kTree, kSharded };
+enum class Kind { kTable, kTree };
 
 /// One fuzzed configuration: engine shape × allocator hot-path knobs.  The
 /// magazine/stripe pair rides through PoolEngineOptions (-1 = the engine
 /// default of magazines-of-8 over 8 stripes), so the same op sequences run
 /// against the lock-free magazine path, the classic fully-locked path, and
-/// a wide sharded+magazine composition — the equivalence and crash
-/// invariants must hold identically in every cell.
+/// an oversized refill batch — the equivalence and crash invariants must
+/// hold identically in every cell.
 struct Config {
   Kind kind;
   int magazine_size;   ///< -1 = engine default, 0 = classic locked path
@@ -64,7 +64,6 @@ std::unique_ptr<Engine> open_engine(PmemNode& node, const Config& cfg) {
   pmemcpy::engine::PoolEngineOptions o;
   o.name = "fuzz";
   o.nbuckets = 64;  // small bucket space: chained-slot paths get exercised
-  o.shards = cfg.kind == Kind::kSharded ? 4 : 1;
   o.magazine_size = cfg.magazine_size;
   o.alloc_stripes = cfg.alloc_stripes;
   return pmemcpy::engine::open_pool_engine(node, o, nullptr);
@@ -73,13 +72,10 @@ std::unique_ptr<Engine> open_engine(PmemNode& node, const Config& cfg) {
 constexpr Config kConfigs[] = {
     {Kind::kTable, -1, -1, "Table"},
     {Kind::kTree, -1, -1, "Tree"},
-    {Kind::kSharded, -1, -1, "Sharded"},
     // Allocator hot-path matrix: classic (no magazines, one metadata lane)
-    // vs an oversized refill batch spread across fewer stripes, both under
-    // the sharded composition where put/erase churn is heaviest.
+    // vs an oversized refill batch spread across fewer stripes.
     {Kind::kTable, 0, 1, "TableClassic"},
-    {Kind::kSharded, 0, 1, "ShardedClassic"},
-    {Kind::kSharded, 16, 4, "ShardedMag16"},
+    {Kind::kTable, 16, 4, "TableMag16"},
 };
 
 /// Deterministic splitmix64 stream; the only randomness source here, so a
@@ -185,8 +181,8 @@ void verify_model(Engine& eng, const Model& model, const char* when) {
     for (const auto& [key, mv] : model) {
       if (key.rfind(prefix, 0) == 0) want.insert(key);
     }
-    // A sharded engine may surface a key from more than one shard after
-    // routing changes; find() resolves the routed copy, so enumeration must
+    // A crash can leave a shadowed duplicate of a key in its chain, which
+    // enumeration visits twice; the set collapses it, so enumeration must
     // still cover exactly the model's key set.
     EXPECT_EQ(got, want) << "prefix '" << prefix << "'";
   }

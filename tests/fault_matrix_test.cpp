@@ -415,12 +415,11 @@ TEST(FaultMatrix, UnreadableEntriesBecomeTypedDamage) {
   const std::uint64_t voff = blob_dev_off(p, dev, "lost");
   dev.inject_read_error(voff, 16);
 
-  // scrub() reports the media error with physical provenance...
+  // scrub() reports the media error with its device offset...
   const auto scrubbed = p.scrub();
   ASSERT_EQ(scrubbed.corrupt.size(), 1u);
   EXPECT_EQ(scrubbed.corrupt[0].key, "lost");
   EXPECT_EQ(scrubbed.corrupt[0].dev_off, voff);
-  EXPECT_EQ(scrubbed.corrupt[0].shard, 0);
 
   // ...and repair() declares it damaged: uncorrectable reads cannot heal.
   const std::uint64_t dmg0 = ctr(Counter::kFtDamagedKeys);

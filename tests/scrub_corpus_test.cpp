@@ -1,16 +1,15 @@
 // Corruption corpus for PMEM::scrub() (DESIGN.md §10).
 //
-// scrub() promises: every stored key is examined exactly once (deduplicated
-// across shard pools), silent payload corruption — bit rot, torn lines —
-// surfaces as a checksum mismatch, unreadable media surfaces as a typed
-// media-error item, and every item carries physical provenance (shard +
-// device-absolute blob offset) so an operator can map damage to hardware.
+// scrub() promises: every stored key is examined exactly once, silent
+// payload corruption — bit rot, torn lines — surfaces as a checksum
+// mismatch, unreadable media surfaces as a typed media-error item, and every
+// item carries its device-absolute blob offset so an operator can map damage
+// to hardware.
 //
 // Corruption is planted by mutating device bytes through raw() — invisible
 // to crash tracking and checksums alike, exactly like rot under a real DAX
 // mapping — or by injecting media read errors.
 #include <pmemcpy/core/node.hpp>
-#include <pmemcpy/obj/pool.hpp>
 #include <pmemcpy/pmem/device.hpp>
 #include <pmemcpy/pmemcpy.hpp>
 
@@ -33,12 +32,10 @@ pmemcpy::PmemNode::Options node_opts() {
   return o;
 }
 
-pmemcpy::Config make_cfg(pmemcpy::PmemNode& node, std::size_t shards = 1) {
+pmemcpy::Config make_cfg(pmemcpy::PmemNode& node) {
   pmemcpy::Config cfg;
   cfg.node = &node;
   cfg.auto_grow_table = false;
-  cfg.shards = shards;
-  cfg.pool_size = 3ull << 19;  // 1.5 MB: leaves room for sibling shard pools
   return cfg;
 }
 
@@ -116,7 +113,6 @@ TEST(ScrubCorpus, BitFlipsAreCaughtAtEveryOffset) {
   for (const auto& item : rep.corrupt) {
     bad.push_back(item.key);
     EXPECT_EQ(item.issue, "checksum mismatch");
-    EXPECT_EQ(item.shard, 0);
     EXPECT_NE(item.dev_off, 0u);
   }
   std::sort(bad.begin(), bad.end());
@@ -175,78 +171,6 @@ TEST(ScrubCorpus, MediaErrorsAreTypedWithProvenance) {
   // Clearing the injected error clears the report: the bytes were intact.
   dev.clear_read_errors();
   EXPECT_TRUE(p.scrub().ok());
-  p.munmap();
-}
-
-TEST(ScrubCorpus, ShardProvenanceMapsToTheOwningPool) {
-  pmemcpy::PmemNode node(node_opts());
-  auto& dev = node.device();
-  pmemcpy::PMEM p(make_cfg(node, 2));
-  p.mmap("scrub.sharded");
-  for (int i = 0; i < 8; ++i) {
-    p.store("k" + std::to_string(i), std::vector<int>(16, i));
-  }
-
-  // Flip a byte in every blob: scrub must attribute each item to the shard
-  // pool that physically holds it.
-  struct Range {
-    std::uint64_t lo, hi;
-  };
-  std::vector<Range> pools;
-  for (int s = 0; s < 2; ++s) {
-    const auto pool = node.open_pool("scrub.sharded.s" + std::to_string(s));
-    pools.push_back({pool->base(), pool->base() + pool->size()});
-  }
-  for (int i = 0; i < 8; ++i) {
-    flip_byte(dev, locate_blob(p, dev, "k" + std::to_string(i)).dev_off);
-  }
-
-  const auto rep = p.scrub();
-  EXPECT_EQ(rep.entries, 8u);
-  ASSERT_EQ(rep.corrupt.size(), 8u);
-  bool used[2] = {false, false};
-  for (const auto& item : rep.corrupt) {
-    ASSERT_GE(item.shard, 0);
-    ASSERT_LT(item.shard, 2);
-    EXPECT_GE(item.dev_off, pools[item.shard].lo) << item.key;
-    EXPECT_LT(item.dev_off, pools[item.shard].hi) << item.key;
-    used[item.shard] = true;
-  }
-  // With 8 hashed keys both shards hold data; if routing ever collapses to
-  // one shard this assert flags the test (and the hash) for review.
-  EXPECT_TRUE(used[0] && used[1]);
-  p.munmap();
-}
-
-TEST(ScrubCorpus, ReshardedDuplicatesAreCountedOnce) {
-  pmemcpy::PmemNode node(node_opts());
-
-  // Phase 1: a single-pool region whose name collides with what a 2-shard
-  // region calls its shard-0 pool.
-  {
-    pmemcpy::PMEM p(make_cfg(node));
-    p.mmap("dup.s0");
-    for (int i = 0; i < 8; ++i) p.store("k" + std::to_string(i), i);
-    EXPECT_EQ(p.scrub().entries, 8u);
-    p.munmap();
-  }
-
-  // Phase 2: reopen as a 2-shard region.  Shard 0 is the old pool with all
-  // eight keys; re-storing each key routes it by hash, so roughly half now
-  // also live in shard 1 — the old shard-0 copies become unrouted stale
-  // duplicates.
-  pmemcpy::PMEM p(make_cfg(node, 2));
-  p.mmap("dup");
-  for (int i = 0; i < 8; ++i) p.store("k" + std::to_string(i), 100 + i);
-
-  const auto rep = p.scrub();
-  EXPECT_TRUE(rep.ok());
-  EXPECT_EQ(rep.entries, 8u);  // distinct keys, not per-pool copies
-
-  // find() serves the routed (fresh) copy, never a stale duplicate.
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(p.load<int>("k" + std::to_string(i)), 100 + i);
-  }
   p.munmap();
 }
 
