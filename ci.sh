@@ -17,6 +17,15 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+run_audit() {
+  local dir="$1"
+  # Exact per-phase flush/fence, copy and allocator counts (bench/audit.cpp).
+  # The binary exits 1 on a broken invariant; any count that differs from
+  # the checked-in baseline fails the diff.
+  "${dir}/bench/audit" --json "${dir}/BENCH_audit.json"
+  diff -u bench/audit_baseline.json "${dir}/BENCH_audit.json"
+}
+
 run_config() {
   local name="$1"
   shift
@@ -36,24 +45,8 @@ run_config() {
   # property sub-labels select subsets, see tests/CMakeLists.txt).
   env ${CTEST_ENV:-} ctest --test-dir "${dir}" --output-on-failure \
     -j"$(nproc)" -L tier1
-  echo "==== [${name}] flush audit ===="
-  # Deterministic flush/fence counts; fails if any phase's CLWB or SFENCE
-  # traffic regressed past the checked-in baseline (see bench/flush_audit.cpp).
-  "${dir}/bench/flush_audit" --json "${dir}/BENCH_flush_audit.json" \
-    --baseline bench/flush_audit_baseline.json
-  echo "==== [${name}] copy audit ===="
-  # Zero-copy gate (DESIGN.md §12): pMEMCPY puts must stage zero DRAM bytes
-  # while the staging ablation and the miniio baselines must report their
-  # staging passes; the baseline catches copy.staged growth anywhere.
-  "${dir}/bench/copy_audit" --json "${dir}/BENCH_copy_audit.json" \
-    --baseline bench/copy_audit_baseline.json
-  echo "==== [${name}] alloc audit ===="
-  # Allocator hot-path gate (DESIGN.md §14): magazines + metadata stripes
-  # must keep pool lane acquisitions and queue charges per put at least 4x
-  # below the classic serialized path at 24 ranks; the baseline catches any
-  # regrowth of lock traffic or metadata persists.
-  "${dir}/bench/alloc_audit" --json "${dir}/BENCH_alloc_audit.json" \
-    --baseline bench/alloc_audit_baseline.json
+  echo "==== [${name}] audit ===="
+  run_audit "${dir}"
   if [[ "${name}" == "release" ]]; then
     echo "==== [${name}] benchmark self-check ===="
     # perfbench is its own CMake package compiling ../src into .bench_build/;
@@ -70,9 +63,9 @@ run_checker_config() {
 }
 
 run_trace_config() {
-  # Spans are pure observers of the simulated clock, so this config also
-  # proves that recording changes no timing, flush or fence number: the
-  # flush-audit baseline gate inside run_config runs with tracing live.
+  # Every test runs with tracing recording.  Spans are pure observers of
+  # the simulated clock, so the suite's timing, flush and fence assertions
+  # must hold unchanged with them live.
   CTEST_ENV="PMEMCPY_TRACE=1" \
     run_config trace -DCMAKE_BUILD_TYPE=Release -DPMEMCPY_TRACE=ON
 }
@@ -105,17 +98,10 @@ run_fault_config() {
   echo "==== [fault] env-armed smoke ===="
   env PMEMCPY_FAULT_RATE=0.001 PMEMCPY_FAULT_SEED=7 \
     "${dir}/examples/quickstart" >/dev/null
-  echo "==== [fault] flush audit (injection disabled) ===="
-  # The baseline gate stays env-free: with injection disabled the build must
-  # be flush-for-flush identical to an uninstrumented one.
-  "${dir}/bench/flush_audit" --json "${dir}/BENCH_flush_audit.json" \
-    --baseline bench/flush_audit_baseline.json
-  echo "==== [fault] copy audit (injection disabled) ===="
-  "${dir}/bench/copy_audit" --json "${dir}/BENCH_copy_audit.json" \
-    --baseline bench/copy_audit_baseline.json
-  echo "==== [fault] alloc audit (injection disabled) ===="
-  "${dir}/bench/alloc_audit" --json "${dir}/BENCH_alloc_audit.json" \
-    --baseline bench/alloc_audit_baseline.json
+  echo "==== [fault] audit (injection disabled) ===="
+  # The audit stays env-free: with injection disabled the build must be
+  # count-for-count identical to an uninstrumented one.
+  run_audit "${dir}"
 }
 
 what="${1:-all}"

@@ -185,25 +185,4 @@ class PersistChecker {
   Report rep_;
 };
 
-/// Process-wide accumulation of checker traffic counters across all devices
-/// (a device folds its checker's counters in on destruction).  Lets benches
-/// print flush/fence-efficiency totals without plumbing device handles.
-struct GlobalCounters {
-  std::uint64_t store_ops = 0;
-  std::uint64_t flush_ops = 0;
-  std::uint64_t lines_flushed = 0;
-  std::uint64_t fence_ops = 0;
-  std::uint64_t clean_flushes = 0;
-  std::uint64_t duplicate_flushes = 0;
-  std::uint64_t empty_fences = 0;
-  std::uint64_t correctness_violations = 0;
-};
-void accumulate_global(const Report& r);
-[[nodiscard]] GlobalCounters global_counters();
-/// "[pmemcpy-persist-check] flush_ops=... fences=... ..." one-liner.
-[[nodiscard]] std::string global_counters_line();
-/// Register an atexit hook that prints global_counters_line() to stderr
-/// (idempotent).  Called when a device enables its checker.
-void register_atexit_counter_dump();
-
 }  // namespace pmemcpy::check

@@ -20,7 +20,7 @@
 // toward copy.direct_bytes; source bytes symmetrically feed
 // copy.read_staged_bytes (BufferSource — a blob bounced through DRAM before
 // decode) or copy.read_direct_bytes (SpanSource/MappingSource — decode
-// consuming the mapped blob in place).  `bench/copy_audit` gates these
+// consuming the mapped blob in place).  `bench/audit` gates these
 // totals per library and per direction, so "zero-copy" is an enforced
 // invariant of both pMEMCPY data paths, not a comment.
 #pragma once

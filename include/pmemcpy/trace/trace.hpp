@@ -13,11 +13,11 @@
 //     Spans are pure observers: they never advance the clock, so enabling
 //     tracing cannot change bench numbers or flush/fence counts.
 //
-//   * A typed counter/histogram registry.  One vocabulary (counter_name())
-//     shared by the stats exporter, `flush_audit --json` and the persist
-//     checker's exit line — the first eight counters mirror
-//     check::Report/GlobalCounters field-for-field so totals can be
-//     cross-checked against checker_report().
+//   * A typed counter/histogram registry, the one counter store.  One
+//     vocabulary (counter_name()) shared by the stats exporter and
+//     `bench/audit --json`.  The device counts its traffic and the persist
+//     checker its lint and correctness tallies here as they happen, so the
+//     first eight counters can be cross-checked against checker_report().
 //
 //   * Exporters: Chrome `trace_event` JSON (chrome://tracing, Perfetto) and
 //     a compact stats JSON.  Timestamps are integer nanoseconds derived
@@ -45,10 +45,12 @@
 
 namespace pmemcpy::trace {
 
-/// Typed counters.  The first eight mirror check::GlobalCounters (same
-/// order, same JSON names) so trace totals and checker tallies are directly
-/// comparable; the rest absorb the counters that used to live as ad-hoc
-/// fields on Device, Pool and the engines.
+/// Typed counters.  The first eight carry check::Report's traffic counters
+/// and violation tallies under the same names: the device counts the
+/// traffic and PersistChecker the tallies as it records them.  The rest
+/// absorb the counters that used to live as ad-hoc fields on Device, Pool
+/// and the engines.  perfbench indexes counters by enumerator, so names
+/// and positions stay fixed.
 enum class Counter : int {
   kStoreOps = 0,            ///< device stores (checker on_store events)
   kFlushOps,                ///< CLWB-equivalent flush operations
@@ -70,9 +72,7 @@ enum class Counter : int {
   kBatchCommits,            ///< engine group commits
   kCrashes,                 ///< simulated power losses observed
   kRecoveries,              ///< Pool::recover sweeps
-  // ft.* — self-healing data path (DESIGN.md §10).  Appended last so the
-  // flush-audit schema (which omits zero counters past the always-first
-  // four) stays byte-identical when fault injection is off.
+  // ft.* — self-healing data path (DESIGN.md §10).
   kFtTransientFaults,       ///< injected transient device faults
   kFtRetries,               ///< device-level retry attempts after a fault
   kFtStickyRanges,          ///< ranges escalated to sticky-bad media
@@ -81,17 +81,11 @@ enum class Counter : int {
   kFtPutRetries,            ///< whole-put retries after quarantining
   kFtDegradedTransitions,   ///< pools entering degraded read-only mode
   kFtDamagedKeys,           ///< entries found unrecoverable by repair()
-  // copy.* — data-path copy audit (DESIGN.md §12).  Also appended last so
-  // checked-in flush-audit baselines stay byte-identical: the schema omits
-  // zero counters past the always-first four, and the audit phases that do
-  // stage are gated by their own copy-audit baseline instead.
+  // copy.* — data-path copy audit (DESIGN.md §12).
   kCopyStagedBytes,         ///< serialized bytes that landed in a DRAM buffer
   kCopyDirectBytes,         ///< serialized bytes that landed in PMEM directly
   kCopyStagedPuts,          ///< puts whose payload took a DRAM staging pass
-  // copy.read_* + cache.* — zero-copy read path (DESIGN.md §13).  Appended
-  // last, same schema-stability argument as above: the stats/flush-audit
-  // schema omits zero counters past the always-first four, so checked-in
-  // baselines stay byte-identical for workloads that never read-stage.
+  // copy.read_* + cache.* — zero-copy read path (DESIGN.md §13).
   kCopyReadStagedBytes,     ///< get bytes bounced through a DRAM buffer
   kCopyReadDirectBytes,     ///< get bytes consumed in-place from PMEM spans
   kCopyReadBounceBytes,     ///< fragmented-tree fallback: charged DRAM bounce
@@ -101,10 +95,7 @@ enum class Counter : int {
   kReadCacheFillBytes,      ///< blob bytes copied into the cache on miss
   kReadCacheEvictions,      ///< entries evicted to respect read_cache_bytes
   kReadCacheInvalidations,  ///< entries dropped by put/remove/repair
-  // alloc.* — allocator hot-path scalability (DESIGN.md §14).  Appended
-  // last, same schema-stability argument as above: zero counters past the
-  // always-first four are omitted, so checked-in baselines for workloads
-  // that never touch a pool allocator stay byte-identical.
+  // alloc.* — allocator hot-path scalability (DESIGN.md §14).
   kAllocLaneAcquisitions,   ///< allocator lock acquisitions (slow paths only)
   kAllocQueueCharges,       ///< nonzero queueing delays charged by the model
   kAllocMetadataPersists,   ///< flush/fence passes issued on allocator metadata
@@ -241,13 +232,10 @@ class Span {
 /// with spans aggregated by name (count + total/self nanoseconds).
 [[nodiscard]] std::string stats_json();
 
-/// `"store_ops": 1, "flush_ops": 2, ...` for an arbitrary counter row in
-/// the schema order — the shared serialisation behind `flush_audit --json`
-/// and the stats exporter.  The first @p always_first counters are emitted
-/// even when zero; later ones only when nonzero.
+/// `"store_ops": 1, "flush_ops": 2, ...` for every counter of @p row in
+/// schema order — the stats exporter's counter serialisation.
 [[nodiscard]] std::string schema_fields(
-    const std::uint64_t (&row)[static_cast<int>(Counter::kNumCounters)],
-    int always_first = 4);
+    const std::uint64_t (&row)[static_cast<int>(Counter::kNumCounters)]);
 
 /// Where the exit-time export goes (set by a path-valued PMEMCPY_TRACE).
 /// Chrome JSON is written to the path itself, stats to path + ".stats.json".

@@ -2,15 +2,12 @@
 # Runs every benchmark binary (paper figures, ablations, microbenches).
 #
 # Each bench runs with the persistency-order checker attached
-# (PMEMCPY_PERSIST_CHECK=1): at exit it prints a
-#   [pmemcpy-persist-check] store_ops=... flush_ops=... fence_ops=... ...
-# line with the flush/fence-efficiency counters for that bench, so redundant
+# (PMEMCPY_PERSIST_CHECK=1) and tracing on
+# (PMEMCPY_TRACE=<bench>.trace.json): each bench writes a Chrome
+# trace_event JSON next to its binary plus a .stats.json, and the stats are
+# echoed after the bench output.  Their counters carry the device's
+# store/flush/fence traffic and the checker's lint tallies, so redundant
 # CLWB/SFENCE traffic shows up next to the timing numbers it explains.
-#
-# Tracing rides along (PMEMCPY_TRACE=<bench>.trace.json): each bench writes
-# a Chrome trace_event JSON next to its binary plus a .stats.json in the
-# same counter schema as the checker line and `flush_audit --json`, and the
-# stats are echoed after the bench output.
 PMEMCPY_PERSIST_CHECK=1
 export PMEMCPY_PERSIST_CHECK
 for b in build/bench/*; do

@@ -243,7 +243,7 @@ class ContiguousWriter final : public Writer {
         });
     c.charge_cpu_copy(packed);
     // The pack pass is this library's DRAM staging copy; the audit
-    // (bench/copy_audit) contrasts it with pMEMCPY's direct path.
+    // (bench/audit) contrasts it with pMEMCPY's direct path.
     namespace trace = pmemcpy::trace;
     if (packed > 0) trace::count(trace::Counter::kCopyStagedPuts);
     trace::count(trace::Counter::kCopyStagedBytes, packed);

@@ -73,12 +73,7 @@ Device::Device(std::size_t capacity, bool crash_shadow)
       data_(std::make_unique<std::byte[]>(capacity_)),
       crash_shadow_(crash_shadow),
       touched_(capacity_ / kPage, false) {
-  if (checker_default_on()) {
-    enable_checker();
-    // Env-driven runs (benches, checker CI config) get the process-exit
-    // counter summary; explicitly enabled test checkers stay quiet.
-    check::register_atexit_counter_dump();
-  }
+  if (checker_default_on()) enable_checker();
   // Env-driven transient-fault arming (the fault-matrix CI config).  A
   // programmatic set_fault_plan() later overrides these.
   const double rate = env_double("PMEMCPY_FAULT_RATE", 0.0);
@@ -102,15 +97,6 @@ Device::Device(std::size_t capacity, bool crash_shadow)
 Device::~Device() {
   if (!checker_) return;
   const check::Report rep = checker_->report();
-  check::accumulate_global(rep);
-  // Lint tallies only exist as report fields (the traffic counters are
-  // counted live); fold them into the trace registry at the same point
-  // they reach the global checker counters.
-  trace::count(trace::Counter::kCleanFlushes, rep.clean_flushes);
-  trace::count(trace::Counter::kDuplicateFlushes, rep.duplicate_flushes);
-  trace::count(trace::Counter::kEmptyFences, rep.empty_fences);
-  trace::count(trace::Counter::kCorrectnessViolations,
-               rep.correctness_violations);
   if (!rep.ok()) {
     std::fprintf(stderr, "pmem::Device: unconsumed persistency violations:\n%s",
                  rep.to_string().c_str());

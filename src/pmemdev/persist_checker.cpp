@@ -1,10 +1,9 @@
 #include <pmemcpy/check/persist_checker.hpp>
 
 #include <pmemcpy/pmem/device.hpp>  // kCacheLine
+#include <pmemcpy/trace/trace.hpp>
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 namespace pmemcpy::check {
@@ -115,14 +114,26 @@ std::uint64_t PersistChecker::epoch_of_locked(ThreadState& ts) const {
 void PersistChecker::record_locked(Violation v, std::size_t line,
                                    std::uint64_t op, const std::string& scope,
                                    std::string detail) {
+  // Each tally reaches its trace counter as it is recorded, so the trace
+  // registry matches report() at any instant, take_report() included.
   if (violation_is_correctness(v)) {
     ++rep_.correctness_violations;
+    trace::count(trace::Counter::kCorrectnessViolations);
   } else {
     ++rep_.efficiency_violations;
     switch (v) {
-      case Violation::kCleanFlush: ++rep_.clean_flushes; break;
-      case Violation::kDuplicateFlush: ++rep_.duplicate_flushes; break;
-      case Violation::kEmptyFence: ++rep_.empty_fences; break;
+      case Violation::kCleanFlush:
+        ++rep_.clean_flushes;
+        trace::count(trace::Counter::kCleanFlushes);
+        break;
+      case Violation::kDuplicateFlush:
+        ++rep_.duplicate_flushes;
+        trace::count(trace::Counter::kDuplicateFlushes);
+        break;
+      case Violation::kEmptyFence:
+        ++rep_.empty_fences;
+        trace::count(trace::Counter::kEmptyFences);
+        break;
       default: break;
     }
   }
@@ -324,8 +335,8 @@ Report PersistChecker::take_report() {
   std::lock_guard lk(mu_);
   Report out = std::move(rep_);
   rep_ = Report{};
-  // Traffic counters keep accumulating across take_report() so global
-  // efficiency accounting stays monotonic.
+  // Traffic counters keep accumulating across take_report(), as their
+  // trace counters do.
   rep_.store_ops = out.store_ops;
   rep_.flush_ops = out.flush_ops;
   rep_.lines_flushed = out.lines_flushed;
@@ -343,55 +354,6 @@ bool PersistChecker::clean() const {
 bool PersistChecker::has_pending_flushes() const {
   std::lock_guard lk(mu_);
   return !pending_lines_.empty();
-}
-
-// --- process-global counter aggregation ------------------------------------
-
-namespace {
-std::mutex g_counters_mu;
-GlobalCounters g_counters;
-bool g_atexit_registered = false;
-
-extern "C" void pmemcpy_check_dump_counters() {
-  const std::string line = global_counters_line();
-  std::fprintf(stderr, "%s\n", line.c_str());
-}
-}  // namespace
-
-void accumulate_global(const Report& r) {
-  std::lock_guard lk(g_counters_mu);
-  g_counters.store_ops += r.store_ops;
-  g_counters.flush_ops += r.flush_ops;
-  g_counters.lines_flushed += r.lines_flushed;
-  g_counters.fence_ops += r.fence_ops;
-  g_counters.clean_flushes += r.clean_flushes;
-  g_counters.duplicate_flushes += r.duplicate_flushes;
-  g_counters.empty_fences += r.empty_fences;
-  g_counters.correctness_violations += r.correctness_violations;
-}
-
-GlobalCounters global_counters() {
-  std::lock_guard lk(g_counters_mu);
-  return g_counters;
-}
-
-std::string global_counters_line() {
-  const GlobalCounters c = global_counters();
-  std::ostringstream os;
-  os << "[pmemcpy-persist-check] store_ops=" << c.store_ops
-     << " flush_ops=" << c.flush_ops << " lines_flushed=" << c.lines_flushed
-     << " fence_ops=" << c.fence_ops << " clean_flushes=" << c.clean_flushes
-     << " duplicate_flushes=" << c.duplicate_flushes
-     << " empty_fences=" << c.empty_fences
-     << " correctness_violations=" << c.correctness_violations;
-  return os.str();
-}
-
-void register_atexit_counter_dump() {
-  std::lock_guard lk(g_counters_mu);
-  if (g_atexit_registered) return;
-  g_atexit_registered = true;
-  std::atexit(&pmemcpy_check_dump_counters);
 }
 
 }  // namespace pmemcpy::check

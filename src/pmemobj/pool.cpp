@@ -255,7 +255,7 @@ void Pool::format() {
   // A re-created pool must not inherit a previous life's quarantine table.
   // Peeked uncharged and only cleared when stale state is actually present,
   // so formatting fresh media issues exactly the same store/flush sequence
-  // as before the table existed (the flush-audit baseline).
+  // as before the table existed (the audit baseline).
   QuarHeader stale;
   std::memcpy(&stale, dev_->raw(base_ + Layout::kQuarOff), sizeof(stale));
   if (stale.count != 0 || stale.crc != 0) {

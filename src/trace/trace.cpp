@@ -354,14 +354,10 @@ std::string chrome_json() {
 }
 
 std::string schema_fields(
-    const std::uint64_t (&row)[static_cast<int>(Counter::kNumCounters)],
-    int always_first) {
+    const std::uint64_t (&row)[static_cast<int>(Counter::kNumCounters)]) {
   std::ostringstream os;
-  bool first = true;
   for (int i = 0; i < kNC; ++i) {
-    if (i >= always_first && row[i] == 0) continue;
-    if (!first) os << ", ";
-    first = false;
+    if (i > 0) os << ", ";
     os << '"' << counter_name(static_cast<Counter>(i)) << "\": " << row[i];
   }
   return os.str();
@@ -395,7 +391,7 @@ std::string stats_json() {
   }
 
   std::ostringstream os;
-  os << "{\"counters\":{" << schema_fields(row, kNC) << "},\"histograms\":{";
+  os << "{\"counters\":{" << schema_fields(row) << "},\"histograms\":{";
   bool first = true;
   for (int i = 0; i < kNH; ++i) {
     const HistData h = histogram(static_cast<Hist>(i));

@@ -1,10 +1,9 @@
 // Determinism regression: the whole stack — engines, serializers, the
-// simulated clock, the DRAM read cache, the flush/copy audit counters — is
-// supposed to be a pure function of the workload.  Two runs of the same
+// simulated clock, the DRAM read cache, the counters bench/audit records —
+// is supposed to be a pure function of the workload.  Two runs of the same
 // seeded workload on fresh nodes must therefore produce byte-identical
-// counter snapshots (serialised through the shared trace schema, the same
-// serialisation flush_audit --json and copy_audit --json emit) and the same
-// simulated clock reading.  Any nondeterminism here — an iteration order
+// counter snapshots (every counter, serialised through the trace schema the
+// stats exporter emits) and the same simulated clock reading.  Any nondeterminism here — an iteration order
 // leak, a real-time dependency, an address-dependent hash — breaks the
 // reproducibility claims EXPERIMENTS.md is built on, so it fails tier-1.
 #include <pmemcpy/pmemcpy.hpp>
@@ -23,8 +22,7 @@ using pmemcpy::Config;
 using pmemcpy::PMEM;
 using pmemcpy::PmemNode;
 
-/// Every counter, serialised through the shared schema (the exact bytes the
-/// audit tools would write for this row).
+/// Every counter, serialised through the stats exporter's schema.
 std::string counter_snapshot() {
   std::uint64_t row[static_cast<int>(trace::Counter::kNumCounters)] = {};
   for (int c = 0; c < static_cast<int>(trace::Counter::kNumCounters); ++c) {
