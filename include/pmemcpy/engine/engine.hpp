@@ -174,6 +174,12 @@ std::unique_ptr<Engine> make_table_engine(std::shared_ptr<obj::Pool> pool,
 std::unique_ptr<Engine> make_tree_engine(fs::FileSystem& fs, std::string root,
                                          bool map_sync);
 
+/// Remove every temp file a tree put left behind on @p fs (a put writes its
+/// entry to a temp file and renames it into place, so a crash strands the
+/// temp).  Only safe while no tree put is in flight: PmemNode::remount()
+/// calls it on the freshly mounted filesystem.
+void reclaim_tree_temps(fs::FileSystem& fs);
+
 /// Options for the standard pool-backed open path.
 struct PoolEngineOptions {
   std::string name;            ///< pool name
@@ -181,10 +187,9 @@ struct PoolEngineOptions {
   std::size_t nbuckets = 8192; ///< initial hashtable buckets (0 acts as 1)
   bool auto_grow = true;
   bool map_sync = false;
-  /// Allocator hot-path knobs (DESIGN.md §14).  -1 defers to the
-  /// PMEMCPY_MAGAZINE_SIZE / PMEMCPY_ALLOC_STRIPES env vars, then to the
-  /// engine defaults (magazines of 8, 8 stripes); 0 disables magazines /
-  /// 1 collapses the stripes back to a single metadata lane.
+  /// Allocator hot-path knobs (DESIGN.md §14).  -1 selects the engine
+  /// defaults (magazines of 8, 8 stripes); 0 disables magazines / 1
+  /// collapses the stripes back to a single metadata lane.
   int magazine_size = -1;
   int alloc_stripes = -1;
 };

@@ -8,10 +8,14 @@
 //
 // Crash-consistency discipline:
 //   * insert  — node and blob are fully written and persisted *before* the
-//     single 8-byte bucket-head store links them in (reserve/publish).
-//   * replace — the new node is linked at the chain head first, then the old
-//     node is unlinked; a crash in between leaves a benign shadowed duplicate
-//     (the head entry wins) that the next replace/erase removes.
+//     single 8-byte bucket-head store links them in (reserve/publish).  A
+//     single publish() and a publish_group() run the same protocol: one
+//     fence makes the entries durable, a second makes them reachable.
+//   * replace — the new node is linked at the chain head.  When the old node
+//     is the head, that store swaps old for new atomically; otherwise the
+//     old node is unlinked afterwards, and a crash in between leaves a benign
+//     shadowed duplicate (the head entry wins) that the next put/erase of
+//     the key sweeps, deepest-first, before it links anything.
 //   * erase/unlink — one 8-byte pointer store.
 //   * rehash  — builds a complete new bucket array + node set (value blobs
 //     are shared, not copied), then swaps the header atomically under a
@@ -82,9 +86,10 @@ class HashTable {
     /// checksum slot) before publishing.
     void set_meta_high(std::uint32_t hi);
     /// Persist the blob + node and link the entry (replacing any existing
-    /// entry with the same key).  With @p keep_existing an existing entry
-    /// wins instead and the reservation is discarded; returns whether this
-    /// entry was linked.
+    /// entry with the same key): a publish_group() of one, traced as
+    /// ht.publish, whose checker scope commits once the publish is done.
+    /// With @p keep_existing an existing entry wins instead and the
+    /// reservation is discarded; returns whether this entry was linked.
     bool publish(bool keep_existing = false);
 
     /// Close this reservation's persistency-checker scope early, for group
@@ -102,6 +107,9 @@ class HashTable {
     Inserter(HashTable& t, std::string_view key, std::uint64_t node_off,
              std::uint64_t val_off, std::uint64_t val_size,
              std::uint64_t meta);
+    /// Free the never-linked reservation and disown it first, so a fault
+    /// part-way cannot make the destructor free it a second time.
+    void drop();
     HashTable* table_;
     std::string key_;
     std::uint64_t node_off_;
@@ -127,25 +135,10 @@ class HashTable {
   };
 
   /// Group commit: make every staged reservation in @p puts durable and
-  /// visible with two fences total, instead of one-plus per put.
-  ///
-  /// Protocol (see DESIGN.md §8):
-  ///   1. resolve within-batch duplicate keys (replace: last wins;
-  ///      keep_existing: first wins) and, under the stripe locks, look up
-  ///      existing chain entries;
-  ///   2. wire the winners into per-bucket shadow chains with plain stores
-  ///      of their next pointers;
-  ///   3. fence #1 — one reservation-only Transaction flushing every blob +
-  ///      node (including the next pointers) with a single coalesced CLWB
-  ///      pass + drain;
-  ///   4. fence #2 — plain 8-byte stores of the new bucket heads and the
-  ///      count, one coalesced flush pass + drain.  Only now is anything
-  ///      reachable, so a crash before this point publishes nothing.
-  ///   5. unlink + free superseded/discarded entries (the benign-shadowed-
-  ///      duplicate discipline of single publish()).
-  ///
-  /// All Inserters must belong to this table and be unpublished; they are
-  /// marked published regardless of outcome.
+  /// visible with two fences total, whatever the batch size (see link()).
+  /// All Inserters must belong to this table; already-published ones are
+  /// skipped, and the rest are consumed (linked or freed) unless a fault
+  /// unwinds, which leaves the unreachable ones to their destructors.
   void publish_group(std::span<GroupPut> puts);
   /// One-shot insert/replace copying @p len bytes.
   void put(std::string_view key, const void* data, std::size_t len,
@@ -195,7 +188,9 @@ class HashTable {
   /// (nbuckets, buckets_off).
   struct Shared {
     std::array<std::mutex, kStripes> stripes;
-    std::mutex count_mu;  ///< serializes count stores (after stripe locks)
+    /// Serializes the count stores and each publish's visibility step
+    /// (head and count stores through their drain); taken after stripes.
+    std::mutex count_mu;
     /// Read without a lock to pick a stripe; written under every stripe.
     std::atomic<std::uint64_t> nbuckets{0};
     std::uint64_t buckets_off = 0;  ///< read under any stripe lock
@@ -205,10 +200,11 @@ class HashTable {
   /// One chain position matching a key, with the node's next pointer and
   /// value offset as read during the walk.
   struct Match {
-    std::uint64_t prev;  ///< predecessor node, 0 = bucket head
-    std::uint64_t node;
-    std::uint64_t next;
-    std::uint64_t val_off;
+    std::uint64_t prev = 0;  ///< predecessor node, 0 = bucket head
+    std::uint64_t node = 0;
+    std::uint64_t next = 0;
+    std::uint64_t val_off = 0;
+    std::size_t depth = 0;  ///< chain position, 0 = bucket head
   };
 
   HashTable(Pool& pool, std::uint64_t hoff, std::uint64_t nbuckets,
@@ -228,13 +224,27 @@ class HashTable {
   /// Unlink @p node (whose predecessor is @p prev, 0 = bucket head) and
   /// free its storage.
   void unlink_free(std::uint64_t slot, std::uint64_t prev, std::uint64_t node);
-  /// Link @p ins's node under its key, replacing any existing entry.  The
-  /// bucket-head store is the commit point: @p linked_out (when non-null)
-  /// flips to true the instant that store is durable, so a caller unwinding
-  /// from a fault in the post-publish tail (count bump, stale-entry unlink)
-  /// can tell a reachable entry from an abandoned reservation.
-  bool link_replace(const Inserter& ins, bool keep_existing,
-                    bool* linked_out = nullptr);
+  /// The one publish protocol behind publish() and publish_group() (see
+  /// DESIGN.md §8), for unpublished reservations of this table:
+  ///   1. resolve within-batch duplicate keys (replace: last wins;
+  ///      keep_existing: first wins) and take the winners' stripe locks;
+  ///   2. walk each winner's chain once, recording every match of its key
+  ///      and the match's predecessor.  Crash leftovers (a key matched more
+  ///      than once) are swept deepest-first before anything is linked;
+  ///   3. wire the winners into per-bucket shadow chains with plain stores
+  ///      of their next pointers.  A winner replacing the bucket head points
+  ///      past it, so the head store swaps old for new atomically;
+  ///   4. fence #1 — one coalesced flush of every blob + node (next pointers
+  ///      included) and one drain.  Nothing is reachable yet;
+  ///   5. fence #2 — the bucket-head stores and the count, one coalesced
+  ///      flush and one drain, under count_mu;
+  ///   6. unlink superseded mid-chain entries deepest-first, then free them
+  ///      and the discarded reservations.
+  /// A linked reservation is marked published as soon as its head store may
+  /// be visible, so an unwinding fault never frees reachable storage; one
+  /// whose head store never landed (or was reverted) stays unpublished for
+  /// its destructor to free.  Returns the number of new keys.
+  std::size_t link(std::span<GroupPut* const> puts);
   [[nodiscard]] bool over_load() const noexcept;
   void maybe_grow();
   /// Build the replacement table and swap it in; every stripe must be held.

@@ -131,7 +131,7 @@ class Pool {
 
   /// Per-rank magazine capacity: the refill batch K.  0 (the default for a
   /// raw pool) disables magazines entirely — every alloc/free takes the
-  /// classic locked path.  Engines arm K from PMEMCPY_MAGAZINE_SIZE.
+  /// classic locked path.  Engines arm K = 8 unless told otherwise.
   /// Clamped to [0, kMaxMagazineSize].
   void set_magazine_size(int k) noexcept {
     mag_size_ = k < 0 ? 0 : (k > kMaxMagazineSize ? kMaxMagazineSize : k);
@@ -221,6 +221,15 @@ class Pool {
   /// Flush only (CLWB, no fence); durable after the next drain().  Batch
   /// several flushes under one drain to pay a single fence.
   void flush(std::uint64_t off, std::size_t len);
+  /// One range [off, off+len) of a batched flush (or an undo pre-image).
+  struct Range {
+    std::uint64_t off;
+    std::uint64_t len;
+  };
+  /// Flush the distinct cachelines covering @p ranges as contiguous runs,
+  /// without the fence: a line shared by several ranges is written back
+  /// once, and the caller drains once for the whole set.
+  void flush_ranges(std::span<const Range> ranges);
   /// Fence: make every previously flushed range durable.
   void drain() { dev_->drain(); }
   /// Persistency-checker annotation: declare a pool range as becoming
@@ -261,10 +270,6 @@ class Pool {
   Pool(pmem::Device& dev, std::size_t base, std::size_t size, PoolOptions opts);
 
   struct Layout;  // offsets of persistent control structures
-  struct Range {  // one pre-image / flush target for the batched helpers
-    std::uint64_t off;
-    std::uint64_t len;
-  };
   struct Magazine;      // per-thread size-class chunk cache
   struct AllocRuntime;  // DRAM-side magazine table + quarantine-active flag
   void format();
@@ -348,14 +353,6 @@ class Pool {
 /// RAII undo-log transaction.  snapshot() ranges you are about to mutate;
 /// commit() makes the mutations durable atomically; destruction without
 /// commit rolls every snapshotted range back (as does crash recovery).
-///
-/// For group commit, reserve() enrolls a range in the commit-time flush
-/// sweep *without* logging a pre-image: the caller promises the range is
-/// not yet reachable from any persistent root (a freshly allocated node or
-/// blob), so a crash needs no rollback — the orphan allocation is
-/// reconciled by the allocator undo log / leak semantics instead.  A
-/// reservation-only commit is therefore one coalesced CLWB pass plus a
-/// single fence, with no lane traffic at all.
 class Transaction {
  public:
   explicit Transaction(Pool& pool);
@@ -365,11 +362,7 @@ class Transaction {
 
   /// Save the pre-image of [off, off+len); call before mutating it.
   void snapshot(std::uint64_t off, std::size_t len);
-  /// Enroll [off, off+len) in the commit-time flush without a pre-image.
-  /// Only for ranges unreachable until after commit (see class comment).
-  void reserve(std::uint64_t off, std::size_t len);
-  /// Persist all enrolled ranges' contents and retire the log (the lane is
-  /// only touched when something was snapshotted).
+  /// Persist all snapshotted ranges' contents and retire the log.
   void commit();
 
  private:
@@ -378,9 +371,8 @@ class Transaction {
   Pool* pool_;
   int lane_;
   bool committed_ = false;
-  bool snapshotted_ = false;
-  /// Ranges snapshotted or reserved, for the commit-time persist sweep.
-  std::vector<std::pair<std::uint64_t, std::size_t>> ranges_;
+  /// Ranges snapshotted, for the commit-time persist sweep.
+  std::vector<Pool::Range> ranges_;
 };
 
 }  // namespace pmemcpy::obj

@@ -74,9 +74,6 @@ struct Config {
   /// PMEM (how ADIOS-style libraries behave) instead of serializing
   /// directly into PMEM.
   bool force_dram_staging = false;
-  /// Verify the per-entry CRC32C on every load and throw IntegrityError on
-  /// mismatch instead of deserializing torn or rotted bytes.
-  bool verify_checksums = true;
   /// DRAM read-cache budget in bytes (DESIGN.md §13).  0 disables caching;
   /// nonzero keeps verified blob copies under LRU so repeated reads of the
   /// same entries (restart / plane / subvolume patterns) are served at DRAM
@@ -86,11 +83,10 @@ struct Config {
   /// overrides this at mmap() time (accepts k/m/g suffixes).
   std::size_t read_cache_bytes = 0;
   /// Allocator hot-path knobs (DESIGN.md §14), forwarded to the region's
-  /// pool.  -1 defers to PMEMCPY_MAGAZINE_SIZE / PMEMCPY_ALLOC_STRIPES and
-  /// then to the engine defaults (8 / 8); 0 disables magazines, 1 collapses
-  /// the metadata stripes back to one fully serialized lane.  Purely
-  /// runtime state, not part of the persistent layout: both knobs can
-  /// differ across opens of the same region.
+  /// pool.  -1 selects the engine defaults (8 / 8); 0 disables magazines, 1
+  /// collapses the metadata stripes back to one fully serialized lane.
+  /// Purely runtime state, not part of the persistent layout: both knobs
+  /// can differ across opens of the same region.
   int magazine_size = -1;
   int alloc_stripes = -1;
 };
@@ -655,10 +651,10 @@ class PMEM {
     AutoBatch& operator=(const AutoBatch&) = delete;
     PMEM* p = nullptr;
   };
-  /// Compare a full blob against the checksum in its meta word.
+  /// Compare a full blob against the checksum in its meta word: a torn or
+  /// rotted blob throws IntegrityError instead of being deserialized.
   void verify_blob(const std::string& key, const std::byte* blob,
                    std::size_t size, std::uint64_t meta) const {
-    if (!cfg_.verify_checksums) return;
     if (crc32c(blob, size) != detail::meta_crc(meta)) {
       throw IntegrityError("checksum mismatch in " + key);
     }
@@ -745,7 +741,6 @@ class PMEM {
   void verify_piece(const std::string& key, engine::Engine::Entry& entry,
                     std::size_t hdr, const void* payload,
                     std::size_t payload_len, std::uint64_t meta) const {
-    if (!cfg_.verify_checksums) return;
     std::uint32_t c = 0;
     if (hdr > 0) {
       std::vector<std::byte> hb(hdr);

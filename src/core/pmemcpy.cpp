@@ -373,9 +373,10 @@ ScrubReport PMEM::scrub() {
   auto& st = engine_ref();
   ScrubReport rep;
   // Ordered-set dedupe: a crash can leave a shadowed duplicate of a key
-  // inside one chain (HashTable's link_replace), for_each_prefix visits
-  // both copies, and find() only ever returns the live one — examine and
-  // report each distinct key once.
+  // inside one chain (an overwrite interrupted between its head store and
+  // its unlink, which the key's next put or erase sweeps), for_each_prefix
+  // visits both copies, and find() only ever returns the live one — examine
+  // and report each distinct key once.
   std::set<std::string> keys;
   st.for_each_prefix("",
                      [&](const std::string& key, const engine::EntryInfo&) {

@@ -6,28 +6,10 @@
 #include <pmemcpy/par/comm.hpp>
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
 namespace pmemcpy::engine {
-
-namespace {
-
-/// Option field if set (>= 0), else the env var if parseable, else @p fallback.
-int knob_or_env(int opt, const char* env, int fallback) {
-  if (opt >= 0) return opt;
-  if (const char* v = std::getenv(env); v != nullptr && *v != '\0') {
-    char* end = nullptr;
-    const long parsed = std::strtol(v, &end, 10);
-    if (end != v && *end == '\0' && parsed >= 0 && parsed <= 1024) {
-      return static_cast<int>(parsed);
-    }
-  }
-  return fallback;
-}
-
-}  // namespace
 
 std::unique_ptr<Engine> open_pool_engine(PmemNode& node,
                                          const PoolEngineOptions& opts,
@@ -49,12 +31,11 @@ std::unique_ptr<Engine> open_pool_engine(PmemNode& node,
   auto pool = node.open_pool(opts.name, popts);
   pool->set_expected_contenders(comm ? comm->size() : 1);
   // Allocator hot-path defaults (DESIGN.md §14): engines arm magazines and
-  // metadata stripes unless the caller or environment says otherwise.  Raw
-  // Pool users keep the classic fully-serialized semantics (K=0, S=1).
-  pool->set_magazine_size(
-      knob_or_env(opts.magazine_size, "PMEMCPY_MAGAZINE_SIZE", 8));
-  pool->set_alloc_stripes(std::max(
-      1, knob_or_env(opts.alloc_stripes, "PMEMCPY_ALLOC_STRIPES", 8)));
+  // metadata stripes unless the caller says otherwise.  Raw Pool users keep
+  // the classic fully-serialized semantics (K=0, S=1).
+  pool->set_magazine_size(opts.magazine_size < 0 ? 8 : opts.magazine_size);
+  pool->set_alloc_stripes(
+      opts.alloc_stripes < 0 ? 8 : std::max(1, opts.alloc_stripes));
   auto table = node.table_for(pool, pool->root());
   table->set_auto_grow(opts.auto_grow);
   return make_table_engine(std::move(pool), std::move(table));

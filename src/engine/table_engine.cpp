@@ -1,7 +1,7 @@
 // Flat-layout engine: entries live in one obj::HashTable inside one
-// obj::Pool.  The batch path is where the group-commit win comes from —
-// every staged reservation is published by HashTable::publish_group under
-// two fences total (see DESIGN.md §8).
+// obj::Pool.  A put publishes on commit() through Inserter::publish, a
+// batch through HashTable::publish_group: the same two-fence protocol,
+// paid once per put or once per batch (see DESIGN.md §8).
 #include <pmemcpy/engine/engine.hpp>
 #include <pmemcpy/obj/hashtable.hpp>
 #include <pmemcpy/obj/pool.hpp>
@@ -13,32 +13,6 @@
 namespace pmemcpy::engine {
 
 namespace {
-
-class TablePut final : public Engine::PutHandle {
- public:
-  TablePut(obj::HashTable::Inserter ins, bool keep_existing)
-      : ins_(std::move(ins)),
-        // value() charges the reservation's DAX write once; cache the span
-        // so sink() and reserved_span() share that single charge.
-        span_(ins_.value()),
-        sink_(span_),
-        keep_existing_(keep_existing) {}
-
-  serial::Sink& sink() override { return sink_; }
-  std::span<std::byte> reserved_span() override { return span_; }
-  void commit(std::uint32_t payload_crc) override {
-    ins_.set_meta_high(payload_crc);
-    // In keep mode `false` means an existing entry won the race and was
-    // kept — exactly what the caller asked for, so not an error.
-    (void)ins_.publish(keep_existing_);
-  }
-
- private:
-  obj::HashTable::Inserter ins_;
-  std::span<std::byte> span_;
-  serial::SpanSink sink_;
-  bool keep_existing_;
-};
 
 class TableEntry final : public Engine::Entry {
  public:
@@ -84,12 +58,17 @@ struct TableBatchState {
   std::vector<Staged> staged;
 };
 
+/// The engine's one put handle.  Without a batch (@p st null) commit()
+/// publishes the entry; inside one it stages the reservation for
+/// TableBatch::commit().
 class TableBatchPut final : public Engine::PutHandle {
  public:
   TableBatchPut(std::shared_ptr<TableBatchState> st,
                 obj::HashTable::Inserter ins, bool keep_existing)
       : st_(std::move(st)),
         ins_(std::move(ins)),
+        // value() charges the reservation's DAX write once; cache the span
+        // so sink() and reserved_span() share that single charge.
         span_(ins_.value()),
         sink_(span_),
         keep_existing_(keep_existing) {}
@@ -97,14 +76,20 @@ class TableBatchPut final : public Engine::PutHandle {
   serial::Sink& sink() override { return sink_; }
   std::span<std::byte> reserved_span() override { return span_; }
   void commit(std::uint32_t payload_crc) override {
-    if (staged_) return;
+    if (done_) return;
     ins_.set_meta_high(payload_crc);
+    done_ = true;
+    if (!st_) {
+      // In keep mode `false` means an existing entry won the race and was
+      // kept — exactly what the caller asked for, so not an error.
+      (void)ins_.publish(keep_existing_);
+      return;
+    }
     // The checker's scope stack is LIFO per thread: pop this put's scope
     // now, while it is still innermost — the group commit publishes staged
     // entries in an unrelated order.
     ins_.close_checker_scope();
     st_->staged.push_back({std::move(ins_), keep_existing_});
-    staged_ = true;
   }
 
  private:
@@ -113,7 +98,7 @@ class TableBatchPut final : public Engine::PutHandle {
   std::span<std::byte> span_;
   serial::SpanSink sink_;
   bool keep_existing_;
-  bool staged_ = false;
+  bool done_ = false;
 };
 
 class TableBatch final : public Engine::Batch {
@@ -163,8 +148,8 @@ class TableEngine final : public Engine {
                                  bool keep_existing) override {
     trace::Span span("engine.put");
     trace::count(trace::Counter::kEnginePuts);
-    return std::make_unique<TablePut>(table_->reserve(key, size, meta),
-                                      keep_existing);
+    return std::make_unique<TableBatchPut>(
+        nullptr, table_->reserve(key, size, meta), keep_existing);
   }
 
   std::unique_ptr<Entry> find(const std::string& key) override {

@@ -16,10 +16,12 @@
 #include <pmemcpy/fs/filesystem.hpp>
 #include <pmemcpy/trace/trace.hpp>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -33,6 +35,29 @@ constexpr std::size_t kTreeHeader = 8;
 /// Process-wide temp-name counter: rank threads share the filesystem, so
 /// per-store counters would collide.
 std::atomic<std::uint64_t> g_tmp_seq{0};
+
+/// Whether @p name is a temp file of make_pending(): "<leaf>.tmp.<12 digits>".
+bool is_tree_temp(std::string_view name) {
+  constexpr std::string_view kTag = ".tmp.";
+  constexpr std::size_t kDigits = 12;
+  if (name.size() < kTag.size() + kDigits) return false;
+  const std::string_view digits = name.substr(name.size() - kDigits);
+  return name.substr(name.size() - kDigits - kTag.size(), kTag.size()) ==
+             kTag &&
+         std::all_of(digits.begin(), digits.end(),
+                     [](char c) { return c >= '0' && c <= '9'; });
+}
+
+void reclaim_temps_under(fs::FileSystem& fs, const std::string& dir) {
+  for (const auto& name : fs.list(dir.empty() ? "/" : dir)) {
+    const std::string path = dir + "/" + name;
+    if (fs.is_dir(path)) {
+      reclaim_temps_under(fs, path);
+    } else if (is_tree_temp(name)) {
+      fs.remove(path);
+    }
+  }
+}
 
 /// A fully written, not yet published entry: everything finalize() needs.
 struct TreePending {
@@ -85,33 +110,6 @@ class TreeDest {
   std::span<std::byte> span_;
   std::optional<serial::SpanSink> span_sink_;
   std::optional<serial::MappingSink> map_sink_;
-};
-
-class TreePut final : public Engine::PutHandle {
- public:
-  TreePut(fs::FileSystem& fs, TreePending pending)
-      : fs_(&fs), pending_(std::move(pending)),
-        dest_(pending_.mapping, pending_.size) {}
-
-  ~TreePut() override {
-    if (!committed_) tree_discard(*fs_, pending_);
-  }
-
-  serial::Sink& sink() override { return dest_.sink(); }
-  std::span<std::byte> reserved_span() override { return dest_.span(); }
-
-  void commit(std::uint32_t payload_crc) override {
-    if (committed_) return;
-    pending_.crc = payload_crc;
-    tree_finalize(*fs_, pending_);
-    committed_ = true;
-  }
-
- private:
-  fs::FileSystem* fs_;
-  TreePending pending_;
-  TreeDest dest_;
-  bool committed_ = false;
 };
 
 class TreeEntry final : public Engine::Entry {
@@ -172,31 +170,39 @@ struct TreeBatchState {
   }
 };
 
+/// The engine's one put handle.  Without a batch (@p st null) commit()
+/// finalizes the entry; inside one it stages it for TreeBatch::commit().
 class TreeBatchPut final : public Engine::PutHandle {
  public:
-  TreeBatchPut(std::shared_ptr<TreeBatchState> st, TreePending pending)
-      : st_(std::move(st)), pending_(std::move(pending)),
+  TreeBatchPut(fs::FileSystem& fs, std::shared_ptr<TreeBatchState> st,
+               TreePending pending)
+      : fs_(&fs), st_(std::move(st)), pending_(std::move(pending)),
         dest_(pending_.mapping, pending_.size) {}
 
   ~TreeBatchPut() override {
-    if (!staged_) tree_discard(*st_->fs, pending_);
+    if (!done_) tree_discard(*fs_, pending_);
   }
 
   serial::Sink& sink() override { return dest_.sink(); }
   std::span<std::byte> reserved_span() override { return dest_.span(); }
 
   void commit(std::uint32_t payload_crc) override {
-    if (staged_) return;
+    if (done_) return;
     pending_.crc = payload_crc;
-    st_->staged.push_back(std::move(pending_));
-    staged_ = true;
+    if (st_) {
+      st_->staged.push_back(std::move(pending_));
+    } else {
+      tree_finalize(*fs_, pending_);
+    }
+    done_ = true;
   }
 
  private:
+  fs::FileSystem* fs_;
   std::shared_ptr<TreeBatchState> st_;
   TreePending pending_;
   TreeDest dest_;
-  bool staged_ = false;
+  bool done_ = false;
 };
 
 TreePending make_pending(fs::FileSystem& fs, const std::string& root,
@@ -237,8 +243,9 @@ class TreeBatch final : public Engine::Batch {
     trace::Span span("engine.put");
     trace::count(trace::Counter::kEnginePuts);
     return std::make_unique<TreeBatchPut>(
-        st_, make_pending(*st_->fs, root_, key, size, meta, keep_existing,
-                          map_sync_));
+        *st_->fs, st_,
+        make_pending(*st_->fs, root_, key, size, meta, keep_existing,
+                     map_sync_));
   }
 
   void commit() override {
@@ -270,9 +277,9 @@ class TreeEngine final : public Engine {
                                  bool keep_existing) override {
     trace::Span span("engine.put");
     trace::count(trace::Counter::kEnginePuts);
-    return std::make_unique<TreePut>(
-        *fs_, make_pending(*fs_, root_, key, size, meta, keep_existing,
-                           map_sync_));
+    return std::make_unique<TreeBatchPut>(
+        *fs_, nullptr,
+        make_pending(*fs_, root_, key, size, meta, keep_existing, map_sync_));
   }
 
   std::unique_ptr<Entry> find(const std::string& key) override {
@@ -311,7 +318,7 @@ class TreeEngine final : public Engine {
                 fn) {
     if (!fs_->exists(dir)) return;
     for (const auto& name : fs_->list(dir)) {
-      if (name.find(".tmp.") != std::string::npos) continue;  // in-flight
+      if (is_tree_temp(name)) continue;  // in flight
       const std::string key =
           key_so_far.empty() ? name : key_so_far + "/" + name;
       const std::string path = dir + "/" + name;
@@ -346,5 +353,7 @@ std::unique_ptr<Engine> make_tree_engine(fs::FileSystem& fs, std::string root,
                                          bool map_sync) {
   return std::make_unique<TreeEngine>(fs, std::move(root), map_sync);
 }
+
+void reclaim_tree_temps(fs::FileSystem& fs) { reclaim_temps_under(fs, ""); }
 
 }  // namespace pmemcpy::engine

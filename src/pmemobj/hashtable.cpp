@@ -10,6 +10,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace pmemcpy::obj {
@@ -97,30 +98,6 @@ class StripeLocks {
   std::vector<std::size_t> ids_;
   std::size_t held_ = 0;
 };
-
-/// Flush the distinct cachelines covering a set of small ranges as
-/// contiguous runs (the same coalescing Transaction::commit does), without
-/// the fence — the caller drains once for the whole set.
-void flush_coalesced(Pool& pool,
-                     const std::vector<std::pair<std::uint64_t, std::size_t>>&
-                         ranges) {
-  std::vector<std::uint64_t> lines;
-  for (const auto& [off, len] : ranges) {
-    const std::uint64_t first = off / pmem::kCacheLine;
-    const std::uint64_t last =
-        (off + len + pmem::kCacheLine - 1) / pmem::kCacheLine;
-    for (std::uint64_t l = first; l < last; ++l) lines.push_back(l);
-  }
-  std::sort(lines.begin(), lines.end());
-  lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-  for (std::size_t i = 0; i < lines.size();) {
-    std::size_t j = i + 1;
-    while (j < lines.size() && lines[j] == lines[j - 1] + 1) ++j;
-    pool.flush(lines[i] * pmem::kCacheLine,
-               (lines[j - 1] - lines[i] + 1) * pmem::kCacheLine);
-    i = j;
-  }
-}
 
 /// Zero a pool range in bounded chunks.
 void zero_range(Pool& pool, std::uint64_t off, std::size_t len) {
@@ -227,10 +204,11 @@ std::vector<HashTable::Match> HashTable::find_chain(
   std::vector<Match> matches;
   head = pool_->get<std::uint64_t>(slot);
   std::uint64_t prev = 0;
-  for (std::uint64_t node = head; node != 0;) {
+  std::size_t depth = 0;
+  for (std::uint64_t node = head; node != 0; ++depth) {
     const auto h = read_header(*pool_, node);
     if (holds_key(*pool_, node, h, key)) {
-      matches.push_back({prev, node, h.next, h.val_off});
+      matches.push_back({prev, node, h.next, h.val_off, depth});
     }
     prev = node;
     node = h.next;
@@ -244,65 +222,6 @@ void HashTable::unlink_free(std::uint64_t slot, std::uint64_t prev,
   pool_->set<std::uint64_t>(prev == 0 ? slot : prev + kNodeNext, h.next);
   pool_->free(node);
   if (h.val_off != 0) pool_->free(h.val_off);
-}
-
-bool HashTable::link_replace(const Inserter& ins, bool keep_existing,
-                             bool* linked_out) {
-  std::unique_lock<std::mutex> lk;
-  const std::uint64_t slot = lock_bucket(ins.key_, lk);
-  std::uint64_t head = 0;
-  auto matches = find_chain(slot, ins.key_, head);
-
-  if (!matches.empty() && keep_existing) {
-    // First writer won: discard this reservation.
-    pool_->free(ins.node_off_);
-    if (ins.val_off_ != 0) pool_->free(ins.val_off_);
-    return false;
-  }
-
-  // Crash leftovers first: an overwrite interrupted between its head
-  // publish and its unlink leaves a stale duplicate shadowed behind the
-  // live (first) match.  Readers never see those, so sweeping them
-  // deepest-first is invisible at every intermediate crash point.  The
-  // sweep never touches the bucket head (every swept node sits behind the
-  // live match), but it may relink the live match's next pointer.
-  const bool swept = matches.size() > 1;
-  while (matches.size() > 1) {
-    unlink_free(slot, matches.back().prev, matches.back().node);
-    matches.pop_back();
-  }
-
-  const std::uint64_t node_off = ins.node_off_;
-  if (matches.empty()) {
-    // Fresh key: the head store is the atomic publish.
-    pool_->set<std::uint64_t>(node_off + kNodeNext, head);
-    pool_->set<std::uint64_t>(slot, node_off);
-    if (linked_out != nullptr) *linked_out = true;
-    bump_count(+1);
-    return true;
-  }
-
-  Match old = matches.front();
-  if (swept) old.next = read_header(*pool_, old.node).next;
-  if (old.prev == 0) {
-    // The superseded entry IS the head: point the new node past it first,
-    // so the single head store atomically swaps old for new.  No crash
-    // point can see both versions chained.
-    pool_->set<std::uint64_t>(node_off + kNodeNext, old.next);
-    pool_->set<std::uint64_t>(slot, node_off);
-    if (linked_out != nullptr) *linked_out = true;
-  } else {
-    // Mid-chain: publish the new head first (the stale entry is shadowed
-    // behind it for every reader), then unlink it.  A crash in between
-    // leaves exactly the shadowed duplicate the sweeps collect.
-    pool_->set<std::uint64_t>(node_off + kNodeNext, head);
-    pool_->set<std::uint64_t>(slot, node_off);
-    if (linked_out != nullptr) *linked_out = true;
-    pool_->set<std::uint64_t>(old.prev + kNodeNext, old.next);
-  }
-  pool_->free(old.node);
-  if (old.val_off != 0) pool_->free(old.val_off);
-  return true;
 }
 
 bool HashTable::erase(std::string_view key) {
@@ -424,7 +343,7 @@ void HashTable::rebuild(std::size_t new_nbuckets) {
       const auto h = read_header(*pool_, node);
       const std::string key = read_key(*pool_, node, h);
       if (!seen.insert(key).second) {
-        // Shadowed crash-leftover duplicate (see link_replace): copying it
+        // Shadowed crash-leftover duplicate (see link()): copying it
         // would RE-ORDER it above the live entry, because this loop
         // prepends while walking head-to-tail.  Drop it instead; its value
         // blob is freed with the other retired storage after the swap.
@@ -502,22 +421,23 @@ HashTable::Inserter::Inserter(Inserter&& o) noexcept
 }
 
 HashTable::Inserter::~Inserter() {
-  if (published_ || node_off_ == 0) {
-    if (scope_open_) table_->pool_->device().check_tx_abort();
-    return;
+  if (!published_ && node_off_ != 0) {
+    try {
+      drop();
+    } catch (...) {
+      // Reached during exception unwind (e.g. a scheduled crash fired before
+      // publish).  Crash-point exceptions must not escape a destructor; the
+      // allocator undo log reconciles interrupted frees on reopen.
+    }
   }
-  try {
-    table_->pool_->free(node_off_);
-    if (val_off_ != 0) table_->pool_->free(val_off_);
-  } catch (...) {
-    // Reached during exception unwind (e.g. a scheduled crash fired before
-    // publish).  Crash-point exceptions must not escape a destructor; the
-    // allocator undo log reconciles interrupted frees on reopen.
-  }
-  if (scope_open_) {
-    scope_open_ = false;
-    table_->pool_->device().check_tx_abort();  // abandoned reservation
-  }
+  close_checker_scope();  // abandoned reservation
+}
+
+void HashTable::Inserter::drop() {
+  const std::uint64_t node = std::exchange(node_off_, 0);
+  published_ = true;
+  table_->pool_->free(node);
+  if (val_off_ != 0) table_->pool_->free(val_off_);
 }
 
 void HashTable::Inserter::close_checker_scope() {
@@ -543,45 +463,31 @@ std::span<std::byte> HashTable::Inserter::value() {
 bool HashTable::Inserter::publish(bool keep_existing) {
   if (published_) return false;
   trace::Span span("ht.publish");
-  // Make the entry durable before it becomes reachable: one CLWB pass over
-  // the value blob and the node (header + key), then a single fence.
-  if (val_size_ > 0) table_->pool_->flush(val_off_, val_size_);
-  table_->pool_->flush(node_off_, kNodeKey + key_.size());
-  table_->pool_->drain();
-  if (val_size_ > 0) table_->pool_->check_publish(val_off_, val_size_);
-  table_->pool_->check_publish(node_off_, kNodeKey + key_.size());
-  bool head_linked = false;
-  bool linked;
+  GroupPut put{this, keep_existing, false};
+  GroupPut* const one = &put;
+  std::size_t fresh = 0;
   try {
-    linked = table_->link_replace(*this, keep_existing, &head_linked);
+    fresh = table_->link({&one, 1});
   } catch (...) {
-    // A fault in the post-publish tail (count bump, stale-entry unlink or
-    // free) unwinds through here with the entry already durably reachable.
-    // Marking it published keeps the destructor from freeing live storage —
-    // the healing retry then supersedes the entry as a normal overwrite.
-    if (head_linked) {
-      published_ = true;
-      if (scope_open_) {
-        // Abort (not commit) the checker scope: the faulted tail may have
-        // left a stored-but-reverted line the checker still sees as dirty,
-        // and tx_commit would flag that as a violation of ours.
-        scope_open_ = false;
-        table_->pool_->device().check_tx_abort();
-      }
-    }
+    // A fault after the head store unwinds with the entry reachable, and
+    // link() marked it published so the destructor keeps its storage.
+    // Abort (not commit) the checker scope: the faulted tail may have left a
+    // stored-but-reverted line the checker still sees as dirty, and
+    // tx_commit would flag that as a violation of ours.
+    if (published_) close_checker_scope();
     throw;
   }
-  published_ = true;  // either linked or already freed by link_replace
-  if (scope_open_) {
+  if (put.linked && scope_open_) {
     scope_open_ = false;
     table_->pool_->device().check_tx_commit();
   }
-  if (linked) table_->maybe_grow();
-  return linked;
+  close_checker_scope();  // discarded: freed without ever being flushed
+  if (fresh > 0) table_->maybe_grow();
+  return put.linked;
 }
 
 // ---------------------------------------------------------------------------
-// Group commit
+// Publish protocol
 // ---------------------------------------------------------------------------
 
 void HashTable::publish_group(std::span<GroupPut> puts) {
@@ -611,17 +517,21 @@ void HashTable::publish_group(std::span<GroupPut> puts) {
   for (auto it = live.rbegin(); it != live.rend(); ++it) {
     (*it)->ins->close_checker_scope();
   }
+  if (link(live) > 0) maybe_grow();
+}
 
+std::size_t HashTable::link(std::span<GroupPut* const> puts) {
   // Resolve duplicate keys within the batch before touching any chain:
   // replace-mode the last staged entry wins, keep_existing the first.
   // Losers are discarded without ever being linked — linking both copies
   // would leave which one a later erase/replace removes undefined.
-  std::unordered_map<std::string_view, std::size_t> winner;
-  std::vector<bool> discard(live.size(), false);
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    auto [it, first] = winner.try_emplace(live[i]->ins->key_, i);
-    if (!first) {
-      if (live[i]->keep_existing) {
+  std::vector<bool> discard(puts.size(), false);
+  if (puts.size() > 1) {
+    std::unordered_map<std::string_view, std::size_t> winner;
+    for (std::size_t i = 0; i < puts.size(); ++i) {
+      auto [it, first] = winner.try_emplace(puts[i]->ins->key_, i);
+      if (first) continue;
+      if (puts[i]->keep_existing) {
         discard[i] = true;
       } else {
         discard[it->second] = true;
@@ -633,18 +543,17 @@ void HashTable::publish_group(std::span<GroupPut> puts) {
   // Lock the stripes of every winning key's bucket, so the persistent
   // chains are stable below us.  The stripes follow the bucket count, which
   // is re-checked once they are held in case a rehash committed in between.
-  // RAII so a crash-point exception thrown below cannot leak the locks;
-  // released explicitly before maybe_grow(), which takes every stripe.
-  std::vector<std::uint64_t> hash(live.size());
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    hash[i] = fnv1a(live[i]->ins->key_);
+  // RAII so a crash-point exception thrown below cannot leak the locks.
+  std::vector<std::uint64_t> hash(puts.size());
+  for (std::size_t i = 0; i < puts.size(); ++i) {
+    hash[i] = fnv1a(puts[i]->ins->key_);
   }
   StripeLocks stripe_locks(s_->stripes);
   std::uint64_t nb = 0;
   do {
     nb = s_->nbuckets.load(std::memory_order_acquire);
     std::vector<std::size_t> stripe_ids;
-    for (std::size_t i = 0; i < live.size(); ++i) {
+    for (std::size_t i = 0; i < puts.size(); ++i) {
       if (!discard[i]) stripe_ids.push_back(hash[i] % nb % kStripes);
     }
     std::sort(stripe_ids.begin(), stripe_ids.end());
@@ -653,135 +562,170 @@ void HashTable::publish_group(std::span<GroupPut> puts) {
     stripe_locks.lock(std::move(stripe_ids));
   } while (s_->nbuckets.load(std::memory_order_relaxed) != nb);
 
-  // Wire the winners into per-bucket shadow chains: each new node's next
-  // pointer is a plain store that rides along in the phase-A flush of the
-  // node itself.  keep_existing winners defer to an entry already in the
-  // persistent chain and are discarded instead.
-  struct Replace {
+  // Walk each winner's chain once, remembering the entry it supersedes and
+  // that entry's predecessor.  A key matched more than once is a crash
+  // leftover: an overwrite that stored its new head but lost power before
+  // unlinking the old node.  Readers only ever see the first match, so the
+  // others are swept deepest-first — invisible at every crash point — before
+  // anything links; a sweep moves the chains, so the walk then restarts.
+  // keep_existing winners defer to an entry already in the chain.
+  struct Link {
+    GroupPut* put;
     std::uint64_t slot;
-    std::uint64_t old_node;
+    std::uint64_t head;  ///< bucket head when the chain was walked
+    Match old;           ///< superseded entry; node 0 = a new key
   };
-  std::map<std::uint64_t, std::uint64_t> orig_head;    // slot -> old head
-  std::map<std::uint64_t, std::uint64_t> shadow_head;  // slot -> new head
-  std::vector<Replace> replaces;
-  std::vector<std::pair<std::uint64_t, std::size_t>> durable;
-  std::int64_t fresh_links = 0;
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    if (discard[i]) continue;
-    Inserter& ins = *live[i]->ins;
-    const std::uint64_t slot = s_->buckets_off + (hash[i] % nb) * 8;
-    auto oh = orig_head.find(slot);
-    if (oh == orig_head.end()) {
-      const auto head = pool_->get<std::uint64_t>(slot);
-      oh = orig_head.emplace(slot, head).first;
-      shadow_head.emplace(slot, head);
-    }
-    std::uint64_t old = oh->second;
-    while (old != 0) {
-      const auto h = read_header(*pool_, old);
-      if (holds_key(*pool_, old, h, ins.key_)) break;
-      old = h.next;
-    }
-    if (old != 0 && live[i]->keep_existing) {
-      discard[i] = true;
-      continue;
-    }
-    std::uint64_t& head = shadow_head[slot];
-    pool_->write(ins.node_off_ + kNodeNext, &head, sizeof(head));
-    head = ins.node_off_;
-    live[i]->linked = true;
-    if (ins.val_size_ > 0) durable.emplace_back(ins.val_off_, ins.val_size_);
-    durable.emplace_back(ins.node_off_, kNodeKey + ins.key_.size());
-    if (old != 0) {
-      replaces.push_back({slot, old});
-    } else {
-      ++fresh_links;
+  std::vector<Link> links;
+  for (bool swept = true; swept;) {
+    swept = false;
+    links.clear();
+    for (std::size_t i = 0; i < puts.size() && !swept; ++i) {
+      if (discard[i]) continue;
+      const std::uint64_t slot = s_->buckets_off + (hash[i] % nb) * 8;
+      std::uint64_t head = 0;
+      auto matches = find_chain(slot, puts[i]->ins->key_, head);
+      if (!matches.empty() && puts[i]->keep_existing) {
+        discard[i] = true;
+        continue;
+      }
+      swept = matches.size() > 1;
+      while (matches.size() > 1) {
+        unlink_free(slot, matches.back().prev, matches.back().node);
+        matches.pop_back();
+      }
+      links.push_back(
+          {puts[i], slot, head, matches.empty() ? Match{} : matches.front()});
     }
   }
 
-  if (!durable.empty()) {
+  // Wire the winners into per-bucket shadow chains: each new node's next
+  // pointer is a plain store that fence #1 flushes with the node itself.  A
+  // bucket's first winner points at the old head — or past it when a winner
+  // replaces the head, so the head store swaps old for new and no crash
+  // point sees both versions chained.
+  struct Bucket {
+    std::uint64_t old_head;
+    std::uint64_t top;  ///< what the next winner links in front of
+    bool head_replaced = false;
+    /// The first winner linked: the new predecessor of the old chain.
+    std::uint64_t first = 0;
+  };
+  std::map<std::uint64_t, Bucket> buckets;  // by slot
+  for (const Link& l : links) {
+    Bucket& b = buckets.try_emplace(l.slot, Bucket{l.head, l.head})
+                    .first->second;
+    if (l.old.node != 0 && l.old.prev == 0) {
+      b.top = l.old.next;
+      b.head_replaced = true;
+    }
+  }
+  std::vector<Pool::Range> durable;
+  durable.reserve(2 * links.size());
+  std::size_t fresh = 0;
+  for (const Link& l : links) {
+    const Inserter& ins = *l.put->ins;
+    Bucket& b = buckets.find(l.slot)->second;
+    pool_->write(ins.node_off_ + kNodeNext, &b.top, sizeof(b.top));
+    b.top = ins.node_off_;
+    if (b.first == 0) b.first = ins.node_off_;
+    if (ins.val_size_ > 0) durable.push_back({ins.val_off_, ins.val_size_});
+    durable.push_back({ins.node_off_, kNodeKey + ins.key_.size()});
+    if (l.old.node == 0) ++fresh;
+  }
+
+  if (!links.empty()) {
     // Fence #1 — durability: every staged blob + node (including the next
     // pointers just written) becomes persistent under one coalesced CLWB
     // pass and a single drain.  Nothing is reachable yet, so a crash here
     // publishes nothing; the orphan chunks are mere leaks.
-    {
-      Transaction tx(*pool_);
-      for (const auto& [off, len] : durable) tx.reserve(off, len);
-      tx.commit();
-    }
-    for (auto* p : live) {
-      if (!p->linked) continue;
-      if (p->ins->val_size_ > 0) {
-        pool_->check_publish(p->ins->val_off_, p->ins->val_size_);
-      }
-      pool_->check_publish(p->ins->node_off_,
-                           kNodeKey + p->ins->key_.size());
+    pool_->flush_ranges(durable);
+    pool_->drain();
+    for (const Link& l : links) {
+      const Inserter& ins = *l.put->ins;
+      if (ins.val_size_ > 0) pool_->check_publish(ins.val_off_, ins.val_size_);
+      pool_->check_publish(ins.node_off_, kNodeKey + ins.key_.size());
     }
 
     // Fence #2 — visibility: one 8-byte head store per touched bucket plus
     // the count bump, all flushed together under a second single drain.
-    // The count store stays under count_mu until it is durable, so no other
-    // publisher stores to its line in between and the mirror follows it.
-    std::vector<std::pair<std::uint64_t, std::size_t>> vis;
-    for (const auto& [slot, head] : shadow_head) {
-      if (head == orig_head.find(slot)->second) continue;  // all discarded
-      pool_->write(slot, &head, sizeof(head));
-      vis.emplace_back(slot, sizeof(head));
-    }
-    std::unique_lock clk(s_->count_mu, std::defer_lock);
+    // The whole step runs under count_mu, so no other publisher stores to
+    // a head or count line between this flush and its drain (bucket slots
+    // of different stripes share lines), and the mirror follows the count.
+    std::vector<Pool::Range> vis;
+    vis.reserve(buckets.size() + 1);
+    std::unique_lock clk(s_->count_mu);
     std::uint64_t count = 0;
-    if (fresh_links != 0) {
-      clk.lock();
-      count = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(s_->count.load(std::memory_order_relaxed)) +
-          fresh_links);
-      pool_->write(hoff_ + offsetof(TableHeader, count), &count,
-                   sizeof(count));
-      vis.emplace_back(hoff_ + offsetof(TableHeader, count), sizeof(count));
-    }
-    flush_coalesced(*pool_, vis);
-    pool_->drain();
-    if (clk.owns_lock()) {
-      s_->count.store(count, std::memory_order_relaxed);
-      clk.unlock();
-    }
-
-    // The new chains are durable and visible; unlink the superseded
-    // duplicates they shadow (same discipline as single publish(): a crash
-    // in between leaves a benign shadowed duplicate the head entry wins).
-    for (const auto& r : replaces) {
-      std::uint64_t prev = 0;
-      std::uint64_t cur = pool_->get<std::uint64_t>(r.slot);
-      NodeHeaderImage h{};
-      while (cur != 0) {
-        h = read_header(*pool_, cur);
-        if (cur == r.old_node) break;
-        prev = cur;
-        cur = h.next;
+    try {
+      for (const auto& [slot, b] : buckets) {
+        pool_->write(slot, &b.top, sizeof(b.top));
+        vis.push_back({slot, sizeof(b.top)});
       }
-      if (cur == 0) continue;
-      pool_->set<std::uint64_t>(prev == 0 ? r.slot : prev + kNodeNext, h.next);
-      pool_->free(r.old_node);
-      if (h.val_off != 0) pool_->free(h.val_off);
+      if (fresh != 0) {
+        count = s_->count.load(std::memory_order_relaxed) + fresh;
+        pool_->write(hoff_ + offsetof(TableHeader, count), &count,
+                     sizeof(count));
+        vis.push_back({hoff_ + offsetof(TableHeader, count), sizeof(count)});
+      }
+      pool_->flush_ranges(vis);
+      pool_->drain();
+    } catch (...) {
+      // A fault after a head store: that bucket's winners may be reachable
+      // already, and freeing them would hand live storage to the next
+      // alloc.  A head store that never landed, or whose line the fault
+      // reverted, left its winners unreachable; their destructors free them.
+      for (const Link& l : links) {
+        std::uint64_t head = 0;
+        std::memcpy(&head, pool_->direct(l.slot), sizeof(head));
+        if (head == buckets.find(l.slot)->second.top) {
+          l.put->ins->published_ = true;
+          l.put->linked = true;
+        }
+      }
+      throw;
     }
+    if (fresh != 0) s_->count.store(count, std::memory_order_relaxed);
+    clk.unlock();
+    for (const Link& l : links) {
+      l.put->ins->published_ = true;
+      l.put->linked = true;
+    }
+  }
+
+  // The new chains are durable and visible.  Unlink the superseded
+  // mid-chain entries they shadow, deepest-first so each predecessor is
+  // still chained when it is relinked; a crash in between leaves benign
+  // shadowed duplicates for the next put or erase of the key to sweep.
+  std::vector<const Link*> replaced;
+  for (const Link& l : links) {
+    if (l.old.node != 0) replaced.push_back(&l);
+  }
+  std::sort(replaced.begin(), replaced.end(),
+            [](const Link* a, const Link* b) {
+              return a->old.depth > b->old.depth;
+            });
+  std::unordered_map<std::uint64_t, std::uint64_t> relinked;  // node -> next
+  for (const Link* l : replaced) {
+    if (l->old.prev != 0) {
+      const Bucket& b = buckets.find(l->slot)->second;
+      // A replaced head's successor now hangs off the bucket's first winner.
+      const std::uint64_t prev = b.head_replaced && l->old.prev == b.old_head
+                                     ? b.first
+                                     : l->old.prev;
+      const auto it = relinked.find(l->old.node);
+      const std::uint64_t next =
+          it == relinked.end() ? l->old.next : it->second;
+      pool_->set<std::uint64_t>(prev + kNodeNext, next);
+      relinked[prev] = next;
+    }
+    pool_->free(l->old.node);
+    if (l->old.val_off != 0) pool_->free(l->old.val_off);
   }
 
   // Discarded reservations were never linked: plain frees suffice.
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    if (!discard[i]) continue;
-    Inserter& ins = *live[i]->ins;
-    pool_->free(ins.node_off_);
-    if (ins.val_off_ != 0) pool_->free(ins.val_off_);
+  for (std::size_t i = 0; i < puts.size(); ++i) {
+    if (discard[i]) puts[i]->ins->drop();
   }
-
-  stripe_locks.release();
-
-  // Checker scopes were already closed (at stage time or by the fallback
-  // above); only mark the reservations consumed so their destructors
-  // neither free nor pop anything.
-  for (auto* p : live) p->ins->published_ = true;
-
-  if (fresh_links > 0) maybe_grow();
+  return fresh;
 }
 
 }  // namespace pmemcpy::obj

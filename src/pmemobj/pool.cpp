@@ -872,26 +872,31 @@ void Pool::aundo_commit(int stripe) {
   trace::count(trace::Counter::kAllocMetadataPersists);
 }
 
-void Pool::persist_ranges(const std::vector<Range>& ranges) {
-  // Coalesce to distinct cachelines (mirroring Transaction::commit) so
-  // overlapping metadata stores pay one writeback, then fence once.
-  if (ranges.empty()) return;
-  std::vector<std::uint64_t> lines;
+void Pool::flush_ranges(std::span<const Range> ranges) {
+  // Each range's line interval [first, last); sorted, overlapping or
+  // touching intervals merge into one maximal run, flushed once.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> runs;
+  runs.reserve(ranges.size());
   for (const auto& r : ranges) {
     const std::uint64_t first = r.off / pmem::kCacheLine;
     const std::uint64_t last =
         (r.off + r.len + pmem::kCacheLine - 1) / pmem::kCacheLine;
-    for (std::uint64_t l = first; l < last; ++l) lines.push_back(l);
+    if (first < last) runs.emplace_back(first, last);
   }
-  std::sort(lines.begin(), lines.end());
-  lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-  for (std::size_t i = 0; i < lines.size();) {
-    std::size_t j = i + 1;
-    while (j < lines.size() && lines[j] == lines[j - 1] + 1) ++j;
-    flush(lines[i] * pmem::kCacheLine,
-          (lines[j - 1] - lines[i] + 1) * pmem::kCacheLine);
-    i = j;
+  std::sort(runs.begin(), runs.end());
+  for (std::size_t i = 0; i < runs.size();) {
+    auto [first, last] = runs[i];
+    for (++i; i < runs.size() && runs[i].first <= last; ++i) {
+      last = std::max(last, runs[i].second);
+    }
+    flush(first * pmem::kCacheLine, (last - first) * pmem::kCacheLine);
   }
+}
+
+void Pool::persist_ranges(const std::vector<Range>& ranges) {
+  // Overlapping metadata stores pay one writeback, then one fence.
+  if (ranges.empty()) return;
+  flush_ranges(ranges);
   drain();
   trace::count(trace::Counter::kAllocMetadataPersists);
 }
@@ -1746,15 +1751,7 @@ void Transaction::snapshot(std::uint64_t off, std::size_t len) {
   pool_->persist(pos, entry);
   // Only after the entry is durable does it become visible.
   pool_->set<std::uint64_t>(lo, used + entry);
-  ranges_.emplace_back(off, len);
-  snapshotted_ = true;
-}
-
-void Transaction::reserve(std::uint64_t off, std::size_t len) {
-  if (committed_) throw PoolError("Transaction: reserve after commit");
-  if (len == 0) return;
-  pool_->check_off(off, len);
-  ranges_.emplace_back(off, len);
+  ranges_.push_back({off, len});
 }
 
 void Transaction::commit() {
@@ -1767,31 +1764,13 @@ void Transaction::commit() {
   // flush+fence each — the persist checker flagged those as duplicate
   // flushes — where one writeback suffices.
   if (!ranges_.empty()) {
-    std::vector<std::uint64_t> lines;
-    for (const auto& [off, len] : ranges_) {
-      const std::uint64_t first = off / pmem::kCacheLine;
-      const std::uint64_t last =
-          (off + len + pmem::kCacheLine - 1) / pmem::kCacheLine;
-      for (std::uint64_t l = first; l < last; ++l) lines.push_back(l);
-    }
-    std::sort(lines.begin(), lines.end());
-    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-    for (std::size_t i = 0; i < lines.size();) {
-      std::size_t j = i + 1;
-      while (j < lines.size() && lines[j] == lines[j - 1] + 1) ++j;
-      pool_->flush(lines[i] * pmem::kCacheLine,
-                   (lines[j - 1] - lines[i] + 1) * pmem::kCacheLine);
-      i = j;
-    }
+    pool_->flush_ranges(ranges_);
     pool_->drain();
-  }
-  // Retire the log.  The zero MUST be persisted: if it only reached the CPU
-  // cache, a crash would re-expose the stale undo entries and recovery
-  // would roll this committed transaction back.  (test_faults can skip the
-  // persist to let the crash matrix demonstrate exactly that bug.)
-  // Reservation-only transactions never touched the lane, so there is no
-  // log to retire and the flush+fence above is the whole commit.
-  if (snapshotted_) {
+    // Retire the log.  The zero MUST be persisted: if it only reached the
+    // CPU cache, a crash would re-expose the stale undo entries and
+    // recovery would roll this committed transaction back.  (test_faults
+    // can skip the persist to let the crash matrix demonstrate exactly that
+    // bug.)
     const std::uint64_t lo = pool_->lane_off(lane_);
     const std::uint64_t zero = 0;
     pool_->write(lo, &zero, sizeof(zero));

@@ -15,7 +15,10 @@
 // A second, pool-level matrix sweeps every persist point of an
 // alloc/free/transaction workload, and a mutation test re-introduces a known
 // durability bug (the unpersisted lane-header zero in Transaction::commit)
-// to prove the harness actually catches committed-data loss.
+// to prove the harness actually catches committed-data loss.  Two targeted
+// sweeps crash a hashtable replace until it leaves a shadowed duplicate,
+// which the key's next put (single or batched) must sweep, and a tree put at
+// each persist point, whose temp file remount must reclaim.
 #include <pmemcpy/check/persist_checker.hpp>
 #include <pmemcpy/core/node.hpp>
 #include <pmemcpy/obj/pool.hpp>
@@ -26,9 +29,11 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace {
@@ -611,6 +616,167 @@ TEST(CrashMatrixTest, MagazineMatrixRecovers) {
 
 TEST(CrashMatrixTest, MagazineMatrixRecoversWithTornWrites) {
   sweep_mag_crash_points(/*torn=*/true);
+}
+
+// ---------------------------------------------------------------------------
+// Hashtable: a crash-leftover duplicate is swept by the key's next put
+// ---------------------------------------------------------------------------
+
+using pmemcpy::obj::HashTable;
+
+std::string table_value(const HashTable& table, std::string_view key) {
+  const auto ref = table.find(key);
+  if (!ref) return "<missing>";
+  std::string out(ref->val_size, '\0');
+  table.read_value(*ref, out.data());
+  return out;
+}
+
+std::size_t table_visits(const HashTable& table, std::string_view key) {
+  std::size_t n = 0;
+  table.for_each([&](std::string_view k, const pmemcpy::obj::ValueRef&) {
+    n += k == key ? 1 : 0;
+  });
+  return n;
+}
+
+/// Builds a 1-bucket table holding `a` and `b` (chain b -> a), then replaces
+/// `a` with a crash scheduled at the replace's @p k-th persist op.  Returns
+/// false when the replace completed first (k is past its last persist).
+bool crash_replace_of_a(pmemcpy::pmem::Device& dev, std::uint64_t k) {
+  auto pool = pmemcpy::obj::Pool::create(dev, 0, kPoolBytes);
+  auto table = HashTable::create(pool, 1);
+  pool.set_root(table.header_off());
+  table.put("a", "a0", 2);
+  table.put("b", "b0", 2);
+  FaultPlan fp;
+  fp.crash_at_persist = dev.persist_ops() + k;
+  dev.set_fault_plan(fp);
+  try {
+    table.put("a", "a1", 2);
+  } catch (const CrashError&) {
+  }
+  return dev.frozen();
+}
+
+/// Crashes the replace of `a` at each persist point until recovery shows
+/// `a` twice — the new head plus the old node it shadows — then replaces
+/// `a` again, alone or as a batch.  Every later visitor must see `a` once.
+void replace_over_leftover_duplicate(bool batch) {
+  SCOPED_TRACE(batch ? "batched replace" : "single replace");
+  bool found = false;
+  for (std::uint64_t k = 1; !found; ++k) {
+    SCOPED_TRACE("crash at the replace's persist op " + std::to_string(k));
+    pmemcpy::pmem::Device dev(kPoolBytes, /*crash_shadow=*/true);
+    if (!crash_replace_of_a(dev, k)) break;
+    dev.revive();
+    auto pool = pmemcpy::obj::Pool::open(dev, 0);
+    auto table = HashTable::open(pool, pool.root());
+    if (table_visits(table, "a") != 2) continue;
+    found = true;
+    EXPECT_EQ(table_value(table, "a"), "a1");
+
+    if (batch) {
+      auto ins = table.reserve("a", 2);
+      std::memcpy(ins.value().data(), "a2", 2);
+      std::vector<HashTable::GroupPut> group{{&ins, false, false}};
+      table.publish_group(group);
+    } else {
+      table.put("a", "a2", 2);
+    }
+    EXPECT_EQ(table_visits(table, "a"), 1u);
+    EXPECT_EQ(table_value(table, "a"), "a2");
+    EXPECT_EQ(table_value(table, "b"), "b0");
+    const auto report = pool.check();
+    EXPECT_TRUE(report.ok()) << join_issues(report.issues);
+  }
+  EXPECT_TRUE(found) << "no persist point of the replace left a duplicate";
+}
+
+TEST(CrashMatrixTest, ReplaceSweepsLeftoverDuplicate) {
+  replace_over_leftover_duplicate(/*batch=*/false);
+  replace_over_leftover_duplicate(/*batch=*/true);
+}
+
+// ---------------------------------------------------------------------------
+// Tree layout: remount reclaims the temp file of a crashed put
+// ---------------------------------------------------------------------------
+
+/// Every name under @p dir, recursively.
+void collect_names(pmemcpy::fs::FileSystem& fs, const std::string& dir,
+                   std::vector<std::string>& out) {
+  for (const auto& name : fs.list(dir)) {
+    const std::string path = (dir == "/" ? "" : dir) + "/" + name;
+    out.push_back(path);
+    if (fs.is_dir(path)) collect_names(fs, path, out);
+  }
+}
+
+/// Overwrites tree entry `dir/k` ("old" -> "new"); returns whether the put
+/// completed (false: the device crashed inside it).
+bool overwrite_tree_entry(pmemcpy::engine::Engine& eng) {
+  try {
+    auto put = eng.put("dir/k", 3, 0, false);
+    put->sink().write("new", 3);
+    put->commit(pmemcpy::crc32c("new", 3));
+    return true;
+  } catch (const CrashError&) {
+    return false;
+  }
+}
+
+TEST(CrashMatrixTest, RemountReclaimsTreePutTempFiles) {
+  const auto open = [](pmemcpy::PmemNode& node) {
+    return pmemcpy::engine::open_tree_engine(node, "/tree", false, nullptr);
+  };
+  const auto seed = [&](pmemcpy::PmemNode& node) {
+    auto eng = open(node);
+    auto put = eng->put("dir/k", 3, 0, false);
+    put->sink().write("old", 3);
+    put->commit(pmemcpy::crc32c("old", 3));
+    return eng;
+  };
+
+  // Counting run: the persist-op window of the overwrite.
+  std::uint64_t first = 0, last = 0;
+  {
+    pmemcpy::PmemNode node(node_opts());
+    auto eng = seed(node);
+    first = node.device().persist_ops() + 1;
+    ASSERT_TRUE(overwrite_tree_entry(*eng));
+    last = node.device().persist_ops();
+  }
+  ASSERT_LE(first, last);
+
+  for (std::uint64_t k = first; k <= last; ++k) {
+    SCOPED_TRACE("crash at persist op " + std::to_string(k));
+    pmemcpy::PmemNode node(node_opts());
+    auto& dev = node.device();
+    {
+      auto eng = seed(node);
+      ASSERT_EQ(dev.persist_ops() + 1, first);  // replay determinism
+      FaultPlan fp;
+      fp.crash_at_persist = k;
+      dev.set_fault_plan(fp);
+      EXPECT_FALSE(overwrite_tree_entry(*eng));
+      ASSERT_TRUE(dev.frozen());
+    }
+    dev.revive();
+    node.remount();
+
+    std::vector<std::string> names;
+    collect_names(node.fs(), "/", names);
+    for (const auto& name : names) {
+      EXPECT_EQ(name.find(".tmp."), std::string::npos) << name;
+    }
+    auto entry = open(node)->find("dir/k");
+    ASSERT_NE(entry, nullptr);
+    const auto blob = entry->stored_span();
+    const std::string got(reinterpret_cast<const char*>(blob.data()),
+                          blob.size());
+    EXPECT_TRUE(got == "old" || got == "new") << got;
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 // ---------------------------------------------------------------------------

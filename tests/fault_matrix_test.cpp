@@ -15,9 +15,11 @@
 // device retry/backoff accounting, quarantine-table capacity + persistence
 // across remount, allocator avoidance of quarantined space, repair()
 // relocation + idempotence, typed damaged-key errors, degraded read-only
-// mode, and collective health agreement.
+// mode, collective health agreement, and a hashtable publish that faults
+// after a bucket-head store keeping the now reachable entry allocated.
 #include <pmemcpy/check/persist_checker.hpp>
 #include <pmemcpy/core/node.hpp>
+#include <pmemcpy/obj/hashtable.hpp>
 #include <pmemcpy/obj/pool.hpp>
 #include <pmemcpy/par/comm.hpp>
 #include <pmemcpy/pmem/device.hpp>
@@ -27,8 +29,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace {
@@ -36,6 +40,8 @@ namespace {
 using pmemcpy::ft::DegradedError;
 using pmemcpy::ft::ErrorCode;
 using pmemcpy::ft::Health;
+using pmemcpy::obj::HashTable;
+using pmemcpy::obj::Pool;
 using pmemcpy::pmem::CrashError;
 using pmemcpy::pmem::DeviceError;
 using pmemcpy::pmem::FaultPlan;
@@ -555,6 +561,116 @@ TEST(FaultMatrix, CrashDuringRepairLosesNothing) {
     check_repair_scene(p2);
     p2.munmap();
     if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Publish unwinding: a fault after a head store never frees live storage
+// ---------------------------------------------------------------------------
+
+/// A 64-bucket table on a 32 MiB pool, for publishes whose second
+/// visibility store hits sticky-bad media after a bucket-head store landed.
+struct HeadFaultScene {
+  static constexpr std::size_t kBytes = 32ull << 20;
+  static constexpr std::size_t kValue = 100;
+
+  pmemcpy::pmem::Device dev{kBytes};
+  Pool pool = Pool::create(dev, 0, kBytes);
+  HashTable table = HashTable::create(pool, 64);
+
+  /// Device offset of the table header (its count word is the last field).
+  std::uint64_t header() const { return pool.base() + table.header_off(); }
+
+  /// Device offset of @p key's bucket-head slot.  Buckets are FNV-1a of the
+  /// key modulo the bucket count, and the header's second word is the
+  /// bucket array's offset (both part of the on-media format).
+  std::uint64_t head_slot(std::string_view key) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (const char c : key) {
+      h ^= static_cast<std::uint8_t>(c);
+      h *= 1099511628211ull;
+    }
+    const auto buckets = pool.get<std::uint64_t>(table.header_off() + 8);
+    return pool.base() + buckets + h % 64 * 8;
+  }
+
+  HashTable::Inserter reserve(const std::string& key) {
+    auto ins = table.reserve(key, kValue);
+    auto span = ins.value();
+    std::memset(span.data(), key.back(), span.size());
+    return ins;
+  }
+
+  /// Every key find() returns reads back intact, and the next allocations
+  /// of its value and node sizes (a node is a 40-byte header plus the key)
+  /// hand out neither: reachable storage was not freed.
+  void expect_live_entries_kept(const std::vector<std::string>& keys) {
+    for (const auto& key : keys) {
+      SCOPED_TRACE(key);
+      const auto ref = table.find(key);
+      if (!ref) continue;
+      std::string got(ref->val_size, '\0');
+      table.read_value(*ref, got.data());
+      EXPECT_EQ(got, std::string(kValue, key.back()));
+      EXPECT_NE(pool.alloc(kValue), ref->val_off);
+      EXPECT_NE(pool.alloc(40 + key.size()), ref->node_off);
+    }
+    const auto report = pool.check();
+    EXPECT_TRUE(report.ok()) << (report.issues.empty()
+                                     ? std::string()
+                                     : report.issues.front());
+  }
+};
+
+TEST(FaultMatrix, FaultAfterHeadStoreKeepsReachableEntries) {
+  // k1's head store lands, then its count store hits the sticky line.
+  {
+    SCOPED_TRACE("solo put");
+    HeadFaultScene s;
+    ASSERT_NE(s.head_slot("k1") / 64, (s.header() + 16) / 64);
+    s.dev.inject_sticky_range(s.header(), 24);
+    {
+      auto ins = s.reserve("k1");
+      EXPECT_THROW((void)ins.publish(), DeviceError);
+    }
+    EXPECT_TRUE(s.table.find("k1").has_value());
+    s.expect_live_entries_kept({"k1"});
+  }
+  {
+    SCOPED_TRACE("group of one");
+    HeadFaultScene s;
+    s.dev.inject_sticky_range(s.header(), 24);
+    {
+      auto ins = s.reserve("k1");
+      std::vector<HashTable::GroupPut> group{{&ins, false, false}};
+      EXPECT_THROW(s.table.publish_group(group), DeviceError);
+    }
+    EXPECT_TRUE(s.table.find("k1").has_value());
+    s.expect_live_entries_kept({"k1"});
+  }
+  // The head stores go in slot order: the first bucket's head lands, and
+  // the second bucket's head line is the sticky one.
+  {
+    SCOPED_TRACE("batch of two");
+    HeadFaultScene s;
+    std::string lands = "b0", faults;
+    for (int i = 1; faults.empty(); ++i) {
+      ASSERT_LT(i, 1000) << "no key with a head on another line";
+      const std::string key = "b" + std::to_string(i);
+      if (s.head_slot(key) / 64 != s.head_slot(lands) / 64) faults = key;
+    }
+    if (s.head_slot(faults) < s.head_slot(lands)) std::swap(lands, faults);
+    s.dev.inject_sticky_range(s.head_slot(faults), 8);
+    {
+      auto first = s.reserve(lands);
+      auto second = s.reserve(faults);
+      std::vector<HashTable::GroupPut> group{{&first, false, false},
+                                             {&second, false, false}};
+      EXPECT_THROW(s.table.publish_group(group), DeviceError);
+    }
+    EXPECT_TRUE(s.table.find(lands).has_value());
+    EXPECT_FALSE(s.table.find(faults).has_value());
+    s.expect_live_entries_kept({lands, faults});
   }
 }
 
