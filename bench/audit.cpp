@@ -56,7 +56,6 @@ using pmemcpy::fs::FileSystem;
 using pmemcpy::fs::OpenMode;
 using pmemcpy::obj::HashTable;
 using pmemcpy::obj::Pool;
-using pmemcpy::obj::Transaction;
 using pmemcpy::pmem::Device;
 using trace::Counter;
 
@@ -207,25 +206,10 @@ struct GroupCommit {
 };
 
 void run_flush_phases() {
-  // Object store: snapshot transactions.  Two snapshots land on the same
-  // cacheline so range coalescing in Transaction::commit is exercised.
-  phase("tx-commit", kFlushColumns, {}, [] {
-    CheckedDevice dev(64ull << 20);
-    Pool pool = Pool::create(dev, 0, 64ull << 20);
-    const auto off = pool.alloc(256);
-    std::vector<std::byte> buf(256, std::byte{1});
-    for (int i = 0; i < 10000; ++i) {
-      Transaction tx(pool);
-      tx.snapshot(off, 16);
-      tx.snapshot(off + 16, 240);
-      pool.write(off, buf.data(), buf.size());
-      tx.commit();
-    }
-  });
-
   // Hashtable puts with auto-grow on, sized to grow the table twice from 1k
   // buckets (at 4097 and 16385 entries): reserve/publish staging, plus per
-  // growth the rebuild's node-copy flushes under one drain and the header tx.
+  // growth the rebuild's node-copy flushes under one drain and the one-store
+  // header swap.
   phase("ht-put", kFlushColumns, {}, [] {
     CheckedDevice dev(512ull << 20);
     Pool pool = Pool::create(dev, 0, 512ull << 20);

@@ -1,5 +1,5 @@
-// Microbenchmarks for the object store: allocation, transactions, and the
-// persistent hashtable (the metadata path of every pMEMCPY store()).
+// Microbenchmarks for the object store: allocation and the persistent
+// hashtable (the metadata path of every pMEMCPY store()).
 #include <pmemcpy/obj/hashtable.hpp>
 
 #include <benchmark/benchmark.h>
@@ -12,7 +12,6 @@ namespace {
 
 using pmemcpy::obj::HashTable;
 using pmemcpy::obj::Pool;
-using pmemcpy::obj::Transaction;
 using pmemcpy::pmem::Device;
 
 void BM_PoolAllocFree(benchmark::State& state) {
@@ -73,21 +72,6 @@ BENCHMARK(BM_PoolAllocFreeRanks)
     ->ArgsProduct({{1, 4, 12, 24, 48}, {0, 1}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-
-void BM_TransactionSnapshotCommit(benchmark::State& state) {
-  const auto bytes = static_cast<std::size_t>(state.range(0));
-  Device dev(64ull << 20);
-  Pool pool = Pool::create(dev, 0, 64ull << 20);
-  const auto off = pool.alloc(bytes);
-  std::vector<std::byte> buf(bytes, std::byte{1});
-  for (auto _ : state) {
-    Transaction tx(pool);
-    tx.snapshot(off, bytes);
-    pool.write(off, buf.data(), bytes);
-    tx.commit();
-  }
-}
-BENCHMARK(BM_TransactionSnapshotCommit)->Range(64, 16 << 10);
 
 void BM_HashTablePut(benchmark::State& state) {
   Device dev(512ull << 20);

@@ -1,7 +1,8 @@
 // crash_recovery — demonstrates the consistency guarantees pMEMCPY inherits
 // from its PMDK-style object store: a power failure mid-store leaves the
 // previously-published value intact, because entries are fully persisted
-// before the single atomic link-in, and transactions roll back on recovery.
+// before the single atomic link-in, and an interrupted allocation rolls back
+// on recovery.
 #include <pmemcpy/pmemcpy.hpp>
 
 #include <cstdio>

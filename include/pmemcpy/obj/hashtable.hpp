@@ -18,8 +18,9 @@
 //     the key sweeps, deepest-first, before it links anything.
 //   * erase/unlink — one 8-byte pointer store.
 //   * rehash  — builds a complete new bucket array + node set (value blobs
-//     are shared, not copied), then swaps the header atomically under a
-//     transaction; a crash before the swap only leaks the new copies.
+//     are shared, not copied).  The array carries its own bucket count, so
+//     one 8-byte store of its offset into the header swaps it in; a crash
+//     before that store only leaks the new copies.
 //
 // Read path: the persistent header is mirrored in DRAM (loaded at
 // construction, updated only once the matching persistent store is durable),
@@ -182,10 +183,10 @@ class HashTable {
   static constexpr std::size_t kStripes = 64;
 
   /// DRAM state shared by every thread using the table: the stripe locks
-  /// and the mirror of the persistent header.  The persistent header stays
-  /// the source of truth; the mirror changes only after the corresponding
-  /// store is durable (count) or the rehash transaction has committed
-  /// (nbuckets, buckets_off).
+  /// and the mirror of the persistent header and the bucket count.  The
+  /// persistent image stays the source of truth; the mirror changes only
+  /// after the corresponding store is durable (count, or the rehash's swap
+  /// of buckets_off, which brings the new array's nbuckets with it).
   struct Shared {
     std::array<std::mutex, kStripes> stripes;
     /// Serializes the count stores and each publish's visibility step
@@ -210,6 +211,8 @@ class HashTable {
   HashTable(Pool& pool, std::uint64_t hoff, std::uint64_t nbuckets,
             std::uint64_t buckets_off, std::uint64_t count);
 
+  /// Pool offset of bucket @p b's head slot; read under any stripe lock.
+  [[nodiscard]] std::uint64_t bucket_slot(std::uint64_t b) const;
   /// Lock the stripe guarding @p key's chain into @p lk and return the
   /// chain's bucket slot.
   std::uint64_t lock_bucket(std::string_view key,

@@ -1,4 +1,4 @@
-// PMDK-like transactional persistent object store ("libpmemobj-lite").
+// PMDK-like persistent object store ("libpmemobj-lite").
 //
 // A Pool lives inside a region of an emulated PMEM device and provides:
 //   * pool-relative offsets that stay valid across re-opens,
@@ -7,12 +7,15 @@
 //     allocator undo lanes, so a crash at any persist boundary rolls the
 //     whole allocation, free or batch refill back; optional per-rank
 //     magazines serve the common case without the lock — DESIGN.md §14),
-//   * undo-log transactions (snapshot ranges, mutate, commit; recovery on
-//     open rolls back incomplete transactions),
 //   * a root object offset for bootstrapping data structures,
 //   * CRC32C checksums on the pool header and every chunk header, plus an
 //     offline integrity verifier (check()) that walks the arena, the free
-//     lists and the transaction logs.
+//     lists and the undo lanes.
+//
+// The allocator undo lanes are the pool's only undo log; open() rolls back
+// whatever a crash left in them.  Structures built on the pool publish with
+// single 8-byte stores instead: the hashtable swaps in a rebuilt bucket
+// array by storing its offset (DESIGN.md §8).
 //
 // All stores go through write()/set()/persist() so they are visible to the
 // device's crash tracking and charged on the simulated clock.  The pool can
@@ -23,7 +26,6 @@
 #include <pmemcpy/ft/ft.hpp>
 #include <pmemcpy/pmem/device.hpp>
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -39,8 +41,6 @@ struct PoolOptions {
   /// Charge MAP_SYNC synchronous-fault semantics on every DAX store.
   bool map_sync = false;
 };
-
-class Transaction;
 
 /// Thrown when open() finds no valid pool, or create() lacks space.
 struct PoolError : std::runtime_error {
@@ -67,10 +67,6 @@ struct CheckReport {
 
 class Pool {
  public:
-  /// Number of independent transaction lanes (concurrent transactions).
-  static constexpr std::size_t kTxLanes = 16;
-  /// Undo-log capacity per lane (payload bytes, excluding entry headers).
-  static constexpr std::size_t kTxLogBytes = 64 * 1024;
   /// Persistent allocator metadata stripes (size-class free lists + undo
   /// lanes).  Fixed in the on-media layout; set_alloc_stripes() picks how
   /// many of them ranks actually spread across at runtime, so a pool can be
@@ -84,10 +80,11 @@ class Pool {
   /// testing): re-introduce a known durability bug and assert the crash
   /// matrix catches it.  Never enable outside tests.
   struct TestFaults {
-    /// Skip persisting the lane-header zero in Transaction::commit() — the
-    /// historical bug where a crash right after commit re-exposes the stale
-    /// undo entries and recovery rolls a *committed* transaction back.
-    bool skip_lane_zero_persist = false;
+    /// Skip persisting the undo lane's retire zero in aundo_commit() — the
+    /// classic undo-log bug where a crash right after commit re-exposes the
+    /// stale pre-images and recovery rolls a *committed* allocator
+    /// operation back.
+    bool skip_undo_retire_persist = false;
   };
 
   /// Format a fresh pool over device bytes [base, base+size).
@@ -164,9 +161,8 @@ class Pool {
   /// Offline integrity verifier: validates the pool-header checksum, walks
   /// the arena chunk by chunk (header checksums, overlap), the size-class
   /// and large free lists (cycles, class mismatches, double-listing), the
-  /// transaction lanes, the allocator undo log (structural validity) and
-  /// the quarantine table, and recomputes bytes_in_use.  Read-only; safe on
-  /// a just-opened pool.
+  /// allocator undo lanes (structural validity) and the quarantine table,
+  /// and recomputes bytes_in_use.  Read-only; safe on a just-opened pool.
   [[nodiscard]] CheckReport check() const;
 
   // --- quarantine (self-healing data path, DESIGN.md §10) --------------------
@@ -257,10 +253,6 @@ class Pool {
     dev_->charge_dax_read(len, opts_.map_sync);
   }
 
-  // --- transactions -------------------------------------------------------------
-
-  friend class Transaction;
-
   /// Device offset of the pool base (for diagnostics).
   [[nodiscard]] std::size_t base() const noexcept { return base_; }
   /// Total pool size in bytes.
@@ -282,9 +274,6 @@ class Pool {
   [[nodiscard]] bool quar_hit(std::uint64_t off, std::size_t len) const;
 
   std::uint64_t alloc_locked(std::size_t bytes, int stripe);
-  int acquire_tx_lane();
-  void release_tx_lane(int lane);
-  [[nodiscard]] std::uint64_t lane_off(int lane) const;
 
   // --- magazines (DESIGN.md §14) -------------------------------------------
   /// This thread's magazine (created on first use).
@@ -302,6 +291,9 @@ class Pool {
   /// Return all but @p keep of @p m's class-@p cls chunks to the persistent
   /// free lists in one batch.
   void flush_back(Magazine& m, std::size_t cls, std::size_t keep);
+  /// Unflag the magazine chunks @p out and push them onto @p stripe's
+  /// class-@p cls list: the mutation of one undo transaction.  The open-time
+  /// sweep pushes each reclaimed chunk as a batch of one.
   void flush_back_locked(const std::vector<std::uint64_t>& out,
                          std::size_t cls, int stripe);
   /// Durably mark a chunk owned-but-unpublished (header rewritten with the
@@ -322,12 +314,18 @@ class Pool {
   [[nodiscard]] std::uint64_t stripe_state_off(int stripe) const;
   /// Coalesce @p ranges to distinct cachelines, flush them, fence once.
   void persist_ranges(const std::vector<Range>& ranges);
-  /// Roll back an undo log (newest entry first) and retire it.  Shared by
-  /// lane recovery, transaction rollback and allocator-undo recovery.
-  void rollback_log(std::uint64_t header_off, std::uint64_t payload_off,
-                    std::uint64_t capacity);
+  /// Roll back @p stripe's undo lane (newest entry first) and retire it.
+  /// Shared by open-time recovery and undo_tx()'s live rollback.
+  void rollback_log(int stripe);
 
-  void charge_queue_delay() const;
+  /// Take alloc_mu_ for one serialized metadata operation and charge the
+  /// modelled queueing delay of the ranks contending for it.
+  [[nodiscard]] std::unique_lock<std::mutex> lock_allocator();
+  /// Run @p mutate as one allocator undo transaction on @p stripe's lane,
+  /// inside the persistency-checker scope @p scope.  A fault rolls the lane
+  /// back before it propagates.
+  template <typename Mutate>
+  void undo_tx(const char* scope, int stripe, Mutate&& mutate);
 
   pmem::Device* dev_;
   std::size_t base_;
@@ -344,35 +342,6 @@ class Pool {
 
   std::unique_ptr<AllocRuntime> art_;
   std::unique_ptr<std::mutex> alloc_mu_ = std::make_unique<std::mutex>();
-  std::unique_ptr<std::mutex> lane_mu_ = std::make_unique<std::mutex>();
-  std::unique_ptr<std::condition_variable> lane_cv_ =
-      std::make_unique<std::condition_variable>();
-  std::vector<bool> lane_busy_ = std::vector<bool>(kTxLanes, false);
-};
-
-/// RAII undo-log transaction.  snapshot() ranges you are about to mutate;
-/// commit() makes the mutations durable atomically; destruction without
-/// commit rolls every snapshotted range back (as does crash recovery).
-class Transaction {
- public:
-  explicit Transaction(Pool& pool);
-  ~Transaction();
-  Transaction(const Transaction&) = delete;
-  Transaction& operator=(const Transaction&) = delete;
-
-  /// Save the pre-image of [off, off+len); call before mutating it.
-  void snapshot(std::uint64_t off, std::size_t len);
-  /// Persist all snapshotted ranges' contents and retire the log.
-  void commit();
-
- private:
-  void rollback();
-
-  Pool* pool_;
-  int lane_;
-  bool committed_ = false;
-  /// Ranges snapshotted, for the commit-time persist sweep.
-  std::vector<Pool::Range> ranges_;
 };
 
 }  // namespace pmemcpy::obj

@@ -68,7 +68,8 @@ class BufferSink final : public Sink {
   void write(const void* data, std::size_t len) override {
     const std::size_t at = buf_.size();
     buf_.resize(at + len);
-    std::memcpy(buf_.data() + at, data, len);
+    // memcpy with a null pointer is undefined even at length 0.
+    if (len != 0) std::memcpy(buf_.data() + at, data, len);
     sim::ctx().charge_cpu_copy(len);
     if (at == 0 && len > 0) trace::count(trace::Counter::kCopyStagedPuts);
     trace::count(trace::Counter::kCopyStagedBytes, len);
@@ -93,7 +94,7 @@ class BufferSource final : public Source {
 
   void read(void* dst, std::size_t len) override {
     if (pos_ + len > data_.size()) throw SerialError("source underrun");
-    std::memcpy(dst, data_.data() + pos_, len);
+    if (len != 0) std::memcpy(dst, data_.data() + pos_, len);
     pos_ += len;
     sim::ctx().charge_cpu_copy(len);
     trace::count(trace::Counter::kCopyReadStagedBytes, len);

@@ -66,7 +66,6 @@ enum class Counter : int {
   kAllocOps,                ///< Pool::alloc calls
   kAllocBytes,              ///< payload bytes allocated
   kFreeOps,                 ///< Pool::free calls
-  kTxCommits,               ///< obj::Transaction commits
   kEnginePuts,              ///< engine put handles opened
   kEngineGets,              ///< engine lookups (hit or miss)
   kBatchCommits,            ///< engine group commits

@@ -178,7 +178,10 @@ Exchanged alltoall_bytes(pmemcpy::par::Comm& comm,
   }
   flat.resize(stotal);
   for (std::size_t d = 0; d < n; ++d) {
-    std::memcpy(flat.data() + sdispls[d], send[d].data(), scounts[d]);
+    // An empty send buffer may have a null data(): skip the copy.
+    if (scounts[d] != 0) {
+      std::memcpy(flat.data() + sdispls[d], send[d].data(), scounts[d]);
+    }
   }
   // The collective-buffer coalescing copy is a real pass over the data.
   pmemcpy::sim::ctx().charge_cpu_copy(stotal);

@@ -17,11 +17,18 @@ namespace pmemcpy::obj {
 
 namespace {
 
+/// Persistent table header.  The bucket array carries its own bucket count,
+/// so a rehash publishes a rebuilt array with one 8-byte store of
+/// buckets_off.
 struct TableHeader {
-  std::uint64_t nbuckets;
   std::uint64_t buckets_off;
   std::uint64_t count;
 };
+
+/// Bucket array layout: the bucket count in word 0, the chain heads from
+/// kHeadsOff on.  The prefix is a whole cacheline, so every head sits on the
+/// line it would occupy in a bare array of heads.
+constexpr std::uint64_t kHeadsOff = 64;
 
 /// Persistent node layout: this fixed header, then the key bytes.  Staged
 /// with one store (reserve, rehash copies) and fetched with one load, so a
@@ -99,17 +106,11 @@ class StripeLocks {
   std::size_t held_ = 0;
 };
 
-/// Zero a pool range in bounded chunks.
-void zero_range(Pool& pool, std::uint64_t off, std::size_t len) {
-  static constexpr std::size_t kChunk = 64 * 1024;
-  std::vector<std::byte> zeros(std::min(len, kChunk), std::byte{0});
-  std::size_t done = 0;
-  while (done < len) {
-    const std::size_t n = std::min(len - done, kChunk);
-    pool.write(off + done, zeros.data(), n);
-    done += n;
-  }
-  pool.persist(off, len);
+/// DRAM image of an empty bucket array of @p nbuckets buckets.
+std::vector<std::uint64_t> empty_array(std::uint64_t nbuckets) {
+  std::vector<std::uint64_t> image(kHeadsOff / 8 + nbuckets, 0);
+  image[0] = nbuckets;
+  return image;
 }
 
 }  // namespace
@@ -124,21 +125,36 @@ HashTable::HashTable(Pool& pool, std::uint64_t hoff, std::uint64_t nbuckets,
 
 HashTable HashTable::create(Pool& pool, std::size_t nbuckets) {
   if (nbuckets == 0) nbuckets = 1;
-  const std::uint64_t buckets = pool.alloc(nbuckets * 8);
-  zero_range(pool, buckets, nbuckets * 8);
+  // Count and heads persist together: the header store below makes the
+  // whole array reachable.
+  const auto image = empty_array(nbuckets);
+  const std::uint64_t buckets = pool.alloc(image.size() * 8);
+  pool.write(buckets, image.data(), image.size() * 8);
+  pool.persist(buckets, image.size() * 8);
   const std::uint64_t hoff = pool.alloc(sizeof(TableHeader));
-  const TableHeader hdr{nbuckets, buckets, 0};
+  const TableHeader hdr{buckets, 0};
   pool.set(hoff, hdr);
-  return HashTable(pool, hoff, hdr.nbuckets, hdr.buckets_off, hdr.count);
+  return HashTable(pool, hoff, nbuckets, hdr.buckets_off, hdr.count);
 }
 
 HashTable HashTable::open(Pool& pool, std::uint64_t header_off) {
   const auto hdr = pool.get<TableHeader>(header_off);
-  if (hdr.nbuckets == 0 || hdr.buckets_off == 0) {
-    throw PoolError("HashTable::open: invalid header");
+  if (hdr.buckets_off < kHeadsOff ||
+      hdr.buckets_off > pool.size() - kHeadsOff) {
+    throw PoolError("HashTable::open: bucket array outside the pool");
   }
-  return HashTable(pool, header_off, hdr.nbuckets, hdr.buckets_off,
-                   hdr.count);
+  // usable_size() throws PoolError when no valid chunk holds the array.
+  const std::uint64_t cap = pool.usable_size(hdr.buckets_off);
+  const auto nbuckets = pool.get<std::uint64_t>(hdr.buckets_off);
+  if (nbuckets == 0 || cap < kHeadsOff || nbuckets > (cap - kHeadsOff) / 8) {
+    throw PoolError("HashTable::open: bucket count " +
+                    std::to_string(nbuckets) + " does not fit its array");
+  }
+  return HashTable(pool, header_off, nbuckets, hdr.buckets_off, hdr.count);
+}
+
+std::uint64_t HashTable::bucket_slot(std::uint64_t b) const {
+  return s_->buckets_off + kHeadsOff + b * 8;
 }
 
 std::uint64_t HashTable::lock_bucket(std::string_view key,
@@ -154,7 +170,7 @@ std::uint64_t HashTable::lock_bucket(std::string_view key,
     // the every-stripe lockers rely on) and retry.
     if (s_->nbuckets.load(std::memory_order_relaxed) == nb) {
       lk = std::move(stripe);
-      return s_->buckets_off + b * 8;
+      return bucket_slot(b);
     }
   }
 }
@@ -278,7 +294,7 @@ void HashTable::for_each(
   // access), not one charged random read per slot.
   std::vector<std::uint64_t> heads(
       s_->nbuckets.load(std::memory_order_relaxed));
-  pool_->read(s_->buckets_off, heads.data(), heads.size() * 8);
+  pool_->read(bucket_slot(0), heads.data(), heads.size() * 8);
   for (std::uint64_t node : heads) {
     while (node != 0) {
       const auto h = read_header(*pool_, node);
@@ -325,14 +341,18 @@ void HashTable::rebuild(std::size_t new_nbuckets) {
   std::vector<std::uint64_t> old_heads(
       s_->nbuckets.load(std::memory_order_relaxed));
   const std::uint64_t old_off = s_->buckets_off;
-  pool_->read(old_off, old_heads.data(), old_heads.size() * 8);
+  pool_->read(bucket_slot(0), old_heads.data(), old_heads.size() * 8);
 
   // Build a complete replacement: new array + copied nodes sharing the old
   // value blobs.  Nothing existing is mutated until the header swap.  Each
-  // copy is written back as it is made and the new heads collect in DRAM;
-  // one drain after the array store makes all of it durable at once.
-  const std::uint64_t new_off = pool_->alloc(new_nbuckets * 8);
-  std::vector<std::uint64_t> heads(new_nbuckets, 0);
+  // copy is written back as it is made and the new array's image collects
+  // in DRAM; one drain after the array store makes all of it durable at
+  // once.
+  auto new_array = empty_array(new_nbuckets);
+  const std::size_t array_bytes = new_array.size() * 8;
+  const std::uint64_t new_off = pool_->alloc(array_bytes);
+  const std::span<std::uint64_t> heads(new_array.data() + kHeadsOff / 8,
+                                       new_nbuckets);
   std::vector<std::uint64_t> old_nodes;
   std::vector<std::uint64_t> dup_vals;
   std::vector<std::byte> image;
@@ -364,22 +384,14 @@ void HashTable::rebuild(std::size_t new_nbuckets) {
       node = h.next;
     }
   }
-  pool_->write(new_off, heads.data(), heads.size() * 8);
-  pool_->flush(new_off, heads.size() * 8);
+  pool_->write(new_off, new_array.data(), array_bytes);
+  pool_->flush(new_off, array_bytes);
   pool_->drain();
 
-  {
-    Transaction tx(*pool_);
-    tx.snapshot(hoff_, sizeof(TableHeader));
-    // Plain stores inside the transaction: commit() flushes the snapshotted
-    // range once (a per-field set() here paid an extra flush+fence each and
-    // made commit's own flush a checker-flagged duplicate).
-    const std::uint64_t nb = new_nbuckets;
-    pool_->write(hoff_ + offsetof(TableHeader, nbuckets), &nb, sizeof(nb));
-    pool_->write(hoff_ + offsetof(TableHeader, buckets_off), &new_off,
-                 sizeof(new_off));
-    tx.commit();
-  }
+  // The swap: one 8-byte store, crash-atomic on its own, publishes the new
+  // array together with the bucket count it carries.
+  pool_->set<std::uint64_t>(hoff_ + offsetof(TableHeader, buckets_off),
+                            new_off);
   // The swap is durable: move the mirror over before retiring the old
   // storage (a fault while freeing must not leave it pointing back).
   s_->buckets_off = new_off;
@@ -581,7 +593,7 @@ std::size_t HashTable::link(std::span<GroupPut* const> puts) {
     links.clear();
     for (std::size_t i = 0; i < puts.size() && !swept; ++i) {
       if (discard[i]) continue;
-      const std::uint64_t slot = s_->buckets_off + (hash[i] % nb) * 8;
+      const std::uint64_t slot = bucket_slot(hash[i] % nb);
       std::uint64_t head = 0;
       auto matches = find_chain(slot, puts[i]->ins->key_, head);
       if (!matches.empty() && puts[i]->keep_existing) {

@@ -19,7 +19,9 @@ namespace {
 constexpr std::uint64_t kMagic = 0x504d454d43505921ull;  // "PMEMCPY!"
 // v2: allocator metadata split into AllocGlobal + kAllocStripes striped
 // free-list states with one undo lane each (DESIGN.md §14).
-constexpr std::uint32_t kVersion = 2;
+// v3: the transaction lanes are gone; the heap starts right after the
+// allocator undo lanes.
+constexpr std::uint32_t kVersion = 3;
 constexpr std::size_t kChunkAlign = 64;
 constexpr std::size_t kChunkHeader = 16;
 /// Minimum remainder worth splitting off a large free chunk.
@@ -154,21 +156,15 @@ struct Pool::Layout {
   static constexpr std::uint64_t kStripeBase = 4224;
   static constexpr std::uint64_t kStripeStride = 128;
   /// Allocator undo lanes, one per stripe: [u64 used][pre-image entries].
-  /// They give the multi-store free-list/arena mutations the same
-  /// crash-atomicity the tx lanes give user data, without taking a lane
-  /// (allocations happen inside transactions; borrowing a lane could
-  /// self-deadlock when all lanes are busy).  The global mutex admits one
-  /// uncommitted allocator batch at a time, so recovery order across lanes
-  /// does not matter.
+  /// The pool's only undo log: they make the multi-store free-list/arena
+  /// mutations crash-atomic.  The global mutex admits one uncommitted
+  /// allocator batch at a time, so recovery order across lanes does not
+  /// matter.
   static constexpr std::uint64_t kStripeUndoBase = 8192;
   static constexpr std::uint64_t kStripeUndoStride = 4096;
   static constexpr std::uint64_t kStripeUndoBytes = kStripeUndoStride - 8;
-  static constexpr std::uint64_t kLaneBase =
-      kStripeUndoBase + Pool::kAllocStripes * kStripeUndoStride;
-  static constexpr std::uint64_t kLaneHeader = 64;
-  static constexpr std::uint64_t kLaneStride = kLaneHeader + Pool::kTxLogBytes;
   static constexpr std::uint64_t heap_start() {
-    return round_up(kLaneBase + Pool::kTxLanes * kLaneStride, 4096);
+    return kStripeUndoBase + Pool::kAllocStripes * kStripeUndoStride;
   }
   static_assert(kHeaderOff + sizeof(PoolHeader) <= kQuarOff,
                 "pool header must not overlap the quarantine table");
@@ -288,10 +284,6 @@ void Pool::format() {
   ag.large_free_head = 0;
   set(Layout::kAllocOff, ag);
 
-  for (std::size_t lane = 0; lane < kTxLanes; ++lane) {
-    set<std::uint64_t>(lane_off(static_cast<int>(lane)), 0);  // log empty
-  }
-
   // Header goes last: a crash mid-format leaves an unopenable (unformatted)
   // pool rather than a corrupt one.
   PoolHeader hdr{};
@@ -374,7 +366,9 @@ void Pool::set_root(std::uint64_t off) {
 // Allocator
 // ---------------------------------------------------------------------------
 
-void Pool::charge_queue_delay() const {
+std::unique_lock<std::mutex> Pool::lock_allocator() {
+  std::unique_lock lk(*alloc_mu_);
+  trace::count(trace::Counter::kAllocLaneAcquisitions);
   // Deterministic stand-in for lock contention: rank clocks drift apart and
   // resynchronise only at collectives, so modelling an actual wait on
   // another rank's (possibly lagging) simulated clock would be unsound.
@@ -382,13 +376,44 @@ void Pool::charge_queue_delay() const {
   // per-stripe queue depth, since ranks hash across the active stripes and
   // only same-stripe traffic serialises in the modelled machine.
   const int depth = (contenders_ + stripes_ - 1) / stripes_;
-  if (depth <= 1) return;
+  if (depth <= 1) return lk;
   auto& c = sim::ctx();
   const double delay =
       static_cast<double>(depth - 1) * c.model().pmem.pool_op_queue_cost;
   c.advance(delay, sim::Charge::kOther);
   trace::observe(trace::Hist::kShardQueueDelay, delay);
   trace::count(trace::Counter::kAllocQueueCharges);
+  return lk;
+}
+
+template <typename Mutate>
+void Pool::undo_tx(const char* scope, int stripe, Mutate&& mutate) {
+  dev_->check_tx_begin(scope);
+  try {
+    mutate();
+  } catch (...) {
+    // A fault mid-mutation (e.g. sticky media surfacing under a store) exits
+    // through here with the heap half-changed; the undo lane the mutation
+    // pre-images through is designed for crash recovery but rolls the live
+    // image back just as well.  Best effort: any other rollback failure is
+    // dropped, so the original fault propagates.
+    try {
+      rollback_log(stripe);
+    } catch (const pmem::DeviceError&) {
+      // The media under the allocator state itself died mid-rollback: the
+      // fault being unwound names a different range, so THIS error is the
+      // one the healing path must see — quarantining the dead metadata
+      // flips the allocator into its degraded mode and tells check() the
+      // stored counters are scarred.  The half-rolled-back batch stays
+      // pending in the durable undo lane for the next open to replay.
+      dev_->check_tx_abort();
+      throw;
+    } catch (...) {
+    }
+    dev_->check_tx_abort();
+    throw;
+  }
+  dev_->check_tx_commit();
 }
 
 int Pool::acting_stripe() const {
@@ -463,39 +488,11 @@ std::uint64_t Pool::alloc(std::size_t bytes) {
     return chunk + kChunkHeader;
   }
 
-  std::lock_guard lk(*alloc_mu_);
-  trace::count(trace::Counter::kAllocLaneAcquisitions);
-  charge_queue_delay();
+  const auto lk = lock_allocator();
   const int stripe = acting_stripe();
-  dev_->check_tx_begin("pool.alloc");
-  try {
-    const std::uint64_t off = alloc_locked(bytes, stripe);
-    dev_->check_tx_commit();
-    return off;
-  } catch (...) {
-    // A fault mid-mutation (e.g. sticky media surfacing under a store) exits
-    // through here with the heap half-changed; the undo log the mutation
-    // phase pre-images through is designed for crash recovery but rolls the
-    // live image back just as well.  Best effort: an unrestorable line means
-    // the media under the allocator state itself died, and the caller's
-    // healing/degradation path owns that case.
-    try {
-      rollback_log(stripe_undo_off(stripe), stripe_undo_off(stripe) + 8,
-                   Layout::kStripeUndoBytes);
-    } catch (const pmem::DeviceError&) {
-      // The media under the allocator state itself died mid-rollback: the
-      // tx fault being unwound names a different range, so THIS error is
-      // the one the healing path must see — quarantining the dead metadata
-      // flips the allocator into its degraded mode and tells check() the
-      // stored counters are scarred.  The half-rolled-back tx stays
-      // pending in the durable undo lane for the next open to replay.
-      dev_->check_tx_abort();
-      throw;
-    } catch (...) {
-    }
-    dev_->check_tx_abort();
-    throw;
-  }
+  std::uint64_t off = 0;
+  undo_tx("pool.alloc", stripe, [&] { off = alloc_locked(bytes, stripe); });
+  return off;
 }
 
 std::uint64_t Pool::alloc_locked(std::size_t bytes, int stripe) {
@@ -733,9 +730,7 @@ void Pool::free(std::uint64_t off) {
     return;
   }
 
-  std::lock_guard lk(*alloc_mu_);
-  trace::count(trace::Counter::kAllocLaneAcquisitions);
-  charge_queue_delay();
+  const auto lk = lock_allocator();
   // Chunks on quarantined media are leaked in place: pushing one onto a
   // free list would store the next pointer into failing media, and the
   // allocator refuses to hand the space out again anyway.  The heap walk
@@ -744,34 +739,25 @@ void Pool::free(std::uint64_t off) {
     return;
   }
   if (dev_->media_failing(base_ + off, 8)) return;  // next-pointer word bad
-  dev_->check_tx_begin("pool.free");
-  struct ScopeGuard {
-    pmem::Device* dev;
-    bool committed = false;
-    ~ScopeGuard() {
-      if (!committed) dev->check_tx_abort();
-    }
-  } guard{dev_};
   const int stripe = acting_stripe();
-  const std::uint64_t as_off = Layout::kAllocOff;
-  const auto as = get<AllocGlobal>(as_off);
-
-  std::uint64_t head_field;
-  std::uint64_t old_head;
-  if (hdr.cls == kLargeClass) {
-    head_field = as_off + offsetof(AllocGlobal, large_free_head);
-    old_head = as.large_free_head;
-  } else {
-    const auto ss = get<StripeState>(stripe_state_off(stripe));
-    head_field = stripe_state_off(stripe) + offsetof(StripeState, free_head) +
-                 hdr.cls * 8;
-    old_head = ss.free_head[hdr.cls];
-  }
-
   // Pre-images: allocator state + the payload word that becomes the free-
   // list next pointer.  A crash mid-free leaves the chunk allocated; a live
-  // fault mid-free rolls back the same way (see alloc()).
-  try {
+  // fault mid-free rolls back the same way.  Only the one head field is
+  // logged, not the whole stripe state flush_back_locked() logs.
+  undo_tx("pool.free", stripe, [&] {
+    const std::uint64_t as_off = Layout::kAllocOff;
+    const auto as = get<AllocGlobal>(as_off);
+    std::uint64_t head_field;
+    std::uint64_t old_head;
+    if (hdr.cls == kLargeClass) {
+      head_field = as_off + offsetof(AllocGlobal, large_free_head);
+      old_head = as.large_free_head;
+    } else {
+      const auto ss = get<StripeState>(stripe_state_off(stripe));
+      head_field = stripe_state_off(stripe) +
+                   offsetof(StripeState, free_head) + hdr.cls * 8;
+      old_head = ss.free_head[hdr.cls];
+    }
     aundo_log_batch(stripe, {{as_off, sizeof(AllocGlobal)},
                              {head_field, 8},
                              {off, 8}});
@@ -787,25 +773,7 @@ void Pool::free(std::uint64_t off) {
     dirty.push_back({as_off + offsetof(AllocGlobal, bytes_in_use), 8});
     persist_ranges(dirty);
     aundo_commit(stripe);
-  } catch (...) {
-    try {
-      rollback_log(stripe_undo_off(stripe), stripe_undo_off(stripe) + 8,
-                   Layout::kStripeUndoBytes);
-    } catch (const pmem::DeviceError&) {
-      // The media under the allocator state itself died mid-rollback: the
-      // tx fault being unwound names a different range, so THIS error is
-      // the one the healing path must see — quarantining the dead metadata
-      // flips the allocator into its degraded mode and tells check() the
-      // stored counters are scarred.  The half-rolled-back tx stays
-      // pending in the durable undo lane for the next open to replay.
-      dev_->check_tx_abort();
-      throw;
-    } catch (...) {
-    }
-    throw;
-  }
-  dev_->check_tx_commit();
-  guard.committed = true;
+  });
 }
 
 std::size_t Pool::usable_size(std::uint64_t off) const {
@@ -868,7 +836,15 @@ void Pool::aundo_log_batch(int stripe, const std::vector<Range>& ranges) {
 }
 
 void Pool::aundo_commit(int stripe) {
-  set<std::uint64_t>(stripe_undo_off(stripe), 0);
+  // Retire the lane.  The zero MUST be persisted: if it only reached the
+  // CPU cache, a crash would re-expose the stale pre-images and recovery
+  // would roll this committed operation back (test_faults can skip the
+  // persist to let the mutation tests demonstrate exactly that bug).
+  const std::uint64_t zero = 0;
+  write(stripe_undo_off(stripe), &zero, sizeof(zero));
+  if (!test_faults_.skip_undo_retire_persist) {
+    persist(stripe_undo_off(stripe), sizeof(zero));
+  }
   trace::count(trace::Counter::kAllocMetadataPersists);
 }
 
@@ -901,11 +877,12 @@ void Pool::persist_ranges(const std::vector<Range>& ranges) {
   trace::count(trace::Counter::kAllocMetadataPersists);
 }
 
-void Pool::rollback_log(std::uint64_t header_off, std::uint64_t payload_off,
-                        std::uint64_t capacity) {
+void Pool::rollback_log(int stripe) {
+  const std::uint64_t header_off = stripe_undo_off(stripe);
+  const std::uint64_t payload_off = header_off + 8;
   const auto used = get<std::uint64_t>(header_off);
   if (used == 0) return;
-  if (used > capacity) {
+  if (used > Layout::kStripeUndoBytes) {
     throw PoolError("Pool: undo log header corrupt");
   }
   // Collect entries, then roll back newest-first so overlapping snapshots
@@ -959,34 +936,12 @@ void Pool::mag_mark_owned(std::uint64_t chunk, std::uint64_t payload,
 
 std::size_t Pool::refill_magazine(Magazine& m, std::size_t cls) {
   trace::Span span("pool.refill");
-  std::lock_guard lk(*alloc_mu_);
-  trace::count(trace::Counter::kAllocLaneAcquisitions);
-  charge_queue_delay();
+  const auto lk = lock_allocator();
   const int stripe = acting_stripe();
-  dev_->check_tx_begin("pool.refill");
-  try {
-    const std::size_t got = refill_locked(m, cls, stripe);
-    dev_->check_tx_commit();
-    if (got > 0) trace::count(trace::Counter::kAllocMagazineRefills);
-    return got;
-  } catch (...) {
-    try {
-      rollback_log(stripe_undo_off(stripe), stripe_undo_off(stripe) + 8,
-                   Layout::kStripeUndoBytes);
-    } catch (const pmem::DeviceError&) {
-      // The media under the allocator state itself died mid-rollback: the
-      // tx fault being unwound names a different range, so THIS error is
-      // the one the healing path must see — quarantining the dead metadata
-      // flips the allocator into its degraded mode and tells check() the
-      // stored counters are scarred.  The half-rolled-back tx stays
-      // pending in the durable undo lane for the next open to replay.
-      dev_->check_tx_abort();
-      throw;
-    } catch (...) {
-    }
-    dev_->check_tx_abort();
-    throw;
-  }
+  std::size_t got = 0;
+  undo_tx("pool.refill", stripe, [&] { got = refill_locked(m, cls, stripe); });
+  if (got > 0) trace::count(trace::Counter::kAllocMagazineRefills);
+  return got;
 }
 
 std::size_t Pool::refill_locked(Magazine& m, std::size_t cls, int stripe) {
@@ -1081,9 +1036,7 @@ void Pool::flush_back(Magazine& m, std::size_t cls, std::size_t keep) {
   std::vector<std::uint64_t> out(stack.begin(),
                                  stack.begin() + static_cast<long>(n));
   trace::Span span("pool.flushback");
-  std::lock_guard lk(*alloc_mu_);
-  trace::count(trace::Counter::kAllocLaneAcquisitions);
-  charge_queue_delay();
+  const auto lk = lock_allocator();
   // Quarantined or media-failing chunks are leaked in place, still flagged
   // — the same leak-in-place rule classic free() applies.  The loss is
   // bounded by the magazine capacity at quarantine time.
@@ -1094,29 +1047,9 @@ void Pool::flush_back(Magazine& m, std::size_t cls, std::size_t keep) {
   stack.erase(stack.begin(), stack.begin() + static_cast<long>(n));
   if (out.empty()) return;
   const int stripe = acting_stripe();
-  dev_->check_tx_begin("pool.flushback");
-  try {
-    flush_back_locked(out, cls, stripe);
-    dev_->check_tx_commit();
-    trace::count(trace::Counter::kAllocMagazineFlushbacks);
-  } catch (...) {
-    try {
-      rollback_log(stripe_undo_off(stripe), stripe_undo_off(stripe) + 8,
-                   Layout::kStripeUndoBytes);
-    } catch (const pmem::DeviceError&) {
-      // The media under the allocator state itself died mid-rollback: the
-      // tx fault being unwound names a different range, so THIS error is
-      // the one the healing path must see — quarantining the dead metadata
-      // flips the allocator into its degraded mode and tells check() the
-      // stored counters are scarred.  The half-rolled-back tx stays
-      // pending in the durable undo lane for the next open to replay.
-      dev_->check_tx_abort();
-      throw;
-    } catch (...) {
-    }
-    dev_->check_tx_abort();
-    throw;
-  }
+  undo_tx("pool.flushback", stripe,
+          [&] { flush_back_locked(out, cls, stripe); });
+  trace::count(trace::Counter::kAllocMagazineFlushbacks);
 }
 
 void Pool::flush_back_locked(const std::vector<std::uint64_t>& out,
@@ -1170,8 +1103,9 @@ void Pool::drain_magazines() {
 void Pool::sweep_magazines() {
   // Walk the heap with uncharged raw peeks (recovery metadata, not workload
   // I/O), collecting every chunk a crash left magazine-flagged; then push
-  // each back to a free list under its own small undo transaction, so a
-  // re-crash mid-sweep just leaves the remainder flagged for the next open.
+  // each back to a free list as a flush-back batch of one under its own
+  // undo transaction, so a re-crash mid-sweep just leaves the remainder
+  // flagged for the next open.
   const auto peek = [&](std::uint64_t off, void* dst, std::size_t len) {
     std::memcpy(dst, dev_->raw(base_ + off), len);
   };
@@ -1182,7 +1116,6 @@ void Pool::sweep_magazines() {
 
   struct Flagged {
     std::uint64_t at;
-    std::uint64_t payload;
     std::uint32_t cls;
   };
   std::vector<Flagged> flagged;
@@ -1211,7 +1144,7 @@ void Pool::sweep_magazines() {
         kClassSizes[base_class(ch.cls)] == adv &&
         (quar_.empty() || !quar_hit(pos, adv)) &&
         !dev_->media_failing(base_ + pos, kChunkHeader + 8)) {
-      flagged.push_back({pos, ch.payload_size, base_class(ch.cls)});
+      flagged.push_back({pos, base_class(ch.cls)});
     }
     pos += adv;
   }
@@ -1228,41 +1161,13 @@ void Pool::sweep_magazines() {
       ++slid;
     }
     if (slid == static_cast<int>(kAllocStripes)) continue;
-    dev_->check_tx_begin("pool.sweep");
     try {
-      const auto cur_ag = get<AllocGlobal>(Layout::kAllocOff);
-      const auto ss = get<StripeState>(stripe_state_off(stripe));
-      aundo_log_batch(stripe, {{Layout::kAllocOff, sizeof(AllocGlobal)},
-                               {stripe_state_off(stripe), sizeof(StripeState)},
-                               {f.at, kChunkHeader + 8}});
-      std::vector<Range> dirty;
-      const ChunkHeader h = make_chunk(f.payload, f.cls);
-      write(f.at, &h, sizeof(h));
-      write(f.at + kChunkHeader, &ss.free_head[f.cls], 8);
-      dirty.push_back({f.at, kChunkHeader + 8});
-      const std::uint64_t field = stripe_state_off(stripe) +
-                                  offsetof(StripeState, free_head) +
-                                  f.cls * 8;
-      write(field, &f.at, 8);
-      dirty.push_back({field, 8});
-      const std::uint64_t in_use = cur_ag.bytes_in_use - f.payload;
-      write(Layout::kAllocOff + offsetof(AllocGlobal, bytes_in_use), &in_use,
-            8);
-      dirty.push_back(
-          {Layout::kAllocOff + offsetof(AllocGlobal, bytes_in_use), 8});
-      persist_ranges(dirty);
-      aundo_commit(stripe);
-      dev_->check_tx_commit();
+      undo_tx("pool.sweep", stripe,
+              [&] { flush_back_locked({f.at}, f.cls, stripe); });
       trace::count(trace::Counter::kAllocMagazineSwept);
     } catch (...) {
-      // Media died under the push: roll back and leave this chunk leaked in
-      // place (still flagged); keep sweeping the rest.
-      try {
-        rollback_log(stripe_undo_off(stripe), stripe_undo_off(stripe) + 8,
-                     Layout::kStripeUndoBytes);
-      } catch (...) {
-      }
-      dev_->check_tx_abort();
+      // Media died under the push: it was rolled back, and this chunk stays
+      // leaked in place (still flagged); keep sweeping the rest.
     }
   }
 }
@@ -1620,11 +1525,12 @@ CheckReport Pool::check() const {
     }
   }
 
-  // --- undo logs ------------------------------------------------------------
-  // Structural validity only: on a recovered pool every log is empty; a
-  // non-empty but well-formed log is merely pending recovery.
-  auto check_log = [&](std::uint64_t header_off, std::uint64_t payload_off,
-                       std::uint64_t capacity, const std::string& name) {
+  // --- undo lanes -----------------------------------------------------------
+  // Structural validity only: on a recovered pool every lane is empty; a
+  // non-empty but well-formed lane is merely pending recovery.
+  auto check_lane = [&](int stripe) {
+    const std::string name = "allocator undo lane " + std::to_string(stripe);
+    const std::uint64_t header_off = stripe_undo_off(stripe);
     std::uint64_t used = 0;
     try {
       used = get<std::uint64_t>(header_off);
@@ -1632,13 +1538,13 @@ CheckReport Pool::check() const {
       issue(name + ": " + e.what());
       return;
     }
-    if (used > capacity) {
+    if (used > Layout::kStripeUndoBytes) {
       issue(name + ": used " + std::to_string(used) + " exceeds capacity " +
-            std::to_string(capacity));
+            std::to_string(Layout::kStripeUndoBytes));
       return;
     }
-    std::uint64_t pos = payload_off;
-    const std::uint64_t end = payload_off + used;
+    std::uint64_t pos = header_off + 8;
+    const std::uint64_t end = pos + used;
     while (pos < end) {
       const auto eh = get<LogEntryHeader>(pos);
       if (eh.len > size_ || eh.off > size_ - eh.len) {
@@ -1655,137 +1561,25 @@ CheckReport Pool::check() const {
     }
   };
   for (std::size_t s = 0; s < kAllocStripes; ++s) {
-    check_log(stripe_undo_off(static_cast<int>(s)),
-              stripe_undo_off(static_cast<int>(s)) + 8,
-              Layout::kStripeUndoBytes,
-              "allocator undo lane " + std::to_string(s));
-  }
-  for (std::size_t lane = 0; lane < kTxLanes; ++lane) {
-    const std::uint64_t lo = lane_off(static_cast<int>(lane));
-    check_log(lo, lo + Layout::kLaneHeader, kTxLogBytes,
-              "tx lane " + std::to_string(lane));
+    check_lane(static_cast<int>(s));
   }
   return rep;
 }
 
 // ---------------------------------------------------------------------------
-// Transactions
+// Recovery
 // ---------------------------------------------------------------------------
-
-std::uint64_t Pool::lane_off(int lane) const {
-  return Layout::kLaneBase +
-         static_cast<std::uint64_t>(lane) * Layout::kLaneStride;
-}
-
-int Pool::acquire_tx_lane() {
-  std::unique_lock lk(*lane_mu_);
-  for (;;) {
-    for (std::size_t i = 0; i < kTxLanes; ++i) {
-      if (!lane_busy_[i]) {
-        lane_busy_[i] = true;
-        return static_cast<int>(i);
-      }
-    }
-    lane_cv_->wait(lk);
-  }
-}
-
-void Pool::release_tx_lane(int lane) {
-  std::lock_guard lk(*lane_mu_);
-  lane_busy_[static_cast<std::size_t>(lane)] = false;
-  lane_cv_->notify_one();
-}
 
 void Pool::recover() {
   trace::Span span("pool.recover");
   trace::count(trace::Counter::kRecoveries);
-  // Allocator undo lanes first: an interrupted alloc/free/refill must be
-  // rolled back before anything else trusts the heap metadata.  The global
-  // allocator mutex admits one uncommitted batch at a time, so at most one
-  // lane has anything to do and cross-lane order is irrelevant.
+  // An interrupted alloc/free/refill is rolled back before anything else
+  // trusts the heap metadata.  The global allocator mutex admits one
+  // uncommitted batch at a time, so at most one lane has anything to do and
+  // cross-lane order is irrelevant.
   for (std::size_t s = 0; s < kAllocStripes; ++s) {
-    rollback_log(stripe_undo_off(static_cast<int>(s)),
-                 stripe_undo_off(static_cast<int>(s)) + 8,
-                 Layout::kStripeUndoBytes);
+    rollback_log(static_cast<int>(s));
   }
-  for (std::size_t lane = 0; lane < kTxLanes; ++lane) {
-    const std::uint64_t lo = lane_off(static_cast<int>(lane));
-    rollback_log(lo, lo + Layout::kLaneHeader, kTxLogBytes);
-  }
-}
-
-Transaction::Transaction(Pool& pool)
-    : pool_(&pool), lane_(pool.acquire_tx_lane()) {
-  pool_->dev_->check_tx_begin("pool.tx");
-}
-
-Transaction::~Transaction() {
-  if (!committed_) {
-    try {
-      rollback();
-    } catch (...) {
-      // A scheduled crash can fire inside rollback's persists.  The device
-      // is frozen at that point; recovery on reopen finishes the job.
-      // Destructors must not throw.
-    }
-    pool_->dev_->check_tx_abort();
-  }
-  pool_->release_tx_lane(lane_);
-}
-
-void Transaction::snapshot(std::uint64_t off, std::size_t len) {
-  if (committed_) throw PoolError("Transaction: snapshot after commit");
-  const std::uint64_t lo = pool_->lane_off(lane_);
-  const auto used = pool_->get<std::uint64_t>(lo);
-  const std::size_t entry = sizeof(LogEntryHeader) + round_up(len, 8);
-  if (used + entry > Pool::kTxLogBytes) {
-    throw PoolError("Transaction: undo log full");
-  }
-  const std::uint64_t pos = lo + Pool::Layout::kLaneHeader + used;
-  LogEntryHeader eh{off, len};
-  pool_->write(pos, &eh, sizeof(eh));
-  // Pre-image straight from pool to pool.
-  std::vector<std::byte> image(len);
-  pool_->read(off, image.data(), len);
-  pool_->write(pos + sizeof(eh), image.data(), len);
-  pool_->persist(pos, entry);
-  // Only after the entry is durable does it become visible.
-  pool_->set<std::uint64_t>(lo, used + entry);
-  ranges_.push_back({off, len});
-}
-
-void Transaction::commit() {
-  if (committed_) return;
-  trace::Span span("tx.commit");
-  trace::count(trace::Counter::kTxCommits);
-  // Make the mutated ranges durable with one CLWB pass and a single fence.
-  // Ranges are coalesced to distinct cachelines first: overlapping
-  // snapshots (or several snapshots on one line) used to pay a full
-  // flush+fence each — the persist checker flagged those as duplicate
-  // flushes — where one writeback suffices.
-  if (!ranges_.empty()) {
-    pool_->flush_ranges(ranges_);
-    pool_->drain();
-    // Retire the log.  The zero MUST be persisted: if it only reached the
-    // CPU cache, a crash would re-expose the stale undo entries and
-    // recovery would roll this committed transaction back.  (test_faults
-    // can skip the persist to let the crash matrix demonstrate exactly that
-    // bug.)
-    const std::uint64_t lo = pool_->lane_off(lane_);
-    const std::uint64_t zero = 0;
-    pool_->write(lo, &zero, sizeof(zero));
-    if (!pool_->test_faults_.skip_lane_zero_persist) {
-      pool_->persist(lo, sizeof(zero));
-    }
-  }
-  pool_->dev_->check_tx_commit();
-  committed_ = true;
-}
-
-void Transaction::rollback() {
-  pool_->rollback_log(pool_->lane_off(lane_),
-                      pool_->lane_off(lane_) + Pool::Layout::kLaneHeader,
-                      Pool::kTxLogBytes);
 }
 
 }  // namespace pmemcpy::obj

@@ -91,7 +91,8 @@ void delta_decode(std::span<const std::byte> in, std::span<std::byte> out) {
     std::memcpy(out.data() + w * 8, &prev, 8);
   }
   if (in.size() - pos != tail) throw SerialError("delta: bad tail");
-  std::memcpy(out.data() + words * 8, in.data() + pos, tail);
+  // memcpy with a null pointer is undefined even at length 0.
+  if (tail != 0) std::memcpy(out.data() + words * 8, in.data() + pos, tail);
 }
 
 void charge_pass(std::size_t in_bytes, std::size_t out_bytes) {
@@ -125,7 +126,7 @@ void filter_decode(FilterId filter, std::span<const std::byte> in,
   switch (filter) {
     case FilterId::kNone:
       if (in.size() != out.size()) throw SerialError("filter: size mismatch");
-      std::memcpy(out.data(), in.data(), in.size());
+      if (!in.empty()) std::memcpy(out.data(), in.data(), in.size());
       break;
     case FilterId::kRle:
       rle_decode(in, out);

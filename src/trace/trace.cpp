@@ -147,7 +147,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kAllocOps: return "alloc_ops";
     case Counter::kAllocBytes: return "alloc_bytes";
     case Counter::kFreeOps: return "free_ops";
-    case Counter::kTxCommits: return "tx_commits";
     case Counter::kEnginePuts: return "engine_puts";
     case Counter::kEngineGets: return "engine_gets";
     case Counter::kBatchCommits: return "batch_commits";

@@ -12,13 +12,14 @@
 // torn-write mode, where a deterministic pseudo-random subset of the
 // unpersisted lines happens to have reached media before the power failed.
 //
-// A second, pool-level matrix sweeps every persist point of an
-// alloc/free/transaction workload, and a mutation test re-introduces a known
-// durability bug (the unpersisted lane-header zero in Transaction::commit)
-// to prove the harness actually catches committed-data loss.  Two targeted
-// sweeps crash a hashtable replace until it leaves a shadowed duplicate,
-// which the key's next put (single or batched) must sweep, and a tree put at
-// each persist point, whose temp file remount must reclaim.
+// A second, pool-level matrix sweeps every persist point of an alloc/free
+// workload, and a mutation test re-introduces a known durability bug (the
+// unpersisted retire zero of an allocator undo lane) to prove the harness
+// actually catches committed-data loss.  Targeted sweeps crash a hashtable
+// rehash at each persist point; crash a hashtable replace until it leaves a
+// shadowed duplicate, which the key's next put (single or batched) must
+// sweep; and crash a tree put at each persist point, whose temp file remount
+// must reclaim.
 #include <pmemcpy/check/persist_checker.hpp>
 #include <pmemcpy/core/node.hpp>
 #include <pmemcpy/obj/pool.hpp>
@@ -304,23 +305,31 @@ TEST(CrashMatrixTest, EveryPersistPointRecoversWithTornWrites) {
 }
 
 // ---------------------------------------------------------------------------
-// Pool-level matrix: allocator + transaction persist points
+// Pool-level matrix: allocator persist points
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kPoolBytes = 4ull << 20;
 constexpr std::uint64_t kValInit = 0xA1A1A1A1A1A1A1A1ull;
-constexpr std::uint64_t kValTx = 0xB2B2B2B2B2B2B2B2ull;
-constexpr std::uint64_t kValAbort = 0xC3C3C3C3C3C3C3C3ull;
+
+/// One allocation of the pool workload: the step that makes it, the step
+/// that frees it again (nullptr: kept), its size and its offset.
+struct PoolAlloc {
+  const char* alloc_step;
+  const char* free_step;
+  std::size_t size;
+  std::uint64_t off = 0;
+};
 
 struct PoolPlan {
   std::uint64_t setup_ops = 0;
   std::uint64_t total_ops = 0;
   std::uint64_t a_off = 0;  ///< offset of the probed allocation
+  std::vector<PoolAlloc> allocs;
   Marks marks;
 };
 
 Marks run_pool_workload(pmemcpy::obj::Pool& pool, pmemcpy::pmem::Device& dev,
-                        std::uint64_t* a_out) {
+                        std::vector<PoolAlloc>* allocs_out) {
   Marks marks;
   auto step = [&](const char* name, auto&& fn) {
     StepMark m{name, dev.persist_ops(), 0};
@@ -328,32 +337,29 @@ Marks run_pool_workload(pmemcpy::obj::Pool& pool, pmemcpy::pmem::Device& dev,
     m.end = dev.persist_ops();
     marks.steps.push_back(m);
   };
-  std::uint64_t a = 0, b = 0, big = 0;
   // Covers every allocator path: class-list pop/push, arena bump, large-list
-  // first-fit with a split, plus committed and aborted transactions.
-  step("alloc_a", [&] { a = pool.alloc(100); });
-  step("set_a", [&] { pool.set<std::uint64_t>(a, kValInit); });
-  step("alloc_b", [&] { b = pool.alloc(5000); });
-  step("free_b", [&] { pool.free(b); });
-  step("alloc_c", [&] { (void)pool.alloc(5000); });    // class-list reuse
-  step("alloc_big", [&] { big = pool.alloc(200000); });  // arena (large)
-  step("free_big", [&] { pool.free(big); });             // to large list
-  step("alloc_big2", [&] { (void)pool.alloc(100000); }); // first-fit + split
-  step("tx_commit", [&] {
-    pmemcpy::obj::Transaction tx(pool);
-    tx.snapshot(a, 8);
-    // write(), not set(): commit() flushes every snapshotted range, so an
-    // eager persist here would flush the same line twice per transaction.
-    pool.write(a, &kValTx, sizeof(kValTx));
-    tx.commit();
-  });
-  step("tx_abort", [&] {
-    pmemcpy::obj::Transaction tx(pool);
-    tx.snapshot(a, 8);
-    pool.write(a, &kValAbort, sizeof(kValAbort));
-    // no commit: the destructor rolls back before the step ends
-  });
-  if (a_out != nullptr) *a_out = a;
+  // first-fit with a split.
+  std::vector<PoolAlloc> allocs = {{"alloc_a", nullptr, 100},
+                                   {"alloc_b", "free_b", 5000},
+                                   {"alloc_c", nullptr, 5000},  // list reuse
+                                   {"alloc_big", "free_big", 200000},
+                                   {"alloc_big2", nullptr, 100000}};  // split
+  auto allocate = [&](std::size_t i) {
+    step(allocs[i].alloc_step,
+         [&] { allocs[i].off = pool.alloc(allocs[i].size); });
+  };
+  auto release = [&](std::size_t i) {
+    step(allocs[i].free_step, [&] { pool.free(allocs[i].off); });
+  };
+  allocate(0);
+  step("set_a", [&] { pool.set<std::uint64_t>(allocs[0].off, kValInit); });
+  allocate(1);
+  release(1);
+  allocate(2);
+  allocate(3);
+  release(3);
+  allocate(4);
+  if (allocs_out != nullptr) *allocs_out = allocs;
   return marks;
 }
 
@@ -363,9 +369,10 @@ PoolPlan pool_counting_run() {
   dev.enable_checker();
   auto pool = pmemcpy::obj::Pool::create(dev, 0, kPoolBytes);
   plan.setup_ops = dev.persist_ops();
-  plan.marks = run_pool_workload(pool, dev, &plan.a_off);
+  plan.marks = run_pool_workload(pool, dev, &plan.allocs);
   plan.total_ops = dev.persist_ops();
-  EXPECT_EQ(pool.get<std::uint64_t>(plan.a_off), kValTx);
+  plan.a_off = plan.allocs[0].off;
+  EXPECT_EQ(pool.get<std::uint64_t>(plan.a_off), kValInit);
   EXPECT_TRUE(pool.check().ok());
   const auto chk = dev.checker()->take_report();
   EXPECT_TRUE(chk.ok()) << chk.to_string();
@@ -384,9 +391,6 @@ void run_pool_crash_point(std::uint64_t k, const PoolPlan& plan, bool torn) {
     fp.crash_at_persist = k;
     fp.torn_writes = torn;
     dev.set_fault_plan(fp);
-    // A crash inside the abort step's destructor-rollback is swallowed by
-    // the (deliberately noexcept) Transaction destructor, so the frozen
-    // device — not the exception — is the authoritative crash signal.
     try {
       (void)run_pool_workload(pool, dev, nullptr);
     } catch (const CrashError& e) {
@@ -403,18 +407,21 @@ void run_pool_crash_point(std::uint64_t k, const PoolPlan& plan, bool torn) {
 
   const auto& m = plan.marks;
   const std::uint64_t v = pool.get<std::uint64_t>(plan.a_off);
-  if (m.started("tx_abort", k)) {
-    // An uncommitted transaction never survives: destructor rollback if it
-    // ran, lane-log recovery if the crash pre-empted it.
-    EXPECT_EQ(v, kValTx);
-  } else if (m.done("tx_commit", k)) {
-    EXPECT_EQ(v, kValTx);
-  } else if (m.started("tx_commit", k)) {
-    EXPECT_TRUE(v == kValInit || v == kValTx) << "a = " << std::hex << v;
-  } else if (m.done("set_a", k)) {
+  if (m.done("set_a", k)) {
     EXPECT_EQ(v, kValInit);
   } else if (m.started("set_a", k)) {
     EXPECT_TRUE(v == 0 || v == kValInit) << "a = " << std::hex << v;
+  }
+
+  // Every allocation a completed step made, and no step has begun to free,
+  // is still allocated: the next allocation of its size hands out another
+  // chunk.  (A rolled-back allocation goes back to the list or arena spot
+  // it came from, so the allocator would return it first.)
+  for (const auto& pa : plan.allocs) {
+    if (!m.done(pa.alloc_step, k)) continue;
+    if (pa.free_step != nullptr && m.started(pa.free_step, k)) continue;
+    EXPECT_NE(pool.alloc(pa.size), pa.off)
+        << pa.alloc_step << " was rolled back after it completed";
   }
 
   // The recovered allocator must still function.
@@ -431,18 +438,18 @@ void sweep_pool_crash_points(bool torn) {
   const PoolPlan plan = pool_counting_run();
   ASSERT_GT(plan.total_ops, plan.setup_ops);
   std::cout << "[ crash matrix ] sweeping " << plan.total_ops - plan.setup_ops
-            << " allocator/tx persist points\n";
+            << " allocator persist points\n";
   for (std::uint64_t k = plan.setup_ops + 1; k <= plan.total_ops; ++k) {
     run_pool_crash_point(k, plan, torn);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
-TEST(CrashMatrixTest, AllocatorAndTxMatrixRecovers) {
+TEST(CrashMatrixTest, AllocatorMatrixRecovers) {
   sweep_pool_crash_points(/*torn=*/false);
 }
 
-TEST(CrashMatrixTest, AllocatorAndTxMatrixRecoversWithTornWrites) {
+TEST(CrashMatrixTest, AllocatorMatrixRecoversWithTornWrites) {
   sweep_pool_crash_points(/*torn=*/true);
 }
 
@@ -482,17 +489,6 @@ Marks run_mag_workload(pmemcpy::obj::Pool& pool, pmemcpy::pmem::Device& dev,
     // triggers a flush_back batch of K back to the persistent lists.
     for (std::uint64_t i = 0; i < 8; ++i) pool.free(o[i]);
   });
-  step("tx_commit", [&] {
-    pmemcpy::obj::Transaction tx(pool);
-    tx.snapshot(s, 8);
-    pool.write(s, &kValTx, sizeof(kValTx));
-    tx.commit();
-  });
-  step("tx_abort", [&] {
-    pmemcpy::obj::Transaction tx(pool);
-    tx.snapshot(s, 8);
-    pool.write(s, &kValAbort, sizeof(kValAbort));
-  });
   if (s_out != nullptr) *s_out = s;
   return marks;
 }
@@ -511,7 +507,7 @@ PoolPlan mag_counting_run() {
   plan.setup_ops = dev.persist_ops();
   plan.marks = run_mag_workload(pool, dev, &plan.a_off);
   plan.total_ops = dev.persist_ops();
-  EXPECT_EQ(pool.get<std::uint64_t>(plan.a_off), kValTx);
+  EXPECT_EQ(pool.get<std::uint64_t>(plan.a_off), kValInit);
   EXPECT_TRUE(pool.check().ok());
   const auto chk = dev.checker()->take_report();
   EXPECT_TRUE(chk.ok()) << chk.to_string();
@@ -551,13 +547,7 @@ void run_mag_crash_point(std::uint64_t k, const PoolPlan& plan, bool torn) {
 
   const auto& m = plan.marks;
   const std::uint64_t v = pool.get<std::uint64_t>(plan.a_off);
-  if (m.started("tx_abort", k)) {
-    EXPECT_EQ(v, kValTx);
-  } else if (m.done("tx_commit", k)) {
-    EXPECT_EQ(v, kValTx);
-  } else if (m.started("tx_commit", k)) {
-    EXPECT_TRUE(v == kValInit || v == kValTx) << "s = " << std::hex << v;
-  } else if (m.done("set_s", k)) {
+  if (m.done("set_s", k)) {
     EXPECT_EQ(v, kValInit);
   } else if (m.started("set_s", k)) {
     if (v != 0 && v != kValInit) {
@@ -699,6 +689,88 @@ TEST(CrashMatrixTest, ReplaceSweepsLeftoverDuplicate) {
 }
 
 // ---------------------------------------------------------------------------
+// Hashtable: a rehash is atomic at every persist point
+// ---------------------------------------------------------------------------
+
+constexpr int kRehashKeys = 24;
+
+std::string rehash_value(int i) { return "value-" + std::to_string(i); }
+
+/// Builds a 4-bucket table holding kRehashKeys keys, then rehashes it to 64
+/// buckets with a crash scheduled at the rehash's @p k-th persist op
+/// (k = 0: no crash).  Returns the rehash's persist-op count.
+std::uint64_t rehash_with_crash(pmemcpy::pmem::Device& dev, std::uint64_t k,
+                                bool torn) {
+  auto pool = pmemcpy::obj::Pool::create(dev, 0, kPoolBytes);
+  auto table = HashTable::create(pool, 4);
+  pool.set_root(table.header_off());
+  for (int i = 0; i < kRehashKeys; ++i) {
+    const std::string v = rehash_value(i);
+    table.put("key" + std::to_string(i), v.data(), v.size());
+  }
+  const std::uint64_t start = dev.persist_ops();
+  if (k != 0) {
+    FaultPlan fp;
+    fp.crash_at_persist = start + k;
+    fp.torn_writes = torn;
+    dev.set_fault_plan(fp);
+  }
+  try {
+    table.rehash(64);
+  } catch (const CrashError& e) {
+    EXPECT_EQ(e.persist_op, start + k);
+  }
+  return dev.persist_ops() - start;
+}
+
+void sweep_rehash_crash_points(bool torn) {
+  std::uint64_t points = 0;
+  {
+    pmemcpy::pmem::Device dev(kPoolBytes, /*crash_shadow=*/true);
+    points = rehash_with_crash(dev, 0, torn);
+  }
+  ASSERT_GT(points, 0u);
+  std::cout << "[ crash matrix ] sweeping " << points
+            << " rehash persist points\n";
+  for (std::uint64_t k = 1; k <= points; ++k) {
+    SCOPED_TRACE("crash at the rehash's persist op " + std::to_string(k) +
+                 (torn ? " (torn writes)" : ""));
+    pmemcpy::pmem::Device dev(kPoolBytes, /*crash_shadow=*/true);
+    dev.enable_checker();
+    (void)rehash_with_crash(dev, k, torn);
+    ASSERT_TRUE(dev.frozen());
+    dev.revive();
+
+    auto pool = pmemcpy::obj::Pool::open(dev, 0);
+    auto table = HashTable::open(pool, pool.root());
+    EXPECT_TRUE(table.nbuckets() == 4 || table.nbuckets() == 64)
+        << table.nbuckets() << " buckets";
+    for (int i = 0; i < kRehashKeys; ++i) {
+      EXPECT_EQ(table_value(table, "key" + std::to_string(i)),
+                rehash_value(i));
+    }
+    std::size_t visited = 0;
+    table.for_each([&](std::string_view, const pmemcpy::obj::ValueRef&) {
+      ++visited;
+    });
+    EXPECT_EQ(visited, static_cast<std::size_t>(kRehashKeys));
+    const auto report = pool.check();
+    EXPECT_TRUE(report.ok()) << join_issues(report.issues);
+    const auto chk = dev.checker()->take_report();
+    EXPECT_TRUE(chk.ok()) << chk.to_string();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(CrashMatrixTest, RehashIsAtomicAtEveryPersistPoint) {
+  sweep_rehash_crash_points(/*torn=*/false);
+}
+
+TEST(CrashMatrixTest, RehashIsAtomicAtEveryPersistPointWithTornWrites) {
+  sweep_rehash_crash_points(/*torn=*/true);
+}
+
+// ---------------------------------------------------------------------------
 // Tree layout: remount reclaims the temp file of a crashed put
 // ---------------------------------------------------------------------------
 
@@ -786,38 +858,28 @@ TEST(CrashMatrixTest, RemountReclaimsTreePutTempFiles) {
 TEST(CrashMatrixValidation, CatchesUnpersistedLaneHeaderCommitBug) {
   pmemcpy::pmem::Device dev(kPoolBytes, /*crash_shadow=*/true);
   dev.enable_checker();
+  // A raw pool: magazines off, so every alloc() is one undo transaction on
+  // an allocator lane.
   auto pool = pmemcpy::obj::Pool::create(dev, 0, kPoolBytes);
-  const auto off = pool.alloc(64);
-  pool.set<std::uint64_t>(off, 42);
 
-  // Control: with the correct commit sequence a committed transaction
-  // survives power loss.
-  {
-    pmemcpy::obj::Transaction tx(pool);
-    tx.snapshot(off, 8);
-    const std::uint64_t v99 = 99;
-    pool.write(off, &v99, sizeof(v99));
-    tx.commit();
-  }
+  // Control: with the correct commit sequence a committed allocation
+  // survives power loss, so the next allocation is another chunk.
+  const auto kept = pool.alloc(64);
   ASSERT_TRUE(dev.checker()->take_report().ok())
       << "correct commit sequence must be checker-clean";
   dev.simulate_crash();
   auto good = pmemcpy::obj::Pool::open(dev, 0);
-  ASSERT_EQ(good.get<std::uint64_t>(off), 99u);
+  ASSERT_NE(good.alloc(64), kept);
 
-  // Re-introduce the historical bug: commit() skips persisting the lane-
-  // header zero.  The crash reverts the unpersisted zero, re-exposing the
-  // stale undo log, and recovery rolls the *committed* transaction back.
-  good.test_faults().skip_lane_zero_persist = true;
-  {
-    pmemcpy::obj::Transaction tx(good);
-    tx.snapshot(off, 8);
-    const std::uint64_t v7 = 7;
-    good.write(off, &v7, sizeof(v7));
-    tx.commit();
-  }
+  // Re-introduce the bug: aundo_commit() skips persisting the lane's retire
+  // zero.  The crash reverts the unpersisted zero, re-exposing the stale
+  // pre-images, and recovery rolls the *committed* allocation back.  The
+  // crash comes right after the buggy commit: the next allocator operation
+  // on the lane would rewrite its first line and hide the bug.
+  good.test_faults().skip_undo_retire_persist = true;
+  const auto lost = good.alloc(64);
   // The persistency checker flags the same bug statically, without needing
-  // a crash: the lane-header line is still dirty when the scope commits.
+  // a crash: the lane's header line is still dirty when the scope commits.
   {
     const auto rep = dev.checker()->take_report();
     EXPECT_GE(rep.count(pmemcpy::check::Violation::kDirtyAtCommit), 1u)
@@ -825,9 +887,9 @@ TEST(CrashMatrixValidation, CatchesUnpersistedLaneHeaderCommitBug) {
   }
   dev.simulate_crash();
   auto bad = pmemcpy::obj::Pool::open(dev, 0);
-  const auto v = bad.get<std::uint64_t>(off);
-  EXPECT_NE(v, 7u) << "bug knob had no effect; harness would miss it";
-  EXPECT_EQ(v, 99u) << "expected the stale undo log to clobber the commit";
+  EXPECT_EQ(bad.alloc(64), lost)
+      << "bug knob had no effect: the committed allocation survived, so the "
+         "harness would miss the bug";
 }
 
 // ---------------------------------------------------------------------------

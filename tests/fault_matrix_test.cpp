@@ -582,16 +582,17 @@ struct HeadFaultScene {
   std::uint64_t header() const { return pool.base() + table.header_off(); }
 
   /// Device offset of @p key's bucket-head slot.  Buckets are FNV-1a of the
-  /// key modulo the bucket count, and the header's second word is the
-  /// bucket array's offset (both part of the on-media format).
+  /// key modulo the bucket count, the header's first word is the bucket
+  /// array's offset, and the heads start 64 bytes into the array (all part
+  /// of the on-media format).
   std::uint64_t head_slot(std::string_view key) {
     std::uint64_t h = 1469598103934665603ull;
     for (const char c : key) {
       h ^= static_cast<std::uint8_t>(c);
       h *= 1099511628211ull;
     }
-    const auto buckets = pool.get<std::uint64_t>(table.header_off() + 8);
-    return pool.base() + buckets + h % 64 * 8;
+    const auto buckets = pool.get<std::uint64_t>(table.header_off());
+    return pool.base() + buckets + 64 + h % 64 * 8;
   }
 
   HashTable::Inserter reserve(const std::string& key) {
@@ -627,8 +628,8 @@ TEST(FaultMatrix, FaultAfterHeadStoreKeepsReachableEntries) {
   {
     SCOPED_TRACE("solo put");
     HeadFaultScene s;
-    ASSERT_NE(s.head_slot("k1") / 64, (s.header() + 16) / 64);
-    s.dev.inject_sticky_range(s.header(), 24);
+    ASSERT_NE(s.head_slot("k1") / 64, (s.header() + 8) / 64);
+    s.dev.inject_sticky_range(s.header(), 16);
     {
       auto ins = s.reserve("k1");
       EXPECT_THROW((void)ins.publish(), DeviceError);
@@ -639,7 +640,7 @@ TEST(FaultMatrix, FaultAfterHeadStoreKeepsReachableEntries) {
   {
     SCOPED_TRACE("group of one");
     HeadFaultScene s;
-    s.dev.inject_sticky_range(s.header(), 24);
+    s.dev.inject_sticky_range(s.header(), 16);
     {
       auto ins = s.reserve("k1");
       std::vector<HashTable::GroupPut> group{{&ins, false, false}};

@@ -86,6 +86,17 @@ TEST(FilterCodec, IncompressibleDataStillRoundtrips) {
   }
 }
 
+// An empty payload's spans have a null data(), and memcpy with a null
+// pointer is undefined even at length 0: every decoder must skip the copy.
+TEST(FilterCodec, EmptyPayloadDecodesIntoEmptySpan) {
+  for (const FilterId f : {FilterId::kNone, FilterId::kRle, FilterId::kDelta}) {
+    SCOPED_TRACE(pmemcpy::serial::filter_name(f));
+    const auto enc = filter_encode(f, std::span<const std::byte>{});
+    EXPECT_TRUE(enc.empty());
+    filter_decode(f, enc, std::span<std::byte>{});
+  }
+}
+
 TEST(FilterCodec, CorruptStreamsThrow) {
   std::vector<std::byte> out(64);
   // RLE: zero-length run.

@@ -207,6 +207,34 @@ TEST_F(HashTableTest, OpenExistingTableSeesData) {
   EXPECT_EQ(out, "yes");
 }
 
+// A damaged header must end in a typed error, not reach the bucket-count-
+// sized vectors of for_each() and rehash().  On-media format: the header's
+// first word is the bucket array's offset, the array's first word its count.
+TEST_F(HashTableTest, OpenRejectsDamagedHeader) {
+  put_str("k", "v");
+  const std::uint64_t hdr = table.header_off();
+  const std::uint64_t array = pool.get<std::uint64_t>(hdr);
+  ASSERT_EQ(pool.get<std::uint64_t>(array), 64u);
+  {
+    SCOPED_TRACE("bucket count 0");
+    pool.set<std::uint64_t>(array, 0);
+    EXPECT_THROW((void)HashTable::open(pool, hdr), pmemcpy::obj::PoolError);
+  }
+  {
+    SCOPED_TRACE("bucket count 2^40");
+    pool.set<std::uint64_t>(array, 1ull << 40);
+    EXPECT_THROW((void)HashTable::open(pool, hdr), pmemcpy::obj::PoolError);
+  }
+  pool.set<std::uint64_t>(array, 64);
+  {
+    SCOPED_TRACE("bucket array past the pool");
+    pool.set<std::uint64_t>(hdr, pool.size() + 4096);
+    EXPECT_THROW((void)HashTable::open(pool, hdr), pmemcpy::obj::PoolError);
+  }
+  pool.set<std::uint64_t>(hdr, array);
+  EXPECT_EQ(HashTable::open(pool, hdr).nbuckets(), 64u);
+}
+
 TEST_F(HashTableTest, ConcurrentDistinctKeys) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 50;

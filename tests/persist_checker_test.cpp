@@ -15,7 +15,6 @@ namespace {
 
 using pmemcpy::check::Violation;
 using pmemcpy::obj::Pool;
-using pmemcpy::obj::Transaction;
 using pmemcpy::pmem::CrashError;
 using pmemcpy::pmem::Device;
 using pmemcpy::pmem::FaultPlan;
@@ -197,26 +196,23 @@ TEST_F(PersistCheckerTest, FrozenDeviceSuspendsTracking) {
 // --- end-to-end: the checker catches the historical commit bug --------------
 
 TEST(PersistCheckerPoolTest, CatchesSkippedLaneZeroPersistAtCommit) {
-  constexpr std::size_t kPoolDev = 4ull << 20;  // room for the 16 tx lanes
+  constexpr std::size_t kPoolDev = 4ull << 20;
   Device dev(kPoolDev, /*crash_shadow=*/true);
   dev.enable_checker();
+  // A raw pool: magazines off, so every alloc() is one undo transaction on
+  // an allocator lane.
   auto pool = Pool::create(dev, 0, kPoolDev);
-  const auto off = pool.alloc(8);
-  pool.set<std::uint64_t>(off, 1);
+  (void)pool.alloc(64);
   ASSERT_TRUE(dev.checker()->take_report().ok());
 
-  pool.test_faults().skip_lane_zero_persist = true;
-  {
-    Transaction tx(pool);
-    tx.snapshot(off, 8);
-    const std::uint64_t v = 2;
-    pool.write(off, &v, sizeof(v));
-    tx.commit();
-  }
+  // The lane's retire zero is stored but never persisted: the line is still
+  // dirty when the allocation's scope commits.
+  pool.test_faults().skip_undo_retire_persist = true;
+  (void)pool.alloc(64);
   const auto rep = dev.checker()->take_report();
   EXPECT_GE(rep.count(Violation::kDirtyAtCommit), 1u) << rep.to_string();
   ASSERT_FALSE(rep.findings.empty());
-  EXPECT_EQ(rep.findings[0].scope, "pool.tx");
+  EXPECT_EQ(rep.findings[0].scope, "pool.alloc");
 }
 
 // --- enablement --------------------------------------------------------------

@@ -1,4 +1,4 @@
-// Tests for the libpmemobj-lite pool: allocator, transactions, recovery.
+// Tests for the libpmemobj-lite pool: allocator, recovery, integrity.
 #include <pmemcpy/obj/pool.hpp>
 
 #include <gtest/gtest.h>
@@ -8,24 +8,11 @@
 #include <random>
 #include <thread>
 
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define POOLTEST_LSAN 1
-#endif
-#endif
-#if !defined(POOLTEST_LSAN) && defined(__SANITIZE_ADDRESS__)
-#define POOLTEST_LSAN 1
-#endif
-#if defined(POOLTEST_LSAN)
-#include <sanitizer/lsan_interface.h>
-#endif
-
 namespace {
 
 using pmemcpy::obj::Pool;
 using pmemcpy::obj::PoolError;
 using pmemcpy::obj::PoolOptions;
-using pmemcpy::obj::Transaction;
 using pmemcpy::pmem::Device;
 
 constexpr std::size_t kPool = 32ull << 20;
@@ -190,108 +177,6 @@ TEST(PoolTest, ConcurrentAllocNoOverlap) {
 }
 
 // ---------------------------------------------------------------------------
-// Transactions
-// ---------------------------------------------------------------------------
-
-TEST(TransactionTest, CommitKeepsNewValue) {
-  Device dev(kPool);
-  Pool p = Pool::create(dev, 0, kPool);
-  const auto off = p.alloc(8);
-  p.set<std::uint64_t>(off, 111);
-  {
-    Transaction tx(p);
-    tx.snapshot(off, 8);
-    // Staged write: commit() flushes every snapshotted range, so an eager
-    // set() here would pay (and the persist checker flags) a double flush.
-    const std::uint64_t v = 222;
-    p.write(off, &v, sizeof(v));
-    tx.commit();
-  }
-  EXPECT_EQ(p.get<std::uint64_t>(off), 222u);
-}
-
-TEST(TransactionTest, AbortRollsBack) {
-  Device dev(kPool);
-  Pool p = Pool::create(dev, 0, kPool);
-  const auto off = p.alloc(8);
-  p.set<std::uint64_t>(off, 111);
-  {
-    Transaction tx(p);
-    tx.snapshot(off, 8);
-    p.set<std::uint64_t>(off, 222);
-    // no commit: destructor aborts
-  }
-  EXPECT_EQ(p.get<std::uint64_t>(off), 111u);
-}
-
-TEST(TransactionTest, MultiRangeAbortRollsBackAll) {
-  Device dev(kPool);
-  Pool p = Pool::create(dev, 0, kPool);
-  const auto a = p.alloc(8);
-  const auto b = p.alloc(8);
-  p.set<std::uint64_t>(a, 1);
-  p.set<std::uint64_t>(b, 2);
-  {
-    Transaction tx(p);
-    tx.snapshot(a, 8);
-    p.set<std::uint64_t>(a, 10);
-    tx.snapshot(b, 8);
-    p.set<std::uint64_t>(b, 20);
-  }
-  EXPECT_EQ(p.get<std::uint64_t>(a), 1u);
-  EXPECT_EQ(p.get<std::uint64_t>(b), 2u);
-}
-
-TEST(TransactionTest, OverlappingSnapshotsRestoreOldest) {
-  Device dev(kPool);
-  Pool p = Pool::create(dev, 0, kPool);
-  const auto off = p.alloc(8);
-  p.set<std::uint64_t>(off, 1);
-  {
-    Transaction tx(p);
-    tx.snapshot(off, 8);
-    p.set<std::uint64_t>(off, 2);
-    tx.snapshot(off, 8);  // snapshots the intermediate value 2
-    p.set<std::uint64_t>(off, 3);
-  }
-  EXPECT_EQ(p.get<std::uint64_t>(off), 1u);  // oldest pre-image wins
-}
-
-TEST(TransactionTest, LogFullThrows) {
-  Device dev(kPool);
-  Pool p = Pool::create(dev, 0, kPool);
-  const auto off = p.alloc(Pool::kTxLogBytes);
-  Transaction tx(p);
-  EXPECT_THROW(tx.snapshot(off, Pool::kTxLogBytes), PoolError);
-  tx.commit();
-}
-
-TEST(TransactionTest, ConcurrentLanes) {
-  Device dev(kPool);
-  Pool p = Pool::create(dev, 0, kPool);
-  constexpr int kThreads = 24;  // more threads than lanes
-  std::vector<std::uint64_t> offs;
-  for (int i = 0; i < kThreads; ++i) offs.push_back(p.alloc(8));
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      const auto off = offs[static_cast<std::size_t>(t)];
-      p.set<std::uint64_t>(off, 7);
-      Transaction tx(p);
-      tx.snapshot(off, 8);
-      const std::uint64_t v = 99;
-      p.write(off, &v, sizeof(v));
-      if (t % 2 == 0) tx.commit();
-    });
-  }
-  for (auto& th : threads) th.join();
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(p.get<std::uint64_t>(offs[static_cast<std::size_t>(t)]),
-              t % 2 == 0 ? 99u : 7u);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Crash recovery (power failure with stores still in CPU caches)
 // ---------------------------------------------------------------------------
 
@@ -307,77 +192,6 @@ TEST(CrashRecoveryTest, UnpersistedWritesRevert) {
   std::uint64_t out = 0;
   dev.read(0, &out, 8);
   EXPECT_EQ(out, v1);
-}
-
-TEST(CrashRecoveryTest, TxCrashMidMutationRollsBackOnOpen) {
-  Device dev(kPool, /*crash_shadow=*/true);
-  std::uint64_t off = 0;
-  {
-    Pool p = Pool::create(dev, 0, kPool);
-    off = p.alloc(64);
-    p.set<std::uint64_t>(off, 42);
-
-    // A real crash destroys the process before the transaction destructor
-    // can roll back — model that by leaking the transaction object (and
-    // telling LeakSanitizer the leak is the point of the test).
-    auto* tx = new Transaction(p);
-#if defined(POOLTEST_LSAN)
-    __lsan_ignore_object(tx);
-#endif
-    tx->snapshot(off, 8);
-    p.set<std::uint64_t>(off, 99);
-    // Crash before commit: the persisted undo-log entry survives, and so
-    // does the (persisted) mutation; recovery must undo it.
-    dev.simulate_crash();
-    (void)tx;  // intentionally leaked
-  }
-  Pool p = Pool::open(dev, 0);  // runs recovery
-  EXPECT_EQ(p.get<std::uint64_t>(off), 42u);
-}
-
-TEST(CrashRecoveryTest, CommittedTxSurvivesCrash) {
-  Device dev(kPool, /*crash_shadow=*/true);
-  std::uint64_t off = 0;
-  {
-    Pool p = Pool::create(dev, 0, kPool);
-    off = p.alloc(64);
-    p.set<std::uint64_t>(off, 42);
-    Transaction tx(p);
-    tx.snapshot(off, 8);
-    const std::uint64_t v = 99;
-    p.write(off, &v, sizeof(v));
-    tx.commit();
-    dev.simulate_crash();
-  }
-  Pool p = Pool::open(dev, 0);
-  EXPECT_EQ(p.get<std::uint64_t>(off), 99u);
-}
-
-TEST(TransactionTest, SnapshotAfterCommitThrows) {
-  Device dev(kPool);
-  Pool p = Pool::create(dev, 0, kPool);
-  const auto off = p.alloc(64);
-  Transaction tx(p);
-  tx.snapshot(off, 8);
-  const std::uint64_t v = 1;
-  p.write(off, &v, sizeof(v));
-  tx.commit();
-  EXPECT_THROW(tx.snapshot(off, 8), PoolError);
-}
-
-TEST(TransactionTest, DestructorRollsBackOnExceptionUnwind) {
-  Device dev(kPool);
-  Pool p = Pool::create(dev, 0, kPool);
-  const auto off = p.alloc(64);
-  p.set<std::uint64_t>(off, 1);
-  try {
-    Transaction tx(p);
-    tx.snapshot(off, 8);
-    p.set<std::uint64_t>(off, 2);
-    throw std::runtime_error("boom");
-  } catch (const std::runtime_error&) {
-  }
-  EXPECT_EQ(p.get<std::uint64_t>(off), 1u);
 }
 
 TEST(PoolCheckTest, CleanPoolPasses) {

@@ -55,6 +55,17 @@ TEST(SinkTest, SourceUnderrunThrows) {
   EXPECT_THROW(src.read(&v, 8), SerialError);
 }
 
+// An empty buffer's data() is null, and memcpy with a null pointer is
+// undefined even at length 0: zero-length copies must skip it.
+TEST(SinkTest, ZeroLengthCopiesOnEmptyBuffers) {
+  BufferSink sink;
+  sink.write(nullptr, 0);
+  EXPECT_EQ(sink.tell(), 0u);
+  BufferSource src(sink.bytes());
+  src.read(nullptr, 0);
+  EXPECT_EQ(src.tell(), 0u);
+}
+
 TEST(SinkTest, SizingSinkMeasures) {
   SizingSink s;
   s.write(nullptr, 100);
