@@ -9,7 +9,7 @@
 //     path (a DRAM staging buffer or the reserved PMEM span) and get path
 //     (a DRAM bounce, an in-place decode, or a read-cache hit);
 //   * alloc phases — the pool allocator's serialized work per engine put
-//     at 24 ranks, as the classic → striped → magazine ablation ladder.
+//     at 24 ranks, with magazines off (classic) and on.
 // Unlike the micro_* benches, whose google-benchmark loops adapt iteration
 // counts to wall-clock, every declared count is exact and reproducible, so
 // ci.sh diffs the --json output against bench/audit_baseline.json and any
@@ -441,15 +441,14 @@ void rank_puts(PMEM& pmem, int rank) {
   }
 }
 
-/// Runs the put mix on @p nranks ranks under the given allocator knobs.
-void run_ranks(int nranks, int magazine_size, int alloc_stripes) {
+/// Runs the put mix on @p nranks ranks with magazines of @p magazine_size.
+void run_ranks(int nranks, int magazine_size) {
   PmemNode node(node_opts());
   pmemcpy::par::Runtime::run(nranks, [&](pmemcpy::par::Comm& comm) {
     Config cfg;
     cfg.node = &node;
     cfg.auto_grow_table = false;  // rehash noise would blur the per-put rates
     cfg.magazine_size = magazine_size;
-    cfg.alloc_stripes = alloc_stripes;
     PMEM pmem{cfg};
     pmem.mmap("/alloc.audit", comm);
     rank_puts(pmem, comm.rank());
@@ -458,26 +457,24 @@ void run_ranks(int nranks, int magazine_size, int alloc_stripes) {
 }
 
 void run_alloc_phases() {
-  // The ablation ladder at 24 ranks: "classic" (stripes=1, magazines off)
-  // is the fully serialized path, "striped" adds the metadata lanes and
-  // "magazine" the per-thread size-class caches.  Magazines must cut lock
-  // acquisitions AND queue charges per put at least 4x against classic, and
-  // their fast path must actually serve allocations and frees.
+  // The ablation at 24 ranks: "classic" (magazines off) is the fully
+  // serialized path, "magazine" adds the per-thread size-class caches.
+  // Magazines must cut lock acquisitions AND queue charges per put at least
+  // 4x against classic, and their fast path must actually serve allocations
+  // and frees.
   phase("classic-24r", kAllocColumns, {zero(Counter::kAllocMagazineHits)},
-        [] { run_ranks(kRanks, /*magazine_size=*/0, /*alloc_stripes=*/1); });
-  phase("striped-24r", kAllocColumns, {},
-        [] { run_ranks(kRanks, /*magazine_size=*/0, /*alloc_stripes=*/8); });
+        [] { run_ranks(kRanks, /*magazine_size=*/0); });
   phase("magazine-24r", kAllocColumns,
         {same_as("classic-24r", Counter::kEnginePuts),
          quarter_of("classic-24r", Counter::kAllocLaneAcquisitions),
          quarter_of("classic-24r", Counter::kAllocQueueCharges),
          seen(Counter::kAllocMagazineHits),
          seen(Counter::kAllocMagazineFreeHits)},
-        [] { run_ranks(kRanks, /*magazine_size=*/8, /*alloc_stripes=*/8); });
+        [] { run_ranks(kRanks, /*magazine_size=*/8); });
   // The engine defaults on one rank: the fast path must not add work when
   // uncontended.
   phase("serial-1r", kAllocColumns, {},
-        [] { run_ranks(1, /*magazine_size=*/-1, /*alloc_stripes=*/-1); });
+        [] { run_ranks(1, /*magazine_size=*/-1); });
 }
 
 // --- output -----------------------------------------------------------------

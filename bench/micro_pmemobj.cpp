@@ -29,9 +29,9 @@ BENCHMARK(BM_PoolAllocFree)->Range(64, 1 << 20);
 /// Rank-scaling sweep over the allocator hot path (DESIGN.md §14): N
 /// concurrent ranks churn mixed size classes through alloc/free.  Arg 0 is
 /// the rank count, arg 1 selects the allocator configuration — 0 = classic
-/// (single metadata lane, every op under the pool lock), 1 = magazines of
-/// 8 over 8 striped lanes.  The wall-clock gap between the two rows at a
-/// given rank count is the lock-convoy cost the magazines remove.
+/// (every op under the pool lock), 1 = magazines of 8.  The wall-clock gap
+/// between the two rows at a given rank count is the lock-convoy cost the
+/// magazines remove.
 void BM_PoolAllocFreeRanks(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));
   const bool magazines = state.range(1) != 0;
@@ -41,7 +41,6 @@ void BM_PoolAllocFreeRanks(benchmark::State& state) {
   Device dev(512ull << 20);
   Pool pool = Pool::create(dev, 0, 512ull << 20);
   pool.set_magazine_size(magazines ? 8 : 0);
-  pool.set_alloc_stripes(magazines ? 8 : 1);
   pool.set_expected_contenders(ranks);
   for (auto _ : state) {
     std::vector<std::thread> ts;

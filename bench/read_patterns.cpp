@@ -14,10 +14,9 @@
 // as a sim-clock delta inside that session (earlier revisions re-opened the
 // pool per pattern, which both re-paid the open/recovery cost in every
 // number and reset the pMEMCPY read cache before it could ever hit).  With
-// the DRAM read cache armed (Config::read_cache_bytes; PMEMCPY_READ_CACHE
-// overrides), pieces cached by earlier patterns accelerate the later
-// overlapping ones, and the per-pattern cache/copy counter deltas printed
-// below make that visible.
+// the DRAM read cache armed (Config::read_cache_bytes), pieces cached by
+// earlier patterns accelerate the later overlapping ones, and the
+// per-pattern cache/copy counter deltas printed below make that visible.
 #include "figures_common.hpp"
 
 #include <iterator>
@@ -59,8 +58,7 @@ void run_patterns(IoLib lib, PmemNode& node, const wk::Decomposition& dec,
     std::unique_ptr<miniio::Reader> reader;
     if (is_pmcpy(lib)) {
       auto cfg = pmcpy_config(lib, node);
-      // Arm the DRAM read cache (per handle, so per rank); the env override
-      // PMEMCPY_READ_CACHE still wins inside mmap().
+      // Arm the DRAM read cache (per handle, so per rank).
       cfg.read_cache_bytes = 32u << 20;
       pmem = std::make_unique<pmemcpy::PMEM>(cfg);
       pmem->mmap("/fig.pmem", comm);

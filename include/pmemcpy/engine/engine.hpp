@@ -187,11 +187,9 @@ struct PoolEngineOptions {
   std::size_t nbuckets = 8192; ///< initial hashtable buckets (0 acts as 1)
   bool auto_grow = true;
   bool map_sync = false;
-  /// Allocator hot-path knobs (DESIGN.md §14).  -1 selects the engine
-  /// defaults (magazines of 8, 8 stripes); 0 disables magazines / 1
-  /// collapses the stripes back to a single metadata lane.
+  /// Allocator magazine size K (DESIGN.md §14).  -1 selects the engine
+  /// default of 8; 0 disables magazines.
   int magazine_size = -1;
-  int alloc_stripes = -1;
 };
 
 /// Open (creating if needed) the table engine for @p opts.  Collective when

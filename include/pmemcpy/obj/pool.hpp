@@ -2,18 +2,18 @@
 //
 // A Pool lives inside a region of an emulated PMEM device and provides:
 //   * pool-relative offsets that stay valid across re-opens,
-//   * a crash-safe allocator (striped size-class free lists + bump arena;
-//     every multi-store metadata mutation is made atomic by per-stripe
-//     allocator undo lanes, so a crash at any persist boundary rolls the
-//     whole allocation, free or batch refill back; optional per-rank
-//     magazines serve the common case without the lock — DESIGN.md §14),
+//   * a crash-safe allocator (size-class free lists + bump arena; every
+//     multi-store metadata mutation is made atomic by the allocator undo
+//     lane, so a crash at any persist boundary rolls the whole allocation,
+//     free or batch refill back; optional per-rank magazines serve the
+//     common case without the lock — DESIGN.md §14),
 //   * a root object offset for bootstrapping data structures,
 //   * CRC32C checksums on the pool header and every chunk header, plus an
 //     offline integrity verifier (check()) that walks the arena, the free
-//     lists and the undo lanes.
+//     lists and the undo lane.
 //
-// The allocator undo lanes are the pool's only undo log; open() rolls back
-// whatever a crash left in them.  Structures built on the pool publish with
+// The allocator undo lane is the pool's only undo log; open() rolls back
+// whatever a crash left in it.  Structures built on the pool publish with
 // single 8-byte stores instead: the hashtable swaps in a rebuilt bucket
 // array by storing its offset (DESIGN.md §8).
 //
@@ -67,13 +67,8 @@ struct CheckReport {
 
 class Pool {
  public:
-  /// Persistent allocator metadata stripes (size-class free lists + undo
-  /// lanes).  Fixed in the on-media layout; set_alloc_stripes() picks how
-  /// many of them ranks actually spread across at runtime, so a pool can be
-  /// reopened with any active stripe count.
-  static constexpr std::size_t kAllocStripes = 16;
-  /// Hard cap on the magazine refill batch (bounded by what one stripe undo
-  /// lane can pre-image in a single batch).
+  /// Hard cap on the magazine refill batch (bounded by what the allocator
+  /// undo lane can pre-image in a single batch).
   static constexpr int kMaxMagazineSize = 64;
 
   /// Deliberate-bug knobs for validating the crash harness (mutation
@@ -119,9 +114,9 @@ class Pool {
   void free(std::uint64_t off);
 
   /// Expected number of ranks/threads concurrently hammering this pool's
-  /// serialized metadata path (allocator lock, undo logs).  A pure
-  /// simulation knob: every alloc()/free() charges a queueing delay of
-  /// (n-1) * PmemModel::pool_op_queue_cost.  Engines set it to the rank
+  /// serialized metadata path (allocator lock, undo lane).  A pure
+  /// simulation knob: every locked alloc()/free() charges a queueing delay
+  /// of (n-1) * PmemModel::pool_op_queue_cost.  Engines set it to the rank
   /// count at open; the default of 1 charges nothing, so serial code is
   /// unaffected.
   void set_expected_contenders(int n) noexcept { contenders_ = n < 1 ? 1 : n; }
@@ -135,17 +130,10 @@ class Pool {
   }
   [[nodiscard]] int magazine_size() const noexcept { return mag_size_; }
 
-  /// Active metadata stripes: how many of the kAllocStripes persistent
-  /// free-list/undo lanes ranks spread across (stripe = rank % n).  A pure
-  /// distribution + contention-model knob, safe to change across reopens;
-  /// the slow path steals from every stripe regardless.  Clamped to
-  /// [1, kAllocStripes].
-  void set_alloc_stripes(int n) noexcept {
-    stripes_ = n < 1 ? 1 : (n > static_cast<int>(kAllocStripes)
-                                ? static_cast<int>(kAllocStripes)
-                                : n);
-  }
-  [[nodiscard]] int alloc_stripes() const noexcept { return stripes_; }
+  /// No-op, kept only so perfbench/src/replay.cpp still compiles: the pool
+  /// has one free-list block and one allocator undo lane, so there is no
+  /// metadata stripe count to choose.
+  void set_alloc_stripes(int /*n*/) noexcept {}
 
   /// Flush every magazine-held chunk back to the persistent free lists.
   /// For tests and orderly teardown only: the caller must guarantee no
@@ -161,7 +149,7 @@ class Pool {
   /// Offline integrity verifier: validates the pool-header checksum, walks
   /// the arena chunk by chunk (header checksums, overlap), the size-class
   /// and large free lists (cycles, class mismatches, double-listing), the
-  /// allocator undo lanes (structural validity) and the quarantine table,
+  /// allocator undo lane (structural validity) and the quarantine table,
   /// and recomputes bytes_in_use.  Read-only; safe on a just-opened pool.
   [[nodiscard]] CheckReport check() const;
 
@@ -273,29 +261,26 @@ class Pool {
   /// Intersection test against the cache; callers hold alloc_mu_.
   [[nodiscard]] bool quar_hit(std::uint64_t off, std::size_t len) const;
 
-  std::uint64_t alloc_locked(std::size_t bytes, int stripe);
+  std::uint64_t alloc_locked(std::size_t bytes);
 
   // --- magazines (DESIGN.md §14) -------------------------------------------
   /// This thread's magazine (created on first use).
   [[nodiscard]] Magazine& magazine();
-  /// Stripe the calling rank's metadata traffic maps to (slides past
-  /// stripes whose metadata media died; see stripe_failing()).
-  [[nodiscard]] int acting_stripe() const;
-  /// True when sticky media covers @p stripe's state block or undo lane —
-  /// transactions bound to it would fault on every metadata store.
-  [[nodiscard]] bool stripe_failing(int stripe) const;
+  /// True when sticky media covers the free-list block: unlinking a chunk
+  /// would fault, so the class lists keep their chunks linked in place.
+  [[nodiscard]] bool free_lists_failing() const;
   /// Refill @p m's class-@p cls stack with up to K chunks under one lock
   /// acquisition and one undo transaction; returns how many were obtained.
   std::size_t refill_magazine(Magazine& m, std::size_t cls);
-  std::size_t refill_locked(Magazine& m, std::size_t cls, int stripe);
+  std::size_t refill_locked(Magazine& m, std::size_t cls);
   /// Return all but @p keep of @p m's class-@p cls chunks to the persistent
   /// free lists in one batch.
   void flush_back(Magazine& m, std::size_t cls, std::size_t keep);
-  /// Unflag the magazine chunks @p out and push them onto @p stripe's
-  /// class-@p cls list: the mutation of one undo transaction.  The open-time
-  /// sweep pushes each reclaimed chunk as a batch of one.
+  /// Unflag the magazine chunks @p out and push them onto the class-@p cls
+  /// list: the mutation of one undo transaction.  The open-time sweep pushes
+  /// each reclaimed chunk as a batch of one.
   void flush_back_locked(const std::vector<std::uint64_t>& out,
-                         std::size_t cls, int stripe);
+                         std::size_t cls);
   /// Durably mark a chunk owned-but-unpublished (header rewritten with the
   /// magazine flag; persistence deferred to the caller's batch flush).
   void mag_mark_owned(std::uint64_t chunk, std::uint64_t payload,
@@ -304,28 +289,26 @@ class Pool {
   /// lists (open(), after undo-log recovery and quarantine load).
   void sweep_magazines();
 
-  // Allocator undo log (one lane per metadata stripe): pre-image logging
-  // that makes the multi-store allocator mutations atomic across crashes.
-  // A whole batch of entries is persisted with one coalesced flush+fence
-  // and published by a single durable `used` bump.
-  void aundo_log_batch(int stripe, const std::vector<Range>& ranges);
-  void aundo_commit(int stripe);
-  [[nodiscard]] std::uint64_t stripe_undo_off(int stripe) const;
-  [[nodiscard]] std::uint64_t stripe_state_off(int stripe) const;
+  // Allocator undo lane: pre-image logging that makes the multi-store
+  // allocator mutations atomic across crashes.  A whole batch of entries is
+  // persisted with one coalesced flush+fence and published by a single
+  // durable `used` bump.
+  void aundo_log_batch(const std::vector<Range>& ranges);
+  void aundo_commit();
   /// Coalesce @p ranges to distinct cachelines, flush them, fence once.
   void persist_ranges(const std::vector<Range>& ranges);
-  /// Roll back @p stripe's undo lane (newest entry first) and retire it.
-  /// Shared by open-time recovery and undo_tx()'s live rollback.
-  void rollback_log(int stripe);
+  /// Roll back the undo lane (newest entry first) and retire it.  Shared by
+  /// open-time recovery and undo_tx()'s live rollback.
+  void rollback_log();
 
   /// Take alloc_mu_ for one serialized metadata operation and charge the
   /// modelled queueing delay of the ranks contending for it.
   [[nodiscard]] std::unique_lock<std::mutex> lock_allocator();
-  /// Run @p mutate as one allocator undo transaction on @p stripe's lane,
-  /// inside the persistency-checker scope @p scope.  A fault rolls the lane
-  /// back before it propagates.
+  /// Run @p mutate as one allocator undo transaction, inside the
+  /// persistency-checker scope @p scope.  A fault rolls the lane back before
+  /// it propagates.
   template <typename Mutate>
-  void undo_tx(const char* scope, int stripe, Mutate&& mutate);
+  void undo_tx(const char* scope, Mutate&& mutate);
 
   pmem::Device* dev_;
   std::size_t base_;
@@ -334,7 +317,6 @@ class Pool {
   TestFaults test_faults_;
   int contenders_ = 1;
   int mag_size_ = 0;  ///< refill batch K; 0 = magazines off
-  int stripes_ = 1;   ///< active metadata stripes
 
   /// DRAM cache of the persistent quarantine table, in table order.
   /// Guarded by alloc_mu_ (the allocator consults it on every path).

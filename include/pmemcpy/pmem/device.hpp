@@ -279,10 +279,10 @@ class Device {
   // --- statistics -------------------------------------------------------------
 
   [[nodiscard]] std::uint64_t bytes_written() const noexcept {
-    return bytes_written_;
+    return bytes_written_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t bytes_read() const noexcept {
-    return bytes_read_;
+    return bytes_read_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -350,7 +350,7 @@ class Device {
   /// read path can escalate a range just like a store can.
   mutable std::vector<std::pair<std::size_t, std::size_t>> sticky_bad_;
 
-  mutable std::mutex mu_;  // protects shadow_, touched_, counters, bad media
+  mutable std::mutex mu_;  // protects shadow_, touched_, bad media
   std::unordered_map<std::size_t, std::array<std::byte, kCacheLine>> shadow_;
   /// Lines flushed (CLWB issued) but not yet fenced, with the line image
   /// captured at flush time: on drain() that image is what became durable,
@@ -360,8 +360,10 @@ class Device {
   std::unique_ptr<check::PersistChecker> checker_;
   std::vector<std::pair<std::size_t, std::size_t>> bad_media_;  // off, len
   std::vector<bool> touched_;  // one bit per 4 KiB page
-  std::uint64_t bytes_written_ = 0;
-  mutable std::uint64_t bytes_read_ = 0;
+  /// Byte counters: relaxed atomics, so the data path never takes mu_ just
+  /// to count.
+  std::atomic<std::uint64_t> bytes_written_{0};
+  mutable std::atomic<std::uint64_t> bytes_read_{0};
 };
 
 }  // namespace pmemcpy::pmem

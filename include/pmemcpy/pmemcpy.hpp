@@ -79,16 +79,13 @@ struct Config {
   /// same entries (restart / plane / subvolume patterns) are served at DRAM
   /// cost.  The fill copy is charged to the simulated clock, eviction order
   /// is deterministic, and every put/remove/repair/quarantine invalidates —
-  /// a cached blob never goes stale.  The PMEMCPY_READ_CACHE env var
-  /// overrides this at mmap() time (accepts k/m/g suffixes).
+  /// a cached blob never goes stale.
   std::size_t read_cache_bytes = 0;
-  /// Allocator hot-path knobs (DESIGN.md §14), forwarded to the region's
-  /// pool.  -1 selects the engine defaults (8 / 8); 0 disables magazines, 1
-  /// collapses the metadata stripes back to one fully serialized lane.
-  /// Purely runtime state, not part of the persistent layout: both knobs
-  /// can differ across opens of the same region.
+  /// Allocator magazine size K (DESIGN.md §14), forwarded to the region's
+  /// pool.  -1 selects the engine default of 8; 0 disables magazines.
+  /// Purely runtime state, not part of the persistent layout: it can differ
+  /// across opens of the same region.
   int magazine_size = -1;
-  int alloc_stripes = -1;
 };
 
 struct KeyError : std::runtime_error {

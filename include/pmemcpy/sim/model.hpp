@@ -61,12 +61,12 @@ struct PmemModel {
   /// synchronous path too, losing the zero-copy benefit).
   double map_sync_read_bw_factor = 0.5;
   /// Queueing delay at a pool's serialized metadata path.  The allocator,
-  /// free lists and undo logs sit behind one lock, so concurrent ranks
-  /// serialize on every alloc/free — the µs-scale small-allocation critical
-  /// section van Renen et al. and Marathe et al. measure for pmemobj-style
-  /// heaps.  Charged per locked metadata op and per expected contender
-  /// beyond the first on the same metadata stripe
-  /// (Pool::set_expected_contenders / set_alloc_stripes, DESIGN.md §14).
+  /// its free lists and its undo lane sit behind one lock, so concurrent
+  /// ranks serialize on every locked alloc/free — the µs-scale
+  /// small-allocation critical section van Renen et al. and Marathe et al.
+  /// measure for pmemobj-style heaps.  Charged per locked metadata op and
+  /// per expected contender beyond the first
+  /// (Pool::set_expected_contenders, DESIGN.md §14).
   /// 0.1 µs keeps the charge at 48 ranks within the figure benches'
   /// millisecond print resolution.
   double pool_op_queue_cost = 0.1e-6;

@@ -3,7 +3,6 @@
 #include <pmemcpy/serial/capnp.hpp>
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 
 namespace pmemcpy {
@@ -121,26 +120,6 @@ std::string fs_root_for(const std::string& filename) {
   return filename.empty() || filename[0] != '/' ? "/" + filename : filename;
 }
 
-/// Byte count with an optional k/m/g suffix ("4m" = 4 MiB); nullopt when
-/// unset or unparsable (an unparsable override is ignored, not fatal —
-/// matching how the other PMEMCPY_* env toggles degrade).
-std::optional<std::size_t> read_cache_env() {
-  const char* v = std::getenv("PMEMCPY_READ_CACHE");
-  if (v == nullptr || *v == '\0') return std::nullopt;
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v, &end, 10);
-  if (end == v) return std::nullopt;
-  std::size_t mult = 1;
-  switch (*end) {
-    case 'k': case 'K': mult = 1ull << 10; break;
-    case 'm': case 'M': mult = 1ull << 20; break;
-    case 'g': case 'G': mult = 1ull << 30; break;
-    case '\0': break;
-    default: return std::nullopt;
-  }
-  return static_cast<std::size_t>(n) * mult;
-}
-
 }  // namespace
 
 void PMEM::do_mmap(const std::string& filename, par::Comm* comm) {
@@ -162,17 +141,14 @@ void PMEM::do_mmap(const std::string& filename, par::Comm* comm) {
     eopts.auto_grow = cfg_.auto_grow_table;
     eopts.map_sync = cfg_.map_sync;
     eopts.magazine_size = cfg_.magazine_size;
-    eopts.alloc_stripes = cfg_.alloc_stripes;
     engine_ = engine::open_pool_engine(*node_, eopts, comm);
   } else {
     engine_ = engine::open_tree_engine(*node_, fs_root_for(filename),
                                        cfg_.map_sync, comm);
   }
-  // DRAM read cache (DESIGN.md §13): per-handle, bounded, env-overridable.
-  const std::size_t cache_bytes =
-      read_cache_env().value_or(cfg_.read_cache_bytes);
-  if (cache_bytes > 0) {
-    read_cache_ = std::make_unique<core::ReadCache>(cache_bytes);
+  // DRAM read cache (DESIGN.md §13): per-handle and bounded.
+  if (cfg_.read_cache_bytes > 0) {
+    read_cache_ = std::make_unique<core::ReadCache>(cfg_.read_cache_bytes);
   }
   if (comm != nullptr) comm->barrier();
 }

@@ -5,7 +5,6 @@
 #include <pmemcpy/engine/engine.hpp>
 #include <pmemcpy/par/comm.hpp>
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -30,12 +29,10 @@ std::unique_ptr<Engine> open_pool_engine(PmemNode& node,
 
   auto pool = node.open_pool(opts.name, popts);
   pool->set_expected_contenders(comm ? comm->size() : 1);
-  // Allocator hot-path defaults (DESIGN.md §14): engines arm magazines and
-  // metadata stripes unless the caller says otherwise.  Raw Pool users keep
-  // the classic fully-serialized semantics (K=0, S=1).
+  // Allocator hot-path default (DESIGN.md §14): engines arm magazines of 8
+  // unless the caller says otherwise.  Raw Pool users keep the classic
+  // fully-locked semantics (K=0).
   pool->set_magazine_size(opts.magazine_size < 0 ? 8 : opts.magazine_size);
-  pool->set_alloc_stripes(
-      opts.alloc_stripes < 0 ? 8 : std::max(1, opts.alloc_stripes));
   auto table = node.table_for(pool, pool->root());
   table->set_auto_grow(opts.auto_grow);
   return make_table_engine(std::move(pool), std::move(table));

@@ -152,8 +152,7 @@ void Device::write(std::size_t off, const void* src, std::size_t len) {
                                                pm.write_total_bw),
             sim::Charge::kPmemWrite);
   trace::count(trace::Counter::kBytesWritten, len);
-  std::lock_guard lk(mu_);
-  bytes_written_ += len;
+  bytes_written_.fetch_add(len, std::memory_order_relaxed);
 }
 
 void Device::read(std::size_t off, void* dst, std::size_t len) const {
@@ -170,8 +169,7 @@ void Device::read(std::size_t off, void* dst, std::size_t len) const {
                                               pm.read_total_bw),
             sim::Charge::kPmemRead);
   trace::count(trace::Counter::kBytesRead, len);
-  std::lock_guard lk(mu_);
-  bytes_read_ += len;
+  bytes_read_.fetch_add(len, std::memory_order_relaxed);
 }
 
 void Device::fill(std::size_t off, std::size_t len, std::byte value) {
@@ -186,8 +184,7 @@ void Device::fill(std::size_t off, std::size_t len, std::byte value) {
                                                pm.write_total_bw),
             sim::Charge::kPmemWrite);
   trace::count(trace::Counter::kBytesWritten, len);
-  std::lock_guard lk(mu_);
-  bytes_written_ += len;
+  bytes_written_.fetch_add(len, std::memory_order_relaxed);
 }
 
 void Device::persist(std::size_t off, std::size_t len) {
@@ -426,8 +423,7 @@ void Device::charge_dax_write(std::size_t off, std::size_t len,
   c.advance(m.pmem.write_latency + static_cast<double>(len) / bw,
             sim::Charge::kPmemWrite);
   trace::count(trace::Counter::kBytesWritten, len);
-  std::lock_guard lk(mu_);
-  bytes_written_ += len;
+  bytes_written_.fetch_add(len, std::memory_order_relaxed);
 }
 
 void Device::charge_dax_read(std::size_t len, bool map_sync) const {
@@ -438,8 +434,7 @@ void Device::charge_dax_read(std::size_t len, bool map_sync) const {
   c.advance(pm.read_latency + static_cast<double>(len) / bw,
             sim::Charge::kPmemRead);
   trace::count(trace::Counter::kBytesRead, len);
-  std::lock_guard lk(mu_);
-  bytes_read_ += len;
+  bytes_read_.fetch_add(len, std::memory_order_relaxed);
 }
 
 void Device::reset_page_touches() {

@@ -17,11 +17,13 @@ namespace pmemcpy::obj {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x504d454d43505921ull;  // "PMEMCPY!"
-// v2: allocator metadata split into AllocGlobal + kAllocStripes striped
+// v2: allocator metadata split into AllocGlobal + 16 striped
 // free-list states with one undo lane each (DESIGN.md §14).
 // v3: the transaction lanes are gone; the heap starts right after the
 // allocator undo lanes.
-constexpr std::uint32_t kVersion = 3;
+// v4: one free-list block and one allocator undo lane; the heap starts at
+// 12 KiB.
+constexpr std::uint32_t kVersion = 4;
 constexpr std::size_t kChunkAlign = 64;
 constexpr std::size_t kChunkHeader = 16;
 /// Minimum remainder worth splitting off a large free chunk.
@@ -73,13 +75,11 @@ struct AllocGlobal {
   std::uint64_t large_free_head;
 };
 
-/// One metadata stripe: a full set of size-class free-list heads.  Ranks
-/// map to stripes by rank hash; the slow path steals from every stripe, so
-/// the active stripe count is a pure distribution knob.
-struct StripeState {
+/// The size-class free-list heads.
+struct FreeLists {
   std::uint64_t free_head[kClassSizes.size()];
 };
-static_assert(sizeof(StripeState) == 88);
+static_assert(sizeof(FreeLists) == 88);
 
 /// Set in ChunkHeader::cls while a chunk is magazine-owned: carved out of
 /// the free lists but not yet handed to a caller (owned-but-unpublished).
@@ -152,31 +152,28 @@ struct Pool::Layout {
   static constexpr std::uint64_t kQuarOff = 128;
   static constexpr std::uint64_t kQuarEntries = kQuarOff + sizeof(QuarHeader);
   static constexpr std::uint64_t kAllocOff = 4096;
-  /// Striped free-list states, one cacheline-padded slot per stripe.
-  static constexpr std::uint64_t kStripeBase = 4224;
-  static constexpr std::uint64_t kStripeStride = 128;
-  /// Allocator undo lanes, one per stripe: [u64 used][pre-image entries].
-  /// The pool's only undo log: they make the multi-store free-list/arena
-  /// mutations crash-atomic.  The global mutex admits one uncommitted
-  /// allocator batch at a time, so recovery order across lanes does not
-  /// matter.
-  static constexpr std::uint64_t kStripeUndoBase = 8192;
-  static constexpr std::uint64_t kStripeUndoStride = 4096;
-  static constexpr std::uint64_t kStripeUndoBytes = kStripeUndoStride - 8;
+  static constexpr std::uint64_t kFreeListsOff = 4224;
+  /// The allocator undo lane: [u64 used][pre-image entries].  The pool's
+  /// only undo log: it makes the multi-store free-list/arena mutations
+  /// crash-atomic.  alloc_mu_ admits one allocator batch at a time, so one
+  /// lane is all the concurrency the host has.
+  static constexpr std::uint64_t kUndoOff = 8192;
+  static constexpr std::uint64_t kUndoBytes = 4096 - 8;
   static constexpr std::uint64_t heap_start() {
-    return kStripeUndoBase + Pool::kAllocStripes * kStripeUndoStride;
+    return kUndoOff + 8 + kUndoBytes;
   }
   static_assert(kHeaderOff + sizeof(PoolHeader) <= kQuarOff,
                 "pool header must not overlap the quarantine table");
   static_assert(kQuarEntries + Pool::kQuarantineCapacity * sizeof(QuarEntry) <=
                     kAllocOff,
                 "quarantine table must not overlap the allocator state");
-  static_assert(kAllocOff + sizeof(AllocGlobal) <= kStripeBase,
-                "global alloc state must not overlap the stripe states");
-  static_assert(sizeof(StripeState) <= kStripeStride);
-  static_assert(kStripeBase + Pool::kAllocStripes * kStripeStride <=
-                    kStripeUndoBase,
-                "stripe states must not overlap the allocator undo lanes");
+  static_assert(kAllocOff + sizeof(AllocGlobal) <= kFreeListsOff,
+                "global alloc state must not overlap the free lists");
+  static_assert(kFreeListsOff + sizeof(FreeLists) <= kUndoOff,
+                "free lists must not overlap the allocator undo lane");
+  static constexpr std::uint64_t head_off(std::size_t cls) {
+    return kFreeListsOff + offsetof(FreeLists, free_head) + cls * 8;
+  }
 };
 
 /// Per-thread cache of pre-carved chunks, one stack per size class.  A
@@ -258,24 +255,20 @@ void Pool::format() {
     set(Layout::kQuarOff, QuarHeader{0, 0});
   }
 
-  // Stripe states and allocator undo lanes are likewise only cleared when a
-  // previous pool life actually left stale bytes behind: all-zero is the
-  // valid empty form, so formatting fresh media stays cheap.
-  for (std::size_t s = 0; s < kAllocStripes; ++s) {
-    StripeState stale_ss;
-    std::memcpy(&stale_ss,
-                dev_->raw(base_ + Layout::kStripeBase + s * Layout::kStripeStride),
-                sizeof(stale_ss));
-    bool dirty = false;
-    for (const auto h : stale_ss.free_head) dirty = dirty || h != 0;
-    if (dirty) set(Layout::kStripeBase + s * Layout::kStripeStride, StripeState{});
-    std::uint64_t stale_used;
-    std::memcpy(&stale_used, dev_->raw(base_ + stripe_undo_off(static_cast<int>(s))),
-                sizeof(stale_used));
-    if (stale_used != 0) {
-      set<std::uint64_t>(stripe_undo_off(static_cast<int>(s)), 0);
-    }
+  // The free lists and the allocator undo lane are likewise only cleared
+  // when a previous pool life actually left stale bytes behind: all-zero is
+  // the valid empty form, so formatting fresh media stays cheap.
+  FreeLists stale_fl;
+  std::memcpy(&stale_fl, dev_->raw(base_ + Layout::kFreeListsOff),
+              sizeof(stale_fl));
+  if (std::any_of(std::begin(stale_fl.free_head), std::end(stale_fl.free_head),
+                  [](std::uint64_t h) { return h != 0; })) {
+    set(Layout::kFreeListsOff, FreeLists{});
   }
+  std::uint64_t stale_used;
+  std::memcpy(&stale_used, dev_->raw(base_ + Layout::kUndoOff),
+              sizeof(stale_used));
+  if (stale_used != 0) set<std::uint64_t>(Layout::kUndoOff, 0);
 
   AllocGlobal ag{};
   ag.arena_cursor = Layout::heap_start();
@@ -372,14 +365,12 @@ std::unique_lock<std::mutex> Pool::lock_allocator() {
   // Deterministic stand-in for lock contention: rank clocks drift apart and
   // resynchronise only at collectives, so modelling an actual wait on
   // another rank's (possibly lagging) simulated clock would be unsound.
-  // Instead every metadata op is charged the expected queueing share — the
-  // per-stripe queue depth, since ranks hash across the active stripes and
-  // only same-stripe traffic serialises in the modelled machine.
-  const int depth = (contenders_ + stripes_ - 1) / stripes_;
-  if (depth <= 1) return lk;
+  // Instead every metadata op is charged the expected queueing share: one
+  // slot per other contender, since every rank queues on this one lock.
+  if (contenders_ <= 1) return lk;
   auto& c = sim::ctx();
   const double delay =
-      static_cast<double>(depth - 1) * c.model().pmem.pool_op_queue_cost;
+      static_cast<double>(contenders_ - 1) * c.model().pmem.pool_op_queue_cost;
   c.advance(delay, sim::Charge::kOther);
   trace::observe(trace::Hist::kShardQueueDelay, delay);
   trace::count(trace::Counter::kAllocQueueCharges);
@@ -387,7 +378,7 @@ std::unique_lock<std::mutex> Pool::lock_allocator() {
 }
 
 template <typename Mutate>
-void Pool::undo_tx(const char* scope, int stripe, Mutate&& mutate) {
+void Pool::undo_tx(const char* scope, Mutate&& mutate) {
   dev_->check_tx_begin(scope);
   try {
     mutate();
@@ -398,7 +389,7 @@ void Pool::undo_tx(const char* scope, int stripe, Mutate&& mutate) {
     // image back just as well.  Best effort: any other rollback failure is
     // dropped, so the original fault propagates.
     try {
-      rollback_log(stripe);
+      rollback_log();
     } catch (const pmem::DeviceError&) {
       // The media under the allocator state itself died mid-rollback: the
       // fault being unwound names a different range, so THIS error is the
@@ -416,28 +407,8 @@ void Pool::undo_tx(const char* scope, int stripe, Mutate&& mutate) {
   dev_->check_tx_commit();
 }
 
-int Pool::acting_stripe() const {
-  const int n = stripes_ < 1 ? 1 : stripes_;
-  const int home =
-      static_cast<int>(static_cast<unsigned>(sim::ctx().rank()) %
-                       static_cast<unsigned>(n));
-  // Route around stripes whose metadata media died: a sticky line under a
-  // stripe's state block or undo lane would fault every transaction bound
-  // to it, so the rank slides to the next healthy stripe (its chunks stay
-  // reachable — every probe loop scans all stripes).  With every stripe
-  // dead the home stripe is returned and the caller's fault path owns it.
-  for (int probe = 0; probe < n; ++probe) {
-    const int s = (home + probe) % n;
-    if (!stripe_failing(s)) return s;
-  }
-  return home;
-}
-
-bool Pool::stripe_failing(int stripe) const {
-  return dev_->media_failing(base_ + stripe_state_off(stripe),
-                             sizeof(StripeState)) ||
-         dev_->media_failing(base_ + stripe_undo_off(stripe),
-                             8 + Layout::kStripeUndoBytes);
+bool Pool::free_lists_failing() const {
+  return dev_->media_failing(base_ + Layout::kFreeListsOff, sizeof(FreeLists));
 }
 
 Pool::Magazine& Pool::magazine() {
@@ -489,13 +460,12 @@ std::uint64_t Pool::alloc(std::size_t bytes) {
   }
 
   const auto lk = lock_allocator();
-  const int stripe = acting_stripe();
   std::uint64_t off = 0;
-  undo_tx("pool.alloc", stripe, [&] { off = alloc_locked(bytes, stripe); });
+  undo_tx("pool.alloc", [&] { off = alloc_locked(bytes); });
   return off;
 }
 
-std::uint64_t Pool::alloc_locked(std::size_t bytes, int stripe) {
+std::uint64_t Pool::alloc_locked(std::size_t bytes) {
   const std::size_t need = round_up(bytes + kChunkHeader, kChunkAlign);
   const std::uint64_t as_off = Layout::kAllocOff;
   const auto as = get<AllocGlobal>(as_off);
@@ -510,7 +480,6 @@ std::uint64_t Pool::alloc_locked(std::size_t bytes, int stripe) {
   std::uint64_t prev = 0;   // free-list predecessor of the choice (0 = head)
   std::uint64_t rest = 0;   // split remainder, if any
   std::uint64_t rest_payload = 0;
-  int src_stripe = stripe;  // stripe whose class list served the chunk
   bool from_class_list = false;
   bool from_large_list = false;
 
@@ -520,38 +489,33 @@ std::uint64_t Pool::alloc_locked(std::size_t bytes, int stripe) {
   const auto linkable = [&](std::uint64_t p) {
     return p == 0 || !dev_->media_failing(base_ + p + kChunkHeader, 8);
   };
+  // No legal list holds more entries than the arena holds chunks; only a
+  // cycle walks further (the bound check() reports cycles by).
+  const std::size_t max_hops =
+      (as.arena_cursor - Layout::heap_start()) / kChunkAlign + 1;
+  std::size_t hops = 0;
+  const auto hop = [&] {
+    if (++hops > max_hops) throw PoolError("Pool::alloc: free list cycle");
+  };
 
-  if (cls != kLargeClass) {
-    // Probe the acting stripe first, then steal from the others: chunks may
-    // sit on any stripe (frees and sweeps land by rank/offset hash), so a
-    // reopen with a different active stripe count loses nothing.
-    for (std::size_t probe = 0; probe < kAllocStripes && chunk == 0; ++probe) {
-      const int s =
-          static_cast<int>((static_cast<std::size_t>(stripe) + probe) %
-                           kAllocStripes);
-      // Unlinking a list head stores into the stripe's state block; a
-      // stripe with dead metadata media keeps its chunks linked in place
-      // (bounded leak, same rule as quarantined chunks).
-      if (dev_->media_failing(base_ + stripe_state_off(s),
-                              sizeof(StripeState))) {
-        continue;
+  // Unlinking a list head stores into the free-list block; with its media
+  // dead the class lists keep their chunks linked in place (bounded leak,
+  // same rule as quarantined chunks) and the arena serves instead.
+  if (cls != kLargeClass && !free_lists_failing()) {
+    std::uint64_t cur = get<FreeLists>(Layout::kFreeListsOff).free_head[cls];
+    std::uint64_t p = 0;
+    while (cur != 0) {
+      hop();
+      const auto next = get<std::uint64_t>(cur + kChunkHeader);
+      if ((quar_.empty() || !quar_hit(cur, chunk_size)) && linkable(p)) {
+        chunk = cur;
+        lnext = next;
+        prev = p;
+        from_class_list = true;
+        break;
       }
-      const auto ss = get<StripeState>(stripe_state_off(s));
-      std::uint64_t cur = ss.free_head[cls];
-      std::uint64_t p = 0;
-      while (cur != 0) {
-        const auto next = get<std::uint64_t>(cur + kChunkHeader);
-        if ((quar_.empty() || !quar_hit(cur, chunk_size)) && linkable(p)) {
-          chunk = cur;
-          lnext = next;
-          prev = p;
-          src_stripe = s;
-          from_class_list = true;
-          break;
-        }
-        p = cur;
-        cur = next;
-      }
+      p = cur;
+      cur = next;
     }
   }
   if (cls == kLargeClass) {
@@ -559,6 +523,7 @@ std::uint64_t Pool::alloc_locked(std::size_t bytes, int stripe) {
     // First fit on the large free list.
     std::uint64_t cur = as.large_free_head;
     while (cur != 0) {
+      hop();
       const auto hdr = get<ChunkHeader>(cur);
       const std::size_t total = hdr.payload_size + kChunkHeader;
       const auto next = get<std::uint64_t>(cur + kChunkHeader);
@@ -624,7 +589,7 @@ std::uint64_t Pool::alloc_locked(std::size_t bytes, int stripe) {
   std::vector<Range> log;
   log.push_back({as_off, sizeof(AllocGlobal)});
   if (from_class_list) {
-    log.push_back({stripe_state_off(src_stripe), sizeof(StripeState)});
+    log.push_back({Layout::kFreeListsOff, sizeof(FreeLists)});
   }
   if (from_class_list || from_large_list) log.push_back({chunk, kChunkHeader});
   if (prev != 0) log.push_back({prev + kChunkHeader, 8});
@@ -632,7 +597,7 @@ std::uint64_t Pool::alloc_locked(std::size_t bytes, int stripe) {
   // chunk's old payload; logging those bytes restores the unsplit chunk.
   if (rest != 0) log.push_back({rest, kChunkHeader + 8});
   for (const auto& g : gaps) log.push_back({g.at, kChunkHeader});
-  aundo_log_batch(stripe, log);
+  aundo_log_batch(log);
 
   // Phase 3 — mutate.  Stores stay cached until one coalesced flush+fence
   // pass at the end; any prefix of them is undone by the log above, and
@@ -653,9 +618,7 @@ std::uint64_t Pool::alloc_locked(std::size_t bytes, int stripe) {
   }
   if (from_class_list) {
     if (prev == 0) {
-      put_u64(stripe_state_off(src_stripe) + offsetof(StripeState, free_head) +
-                  cls * 8,
-              lnext);
+      put_u64(Layout::head_off(cls), lnext);
     } else {
       put_u64(prev + kChunkHeader, lnext);
     }
@@ -683,7 +646,7 @@ std::uint64_t Pool::alloc_locked(std::size_t bytes, int stripe) {
   persist_ranges(dirty);
 
   // Phase 4 — commit: retire the undo log; the allocation now stands.
-  aundo_commit(stripe);
+  aundo_commit();
   return chunk + kChunkHeader;
 }
 
@@ -739,12 +702,11 @@ void Pool::free(std::uint64_t off) {
     return;
   }
   if (dev_->media_failing(base_ + off, 8)) return;  // next-pointer word bad
-  const int stripe = acting_stripe();
   // Pre-images: allocator state + the payload word that becomes the free-
   // list next pointer.  A crash mid-free leaves the chunk allocated; a live
   // fault mid-free rolls back the same way.  Only the one head field is
-  // logged, not the whole stripe state flush_back_locked() logs.
-  undo_tx("pool.free", stripe, [&] {
+  // logged, not the whole free-list block flush_back_locked() logs.
+  undo_tx("pool.free", [&] {
     const std::uint64_t as_off = Layout::kAllocOff;
     const auto as = get<AllocGlobal>(as_off);
     std::uint64_t head_field;
@@ -753,14 +715,10 @@ void Pool::free(std::uint64_t off) {
       head_field = as_off + offsetof(AllocGlobal, large_free_head);
       old_head = as.large_free_head;
     } else {
-      const auto ss = get<StripeState>(stripe_state_off(stripe));
-      head_field = stripe_state_off(stripe) +
-                   offsetof(StripeState, free_head) + hdr.cls * 8;
-      old_head = ss.free_head[hdr.cls];
+      head_field = Layout::head_off(hdr.cls);
+      old_head = get<FreeLists>(Layout::kFreeListsOff).free_head[hdr.cls];
     }
-    aundo_log_batch(stripe, {{as_off, sizeof(AllocGlobal)},
-                             {head_field, 8},
-                             {off, 8}});
+    aundo_log_batch({{as_off, sizeof(AllocGlobal)}, {head_field, 8}, {off, 8}});
 
     // Push: write the next pointer into the payload, then swing the head.
     std::vector<Range> dirty;
@@ -772,7 +730,7 @@ void Pool::free(std::uint64_t off) {
     write(as_off + offsetof(AllocGlobal, bytes_in_use), &in_use, 8);
     dirty.push_back({as_off + offsetof(AllocGlobal, bytes_in_use), 8});
     persist_ranges(dirty);
-    aundo_commit(stripe);
+    aundo_commit();
   });
 }
 
@@ -795,28 +753,18 @@ std::size_t Pool::bytes_in_use() const noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Allocator undo lanes (one per metadata stripe)
+// Allocator undo lane
 // ---------------------------------------------------------------------------
 
-std::uint64_t Pool::stripe_undo_off(int stripe) const {
-  return Layout::kStripeUndoBase +
-         static_cast<std::uint64_t>(stripe) * Layout::kStripeUndoStride;
-}
-
-std::uint64_t Pool::stripe_state_off(int stripe) const {
-  return Layout::kStripeBase +
-         static_cast<std::uint64_t>(stripe) * Layout::kStripeStride;
-}
-
-void Pool::aundo_log_batch(int stripe, const std::vector<Range>& ranges) {
+void Pool::aundo_log_batch(const std::vector<Range>& ranges) {
   if (ranges.empty()) return;
-  const std::uint64_t uo = stripe_undo_off(stripe);
+  const std::uint64_t uo = Layout::kUndoOff;
   const auto used = get<std::uint64_t>(uo);
   std::uint64_t pos = uo + 8 + used;
   const std::uint64_t start = pos;
   for (const auto& r : ranges) {
     const std::size_t entry = sizeof(LogEntryHeader) + round_up(r.len, 8);
-    if ((pos - (uo + 8)) + entry > Layout::kStripeUndoBytes) {
+    if ((pos - (uo + 8)) + entry > Layout::kUndoBytes) {
       // Static capacity: one batch logs a small bounded set of ranges.
       throw PoolError("Pool: allocator undo log overflow");
     }
@@ -835,15 +783,15 @@ void Pool::aundo_log_batch(int stripe, const std::vector<Range>& ranges) {
   trace::count(trace::Counter::kAllocMetadataPersists, 2);
 }
 
-void Pool::aundo_commit(int stripe) {
+void Pool::aundo_commit() {
   // Retire the lane.  The zero MUST be persisted: if it only reached the
   // CPU cache, a crash would re-expose the stale pre-images and recovery
   // would roll this committed operation back (test_faults can skip the
   // persist to let the mutation tests demonstrate exactly that bug).
   const std::uint64_t zero = 0;
-  write(stripe_undo_off(stripe), &zero, sizeof(zero));
+  write(Layout::kUndoOff, &zero, sizeof(zero));
   if (!test_faults_.skip_undo_retire_persist) {
-    persist(stripe_undo_off(stripe), sizeof(zero));
+    persist(Layout::kUndoOff, sizeof(zero));
   }
   trace::count(trace::Counter::kAllocMetadataPersists);
 }
@@ -877,12 +825,12 @@ void Pool::persist_ranges(const std::vector<Range>& ranges) {
   trace::count(trace::Counter::kAllocMetadataPersists);
 }
 
-void Pool::rollback_log(int stripe) {
-  const std::uint64_t header_off = stripe_undo_off(stripe);
+void Pool::rollback_log() {
+  const std::uint64_t header_off = Layout::kUndoOff;
   const std::uint64_t payload_off = header_off + 8;
   const auto used = get<std::uint64_t>(header_off);
   if (used == 0) return;
-  if (used > Layout::kStripeUndoBytes) {
+  if (used > Layout::kUndoBytes) {
     throw PoolError("Pool: undo log header corrupt");
   }
   // Collect entries, then roll back newest-first so overlapping snapshots
@@ -937,48 +885,33 @@ void Pool::mag_mark_owned(std::uint64_t chunk, std::uint64_t payload,
 std::size_t Pool::refill_magazine(Magazine& m, std::size_t cls) {
   trace::Span span("pool.refill");
   const auto lk = lock_allocator();
-  const int stripe = acting_stripe();
   std::size_t got = 0;
-  undo_tx("pool.refill", stripe, [&] { got = refill_locked(m, cls, stripe); });
+  undo_tx("pool.refill", [&] { got = refill_locked(m, cls); });
   if (got > 0) trace::count(trace::Counter::kAllocMagazineRefills);
   return got;
 }
 
-std::size_t Pool::refill_locked(Magazine& m, std::size_t cls, int stripe) {
-  // One undo transaction carves up to K chunks: pop prefixes of the class
-  // free lists (acting stripe first, then stealing), then batch-carve the
-  // remainder contiguously from the arena.  The amortisation is the whole
-  // point: one lock acquisition, one queueing charge, one log batch and two
-  // coalesced flush+fence passes stand in for K full allocations.  This
-  // path never runs with a nonempty quarantine (fast paths are disabled),
-  // so no per-chunk avoidance checks are needed.
+std::size_t Pool::refill_locked(Magazine& m, std::size_t cls) {
+  // One undo transaction carves up to K chunks: pop a prefix of the class
+  // free list, then batch-carve the remainder contiguously from the arena.
+  // The amortisation is the whole point: one lock acquisition, one queueing
+  // charge, one log batch and two coalesced flush+fence passes stand in for
+  // K full allocations.  This path never runs with a nonempty quarantine
+  // (fast paths are disabled), so no per-chunk avoidance checks are needed.
   const std::size_t k = static_cast<std::size_t>(mag_size_);
   const std::size_t csize = kClassSizes[cls];
   const auto ag = get<AllocGlobal>(Layout::kAllocOff);
 
-  std::vector<std::uint64_t> taken;  // popped off free lists
-  struct ListCut {
-    int stripe;
-    std::uint64_t new_head;
-  };
-  std::vector<ListCut> cuts;
-  for (std::size_t probe = 0; probe < kAllocStripes && taken.size() < k;
-       ++probe) {
-    const int s = static_cast<int>(
-        (static_cast<std::size_t>(stripe) + probe) % kAllocStripes);
-    // Cutting a list writes the stripe's head field; dead-media stripes
-    // keep their chunks linked in place (see alloc_locked).
-    if (dev_->media_failing(base_ + stripe_state_off(s),
-                            sizeof(StripeState))) {
-      continue;
+  std::vector<std::uint64_t> taken;  // popped off the class list
+  std::uint64_t new_head = 0;
+  // Cutting the list writes its head field; with the free-list block on
+  // dead media the chunks stay linked in place (see alloc_locked).
+  if (!free_lists_failing()) {
+    new_head = get<FreeLists>(Layout::kFreeListsOff).free_head[cls];
+    while (new_head != 0 && taken.size() < k) {
+      taken.push_back(new_head);
+      new_head = get<std::uint64_t>(new_head + kChunkHeader);
     }
-    std::uint64_t cur = get<StripeState>(stripe_state_off(s)).free_head[cls];
-    const std::size_t before = taken.size();
-    while (cur != 0 && taken.size() < k) {
-      taken.push_back(cur);
-      cur = get<std::uint64_t>(cur + kChunkHeader);
-    }
-    if (taken.size() != before) cuts.push_back({s, cur});
   }
   const std::uint64_t at = round_up(ag.arena_cursor, kChunkAlign);
   std::size_t carved = 0;
@@ -991,11 +924,11 @@ std::size_t Pool::refill_locked(Magazine& m, std::size_t cls, int stripe) {
 
   std::vector<Range> log;
   log.push_back({Layout::kAllocOff, sizeof(AllocGlobal)});
-  for (const auto& c : cuts) {
-    log.push_back({stripe_state_off(c.stripe), sizeof(StripeState)});
+  if (!taken.empty()) {
+    log.push_back({Layout::kFreeListsOff, sizeof(FreeLists)});
   }
   for (const auto c : taken) log.push_back({c, kChunkHeader});
-  aundo_log_batch(stripe, log);
+  aundo_log_batch(log);
 
   std::vector<Range> dirty;
   for (const auto c : taken) {
@@ -1007,11 +940,9 @@ std::size_t Pool::refill_locked(Magazine& m, std::size_t cls, int stripe) {
                    static_cast<std::uint32_t>(cls));
     dirty.push_back({at + i * csize, kChunkHeader});
   }
-  for (const auto& c : cuts) {
-    const std::uint64_t field = stripe_state_off(c.stripe) +
-                                offsetof(StripeState, free_head) + cls * 8;
-    write(field, &c.new_head, 8);
-    dirty.push_back({field, 8});
+  if (!taken.empty()) {
+    write(Layout::head_off(cls), &new_head, 8);
+    dirty.push_back({Layout::head_off(cls), 8});
   }
   AllocGlobal nag = ag;
   if (carved > 0) nag.arena_cursor = at + carved * csize;
@@ -1019,7 +950,7 @@ std::size_t Pool::refill_locked(Magazine& m, std::size_t cls, int stripe) {
   write(Layout::kAllocOff, &nag, sizeof(nag));
   dirty.push_back({Layout::kAllocOff, sizeof(nag)});
   persist_ranges(dirty);
-  aundo_commit(stripe);
+  aundo_commit();
 
   // Only after the durable commit do the chunks enter the DRAM magazine.
   for (const auto c : taken) m.chunks[cls].push_back(c);
@@ -1046,30 +977,28 @@ void Pool::flush_back(Magazine& m, std::size_t cls, std::size_t keep) {
   });
   stack.erase(stack.begin(), stack.begin() + static_cast<long>(n));
   if (out.empty()) return;
-  const int stripe = acting_stripe();
-  undo_tx("pool.flushback", stripe,
-          [&] { flush_back_locked(out, cls, stripe); });
+  undo_tx("pool.flushback", [&] { flush_back_locked(out, cls); });
   trace::count(trace::Counter::kAllocMagazineFlushbacks);
 }
 
 void Pool::flush_back_locked(const std::vector<std::uint64_t>& out,
-                             std::size_t cls, int stripe) {
+                             std::size_t cls) {
   // Mirror image of refill_locked: unflag a batch of magazine chunks and
-  // chain them onto the acting stripe's class list under one undo
-  // transaction.  Rolling back restores the flagged headers (the scribbled
-  // next words are dead payload bytes of magazine-owned chunks).
+  // chain them onto the class list under one undo transaction.  Rolling
+  // back restores the flagged headers (the scribbled next words are dead
+  // payload bytes of magazine-owned chunks).
   const std::size_t csize = kClassSizes[cls];
   const auto ag = get<AllocGlobal>(Layout::kAllocOff);
-  const auto ss = get<StripeState>(stripe_state_off(stripe));
+  const auto fl = get<FreeLists>(Layout::kFreeListsOff);
 
   std::vector<Range> log;
   log.push_back({Layout::kAllocOff, sizeof(AllocGlobal)});
-  log.push_back({stripe_state_off(stripe), sizeof(StripeState)});
+  log.push_back({Layout::kFreeListsOff, sizeof(FreeLists)});
   for (const auto c : out) log.push_back({c, kChunkHeader + 8});
-  aundo_log_batch(stripe, log);
+  aundo_log_batch(log);
 
   std::vector<Range> dirty;
-  std::uint64_t next = ss.free_head[cls];
+  std::uint64_t next = fl.free_head[cls];
   for (auto it = out.rbegin(); it != out.rend(); ++it) {
     const std::uint64_t c = *it;
     const ChunkHeader h =
@@ -1079,16 +1008,14 @@ void Pool::flush_back_locked(const std::vector<std::uint64_t>& out,
     dirty.push_back({c, kChunkHeader + 8});
     next = c;
   }
-  const std::uint64_t field =
-      stripe_state_off(stripe) + offsetof(StripeState, free_head) + cls * 8;
-  write(field, &next, 8);
-  dirty.push_back({field, 8});
+  write(Layout::head_off(cls), &next, 8);
+  dirty.push_back({Layout::head_off(cls), 8});
   const std::uint64_t in_use =
       ag.bytes_in_use - out.size() * (csize - kChunkHeader);
   write(Layout::kAllocOff + offsetof(AllocGlobal, bytes_in_use), &in_use, 8);
   dirty.push_back({Layout::kAllocOff + offsetof(AllocGlobal, bytes_in_use), 8});
   persist_ranges(dirty);
-  aundo_commit(stripe);
+  aundo_commit();
 }
 
 void Pool::drain_magazines() {
@@ -1105,7 +1032,12 @@ void Pool::sweep_magazines() {
   // I/O), collecting every chunk a crash left magazine-flagged; then push
   // each back to a free list as a flush-back batch of one under its own
   // undo transaction, so a re-crash mid-sweep just leaves the remainder
-  // flagged for the next open.
+  // flagged for the next open.  With the free-list block or the undo lane
+  // on dead media every push would fault, so all of them stay flagged.
+  if (free_lists_failing() ||
+      dev_->media_failing(base_ + Layout::kUndoOff, 8 + Layout::kUndoBytes)) {
+    return;
+  }
   const auto peek = [&](std::uint64_t off, void* dst, std::size_t len) {
     std::memcpy(dst, dev_->raw(base_ + off), len);
   };
@@ -1150,20 +1082,8 @@ void Pool::sweep_magazines() {
   }
 
   for (const auto& f : flagged) {
-    // Spread reclaimed chunks deterministically by offset, independent of
-    // the (not yet configured) active stripe count — the slow path steals
-    // from every stripe anyway.  Slide past dead-media stripes; with all
-    // of them dead the chunk stays flagged for a later open to sweep.
-    int stripe = static_cast<int>((f.at / kChunkAlign) % kAllocStripes);
-    int slid = 0;
-    while (slid < static_cast<int>(kAllocStripes) && stripe_failing(stripe)) {
-      stripe = (stripe + 1) % static_cast<int>(kAllocStripes);
-      ++slid;
-    }
-    if (slid == static_cast<int>(kAllocStripes)) continue;
     try {
-      undo_tx("pool.sweep", stripe,
-              [&] { flush_back_locked({f.at}, f.cls, stripe); });
+      undo_tx("pool.sweep", [&] { flush_back_locked({f.at}, f.cls); });
       trace::count(trace::Counter::kAllocMagazineSwept);
     } catch (...) {
       // Media died under the push: it was rolled back, and this chunk stays
@@ -1297,12 +1217,10 @@ CheckReport Pool::check() const {
 
   // --- allocator state ------------------------------------------------------
   AllocGlobal as{};
-  std::array<StripeState, kAllocStripes> stripes{};
+  FreeLists fl{};
   try {
     as = get<AllocGlobal>(Layout::kAllocOff);
-    for (std::size_t s = 0; s < kAllocStripes; ++s) {
-      stripes[s] = get<StripeState>(stripe_state_off(static_cast<int>(s)));
-    }
+    fl = get<FreeLists>(Layout::kFreeListsOff);
   } catch (const pmem::DeviceError& e) {
     issue(std::string("alloc state: ") + e.what());
     return rep;
@@ -1478,12 +1396,9 @@ CheckReport Pool::check() const {
       cur = get<std::uint64_t>(cur + kChunkHeader);
     }
   };
-  for (std::size_t s = 0; s < kAllocStripes; ++s) {
-    for (std::size_t c = 0; c < kClassSizes.size(); ++c) {
-      walk_free(stripes[s].free_head[c], static_cast<std::uint32_t>(c),
-                "stripe " + std::to_string(s) + " free list[" +
-                    std::to_string(kClassSizes[c]) + "]");
-    }
+  for (std::size_t c = 0; c < kClassSizes.size(); ++c) {
+    walk_free(fl.free_head[c], static_cast<std::uint32_t>(c),
+              "free list[" + std::to_string(kClassSizes[c]) + "]");
   }
   walk_free(as.large_free_head, kLargeClass, "large free list");
 
@@ -1496,7 +1411,7 @@ CheckReport Pool::check() const {
     // is the expected scar of the media failure, not a structural bug.
     bool alloc_state_dead = false;
     for (const auto& q : quar) {
-      if (q.first < Layout::kStripeBase + kAllocStripes * Layout::kStripeStride &&
+      if (q.first < Layout::kFreeListsOff + sizeof(FreeLists) &&
           Layout::kAllocOff < q.first + q.second) {
         alloc_state_dead = true;
         break;
@@ -1506,18 +1421,14 @@ CheckReport Pool::check() const {
     // tore mid-mutation and even the live rollback could not finish (the
     // media under one of its pre-image targets died).  Until the lane
     // replays, the stored counter legitimately disagrees with the heap by
-    // the torn tx's delta — the same reason the undo-log section below
-    // accepts non-empty-but-well-formed lanes.
-    bool lanes_pending = false;
-    for (std::size_t s = 0; s < kAllocStripes && !lanes_pending; ++s) {
-      try {
-        lanes_pending =
-            get<std::uint64_t>(stripe_undo_off(static_cast<int>(s))) != 0;
-      } catch (const pmem::DeviceError&) {
-        lanes_pending = true;  // unreadable lane: assume pending
-      }
+    // the torn tx's delta — the same reason the undo-lane section below
+    // accepts a non-empty-but-well-formed lane.
+    bool lane_pending = true;  // unreadable lane: assume pending
+    try {
+      lane_pending = get<std::uint64_t>(Layout::kUndoOff) != 0;
+    } catch (const pmem::DeviceError&) {
     }
-    if (!alloc_state_dead && !lanes_pending &&
+    if (!alloc_state_dead && !lane_pending &&
         rep.bytes_in_use != as.bytes_in_use) {
       issue("bytes_in_use mismatch: stored " +
             std::to_string(as.bytes_in_use) + ", recomputed " +
@@ -1525,43 +1436,37 @@ CheckReport Pool::check() const {
     }
   }
 
-  // --- undo lanes -----------------------------------------------------------
-  // Structural validity only: on a recovered pool every lane is empty; a
+  // --- undo lane ------------------------------------------------------------
+  // Structural validity only: on a recovered pool the lane is empty; a
   // non-empty but well-formed lane is merely pending recovery.
-  auto check_lane = [&](int stripe) {
-    const std::string name = "allocator undo lane " + std::to_string(stripe);
-    const std::uint64_t header_off = stripe_undo_off(stripe);
-    std::uint64_t used = 0;
-    try {
-      used = get<std::uint64_t>(header_off);
-    } catch (const pmem::DeviceError& e) {
-      issue(name + ": " + e.what());
-      return;
+  const std::string lane = "allocator undo lane";
+  std::uint64_t used = 0;
+  try {
+    used = get<std::uint64_t>(Layout::kUndoOff);
+  } catch (const pmem::DeviceError& e) {
+    issue(lane + ": " + e.what());
+    return rep;
+  }
+  if (used > Layout::kUndoBytes) {
+    issue(lane + ": used " + std::to_string(used) + " exceeds capacity " +
+          std::to_string(Layout::kUndoBytes));
+    return rep;
+  }
+  std::uint64_t pos = Layout::kUndoOff + 8;
+  const std::uint64_t end = pos + used;
+  while (pos < end) {
+    const auto eh = get<LogEntryHeader>(pos);
+    if (eh.len > size_ || eh.off > size_ - eh.len) {
+      issue(lane + ": entry at " + std::to_string(pos) +
+            " targets a range beyond the pool");
+      return rep;
     }
-    if (used > Layout::kStripeUndoBytes) {
-      issue(name + ": used " + std::to_string(used) + " exceeds capacity " +
-            std::to_string(Layout::kStripeUndoBytes));
-      return;
+    const std::uint64_t adv = sizeof(LogEntryHeader) + round_up(eh.len, 8);
+    if (pos + adv > end) {
+      issue(lane + ": truncated entry at " + std::to_string(pos));
+      return rep;
     }
-    std::uint64_t pos = header_off + 8;
-    const std::uint64_t end = pos + used;
-    while (pos < end) {
-      const auto eh = get<LogEntryHeader>(pos);
-      if (eh.len > size_ || eh.off > size_ - eh.len) {
-        issue(name + ": entry at " + std::to_string(pos) +
-              " targets a range beyond the pool");
-        return;
-      }
-      const std::uint64_t adv = sizeof(LogEntryHeader) + round_up(eh.len, 8);
-      if (pos + adv > end) {
-        issue(name + ": truncated entry at " + std::to_string(pos));
-        return;
-      }
-      pos += adv;
-    }
-  };
-  for (std::size_t s = 0; s < kAllocStripes; ++s) {
-    check_lane(static_cast<int>(s));
+    pos += adv;
   }
   return rep;
 }
@@ -1574,12 +1479,8 @@ void Pool::recover() {
   trace::Span span("pool.recover");
   trace::count(trace::Counter::kRecoveries);
   // An interrupted alloc/free/refill is rolled back before anything else
-  // trusts the heap metadata.  The global allocator mutex admits one
-  // uncommitted batch at a time, so at most one lane has anything to do and
-  // cross-lane order is irrelevant.
-  for (std::size_t s = 0; s < kAllocStripes; ++s) {
-    rollback_log(static_cast<int>(s));
-  }
+  // trusts the heap metadata.
+  rollback_log();
 }
 
 }  // namespace pmemcpy::obj

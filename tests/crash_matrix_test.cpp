@@ -493,10 +493,7 @@ Marks run_mag_workload(pmemcpy::obj::Pool& pool, pmemcpy::pmem::Device& dev,
   return marks;
 }
 
-void arm_magazines(pmemcpy::obj::Pool& pool) {
-  pool.set_magazine_size(4);
-  pool.set_alloc_stripes(8);
-}
+void arm_magazines(pmemcpy::obj::Pool& pool) { pool.set_magazine_size(4); }
 
 PoolPlan mag_counting_run() {
   PoolPlan plan;

@@ -44,16 +44,14 @@ using pmemcpy::pmem::FaultPlan;
 
 enum class Kind { kTable, kTree };
 
-/// One fuzzed configuration: engine shape × allocator hot-path knobs.  The
-/// magazine/stripe pair rides through PoolEngineOptions (-1 = the engine
-/// default of magazines-of-8 over 8 stripes), so the same op sequences run
-/// against the lock-free magazine path, the classic fully-locked path, and
-/// an oversized refill batch — the equivalence and crash invariants must
-/// hold identically in every cell.
+/// One fuzzed configuration: engine shape × allocator magazine size.  The
+/// magazine size rides through PoolEngineOptions (-1 = the engine default
+/// of 8), so the same op sequences run against the lock-free magazine path,
+/// the classic fully-locked path, and an oversized refill batch — the
+/// equivalence and crash invariants must hold identically in every cell.
 struct Config {
   Kind kind;
-  int magazine_size;   ///< -1 = engine default, 0 = classic locked path
-  int alloc_stripes;   ///< -1 = engine default
+  int magazine_size;  ///< -1 = engine default, 0 = classic locked path
   const char* name;
 };
 
@@ -65,17 +63,16 @@ std::unique_ptr<Engine> open_engine(PmemNode& node, const Config& cfg) {
   o.name = "fuzz";
   o.nbuckets = 64;  // small bucket space: chained-slot paths get exercised
   o.magazine_size = cfg.magazine_size;
-  o.alloc_stripes = cfg.alloc_stripes;
   return pmemcpy::engine::open_pool_engine(node, o, nullptr);
 }
 
 constexpr Config kConfigs[] = {
-    {Kind::kTable, -1, -1, "Table"},
-    {Kind::kTree, -1, -1, "Tree"},
-    // Allocator hot-path matrix: classic (no magazines, one metadata lane)
-    // vs an oversized refill batch spread across fewer stripes.
-    {Kind::kTable, 0, 1, "TableClassic"},
-    {Kind::kTable, 16, 4, "TableMag16"},
+    {Kind::kTable, -1, "Table"},
+    {Kind::kTree, -1, "Tree"},
+    // Allocator hot-path matrix: classic (no magazines) vs an oversized
+    // refill batch.
+    {Kind::kTable, 0, "TableClassic"},
+    {Kind::kTable, 16, "TableMag16"},
 };
 
 /// Deterministic splitmix64 stream; the only randomness source here, so a

@@ -278,7 +278,7 @@ TEST_F(HashTableTest, ConcurrentSameKeyReplaceStaysConsistent) {
 }
 
 /// With the persist checker attached, publishers racing on one pool trip two
-/// cross-thread artifacts on shared metadata lines (allocator undo lanes,
+/// cross-thread artifacts on shared metadata lines (allocator undo lane,
 /// the table header): a scope commit finds a line another thread has
 /// flushed but not yet fenced (dirty-at-commit), and a flush finds a line
 /// another thread's flush already cleaned (clean-flush).  The HashTableTest

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <numeric>
+#include <thread>
+#include <vector>
 
 namespace {
 
@@ -172,6 +175,33 @@ TEST(DeviceTest, StatsCountBytes) {
   dev.read(0, buf.data(), 500);
   EXPECT_EQ(dev.bytes_written(), 1000u);
   EXPECT_EQ(dev.bytes_read(), 500u);
+}
+
+TEST(DeviceTest, StatsCountBytesFromConcurrentThreads) {
+  // The byte counters are bumped without the device lock: concurrent
+  // stores, loads, fills and DAX charges must still sum exactly.
+  constexpr std::uint64_t kThreads = 4;
+  constexpr std::uint64_t kIters = 2000;
+  Device dev(1 << 20);
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&dev, t] {
+      Context c;
+      ScopedContext sc(c);
+      std::array<std::byte, 64> buf{};
+      const std::size_t off = t * 4096;
+      for (std::uint64_t i = 0; i < kIters; ++i) {
+        dev.write(off, buf.data(), 64);
+        dev.read(off, buf.data(), 32);
+        dev.fill(off, 16, std::byte{1});
+        dev.charge_dax_write(off, 8, false);
+        dev.charge_dax_read(4, false);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(dev.bytes_written(), kThreads * kIters * (64 + 16 + 8));
+  EXPECT_EQ(dev.bytes_read(), kThreads * kIters * (32 + 4));
 }
 
 TEST(DeviceCrashTest, PersistedDataSurvives) {

@@ -1,11 +1,20 @@
 // Tests for the libpmemobj-lite pool: allocator, recovery, integrity.
+#include <pmemcpy/crc32c.hpp>
 #include <pmemcpy/obj/pool.hpp>
 
 #include <gtest/gtest.h>
+#include <sys/types.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <csignal>
+#include <cstdlib>
+#include <cstring>
 #include <map>
 #include <random>
+#include <string>
 #include <thread>
 
 namespace {
@@ -30,6 +39,24 @@ TEST(PoolTest, CreateOpenRoundtrip) {
 TEST(PoolTest, OpenUnformattedThrows) {
   Device dev(kPool);
   dev.fill(0, 4096, std::byte{0});
+  EXPECT_THROW(Pool::open(dev, 0), PoolError);
+}
+
+TEST(PoolTest, OpenRejectsAnOlderLayoutVersion) {
+  Device dev(kPool);
+  { Pool p = Pool::create(dev, 0, kPool); }
+  // The pool header sits at offset 64: magic, u32 version at +8, and a
+  // CRC32C over its first 32 bytes at +32.  Rewrite the version as 3 (the
+  // 16-lane layout) with a valid checksum, so only the version check can
+  // refuse the image.
+  constexpr std::size_t kHeader = 64;
+  std::uint32_t crc = 0;
+  std::memcpy(&crc, dev.raw(kHeader + 32), sizeof(crc));
+  ASSERT_EQ(crc, pmemcpy::crc32c(dev.raw(kHeader), 32));
+  const std::uint32_t old_version = 3;
+  dev.write(kHeader + 8, &old_version, sizeof(old_version));
+  crc = pmemcpy::crc32c(dev.raw(kHeader), 32);
+  dev.write(kHeader + 32, &crc, sizeof(crc));
   EXPECT_THROW(Pool::open(dev, 0), PoolError);
 }
 
@@ -248,6 +275,65 @@ TEST(PoolCheckTest, DetectsFreeListCorruption) {
   EXPECT_FALSE(rep.ok());
 }
 
+TEST(PoolTest, FreeListCycleThrowsInsteadOfHanging) {
+  Device dev(kPool);
+  Pool p = Pool::create(dev, 0, kPool);
+  const auto a = p.alloc(200000);
+  p.free(a);
+  // A one-node cycle on the large free list: the chunk's next word points
+  // back at the chunk.  An allocation it cannot serve walks the list.
+  p.set<std::uint64_t>(a, a - 16);
+  // The walk runs in a child process, so a hang becomes a failure at the
+  // deadline below instead of a hung test.
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    try {
+      (void)p.alloc(300000);
+    } catch (const PoolError&) {
+      std::_Exit(0);
+    } catch (...) {
+      std::_Exit(2);
+    }
+    std::_Exit(1);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  int status = 0;
+  pid_t done = 0;
+  while ((done = waitpid(pid, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (done == 0) {
+    kill(pid, SIGKILL);
+    waitpid(pid, &status, 0);
+    FAIL() << "alloc hung on a free-list cycle";
+  }
+  ASSERT_EQ(done, pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "alloc did not throw PoolError";
+  EXPECT_FALSE(p.check().ok());
+}
+
+TEST(PoolTest, LockedAllocReadsOneFreeListBlock) {
+  // The first alloc(64) with magazines on runs one refill, and a classic
+  // alloc(64) runs one locked allocation.  Each reads the global allocator
+  // state, the 88-byte free-list block, the undo lane's used word and the
+  // state's pre-image: 160 bytes.  A second free-list block would make it
+  // 248.
+  constexpr std::uint64_t kSecondBlock = 160 + 88;
+  for (const int k : {8, 0}) {
+    SCOPED_TRACE("magazine size " + std::to_string(k));
+    Device dev(kPool);
+    Pool p = Pool::create(dev, 0, kPool);
+    p.set_magazine_size(k);
+    const std::uint64_t before = dev.bytes_read();
+    (void)p.alloc(64);
+    EXPECT_LT(dev.bytes_read() - before, kSecondBlock);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Per-rank magazines (DESIGN.md §14)
 // ---------------------------------------------------------------------------
@@ -256,7 +342,6 @@ TEST(PoolMagazineTest, AllocFreeRoundtripStaysConsistent) {
   Device dev(kPool);
   Pool p = Pool::create(dev, 0, kPool);
   p.set_magazine_size(8);
-  p.set_alloc_stripes(8);
   std::vector<std::uint64_t> offs;
   for (int i = 0; i < 16; ++i) {
     const auto off = p.alloc(64);
@@ -367,13 +452,12 @@ TEST(PoolMagazineTest, CrashWithArmedMagazinesRecovers) {
   EXPECT_EQ(p.get<std::uint64_t>(off), 7u);
 }
 
-TEST(PoolMagazineTest, StripeCountIsAReopenTimeChoice) {
+TEST(PoolMagazineTest, MagazineSizeIsAReopenTimeChoice) {
   Device dev(kPool);
   std::vector<std::uint64_t> offs;
   {
     Pool p = Pool::create(dev, 0, kPool);
     p.set_magazine_size(8);
-    p.set_alloc_stripes(8);
     for (int i = 0; i < 10; ++i) {
       const auto off = p.alloc(128);
       p.set<std::uint64_t>(off, 0x5100u + static_cast<std::uint64_t>(i));
@@ -381,10 +465,9 @@ TEST(PoolMagazineTest, StripeCountIsAReopenTimeChoice) {
     }
     p.drain_magazines();
   }
-  // The stripe count is a DRAM-side routing decision: the same media must
-  // open cleanly under any other setting, with all data intact.
+  // The magazine size is DRAM-side state: the same media must open cleanly
+  // under any other setting, with all data intact.
   Pool p = Pool::open(dev, 0);
-  p.set_alloc_stripes(2);
   p.set_magazine_size(4);
   for (int i = 0; i < 10; ++i) {
     ASSERT_EQ(p.get<std::uint64_t>(offs[static_cast<std::size_t>(i)]),
