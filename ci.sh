@@ -42,9 +42,10 @@ run_config() {
   echo "==== [${name}] test ===="
   # CTEST_ENV: extra KEY=VAL pairs exported into the test processes.  The
   # full suite is the tier1 label (every test carries it; crash/fault/
-  # property sub-labels select subsets, see tests/CMakeLists.txt).
+  # property sub-labels select subsets, see tests/CMakeLists.txt).  A test
+  # still running after 600 s has hung: it fails instead of stalling CI.
   env ${CTEST_ENV:-} ctest --test-dir "${dir}" --output-on-failure \
-    -j"$(nproc)" -L tier1
+    --timeout 600 -j"$(nproc)" -L tier1
   echo "==== [${name}] audit ===="
   run_audit "${dir}"
   if [[ "${name}" == "release" ]]; then
@@ -93,8 +94,8 @@ run_fault_config() {
   # scrub_corpus_test with "fault"), so new fault suites join the sweep by
   # adding the label instead of editing this regex.
   env PMEMCPY_PERSIST_CHECK=1 PMEMCPY_TRACE=1 \
-    ctest --test-dir "${dir}" --output-on-failure -j"$(nproc)" \
-    -L fault
+    ctest --test-dir "${dir}" --output-on-failure --timeout 600 \
+    -j"$(nproc)" -L fault
   echo "==== [fault] env-armed smoke ===="
   env PMEMCPY_FAULT_RATE=0.001 PMEMCPY_FAULT_SEED=7 \
     "${dir}/examples/quickstart" >/dev/null

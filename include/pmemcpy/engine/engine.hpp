@@ -19,11 +19,12 @@
 //     trip.  Callers that *want* staging (the ADIOS-style ablation) stage
 //     above the contract with a BufferSink and copy in.
 //   * Zero-copy read contract (DESIGN.md §13): find() hands back an Entry
-//     whose stored_span() is a direct const view of the stored blob —
-//     hashtable value bytes in the pool, or the tree file's mapped extent —
-//     so CRC verification and deserialization run in place without bouncing
-//     the payload through DRAM.  A fragmented tree file is the one charged
-//     fallback (copy.read_bounce_bytes); everything else reads exactly once.
+//     whose stored_span(), its only read, is a direct const view of the
+//     stored blob — hashtable value bytes in the pool, or the tree file's
+//     mapped extent — so CRC verification and deserialization run in place
+//     without bouncing the payload through DRAM.  A fragmented tree file
+//     is the one charged fallback (copy.read_bounce_bytes); everything else
+//     reads exactly once.
 //   * Durability ordering: an entry's bytes (blob + metadata) are flushed
 //     and fenced *before* the store that makes them reachable, so a crash at
 //     any point exposes only complete entries (the PR-2 persistency checker
@@ -96,9 +97,6 @@ class Engine {
    public:
     virtual ~Entry() = default;
     [[nodiscard]] virtual EntryInfo info() const = 0;
-    /// Charged copy of blob bytes [off, off+len); throws SerialError when
-    /// out of range.
-    virtual void read(std::uint64_t off, void* dst, std::size_t len) = 0;
     /// Zero-copy read contract (DESIGN.md §13): a direct const span over
     /// the whole stored blob, exactly info().size bytes, valid while this
     /// handle lives.  CRC verification and deserialization consume it in

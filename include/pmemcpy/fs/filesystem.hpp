@@ -76,10 +76,6 @@ class Mapping {
   /// reachable/visible (must be flushed + fenced by now).  No-op without an
   /// attached checker.
   void check_publish(std::uint64_t off, std::size_t len);
-  /// Zero-copy span when [off, off+len) is physically contiguous; throws
-  /// FsError otherwise (callers fall back to store()/load()).  Uncharged —
-  /// account access through charge_load()/store().
-  [[nodiscard]] std::span<std::byte> span(std::uint64_t off, std::size_t len);
   /// Charged, crash-tracked writable span over [off, off+len) when the
   /// range is physically contiguous; throws FsError otherwise (callers
   /// fall back to streaming store()s).  The write is announced
@@ -178,7 +174,6 @@ class FileSystem {
   // --- stats ------------------------------------------------------------------
 
   [[nodiscard]] std::uint64_t free_blocks() const;
-  [[nodiscard]] std::uint64_t total_blocks() const;
 
  private:
   friend class Mapping;
@@ -202,6 +197,12 @@ class FileSystem {
   /// Gather the (file_off, dev_off, len) runs of a file's first @p size bytes.
   [[nodiscard]] std::vector<Mapping::Run> gather_runs(Ino ino,
                                                       std::uint64_t size) const;
+  /// Visit the indirect extent blocks chained from block @p blk in order:
+  /// fn(block index, block) returns false to stop.  An intact chain holds
+  /// each block once, so a walk past total_blocks_ is a cycle on damaged
+  /// media and throws FsError instead of never ending.
+  template <typename Fn>
+  void walk_indirect(std::uint64_t blk, Fn&& fn) const;
   /// Append an extent to an inode's extent list (inline or indirect chain).
   void append_extent(Inode& inode, Ino ino, std::uint64_t start,
                      std::uint64_t n);

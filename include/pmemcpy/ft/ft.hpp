@@ -31,7 +31,6 @@ enum class ErrorCode : int {
   kQuarantineFull,  ///< the persistent bad-range table has no free slot
   kDegraded,        ///< pool is in degraded read-only mode; writes refused
   kDamagedKey,      ///< this entry's bytes are unrecoverable (typed, not garbage)
-  kUnsupported,     ///< the engine/layout has no media-management support
 };
 
 [[nodiscard]] const char* error_code_name(ErrorCode c) noexcept;
@@ -66,19 +65,12 @@ class [[nodiscard]] Status {
 struct RetryPolicy {
   /// Attempts per operation including the first (1 = no retry).
   int max_attempts = 6;
-  /// Simulated seconds charged before the first retry.
-  double backoff_base = 250e-9;
-  /// Multiplier per subsequent retry (exponential backoff).
-  double backoff_factor = 2.0;
-  /// Per-op budget of simulated backoff seconds; once the accumulated
-  /// backoff would exceed it the op fails even with attempts left.
-  /// 0 disables the deadline.
-  double deadline = 0.0;
 
-  /// Backoff charged before retry @p n (1-based).
-  [[nodiscard]] double backoff_for(int n) const noexcept {
-    double d = backoff_base;
-    for (int i = 1; i < n; ++i) d *= backoff_factor;
+  /// Backoff charged before retry @p n (1-based): 250 ns, doubling per
+  /// retry.
+  [[nodiscard]] static double backoff_for(int n) noexcept {
+    double d = 250e-9;
+    for (int i = 1; i < n; ++i) d *= 2.0;
     return d;
   }
 };
@@ -111,7 +103,6 @@ inline const char* error_code_name(ErrorCode c) noexcept {
     case ErrorCode::kQuarantineFull: return "quarantine table full";
     case ErrorCode::kDegraded: return "pool degraded (read-only)";
     case ErrorCode::kDamagedKey: return "entry damaged beyond repair";
-    case ErrorCode::kUnsupported: return "unsupported by this engine";
   }
   return "unknown";
 }

@@ -149,11 +149,6 @@ class HashTable {
   /// Remove @p key; returns false if absent.
   bool erase(std::string_view key);
 
-  /// Charged copy of a value into @p dst (val_size bytes).
-  void read_value(const ValueRef& ref, void* dst) const;
-  /// Zero-copy pointer to the value, charging a bulk DAX read of its size.
-  [[nodiscard]] const std::byte* value_direct(const ValueRef& ref) const;
-
   /// Entry count and bucket count, from the DRAM header mirror (no PMEM
   /// read).
   [[nodiscard]] std::size_t count() const;

@@ -3,8 +3,8 @@
 // The paper runs 8-48 MPI ranks on a single node.  This sandbox has no MPI,
 // so we provide an in-process runtime with the same semantics: Runtime::run
 // spawns one thread per rank, each with its own simulated clock, and Comm
-// offers the collectives the I/O libraries need (barrier, bcast, gather(v),
-// allgather(v), alltoall(v), reductions, exscan, send/recv).
+// offers the collectives the I/O libraries need (barrier, bcast, allgather,
+// gatherv, alltoallv, reductions, exscan, send/recv).
 //
 // Data really moves between ranks (shared-memory memcpy, like an intra-node
 // MPI BTL) and each movement charges the network cost model.  Collectives
@@ -43,32 +43,15 @@ class Comm {
   void bcast(void* data, std::size_t bytes, int root);
 
   /// Every rank contributes @p bytes; every rank receives all contributions
-  /// concatenated in rank order into @p recv (size*bytes long).
+  /// concatenated in rank order into @p recv (size*bytes long).  Throws
+  /// std::invalid_argument on every rank when the ranks' byte counts differ.
   void allgather(const void* send, std::size_t bytes, void* recv);
-
-  /// Variable-size allgather. @p counts/@p displs are indexed by rank.
-  void allgatherv(const void* send, std::size_t bytes, void* recv,
-                  std::span<const std::size_t> counts,
-                  std::span<const std::size_t> displs);
 
   /// Variable-size gather to @p root only (@p recv/@p counts/@p displs are
   /// ignored on other ranks).
   void gatherv(const void* send, std::size_t bytes, void* recv,
                std::span<const std::size_t> counts,
                std::span<const std::size_t> displs, int root);
-
-  /// Variable-size scatter from @p root: rank i receives counts[i] bytes
-  /// from @p send + displs[i] into @p recv (@p bytes = counts[rank]).
-  void scatterv(const void* send, std::span<const std::size_t> counts,
-                std::span<const std::size_t> displs, void* recv,
-                std::size_t bytes, int root);
-
-  /// Split into sub-communicators by @p color (ranks ordered by (key,
-  /// rank), as MPI_Comm_split).  Negative color returns an invalid Comm
-  /// (the rank opts out).  Collective over the parent.
-  [[nodiscard]] Comm split(int color, int key);
-  /// False for the Comm returned to color<0 ranks.
-  [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
 
   /// Personalised all-to-all exchange; the shuffle primitive the contiguous
   /// -layout baselines (NetCDF/pNetCDF) are built on.
@@ -99,10 +82,6 @@ class Comm {
   [[nodiscard]] T allreduce_max(T v) {
     return allreduce(v, [](T a, T b) { return a < b ? b : a; });
   }
-  template <typename T>
-  [[nodiscard]] T allreduce_min(T v) {
-    return allreduce(v, [](T a, T b) { return b < a ? b : a; });
-  }
 
  private:
   friend class Runtime;
@@ -121,8 +100,6 @@ class Comm {
   detail::State* state_;
   int rank_;
   int size_;
-  /// Per-handle split sequence so repeated splits rendezvous correctly.
-  std::uint64_t split_seq_ = 0;
 };
 
 /// Collective health agreement: every rank contributes its local state and

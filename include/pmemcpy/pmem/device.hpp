@@ -137,9 +137,6 @@ class Device {
   Device& operator=(const Device&) = delete;
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] bool crash_shadow_enabled() const noexcept {
-    return crash_shadow_;
-  }
 
   // --- charged, bounds-checked transfer path -------------------------------
 
@@ -234,14 +231,12 @@ class Device {
   /// Retry/backoff schedule for transient faults (also armed from the
   /// PMEMCPY_FAULT_RETRIES env).  Backoff is charged to the simulated clock.
   void set_retry_policy(const ft::RetryPolicy& policy) noexcept;
-  [[nodiscard]] ft::RetryPolicy retry_policy() const noexcept;
 
   /// Mark the cachelines covering [off, off+len) as sticky-bad media:
   /// stores and persists touching them throw DeviceError{kMediaWrite};
   /// reads still succeed (the data is recoverable, so callers can
   /// quarantine + relocate).  Survives revive(), like real media damage.
   void inject_sticky_range(std::size_t off, std::size_t len);
-  void clear_sticky_ranges();
   [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>>
   sticky_ranges() const;
   /// True when [off, off+len) intersects a sticky-bad range (no throw).

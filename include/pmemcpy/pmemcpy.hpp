@@ -238,35 +238,20 @@ class PMEM {
   void store(const std::string& id, const T& data) {
     trace::Span span("core.put");
     // Reserve-then-serialize (DESIGN.md §12): a SizingSink pass measures
-    // the archive, the engine reserves an exactly-sized PMEM span, and the
-    // second serializer pass lands the bytes straight in it — the payload
-    // never visits a DRAM staging buffer.
+    // the archive and put_blob() serializes straight into the exactly-sized
+    // reservation — the payload never visits a DRAM staging buffer.
     const std::size_t payload = serial::binary_serialized_size(data);
     const auto ser = cfg_.serializer;
-    const std::size_t hdr = detail::blob_header_size(ser, 0);
     const auto dtype = serial::dtype_of_v<T>;
     with_healing(id, [&] {
-      auto put = start_put(
-          id, hdr + payload,
-          detail::pack_meta(detail::EntryKind::kScalar, dtype, ser));
-      const auto emit = [&](serial::Sink& sink) {
-        trace::Span serialize_span("core.serialize");
-        detail::write_blob_header(sink, ser, dtype, payload, {}, {});
-        serial::BinaryWriter w(sink);
-        w(data);
-      };
-      std::uint32_t crc = 0;
-      if (cfg_.force_dram_staging) {
-        serial::BufferSink staged(hdr + payload);
-        emit(staged);
-        crc = crc32c(staged.bytes().data(), staged.bytes().size());
-        put->sink().write(staged.bytes().data(), staged.bytes().size());
-      } else {
-        serial::ChecksumSink cs(put->sink());
-        emit(cs);
-        crc = cs.crc();
-      }
-      put->commit(crc);
+      put_blob(id, detail::blob_header_size(ser, 0) + payload,
+               detail::pack_meta(detail::EntryKind::kScalar, dtype, ser),
+               cfg_.force_dram_staging, [&](serial::Sink& sink) {
+                 trace::Span serialize_span("core.serialize");
+                 detail::write_blob_header(sink, ser, dtype, payload, {}, {});
+                 serial::BinaryWriter w(sink);
+                 w(data);
+               });
     });
   }
 
@@ -274,35 +259,10 @@ class PMEM {
   void load(const std::string& id, T& data) {
     trace::Span span("core.get");
     throw_if_damaged(id);
-    if (cfg_.force_dram_staging) {
-      // Ablation: bounce the blob through DRAM before decoding, the way an
-      // ADIOS-style reader materializes its buffer (bypasses the cache so
-      // the staging pass is what gets measured).
-      auto entry = engine_ref().find(id);
-      if (!entry) throw KeyError(id);
-      const auto info = entry->info();
-      const std::size_t hdr = check_scalar_meta<T>(id, info.meta);
-      std::vector<std::byte> staged(info.size);
-      entry->read(0, staged.data(), staged.size());
-      verify_blob(id, staged.data(), staged.size(), info.meta);
-      serial::BufferSource src(
-          {staged.data() + hdr, staged.size() - hdr});
-      serial::BinaryReader r(src);
-      r(data);
-      return;
-    }
-    // Zero-copy read path (DESIGN.md §13): the blob is CRC-verified and
-    // deserialized in place — from the read cache when it holds the key,
-    // else straight out of the engine's stored span.
-    auto fetched = fetch_blob(id);
+    const auto fetched = fetch_blob(id, cfg_.force_dram_staging);
     if (!fetched) throw KeyError(id);
-    const std::size_t hdr = check_scalar_meta<T>(id, fetched->meta);
-    const auto payload = fetched->blob.subspan(hdr);
-    serial::SpanSource pmem_src(payload);
-    serial::CacheSource dram_src(payload);
-    serial::BinaryReader r(fetched->from_cache
-                               ? static_cast<serial::Source&>(dram_src)
-                               : pmem_src);
+    BlobSource src(*fetched, check_scalar_meta<T>(id, fetched->meta));
+    serial::BinaryReader r(src);
     r(data);
   }
 
@@ -361,65 +321,44 @@ class PMEM {
         put_dims(id, dtype, global);
       }
 
-      const std::size_t hdr =
-          detail::blob_header_size(ser, static_cast<std::uint32_t>(nd));
-
-      if (cfg_.filter != serial::FilterId::kNone) {
-        // Filtered path: encode in DRAM (the size must be known to reserve
-        // the blob), then blob = header | u64 encoded size | encoded bytes.
-        const auto enc = serial::filter_encode(
-            cfg_.filter,
-            {reinterpret_cast<const std::byte*>(data), payload});
-        // The encode pass materializes the compressed payload in DRAM; the
-        // copy audit must see it as a staging pass (DESIGN.md §12).
+      // A filtered piece is encoded in DRAM first (the size must be known
+      // to reserve the blob): blob = header | u64 encoded size | encoded
+      // bytes.  The encode pass materializes the payload in DRAM, so the
+      // copy audit counts it as the piece's staging pass (DESIGN.md §12).
+      const bool filtered = cfg_.filter != serial::FilterId::kNone;
+      std::vector<std::byte> enc;
+      if (filtered) {
+        enc = serial::filter_encode(
+            cfg_.filter, {reinterpret_cast<const std::byte*>(data), payload});
         trace::count(trace::Counter::kCopyStagedPuts);
         trace::count(trace::Counter::kCopyStagedBytes, enc.size());
-        auto put = start_put(
-            detail::piece_key(id, box), hdr + 8 + enc.size(),
-            detail::pack_meta(detail::EntryKind::kPiece, dtype, ser,
-                              cfg_.filter));
-        serial::ChecksumSink cs(put->sink());
-        {
-          trace::Span serialize_span("core.serialize");
-          detail::write_blob_header(cs, ser, dtype, payload, global, box);
-          const std::uint64_t enc_size = enc.size();
-          cs.write(&enc_size, sizeof(enc_size));
-          cs.write(enc.data(), enc.size());
-        }
-        put->commit(cs.crc());
-        group.commit();
-        invalidate_piece_cache(id);
-        return;
       }
-
-      auto put = start_put(
-          detail::piece_key(id, box), hdr + payload,
-          detail::pack_meta(detail::EntryKind::kPiece, dtype, ser));
-      const auto emit = [&](serial::Sink& sink) {
-        trace::Span serialize_span("core.serialize");
-        detail::write_blob_header(sink, ser, dtype, payload, global, box);
-        sink.write(data, payload);
-      };
-      std::uint32_t crc = 0;
-      if (cfg_.force_dram_staging) {
-        serial::BufferSink staged(hdr + payload);
-        emit(staged);
-        crc = crc32c(staged.bytes().data(), staged.bytes().size());
-        put->sink().write(staged.bytes().data(), staged.bytes().size());
-      } else {
-        serial::ChecksumSink cs(put->sink());
-        emit(cs);
-        crc = cs.crc();
-      }
-      put->commit(crc);
+      const std::uint64_t enc_size = enc.size();
+      put_blob(detail::piece_key(id, box),
+               detail::blob_header_size(ser, static_cast<std::uint32_t>(nd)) +
+                   (filtered ? sizeof(enc_size) + enc.size() : payload),
+               detail::pack_meta(detail::EntryKind::kPiece, dtype, ser,
+                                 cfg_.filter),
+               !filtered && cfg_.force_dram_staging, [&](serial::Sink& sink) {
+                 trace::Span serialize_span("core.serialize");
+                 detail::write_blob_header(sink, ser, dtype, payload, global,
+                                           box);
+                 if (filtered) {
+                   sink.write(&enc_size, sizeof(enc_size));
+                   sink.write(enc.data(), enc.size());
+                 } else {
+                   sink.write(data, payload);
+                 }
+               });
       group.commit();
       invalidate_piece_cache(id);
     });
   }
 
-  /// Load a subarray.  The fast path hits the piece written with identical
-  /// offsets/counts (the symmetric-read pattern); otherwise all overlapping
-  /// pieces are intersected.
+  /// Load a subarray.  The symmetric read hits the piece written with
+  /// identical offsets/counts; otherwise all overlapping pieces are
+  /// intersected.  Either way each piece is one fetch_blob() and one
+  /// decode_piece().
   template <typename T>
   void load(const std::string& id, T* data, int ndims,
             const std::size_t* offsets, const std::size_t* dimspp) {
@@ -427,72 +366,18 @@ class PMEM {
     const auto nd = static_cast<std::size_t>(ndims);
     Box want(Dimensions(offsets, offsets + nd),
              Dimensions(dimspp, dimspp + nd));
-    auto& st = engine_ref();
+    auto* out = reinterpret_cast<std::byte*>(data);
 
     const std::string pkey = detail::piece_key(id, want);
     throw_if_damaged(pkey);
-    if (!cfg_.force_dram_staging && read_cache_) {
-      // Cached fast path: the verified whole blob comes from DRAM on a hit
-      // (or is fetched zero-copy and filled on a miss); the payload slice
-      // is copied straight into the caller's buffer.
-      if (auto fetched = fetch_blob(pkey)) {
-        serial::FilterId filter;
-        const std::size_t hdr =
-            check_piece_meta<T>(id, fetched->meta, nd, &filter);
-        const std::size_t payload = want.elements() * sizeof(T);
-        if (filter != serial::FilterId::kNone) {
-          decode_filtered_piece(id, fetched->blob, hdr, filter,
-                                {reinterpret_cast<std::byte*>(data), payload});
-          return;
-        }
-        if (fetched->blob.size() != hdr + payload) {
-          throw TypeError("pmemcpy: size mismatch loading " + id);
-        }
-        std::memcpy(data, fetched->blob.data() + hdr, payload);
-        if (fetched->from_cache) {
-          sim::ctx().charge_cpu_copy(payload);
-        } else {
-          trace::count(trace::Counter::kCopyReadDirectBytes, payload);
-        }
-        return;
-      }
-    } else if (auto entry = st.find(pkey)) {
-      const auto info = entry->info();
-      serial::FilterId filter;
-      const std::size_t hdr = check_piece_meta<T>(id, info.meta, nd, &filter);
-      const std::size_t payload = want.elements() * sizeof(T);
-      if (filter != serial::FilterId::kNone) {
-        // Decode straight from the PMEM-resident encoded bytes.
-        const auto blob = entry->stored_span();
-        verify_blob(id, blob.data(), blob.size(), info.meta);
-        decode_filtered_piece(id, blob, hdr, filter,
-                              {reinterpret_cast<std::byte*>(data), payload});
-        return;
-      }
-      if (info.size != hdr + payload) {
-        throw TypeError("pmemcpy: size mismatch loading " + id);
-      }
-      if (cfg_.force_dram_staging) {
-        std::vector<std::byte> staged(payload);
-        entry->read(hdr, staged.data(), payload);
-        verify_piece(id, *entry, hdr, staged.data(), payload, info.meta);
-        std::memcpy(data, staged.data(), payload);
-        sim::ctx().charge_cpu_copy(payload);
-        trace::count(trace::Counter::kCopyReadStagedBytes, payload);
-      } else {
-        // One pass: PMEM -> user buffer.
-        entry->read(hdr, data, payload);
-        verify_piece(id, *entry, hdr, data, payload, info.meta);
-        trace::count(trace::Counter::kCopyReadDirectBytes, payload);
-      }
+    if (const auto fetched = fetch_blob(pkey, cfg_.force_dram_staging)) {
+      decode_piece<T>(id, *fetched, want, want, want, out);
       return;
     }
 
-    // General path: assemble from every overlapping piece.
     std::size_t covered = 0;
     const std::string prefix = detail::piece_prefix(id);
-    const std::vector<std::string>& keys = piece_keys(id);
-    for (const auto& key : keys) {
+    for (const auto& key : piece_keys(id)) {
       const Box pbox = box_from_string(key.substr(prefix.size()));
       if (pbox.ndims() != nd) continue;
       const Box region = intersect(want, pbox);
@@ -500,27 +385,10 @@ class PMEM {
       throw_if_damaged(key);
       // Charge only the consumed slice on the uncached path — assembling a
       // sub-region must not bill a whole-piece read.
-      auto fetched = fetch_blob(key, region.elements() * sizeof(T));
+      const auto fetched = fetch_blob(key, cfg_.force_dram_staging,
+                                      region.elements() * sizeof(T));
       if (!fetched) continue;
-      serial::FilterId filter;
-      const std::size_t hdr = check_piece_meta<T>(id, fetched->meta, nd,
-                                                  &filter);
-      if (filter != serial::FilterId::kNone) {
-        // Decode the whole piece to scratch, then intersect.
-        std::vector<std::byte> raw(pbox.elements() * sizeof(T));
-        decode_filtered_piece(key, fetched->blob, hdr, filter, raw);
-        copy_box_region(reinterpret_cast<std::byte*>(data), want, raw.data(),
-                        pbox, region, sizeof(T));
-      } else {
-        copy_box_region(reinterpret_cast<std::byte*>(data), want,
-                        fetched->blob.data() + hdr, pbox, region, sizeof(T));
-        const std::size_t consumed = region.elements() * sizeof(T);
-        if (fetched->from_cache) {
-          sim::ctx().charge_cpu_copy(consumed);
-        } else {
-          trace::count(trace::Counter::kCopyReadDirectBytes, consumed);
-        }
-      }
+      decode_piece<T>(id, *fetched, pbox, want, region, out);
       covered += region.elements();
     }
     if (covered < want.elements()) {
@@ -617,17 +485,34 @@ class PMEM {
     if (!engine_) throw StateError("pmemcpy: not mapped (call mmap first)");
     return *engine_;
   }
-  /// Route a put through the open Batch when one exists.  Every put path
-  /// funnels through here, so this is also the read cache's write-side
-  /// invalidation point (DESIGN.md §13): the stale copy is dropped before
-  /// the reservation even opens, and — because fills are suppressed while a
-  /// Batch is open — cannot be re-filled until the new entry is visible.
-  [[nodiscard]] std::unique_ptr<engine::Engine::PutHandle> start_put(
-      const std::string& key, std::size_t size, std::uint64_t meta,
-      bool keep_existing = false) {
+  /// The one put sequence (DESIGN.md §12): reserve @p size bytes under
+  /// @p key, let @p emit write exactly that many, checksum them and commit.
+  /// The bytes land straight in the reservation through a ChecksumSink;
+  /// with @p staged (the ADIOS-style ablation) they are emitted into a DRAM
+  /// buffer first, checksummed there and copied in.  The put goes through
+  /// the open Batch when one exists.  This is also the read cache's
+  /// write-side invalidation point (DESIGN.md §13): the stale copy is
+  /// dropped before the reservation opens, and — because fills are
+  /// suppressed while a Batch is open — cannot be re-filled until the new
+  /// entry is visible.
+  template <typename Emit>
+  void put_blob(const std::string& key, std::size_t size, std::uint64_t meta,
+                bool staged, Emit&& emit, bool keep_existing = false) {
     if (read_cache_) read_cache_->invalidate(key);
-    if (open_batch_) return open_batch_->put(key, size, meta, keep_existing);
-    return engine_ref().put(key, size, meta, keep_existing);
+    auto put = open_batch_
+                   ? open_batch_->put(key, size, meta, keep_existing)
+                   : engine_ref().put(key, size, meta, keep_existing);
+    if (staged) {
+      serial::BufferSink buf(size);
+      emit(buf);
+      const auto& bytes = buf.bytes();
+      put->sink().write(bytes.data(), bytes.size());
+      put->commit(crc32c(bytes.data(), bytes.size()));
+      return;
+    }
+    serial::ChecksumSink cs(put->sink());
+    emit(cs);
+    put->commit(cs.crc());
   }
   /// Opens an internal group-commit scope when the user has none, so
   /// multi-entry operations batch automatically; discards on exception.
@@ -648,40 +533,74 @@ class PMEM {
     AutoBatch& operator=(const AutoBatch&) = delete;
     PMEM* p = nullptr;
   };
-  /// Compare a full blob against the checksum in its meta word: a torn or
-  /// rotted blob throws IntegrityError instead of being deserialized.
-  void verify_blob(const std::string& key, const std::byte* blob,
-                   std::size_t size, std::uint64_t meta) const {
-    if (crc32c(blob, size) != detail::meta_crc(meta)) {
-      throw IntegrityError("checksum mismatch in " + key);
-    }
-  }
-  // --- zero-copy read path (DESIGN.md §13) ----------------------------------
 
-  /// One fetched blob: a zero-copy span over PMEM (entry keeps the mapping
-  /// alive) or a DRAM span served by the read cache.
+  // --- the one get path (DESIGN.md §13) -------------------------------------
+
+  /// One CRC-verified blob: a zero-copy span over PMEM (entry keeps the
+  /// mapping alive), the read cache's DRAM copy, or a staged DRAM bounce.
   struct FetchedBlob {
+    enum class Origin { kPmem, kCache, kStaged };
     std::span<const std::byte> blob;
     std::uint64_t meta = 0;
-    bool from_cache = false;
-    std::unique_ptr<engine::Engine::Entry> entry;  ///< null when cached
+    Origin origin = Origin::kPmem;
+    std::unique_ptr<engine::Engine::Entry> entry;
+    std::vector<std::byte> staged;
+
+    /// Account @p n bytes decoded out of the blob.  In place from PMEM the
+    /// device read was already charged at fetch; out of the cache or the
+    /// staged bounce each byte is a DRAM copy.
+    void charge_decode(std::size_t n) const {
+      if (origin == Origin::kPmem) {
+        trace::count(trace::Counter::kCopyReadDirectBytes, n);
+        return;
+      }
+      sim::ctx().charge_cpu_copy(n);
+      if (origin == Origin::kStaged) {
+        trace::count(trace::Counter::kCopyReadStagedBytes, n);
+      }
+    }
   };
 
-  /// find() + stored_span() + CRC verification, with the read cache (when
-  /// configured) in front: a hit serves the verified DRAM copy, a miss
-  /// reads the blob in place, verifies it and fills the cache (fills are
-  /// skipped while a Batch is open — a staged same-key entry publishes at
-  /// commit, after this key's start_put() invalidation, so a fill in
-  /// between could pin the pre-batch value past the publish).  nullopt when
-  /// the key is absent.  @p charge_bytes bounds the device read charged on
-  /// the uncached path (callers that consume a slice; a cache fill always
-  /// charges the full blob it copies).
+  /// Serializer source over a fetched blob from byte @p off on; every read
+  /// is accounted through charge_decode().
+  class BlobSource final : public serial::Source {
+   public:
+    BlobSource(const FetchedBlob& f, std::size_t off) : f_(&f) {
+      if (off > f.blob.size()) throw serial::SerialError("source underrun");
+      bytes_ = f.blob.subspan(off);
+    }
+    void read(void* dst, std::size_t len) override {
+      if (len > bytes_.size() - pos_) {
+        throw serial::SerialError("source underrun");
+      }
+      if (len != 0) std::memcpy(dst, bytes_.data() + pos_, len);
+      pos_ += len;
+      f_->charge_decode(len);
+    }
+    [[nodiscard]] std::size_t tell() const override { return pos_; }
+
+   private:
+    const FetchedBlob* f_;
+    std::span<const std::byte> bytes_;
+    std::size_t pos_ = 0;
+  };
+
+  /// Every get's read: the read cache on a hit, else find(), stored_span()
+  /// and the CRC over the span in place, then a cache fill (skipped while a
+  /// Batch is open — a staged same-key entry publishes at commit, after
+  /// this key's put_blob() invalidation, so a fill in between could pin the
+  /// pre-batch value past the publish).  With @p staged the cache is
+  /// skipped and the verified blob is bounced through DRAM, the way an
+  /// ADIOS-style reader materializes its buffer.  nullopt when the key is
+  /// absent.  @p charge_bytes bounds the device read charged for a plain
+  /// in-place fetch (callers that consume a slice); a fill or a bounce
+  /// copies, and charges, the whole blob.
   [[nodiscard]] std::optional<FetchedBlob> fetch_blob(
-      const std::string& key,
+      const std::string& key, bool staged,
       std::size_t charge_bytes = static_cast<std::size_t>(-1));
 
-  /// Meta-word checks shared by the scalar load paths; returns the blob
-  /// header size for the entry's serializer.
+  /// Meta-word checks of a scalar load; returns the blob header size for
+  /// the entry's serializer.
   template <typename T>
   std::size_t check_scalar_meta(const std::string& id,
                                 std::uint64_t meta) const {
@@ -698,57 +617,63 @@ class PMEM {
     return detail::blob_header_size(ser, 0);
   }
 
-  /// Meta-word checks shared by the piece load paths; returns the blob
-  /// header size and reports the piece's filter.
+  /// Copy the @p region of one piece blob (box @p pbox) into @p out, the
+  /// caller's buffer for box @p want; the symmetric read passes one box
+  /// three times.  A filtered blob (header | u64 encoded size | encoded
+  /// bytes) is decoded whole: straight into @p out when it is the box
+  /// wanted, else to scratch first.
   template <typename T>
-  std::size_t check_piece_meta(const std::string& id, std::uint64_t meta,
-                               std::size_t nd,
-                               serial::FilterId* filter) const {
+  void decode_piece(const std::string& id, const FetchedBlob& f,
+                    const Box& pbox, const Box& want, const Box& region,
+                    std::byte* out) const {
     detail::EntryKind kind;
     serial::DType dtype;
     serial::SerializerId ser;
-    detail::unpack_meta(meta, &kind, &dtype, &ser, filter);
+    serial::FilterId filter;
+    detail::unpack_meta(f.meta, &kind, &dtype, &ser, &filter);
     if (dtype != serial::dtype_of_v<T>) {
       throw TypeError("pmemcpy: dtype mismatch loading " + id);
     }
-    return detail::blob_header_size(ser, static_cast<std::uint32_t>(nd));
-  }
-
-  /// Decode a filtered piece blob (header | u64 encoded size | encoded
-  /// bytes) into @p out, validating the length framing.
-  void decode_filtered_piece(const std::string& id,
-                             std::span<const std::byte> blob, std::size_t hdr,
-                             serial::FilterId filter,
-                             std::span<std::byte> out) const {
+    const std::size_t hdr = detail::blob_header_size(
+        ser, static_cast<std::uint32_t>(pbox.ndims()));
+    const std::size_t bytes = pbox.elements() * sizeof(T);
+    if (filter == serial::FilterId::kNone) {
+      if (f.blob.size() != hdr + bytes) {
+        throw TypeError("pmemcpy: size mismatch loading " + id);
+      }
+      copy_box_region(out, want, f.blob.data() + hdr, pbox, region,
+                      sizeof(T));
+      f.charge_decode(region.elements() * sizeof(T));
+      return;
+    }
     std::uint64_t enc_size = 0;
-    if (blob.size() < hdr + sizeof(enc_size)) {
+    if (f.blob.size() < hdr + sizeof(enc_size)) {
       throw TypeError("pmemcpy: corrupt filtered blob in " + id);
     }
-    std::memcpy(&enc_size, blob.data() + hdr, sizeof(enc_size));
-    if (hdr + sizeof(enc_size) + enc_size != blob.size()) {
+    std::memcpy(&enc_size, f.blob.data() + hdr, sizeof(enc_size));
+    if (hdr + sizeof(enc_size) + enc_size != f.blob.size()) {
       throw TypeError("pmemcpy: corrupt filtered blob in " + id);
     }
-    serial::filter_decode(filter,
-                          blob.subspan(hdr + sizeof(enc_size), enc_size), out);
+    const auto enc = f.blob.subspan(hdr + sizeof(enc_size));
+    if (want == pbox) {
+      serial::filter_decode(filter, enc, {out, bytes});
+      return;
+    }
+    std::vector<std::byte> raw(bytes);
+    serial::filter_decode(filter, enc, raw);
+    copy_box_region(out, want, raw.data(), pbox, region, sizeof(T));
   }
 
-  /// Fast-path piece verification without a second payload pass: the blob
-  /// header is re-read and chained with the payload already in the caller's
-  /// buffer (CRC32C(header || payload) == stored checksum).
-  void verify_piece(const std::string& key, engine::Engine::Entry& entry,
-                    std::size_t hdr, const void* payload,
-                    std::size_t payload_len, std::uint64_t meta) const {
-    std::uint32_t c = 0;
-    if (hdr > 0) {
-      std::vector<std::byte> hb(hdr);
-      entry.read(0, hb.data(), hdr);
-      c = crc32c(hb.data(), hdr);
-    }
-    c = crc32c(payload, payload_len, c);
-    if (c != detail::meta_crc(meta)) {
-      throw IntegrityError("checksum mismatch in " + key);
-    }
-  }
+  /// The scrub/repair pass: visit each distinct stored key once, with its
+  /// whole blob read in place (stored_span) and checked against its
+  /// checksum.  @p fn gets the key, the entry, the blob and the issue found
+  /// ("" when intact; the blob is empty after a media error).  Returns the
+  /// number of keys examined.
+  std::size_t examine(
+      const std::function<void(const std::string&, engine::Engine::Entry&,
+                               std::span<const std::byte>,
+                               const std::string&)>& fn);
+
   // --- self-healing machinery (DESIGN.md §10) -------------------------------
 
   /// Attempts with_healing gives a put before declaring the handle degraded

@@ -6,23 +6,23 @@
 //     charged as a DRAM copy, and the later flush pays the storage cost
 //     again.  ("serializes data structures into an in-memory buffer and then
 //     copies to PMEM")
-//   * SpanSink/SpanSource — a pre-charged span of persistent memory (e.g. a
-//     reserved hashtable value blob).  Serializing into it IS the storage
-//     write; there is no second copy.  ("pMEMCPY can serialize the data
-//     directly into PMEM without first placing it in DRAM")
-//   * MappingSink/MappingSource — the same direct idea over a DAX file
-//     mapping (hierarchical layout), charged per store.
+//   * SpanSink — a pre-charged span of persistent memory (e.g. a reserved
+//     hashtable value blob).  Serializing into it IS the storage write;
+//     there is no second copy.  ("pMEMCPY can serialize the data directly
+//     into PMEM without first placing it in DRAM")
+//   * MappingSink — the same direct idea over a DAX file mapping
+//     (hierarchical layout), charged per store.
 //
 // Every sink/source also feeds the copy audit (DESIGN.md §12/§13), split by
 // direction: sink bytes that flow through a DRAM buffer count toward
 // copy.staged_bytes (and the first write of a BufferSink marks one
 // copy.staged_put) while sink bytes landing in persistent memory count
-// toward copy.direct_bytes; source bytes symmetrically feed
-// copy.read_staged_bytes (BufferSource — a blob bounced through DRAM before
-// decode) or copy.read_direct_bytes (SpanSource/MappingSource — decode
-// consuming the mapped blob in place).  `bench/audit` gates these
-// totals per library and per direction, so "zero-copy" is an enforced
-// invariant of both pMEMCPY data paths, not a comment.
+// toward copy.direct_bytes; BufferSource bytes (a blob bounced through
+// DRAM before decode) count toward copy.read_staged_bytes.  pMEMCPY's own
+// gets decode a fetched blob in the facade (PMEM::fetch_blob), which
+// counts in-place bytes toward copy.read_direct_bytes.  `bench/audit`
+// gates these totals per library and per direction, so "zero-copy" is an
+// enforced invariant of both pMEMCPY data paths, not a comment.
 #pragma once
 
 #include <pmemcpy/crc32c.hpp>
@@ -124,46 +124,6 @@ class SpanSink final : public Sink {
   std::size_t pos_ = 0;
 };
 
-/// Reads from a pre-charged span (a PMEM blob accessed zero-copy).
-class SpanSource final : public Source {
- public:
-  explicit SpanSource(std::span<const std::byte> in) : in_(in) {}
-
-  void read(void* dst, std::size_t len) override {
-    if (pos_ + len > in_.size()) throw SerialError("source underrun");
-    std::memcpy(dst, in_.data() + pos_, len);
-    pos_ += len;
-    trace::count(trace::Counter::kCopyReadDirectBytes, len);
-  }
-  [[nodiscard]] std::size_t tell() const override { return pos_; }
-
- private:
-  std::span<const std::byte> in_;
-  std::size_t pos_ = 0;
-};
-
-/// Reads from a DRAM read-cache blob (DESIGN.md §13).  Charged as a DRAM
-/// copy like BufferSource, but tallied under the cache's own vocabulary
-/// (read_cache_hit_bytes, counted at lookup) instead of the staged/direct
-/// read audit: the bytes already took their single PMEM trip when the cache
-/// filled, so they are neither a staging bounce nor fresh PMEM traffic.
-class CacheSource final : public Source {
- public:
-  explicit CacheSource(std::span<const std::byte> in) : in_(in) {}
-
-  void read(void* dst, std::size_t len) override {
-    if (pos_ + len > in_.size()) throw SerialError("source underrun");
-    std::memcpy(dst, in_.data() + pos_, len);
-    pos_ += len;
-    sim::ctx().charge_cpu_copy(len);
-  }
-  [[nodiscard]] std::size_t tell() const override { return pos_; }
-
- private:
-  std::span<const std::byte> in_;
-  std::size_t pos_ = 0;
-};
-
 /// Streams into a DAX file mapping; each write is charged as a PMEM store.
 class MappingSink final : public Sink {
  public:
@@ -178,24 +138,6 @@ class MappingSink final : public Sink {
 
  private:
   fs::Mapping* m_;
-  std::uint64_t off_;
-  std::size_t pos_ = 0;
-};
-
-/// Streams out of a DAX file mapping; each read is charged as a PMEM load.
-class MappingSource final : public Source {
- public:
-  MappingSource(const fs::Mapping& m, std::uint64_t off) : m_(&m), off_(off) {}
-
-  void read(void* dst, std::size_t len) override {
-    m_->load(off_ + pos_, dst, len);
-    pos_ += len;
-    trace::count(trace::Counter::kCopyReadDirectBytes, len);
-  }
-  [[nodiscard]] std::size_t tell() const override { return pos_; }
-
- private:
-  const fs::Mapping* m_;
   std::uint64_t off_;
   std::size_t pos_ = 0;
 };

@@ -72,6 +72,11 @@ void copy_box_region(std::byte* dst, const Box& dst_box, const std::byte* src,
   if (!contains(dst_box, region) || !contains(src_box, region)) {
     throw std::invalid_argument("copy_box_region: region not contained");
   }
+  if (dst_box == region && src_box == region) {
+    // Both sides are exactly the region (a symmetric read): one run.
+    std::memcpy(dst, src, region.elements() * elem_size);
+    return;
+  }
   Dimensions coord(region.ndims());
   copy_rec(dst, dst_box, src, src_box, region, elem_size, coord, 0);
 }

@@ -182,64 +182,75 @@ void PMEM::put_dims(const std::string& id, serial::DType dtype,
     }
   }
   // Reserve-then-serialize (DESIGN.md §12): size the record with a
-  // SizingSink pass, reserve exactly that much, then serialize straight
-  // into the reserved span — no DRAM staging even for tiny records.
+  // SizingSink pass, then serialize straight into the reservation — no DRAM
+  // staging even for tiny records.
   std::vector<std::uint64_t> d64(dims.begin(), dims.end());
   const std::size_t size =
       serial::binary_serialized_size(static_cast<std::uint8_t>(dtype), d64);
   with_healing(detail::dims_key(id), [&] {
-    auto put = start_put(
+    put_blob(
         detail::dims_key(id), size,
         detail::pack_meta(detail::EntryKind::kDims, dtype,
                           serial::SerializerId::kBinary),
+        /*staged=*/false,
+        [&](serial::Sink& sink) {
+          serial::BinaryWriter w(sink);
+          w(static_cast<std::uint8_t>(dtype), d64);
+        },
         /*keep_existing=*/true);
-    serial::ChecksumSink cs(put->sink());
-    serial::BinaryWriter w(cs);
-    w(static_cast<std::uint8_t>(dtype), d64);
-    put->commit(cs.crc());
   });
 }
 
 std::optional<PMEM::FetchedBlob> PMEM::fetch_blob(const std::string& key,
+                                                  bool staged,
                                                   std::size_t charge_bytes) {
-  if (read_cache_) {
+  if (read_cache_ && !staged) {
     if (const auto* hit = read_cache_->find(key)) {
       FetchedBlob f;
-      f.blob = {hit->bytes.data(), hit->bytes.size()};
+      f.blob = hit->bytes;
       f.meta = hit->meta;
-      f.from_cache = true;
+      f.origin = FetchedBlob::Origin::kCache;
       return f;
     }
   }
   auto entry = engine_ref().find(key);
   if (!entry) return std::nullopt;
   const auto info = entry->info();
-  // A fill copies the whole blob, so it always charges the full read; a
-  // plain fetch charges only the slice the caller declared.
-  const bool fill = read_cache_ != nullptr && !open_batch_;
-  const std::size_t charge =
-      fill ? info.size : std::min<std::size_t>(charge_bytes, info.size);
+  const bool fill = read_cache_ != nullptr && !staged && !open_batch_;
+  // A fill or a bounce copies the whole blob, so it charges the full read;
+  // a plain in-place fetch charges only the slice the caller declared.
+  const std::size_t charge = fill || staged
+                                 ? info.size
+                                 : std::min<std::size_t>(charge_bytes,
+                                                         info.size);
   FetchedBlob f;
   f.blob = entry->stored_span(charge);
   f.meta = info.meta;
   f.entry = std::move(entry);
-  // Verify before the bytes can reach either the cache or a deserializer:
-  // only CRC-clean blobs are ever cached.
-  verify_blob(key, f.blob.data(), f.blob.size(), f.meta);
-  if (fill) read_cache_->insert(key, f.blob, f.meta);
+  // Verify before the bytes can reach the cache, the bounce or a
+  // deserializer: only CRC-clean blobs are ever decoded or cached.
+  if (crc32c(f.blob.data(), f.blob.size()) != detail::meta_crc(f.meta)) {
+    throw IntegrityError("checksum mismatch in " + key);
+  }
+  if (staged) {
+    f.staged.assign(f.blob.begin(), f.blob.end());
+    f.blob = f.staged;
+    f.origin = FetchedBlob::Origin::kStaged;
+  } else if (fill) {
+    read_cache_->insert(key, f.blob, f.meta);
+  }
   return f;
 }
 
 bool PMEM::get_dims(const std::string& id, serial::DType* dtype,
                     Dimensions* dims) {
   throw_if_damaged(detail::dims_key(id));
-  auto fetched = fetch_blob(detail::dims_key(id));
+  // Never staged: the ablation stages user data, and put_dims() does not
+  // stage the dims record either.
+  const auto fetched = fetch_blob(detail::dims_key(id), /*staged=*/false);
   if (!fetched) return false;
-  serial::SpanSource pmem_src(fetched->blob);
-  serial::CacheSource dram_src(fetched->blob);
-  serial::BinaryReader r(fetched->from_cache
-                             ? static_cast<serial::Source&>(dram_src)
-                             : pmem_src);
+  BlobSource src(*fetched, 0);
+  serial::BinaryReader r(src);
   std::uint8_t dt = 0;
   std::vector<std::uint64_t> d64;
   r(dt, d64);
@@ -306,12 +317,11 @@ void PMEM::for_each_raw(
 
 void PMEM::import_raw(const std::string& key, std::span<const std::byte> data,
                       std::uint64_t meta) {
+  // The checksum is re-derived from the bytes rather than trusted from the
+  // high half of an exported meta word.
   with_healing(key, [&] {
-    auto put = start_put(key, data.size(), meta);
-    put->sink().write(data.data(), data.size());
-    // Re-derive the checksum from the bytes rather than trusting the high
-    // half of an exported meta word.
-    put->commit(crc32c(data.data(), data.size()));
+    put_blob(key, data.size(), meta, /*staged=*/false,
+             [&](serial::Sink& sink) { sink.write(data.data(), data.size()); });
   });
 }
 
@@ -344,38 +354,51 @@ void PMEM::remove(const std::string& id) {
   if (!any) throw KeyError(id);
 }
 
-ScrubReport PMEM::scrub() {
-  trace::Span span("core.scrub");
+std::size_t PMEM::examine(
+    const std::function<void(const std::string&, engine::Engine::Entry&,
+                             std::span<const std::byte>,
+                             const std::string&)>& fn) {
   auto& st = engine_ref();
-  ScrubReport rep;
   // Ordered-set dedupe: a crash can leave a shadowed duplicate of a key
   // inside one chain (an overwrite interrupted between its head store and
   // its unlink, which the key's next put or erase sweeps), for_each_prefix
   // visits both copies, and find() only ever returns the live one — examine
-  // and report each distinct key once.
+  // (and report, and relocate) each distinct key once.
   std::set<std::string> keys;
   st.for_each_prefix("",
                      [&](const std::string& key, const engine::EntryInfo&) {
                        keys.insert(key);
                      });
+  std::size_t examined = 0;
   for (const auto& key : keys) {
     auto entry = st.find(key);
     if (!entry) continue;  // concurrently removed
-    ++rep.entries;
-    const auto info = entry->info();
-    const std::uint64_t dev_off = entry->dev_off();
-    std::vector<std::byte> blob(info.size);
+    ++examined;
+    std::span<const std::byte> blob;
+    std::string issue;
     try {
-      entry->read(0, blob.data(), blob.size());
+      blob = entry->stored_span();
+      if (crc32c(blob.data(), blob.size()) !=
+          detail::meta_crc(entry->info().meta)) {
+        issue = "checksum mismatch";
+      }
     } catch (const pmem::DeviceError& e) {
-      rep.corrupt.push_back(
-          {key, std::string("media error: ") + e.what(), dev_off});
-      continue;
+      issue = std::string("media error: ") + e.what();
     }
-    if (crc32c(blob.data(), blob.size()) != detail::meta_crc(info.meta)) {
-      rep.corrupt.push_back({key, "checksum mismatch", dev_off});
-    }
+    fn(key, *entry, blob, issue);
   }
+  return examined;
+}
+
+ScrubReport PMEM::scrub() {
+  trace::Span span("core.scrub");
+  ScrubReport rep;
+  rep.entries = examine([&](const std::string& key,
+                            engine::Engine::Entry& entry,
+                            std::span<const std::byte>,
+                            const std::string& issue) {
+    if (!issue.empty()) rep.corrupt.push_back({key, issue, entry.dev_off()});
+  });
   return rep;
 }
 
@@ -429,58 +452,44 @@ RepairReport PMEM::repair() {
   auto& st = engine_ref();
   auto& dev = node_->device();
   RepairReport rep;
-  // Same ordered-set dedupe as scrub(): a shadowed duplicate left in a chain
-  // by a crash must not be examined (or relocated) twice.
-  std::set<std::string> keys;
-  st.for_each_prefix("",
-                     [&](const std::string& key, const engine::EntryInfo&) {
-                       keys.insert(key);
-                     });
   const auto mark_damaged = [&](const std::string& key, std::string issue,
                                 std::uint64_t dev_off) {
     rep.damaged.push_back({key, std::move(issue), dev_off});
     damaged_.insert(key);
     trace::count(trace::Counter::kFtDamagedKeys);
   };
-  for (const auto& key : keys) {
-    auto entry = st.find(key);
-    if (!entry) continue;  // concurrently removed
-    ++rep.entries;
-    const auto info = entry->info();
-    const std::uint64_t dev_off = entry->dev_off();
-    std::vector<std::byte> blob(info.size);
-    try {
-      entry->read(0, blob.data(), blob.size());
-    } catch (const pmem::DeviceError& e) {
-      // Unreadable: there is nothing to relocate from.
-      mark_damaged(key, std::string("media error: ") + e.what(), dev_off);
-      continue;
+  rep.entries = examine([&](const std::string& key,
+                            engine::Engine::Entry& entry,
+                            std::span<const std::byte> blob,
+                            const std::string& issue) {
+    const std::uint64_t dev_off = entry.dev_off();
+    if (!issue.empty()) {
+      // Unreadable or torn: there is nothing intact to relocate.
+      mark_damaged(key, issue, dev_off);
+      return;
     }
-    if (crc32c(blob.data(), blob.size()) != detail::meta_crc(info.meta)) {
-      mark_damaged(key, "checksum mismatch", dev_off);
-      continue;
-    }
-    if (dev_off == 0 || !dev.media_failing(dev_off, info.size)) {
-      continue;  // intact and on healthy media
+    if (dev_off == 0 || !dev.media_failing(dev_off, blob.size())) {
+      return;  // intact and on healthy media
     }
     // Intact bytes on failing media (sticky writes still read back): fence
-    // off every bad range under the blob, then republish under the same key.
-    // Crash-safe ordering — the quarantine entries append first, and
+    // off every bad range under the blob, then republish under the same
+    // key.  Crash-safe ordering — the quarantine entries append first, and
     // import_raw replaces the binding atomically, so a crash at any point
-    // leaves either the old (still readable) or the new entry.
+    // leaves either the old (still readable) or the new entry.  The old
+    // blob stays allocated, and so readable, until the new binding
+    // publishes.
     bool fenced = true;
     for (const auto& [soff, slen] : dev.sticky_ranges()) {
-      if (soff < dev_off + info.size && dev_off < soff + slen) {
+      if (soff < dev_off + blob.size() && dev_off < soff + slen) {
         fenced = st.quarantine(soff, slen) && fenced;
       }
     }
     // A full quarantine table cannot fence the range; the republish below
-    // may then be allocated right back onto failing media, in which case the
-    // write faults and the entry is reported damaged rather than silently
-    // left in place.
-    entry.reset();  // release the read handle before rewriting
+    // may then be allocated right back onto failing media, in which case
+    // the write faults and the entry is reported damaged rather than
+    // silently left in place.
     try {
-      import_raw(key, blob, info.meta);
+      import_raw(key, blob, entry.info().meta);
       ++rep.relocated;
       trace::count(trace::Counter::kFtRelocations);
     } catch (const ft::DegradedError& e) {
@@ -491,7 +500,7 @@ RepairReport PMEM::repair() {
                        e.what(),
                    dev_off);
     }
-  }
+  });
   // Relocation rewrites bindings and quarantine reshapes the allocatable
   // space; drop every cached blob rather than reasoning about which ones the
   // pass touched.  Correctness first — the cache refills on the next read.

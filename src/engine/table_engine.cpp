@@ -21,13 +21,6 @@ class TableEntry final : public Engine::Entry {
 
   EntryInfo info() const override { return {ref_.val_size, ref_.meta}; }
 
-  void read(std::uint64_t off, void* dst, std::size_t len) override {
-    if (off + len > ref_.val_size) {
-      throw serial::SerialError("entry read out of range");
-    }
-    pool_->read(ref_.val_off + off, dst, len);
-  }
-
   std::span<const std::byte> stored_span(std::size_t charge_bytes) override {
     // Zero-copy bypasses the checked read path, so probe for injected
     // media errors explicitly before handing out the span.

@@ -123,13 +123,6 @@ class TreeEntry final : public Engine::Entry {
 
   EntryInfo info() const override { return info_; }
 
-  void read(std::uint64_t off, void* dst, std::size_t len) override {
-    if (off + len > info_.size) {
-      throw serial::SerialError("entry read out of range");
-    }
-    mapping_.load(kTreeHeader + off, dst, len);
-  }
-
   std::span<const std::byte> stored_span(std::size_t charge_bytes) override {
     try {
       // Media-probed direct view over the payload extent; the consumption

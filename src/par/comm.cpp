@@ -55,17 +55,6 @@ struct State {
   std::map<std::tuple<int, int, int>, std::deque<Message>> queues;
   std::condition_variable p2p_cv;
 
-  // Child states created by split(), keyed by (sequence, color); kept
-  // alive for the lifetime of the parent.
-  std::map<std::pair<std::uint64_t, int>, std::unique_ptr<State>> children;
-
-  State* child_for(std::uint64_t seq, int color, int group_size) {
-    std::lock_guard lk(mu);
-    auto& slot = children[{seq, color}];
-    if (!slot) slot = std::make_unique<State>(group_size);
-    return slot.get();
-  }
-
   void abort_all() {
     std::lock_guard lk(mu);
     aborted = true;
@@ -145,36 +134,29 @@ void Comm::bcast(void* data, std::size_t bytes, int root) {
   barrier_sync(st);
 }
 
-void Comm::allgather(const void* send, std::size_t bytes, void* recv) {
-  std::vector<std::size_t> counts(static_cast<std::size_t>(size_), bytes);
-  std::vector<std::size_t> displs(static_cast<std::size_t>(size_));
-  for (int i = 0; i < size_; ++i)
-    displs[static_cast<std::size_t>(i)] = static_cast<std::size_t>(i) * bytes;
-  allgatherv(send, bytes, recv, counts, displs);
-}
+// The publishing collectives below throw a count mismatch only after their
+// releasing barrier: until every rank passes it, a peer may still be
+// copying out of the buffers this rank published, which unwinding would
+// free under it.
 
-void Comm::allgatherv(const void* send, std::size_t bytes, void* recv,
-                      std::span<const std::size_t> counts,
-                      std::span<const std::size_t> displs) {
+void Comm::allgather(const void* send, std::size_t bytes, void* recv) {
   auto& st = *state_;
   const auto me = static_cast<std::size_t>(rank_);
   st.pub_ptr[me] = send;
   st.pub_len[me] = bytes;
   barrier_sync(st);
   auto& c = sim::ctx();
-  std::size_t remote_bytes = 0;
-  for (int i = 0; i < size_; ++i) {
-    const auto ui = static_cast<std::size_t>(i);
-    if (st.pub_len[ui] != counts[ui]) {
-      throw std::invalid_argument("allgatherv: count mismatch");
-    }
-    std::memcpy(static_cast<std::byte*>(recv) + displs[ui], st.pub_ptr[ui],
-                counts[ui]);
-    if (i != rank_) remote_bytes += counts[ui];
+  bool mismatch = false;
+  for (std::size_t i = 0; i < st.pub_len.size(); ++i) {
+    mismatch = st.pub_len[i] != bytes;
+    if (mismatch) break;
+    std::memcpy(static_cast<std::byte*>(recv) + i * bytes, st.pub_ptr[i],
+                bytes);
   }
   c.charge_cpu_copy(bytes);  // own contribution: a local copy
-  charge_net(c, remote_bytes);
+  charge_net(c, static_cast<std::size_t>(size_ - 1) * bytes);
   barrier_sync(st);
+  if (mismatch) throw std::invalid_argument("allgather: count mismatch");
 }
 
 void Comm::gatherv(const void* send, std::size_t bytes, void* recv,
@@ -186,13 +168,13 @@ void Comm::gatherv(const void* send, std::size_t bytes, void* recv,
   st.pub_len[me] = bytes;
   barrier_sync(st);
   auto& c = sim::ctx();
+  bool mismatch = false;
   if (rank_ == root) {
     std::size_t remote_bytes = 0;
     for (int i = 0; i < size_; ++i) {
       const auto ui = static_cast<std::size_t>(i);
-      if (st.pub_len[ui] != counts[ui]) {
-        throw std::invalid_argument("gatherv: count mismatch");
-      }
+      mismatch = st.pub_len[ui] != counts[ui];
+      if (mismatch) break;
       std::memcpy(static_cast<std::byte*>(recv) + displs[ui], st.pub_ptr[ui],
                   counts[ui]);
       if (i != rank_) remote_bytes += counts[ui];
@@ -204,71 +186,7 @@ void Comm::gatherv(const void* send, std::size_t bytes, void* recv,
     charge_net(c, bytes);  // streams its contribution toward the root
   }
   barrier_sync(st);
-}
-
-void Comm::scatterv(const void* send, std::span<const std::size_t> counts,
-                    std::span<const std::size_t> displs, void* recv,
-                    std::size_t bytes, int root) {
-  auto& st = *state_;
-  if (rank_ == root) {
-    st.pub_ptr[static_cast<std::size_t>(root)] = send;
-    st.pub_counts[static_cast<std::size_t>(root)] = counts.data();
-    st.pub_displs[static_cast<std::size_t>(root)] = displs.data();
-  }
-  barrier_sync(st);
-  auto& c = sim::ctx();
-  const auto uroot = static_cast<std::size_t>(root);
-  const auto me = static_cast<std::size_t>(rank_);
-  if (st.pub_counts[uroot][me] != bytes) {
-    throw std::invalid_argument("scatterv: count mismatch");
-  }
-  std::memcpy(recv,
-              static_cast<const std::byte*>(st.pub_ptr[uroot]) +
-                  st.pub_displs[uroot][me],
-              bytes);
-  if (rank_ == root) {
-    std::size_t remote = 0;
-    for (int i = 0; i < size_; ++i) {
-      if (i != root) remote += st.pub_counts[uroot][static_cast<std::size_t>(i)];
-    }
-    c.charge_cpu_copy(bytes);
-    charge_net(c, remote, static_cast<std::size_t>(size_ > 1 ? size_ - 1 : 1));
-  } else {
-    charge_net(c, bytes);
-  }
-  barrier_sync(st);
-}
-
-Comm Comm::split(int color, int key) {
-  struct Triple {
-    int color, key, rank;
-  };
-  std::vector<Triple> all(static_cast<std::size_t>(size_));
-  Triple mine{color, key, rank_};
-  allgather(&mine, sizeof(mine), all.data());
-  const std::uint64_t seq = split_seq_++;
-  if (color < 0) {
-    barrier();  // match the member ranks' rendezvous
-    Comm invalid(*state_, -1, 0);
-    invalid.state_ = nullptr;
-    return invalid;
-  }
-  std::vector<Triple> group;
-  for (const auto& t : all) {
-    if (t.color == color) group.push_back(t);
-  }
-  std::stable_sort(group.begin(), group.end(),
-                   [](const Triple& a, const Triple& b) {
-                     return a.key != b.key ? a.key < b.key : a.rank < b.rank;
-                   });
-  int new_rank = 0;
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    if (group[i].rank == rank_) new_rank = static_cast<int>(i);
-  }
-  detail::State* child =
-      state_->child_for(seq, color, static_cast<int>(group.size()));
-  barrier();  // everyone has resolved its child before first use
-  return Comm(*child, new_rank, static_cast<int>(group.size()));
+  if (mismatch) throw std::invalid_argument("gatherv: count mismatch");
 }
 
 void Comm::alltoallv(const void* send, std::span<const std::size_t> scounts,
@@ -285,12 +203,12 @@ void Comm::alltoallv(const void* send, std::span<const std::size_t> scounts,
   std::size_t remote_bytes = 0;
   std::size_t own_bytes = 0;
   std::size_t messages = 0;
+  bool mismatch = false;
   for (int i = 0; i < size_; ++i) {
     const auto ui = static_cast<std::size_t>(i);
     const std::size_t n = st.pub_counts[ui][me];
-    if (n != rcounts[ui]) {
-      throw std::invalid_argument("alltoallv: count mismatch");
-    }
+    mismatch = n != rcounts[ui];
+    if (mismatch) break;
     if (n == 0) continue;
     std::memcpy(static_cast<std::byte*>(recv) + rdispls[ui],
                 static_cast<const std::byte*>(st.pub_ptr[ui]) +
@@ -308,6 +226,7 @@ void Comm::alltoallv(const void* send, std::span<const std::size_t> scounts,
     charge_net(c, remote_bytes, messages == 0 ? 1 : messages);
   }
   barrier_sync(st);
+  if (mismatch) throw std::invalid_argument("alltoallv: count mismatch");
 }
 
 void Comm::send(int dst, int tag, const void* data, std::size_t bytes) {

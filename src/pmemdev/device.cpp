@@ -537,11 +537,6 @@ void Device::set_retry_policy(const ft::RetryPolicy& policy) noexcept {
   retry_ = policy;
 }
 
-ft::RetryPolicy Device::retry_policy() const noexcept {
-  std::lock_guard lk(mu_);
-  return retry_;
-}
-
 void Device::inject_sticky_range(std::size_t off, std::size_t len) {
   check_range(off, len);
   const std::size_t first = off / kCacheLine * kCacheLine;
@@ -555,11 +550,6 @@ void Device::inject_sticky_range(std::size_t off, std::size_t len) {
   // Sticky checks only run while injection is armed; an explicit injection
   // must bite even without a transient plan.
   transient_armed_.store(true, std::memory_order_relaxed);
-}
-
-void Device::clear_sticky_ranges() {
-  std::lock_guard lk(mu_);
-  sticky_bad_.clear();
 }
 
 std::vector<std::pair<std::size_t, std::size_t>> Device::sticky_ranges()
@@ -619,9 +609,7 @@ Device::Attempt Device::fault_attempt(
 }
 
 void Device::run_retries(FaultOp op, std::size_t off, std::size_t len) const {
-  int attempt = 1;
-  double backoff_spent = 0.0;
-  for (;;) {
+  for (int attempt = 1;; ++attempt) {
     std::pair<std::size_t, std::size_t> sticky{0, 0};
     const Attempt a = fault_attempt(op, off, len, &sticky);
     if (a == Attempt::kOk) return;
@@ -633,9 +621,7 @@ void Device::run_retries(FaultOp op, std::size_t off, std::size_t len) const {
                         "pmem::Device: media failed (sticky) at " +
                             range_str(sticky.first, sticky.second));
     }
-    const double wait = retry_.backoff_for(attempt);
-    if (attempt >= retry_.max_attempts ||
-        (retry_.deadline > 0.0 && backoff_spent + wait > retry_.deadline)) {
+    if (attempt >= retry_.max_attempts) {
       throw DeviceError(DeviceError::Kind::kTransient, off, len,
                         "pmem::Device: transient fault at " +
                             range_str(off, len) + " persisted past " +
@@ -643,10 +629,9 @@ void Device::run_retries(FaultOp op, std::size_t off, std::size_t len) const {
     }
     // The wait between attempts is simulated time like any other cost, so
     // retries show up in span charge breakdowns and bench numbers.
-    sim::ctx().advance(wait, sim::Charge::kRetryBackoff);
-    backoff_spent += wait;
+    sim::ctx().advance(ft::RetryPolicy::backoff_for(attempt),
+                       sim::Charge::kRetryBackoff);
     trace::count(trace::Counter::kFtRetries);
-    ++attempt;
   }
 }
 

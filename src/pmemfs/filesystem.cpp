@@ -304,6 +304,19 @@ void FileSystem::free_blocks_range(std::uint64_t start, std::uint64_t n) {
   free_blocks_cache_ += n;
 }
 
+template <typename Fn>
+void FileSystem::walk_indirect(std::uint64_t blk, Fn&& fn) const {
+  for (std::uint64_t hops = 0; blk != 0; ++hops) {
+    if (hops >= total_blocks_) {
+      throw FsError("fs: indirect extent chain cycle");
+    }
+    IndirectBlock ib{};
+    dev_->read(data_off_ + blk * kBlockSize, &ib, sizeof(ib));
+    if (!fn(blk, ib)) return;
+    blk = ib.next;
+  }
+}
+
 void FileSystem::append_extent(Inode& inode, Ino /*ino*/, std::uint64_t start,
                                std::uint64_t n) {
   if (inode.nextents < kInlineExtents) {
@@ -319,45 +332,39 @@ void FileSystem::append_extent(Inode& inode, Ino /*ino*/, std::uint64_t start,
     return;
   }
   // Walk (or grow) the indirect chain.
-  std::uint64_t blk = inode.indirect;
-  if (blk == 0) {
-    const auto runs = alloc_blocks(1);
-    blk = runs[0].first;
-    inode.indirect = blk;
-    IndirectBlock ib{};
-    dev_->write(data_off_ + blk * kBlockSize, &ib, sizeof(ib));
-    dev_->persist(data_off_ + blk * kBlockSize, sizeof(ib));
+  if (inode.indirect == 0) {
+    inode.indirect = alloc_blocks(1)[0].first;
+    const IndirectBlock ib{};
+    dev_->write(data_off_ + inode.indirect * kBlockSize, &ib, sizeof(ib));
+    dev_->persist(data_off_ + inode.indirect * kBlockSize, sizeof(ib));
   }
-  for (;;) {
-    IndirectBlock ib{};
+  walk_indirect(inode.indirect, [&](std::uint64_t blk, IndirectBlock& ib) {
     const std::uint64_t at = data_off_ + blk * kBlockSize;
-    dev_->read(at, &ib, sizeof(ib));
     if (ib.count > 0 && ib.next == 0) {
       auto& last = ib.ext[ib.count - 1];
       if (last.start + last.len == start) {
         last.len += n;
         dev_->write(at, &ib, sizeof(ib));
         dev_->persist(at, sizeof(ib));
-        return;
+        return false;
       }
     }
     if (ib.count < kIndirectExtents) {
       ib.ext[ib.count++] = Extent{start, n};
       dev_->write(at, &ib, sizeof(ib));
       dev_->persist(at, sizeof(ib));
-      return;
+      return false;
     }
     if (ib.next == 0) {
-      const auto runs = alloc_blocks(1);
-      ib.next = runs[0].first;
+      ib.next = alloc_blocks(1)[0].first;
       dev_->write(at, &ib, sizeof(ib));
       dev_->persist(at, sizeof(ib));
-      IndirectBlock fresh{};
+      const IndirectBlock fresh{};
       dev_->write(data_off_ + ib.next * kBlockSize, &fresh, sizeof(fresh));
       dev_->persist(data_off_ + ib.next * kBlockSize, sizeof(fresh));
     }
-    blk = ib.next;
-  }
+    return true;
+  });
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>>
@@ -367,16 +374,13 @@ FileSystem::detach_extents(Inode& inode) {
     runs.emplace_back(inode.ext[i].start, inode.ext[i].len);
   }
   inode.nextents = 0;
-  std::uint64_t blk = inode.indirect;
-  while (blk != 0) {
-    IndirectBlock ib{};
-    dev_->read(data_off_ + blk * kBlockSize, &ib, sizeof(ib));
+  walk_indirect(inode.indirect, [&](std::uint64_t blk, IndirectBlock& ib) {
     for (std::uint64_t i = 0; i < ib.count; ++i) {
       runs.emplace_back(ib.ext[i].start, ib.ext[i].len);
     }
     runs.emplace_back(blk, 1);
-    blk = ib.next;
-  }
+    return true;
+  });
   inode.indirect = 0;
   inode.size = 0;
   return runs;
@@ -401,13 +405,10 @@ void FileSystem::ensure_capacity(Ino ino, std::uint64_t size) {
   Inode inode = read_inode(ino);
   std::uint64_t have = 0;
   for (std::uint32_t i = 0; i < inode.nextents; ++i) have += inode.ext[i].len;
-  std::uint64_t blk = inode.indirect;
-  while (blk != 0) {
-    IndirectBlock ib{};
-    dev_->read(data_off_ + blk * kBlockSize, &ib, sizeof(ib));
+  walk_indirect(inode.indirect, [&](std::uint64_t, IndirectBlock& ib) {
     for (std::uint64_t i = 0; i < ib.count; ++i) have += ib.ext[i].len;
-    blk = ib.next;
-  }
+    return true;
+  });
   const std::uint64_t need = (size + kBlockSize - 1) / kBlockSize;
   if (need > have) {
     for (const auto& [start, n] : alloc_blocks(need - have)) {
@@ -431,12 +432,11 @@ std::vector<Mapping::Run> FileSystem::gather_runs(Ino ino,
     file_off += e.len * kBlockSize;
   };
   for (std::uint32_t i = 0; i < inode.nextents; ++i) add(inode.ext[i]);
-  std::uint64_t blk = inode.indirect;
-  while (blk != 0 && file_off < size) {
-    IndirectBlock ib{};
-    dev_->read(data_off_ + blk * kBlockSize, &ib, sizeof(ib));
-    for (std::uint64_t i = 0; i < ib.count; ++i) add(ib.ext[i]);
-    blk = ib.next;
+  if (file_off < size) {
+    walk_indirect(inode.indirect, [&](std::uint64_t, IndirectBlock& ib) {
+      for (std::uint64_t i = 0; i < ib.count; ++i) add(ib.ext[i]);
+      return file_off < size;
+    });
   }
   return runs;
 }
@@ -891,8 +891,6 @@ std::uint64_t FileSystem::free_blocks() const {
   return free_blocks_cache_;
 }
 
-std::uint64_t FileSystem::total_blocks() const { return total_blocks_; }
-
 // ---------------------------------------------------------------------------
 // DAX mappings
 // ---------------------------------------------------------------------------
@@ -968,15 +966,6 @@ void Mapping::check_publish(std::uint64_t off, std::size_t len) {
 
 void Mapping::charge_load(std::size_t bytes) const {
   fs_->dev_->charge_dax_read(bytes, map_sync_);
-}
-
-std::span<std::byte> Mapping::span(std::uint64_t off, std::size_t len) {
-  for (const auto& r : runs_) {
-    if (off >= r.file_off && off + len <= r.file_off + r.len) {
-      return {fs_->dev_->raw(r.dev_off + (off - r.file_off)), len};
-    }
-  }
-  throw FsError("fs: range not physically contiguous");
 }
 
 std::span<std::byte> Mapping::direct_write_span(std::uint64_t off,

@@ -68,6 +68,20 @@ std::string read_key(const Pool& pool, std::uint64_t node,
   return key;
 }
 
+/// Walk the chain from @p node, handing each node and its header to @p fn
+/// until @p fn returns true or the chain ends.  Chunks are 64-byte aligned,
+/// so an intact chain has at most pool.size() / 64 nodes; a longer walk is
+/// a cycle on damaged media and throws PoolError instead of never ending.
+template <typename Fn>
+void walk_chain(const Pool& pool, std::uint64_t node, Fn&& fn) {
+  for (std::uint64_t hops = 0; node != 0; ++hops) {
+    if (hops > pool.size() / 64) throw PoolError("HashTable: chain cycle");
+    const auto h = read_header(pool, node);
+    if (fn(node, h)) return;
+    node = h.next;
+  }
+}
+
 /// Whether @p node (header @p h) holds @p key.  The key bytes are read only
 /// when the lengths match.
 bool holds_key(const Pool& pool, std::uint64_t node, const NodeHeaderImage& h,
@@ -177,15 +191,14 @@ std::uint64_t HashTable::lock_bucket(std::string_view key,
 
 std::optional<ValueRef> HashTable::find(std::string_view key) const {
   std::unique_lock<std::mutex> lk;
-  std::uint64_t node = pool_->get<std::uint64_t>(lock_bucket(key, lk));
-  while (node != 0) {
-    const auto h = read_header(*pool_, node);
-    if (holds_key(*pool_, node, h, key)) {
-      return ValueRef{node, h.val_off, h.val_size, h.meta};
-    }
-    node = h.next;
-  }
-  return std::nullopt;
+  std::optional<ValueRef> found;
+  walk_chain(*pool_, pool_->get<std::uint64_t>(lock_bucket(key, lk)),
+             [&](std::uint64_t node, const NodeHeaderImage& h) {
+               if (!holds_key(*pool_, node, h, key)) return false;
+               found = ValueRef{node, h.val_off, h.val_size, h.meta};
+               return true;
+             });
+  return found;
 }
 
 HashTable::Inserter HashTable::reserve(std::string_view key,
@@ -221,14 +234,14 @@ std::vector<HashTable::Match> HashTable::find_chain(
   head = pool_->get<std::uint64_t>(slot);
   std::uint64_t prev = 0;
   std::size_t depth = 0;
-  for (std::uint64_t node = head; node != 0; ++depth) {
-    const auto h = read_header(*pool_, node);
+  walk_chain(*pool_, head, [&](std::uint64_t node, const NodeHeaderImage& h) {
     if (holds_key(*pool_, node, h, key)) {
       matches.push_back({prev, node, h.next, h.val_off, depth});
     }
     prev = node;
-    node = h.next;
-  }
+    ++depth;
+    return false;
+  });
   return matches;
 }
 
@@ -259,15 +272,6 @@ bool HashTable::erase(std::string_view key) {
   return true;
 }
 
-void HashTable::read_value(const ValueRef& ref, void* dst) const {
-  pool_->read(ref.val_off, dst, ref.val_size);
-}
-
-const std::byte* HashTable::value_direct(const ValueRef& ref) const {
-  pool_->charge_read(ref.val_size);
-  return pool_->direct(ref.val_off);
-}
-
 std::size_t HashTable::count() const {
   return s_->count.load(std::memory_order_relaxed);
 }
@@ -295,13 +299,12 @@ void HashTable::for_each(
   std::vector<std::uint64_t> heads(
       s_->nbuckets.load(std::memory_order_relaxed));
   pool_->read(bucket_slot(0), heads.data(), heads.size() * 8);
-  for (std::uint64_t node : heads) {
-    while (node != 0) {
-      const auto h = read_header(*pool_, node);
+  for (const std::uint64_t head : heads) {
+    walk_chain(*pool_, head, [&](std::uint64_t node, const NodeHeaderImage& h) {
       fn(read_key(*pool_, node, h),
          ValueRef{node, h.val_off, h.val_size, h.meta});
-      node = h.next;
-    }
+      return false;
+    });
   }
 }
 
@@ -356,11 +359,11 @@ void HashTable::rebuild(std::size_t new_nbuckets) {
   std::vector<std::uint64_t> old_nodes;
   std::vector<std::uint64_t> dup_vals;
   std::vector<std::byte> image;
-  for (std::uint64_t node : old_heads) {
+  for (const std::uint64_t old_head : old_heads) {
     std::set<std::string> seen;  // keys copied from this chain
-    while (node != 0) {
+    walk_chain(*pool_, old_head, [&](std::uint64_t node,
+                                     const NodeHeaderImage& h) {
       old_nodes.push_back(node);
-      const auto h = read_header(*pool_, node);
       const std::string key = read_key(*pool_, node, h);
       if (!seen.insert(key).second) {
         // Shadowed crash-leftover duplicate (see link()): copying it
@@ -368,8 +371,7 @@ void HashTable::rebuild(std::size_t new_nbuckets) {
         // prepends while walking head-to-tail.  Drop it instead; its value
         // blob is freed with the other retired storage after the swap.
         dup_vals.push_back(h.val_off);
-        node = h.next;
-        continue;
+        return false;
       }
       const std::uint64_t copy = pool_->alloc(kNodeKey + key.size());
       std::uint64_t& head = heads[fnv1a(key) % new_nbuckets];
@@ -381,8 +383,8 @@ void HashTable::rebuild(std::size_t new_nbuckets) {
       pool_->write(copy, image.data(), image.size());
       pool_->flush(copy, image.size());
       head = copy;
-      node = h.next;
-    }
+      return false;
+    });
   }
   pool_->write(new_off, new_array.data(), array_bytes);
   pool_->flush(new_off, array_bytes);

@@ -909,6 +909,11 @@ std::size_t Pool::refill_locked(Magazine& m, std::size_t cls) {
   if (!free_lists_failing()) {
     new_head = get<FreeLists>(Layout::kFreeListsOff).free_head[cls];
     while (new_head != 0 && taken.size() < k) {
+      // A chunk met twice is a cycle on damaged media: taking it again
+      // would hand one chunk out twice.
+      if (std::find(taken.begin(), taken.end(), new_head) != taken.end()) {
+        throw PoolError("Pool::refill: free list cycle");
+      }
       taken.push_back(new_head);
       new_head = get<std::uint64_t>(new_head + kChunkHeader);
     }

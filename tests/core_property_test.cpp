@@ -456,6 +456,82 @@ TEST(TraceProperty, ForcedStagingIsChargedToTheAudit) {
   pmem.munmap();
 }
 
+/// Self charge of category @p why in the last span named @p name: its
+/// inclusive charge minus its children's.
+double self_charge(const std::vector<trace::SpanData>& spans,
+                   std::string_view name, pmemcpy::sim::Charge why) {
+  const trace::SpanData* span = nullptr;
+  for (const auto& s : spans) {
+    if (name == s.name) span = &s;
+  }
+  if (span == nullptr) return -1.0;
+  double self = span->charge(why);
+  for (const auto& s : spans) {
+    if (s.parent == span->id) self -= s.charge(why);
+  }
+  return self;
+}
+
+TEST(TraceProperty, SymmetricGetChargesOneWholeBlobRead) {
+  // The one get path (DESIGN.md §13): with the read cache off, a symmetric
+  // piece load reads its whole blob once, in place, and checks its CRC over
+  // that span — no second read for the header.  The staging ablation
+  // charges the same read plus one DRAM copy of the payload.
+  using pmemcpy::sim::Charge;
+  ScopedTrace armed;
+  auto& c = pmemcpy::sim::ctx();
+  const auto& pm = c.model().pmem;
+  const std::vector<double> v(4096, 2.5);
+  const std::size_t dims = v.size(), off = 0;
+  for (const auto layout :
+       {pmemcpy::Layout::kHashTable, pmemcpy::Layout::kHierarchical}) {
+    for (const bool staged : {false, true}) {
+      SCOPED_TRACE(std::string(layout == pmemcpy::Layout::kHashTable
+                                   ? "table"
+                                   : "tree") +
+                   (staged ? ", staged" : ", direct"));
+      PmemNode node(node_opts());
+      Config cfg;
+      cfg.node = &node;
+      cfg.layout = layout;
+      cfg.force_dram_staging = staged;
+      PMEM pmem{cfg};
+      pmem.mmap("/get");
+      pmem.alloc<double>("A", 1, &dims);
+      pmem.store("A", v.data(), 1, &off, &dims);
+      std::size_t blob_bytes = 0;
+      pmem.for_each_raw([&](const std::string& key,
+                            std::span<const std::byte> blob, std::uint64_t) {
+        if (key.find("#p:") != std::string::npos) blob_bytes = blob.size();
+      });
+      ASSERT_GT(blob_bytes, v.size() * sizeof(double));
+      trace::reset();
+      std::vector<double> out(v.size());
+      pmem.load("A", out.data(), 1, &off, &dims);
+      EXPECT_EQ(out, v);
+      const auto spans = trace::snapshot();
+      const double read =
+          pm.read_latency + static_cast<double>(blob_bytes) /
+                                c.shared_bw(pm.read_stream_bw,
+                                            pm.read_total_bw);
+      EXPECT_NEAR(self_charge(spans, "core.get", Charge::kPmemRead), read,
+                  1e-12);
+      const std::size_t payload = v.size() * sizeof(double);
+      const double copy_before = c.charged(Charge::kCpuCopy);
+      c.charge_cpu_copy(payload);
+      const double copy =
+          staged ? c.charged(Charge::kCpuCopy) - copy_before : 0.0;
+      EXPECT_NEAR(self_charge(spans, "core.get", Charge::kCpuCopy), copy,
+                  1e-12);
+      EXPECT_EQ(trace::counter(trace::Counter::kCopyReadDirectBytes),
+                staged ? 0u : payload);
+      EXPECT_EQ(trace::counter(trace::Counter::kCopyReadStagedBytes),
+                staged ? payload : 0u);
+      pmem.munmap();
+    }
+  }
+}
+
 TEST(CoreCrash, OverwriteTornByCrashKeepsOldValue) {
   PmemNode::Options o = node_opts();
   o.crash_shadow = true;

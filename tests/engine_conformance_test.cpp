@@ -81,9 +81,8 @@ class EngineTest : public ::testing::TestWithParam<Kind> {
   static std::string get_str(Engine& st, const std::string& key) {
     auto e = st.find(key);
     if (!e) return "<missing>";
-    std::string out(e->info().size, '\0');
-    e->read(0, out.data(), out.size());
-    return out;
+    const auto blob = e->stored_span();
+    return {reinterpret_cast<const char*>(blob.data()), blob.size()};
   }
 
   std::unique_ptr<PmemNode> node_;
@@ -101,15 +100,6 @@ TEST_P(EngineTest, PutFindRoundtrip) {
 
 TEST_P(EngineTest, FindMissingReturnsNull) {
   EXPECT_EQ(engine_->find("nope"), nullptr);
-}
-
-TEST_P(EngineTest, PartialRead) {
-  put_str(*engine_, "k", "0123456789");
-  auto e = engine_->find("k");
-  char buf[4];
-  e->read(3, buf, 4);
-  EXPECT_EQ(std::string(buf, 4), "3456");
-  EXPECT_THROW(e->read(8, buf, 4), std::exception);
 }
 
 TEST_P(EngineTest, StoredSpanMatches) {
@@ -458,9 +448,10 @@ void crash_sweep(bool torn) {
       auto found = eng->find(e.key);
       if (!found) continue;
       ASSERT_EQ(found->info().size, e.value.size());
-      std::string out(e.value.size(), '\0');
-      found->read(0, out.data(), out.size());
-      EXPECT_EQ(out, e.value);
+      const auto blob = found->stored_span();
+      EXPECT_EQ(std::string(reinterpret_cast<const char*>(blob.data()),
+                            blob.size()),
+                e.value);
     }
   }
 }

@@ -5,8 +5,8 @@
 // engine (flat table and hierarchical tree), with an
 // in-memory reference model replayed alongside.  After every mutating op the
 // engine must agree with the model byte-for-byte — info().size, the
-// CRC-stamped meta word, read() contents and the zero-copy stored_span()
-// view all checked on every verification pass.
+// CRC-stamped meta word and the zero-copy stored_span() view all checked
+// on every verification pass.
 //
 // A second suite interleaves crash points: the device is scheduled to lose
 // power a few persist ops ahead, ops run until the crash lands, the node is
@@ -149,9 +149,9 @@ void engine_put(Engine& eng, const std::string& key, const std::string& value,
   put->commit(pmemcpy::crc32c(value.data(), value.size()));
 }
 
-/// Full engine/model agreement: every model key reads back exactly (read()
-/// and stored_span() both), every nonexistent probe misses, and prefix
-/// enumeration matches key-for-key.
+/// Full engine/model agreement: every model key reads back exactly through
+/// stored_span(), every nonexistent probe misses, and prefix enumeration
+/// matches key-for-key.
 void verify_model(Engine& eng, const Model& model, const char* when) {
   SCOPED_TRACE(when);
   for (const auto& [key, mv] : model) {
@@ -159,9 +159,6 @@ void verify_model(Engine& eng, const Model& model, const char* when) {
     ASSERT_NE(e, nullptr) << "model key missing: " << key;
     ASSERT_EQ(e->info().size, mv.bytes.size()) << key;
     EXPECT_EQ(e->info().meta, mv.meta) << key;
-    std::string out(mv.bytes.size(), '\0');
-    e->read(0, out.data(), out.size());
-    EXPECT_EQ(out, mv.bytes) << key;
     const auto span = e->stored_span();
     ASSERT_EQ(span.size(), mv.bytes.size()) << key;
     EXPECT_EQ(std::memcmp(span.data(), mv.bytes.data(), span.size()), 0)

@@ -611,7 +611,7 @@ struct HeadFaultScene {
       const auto ref = table.find(key);
       if (!ref) continue;
       std::string got(ref->val_size, '\0');
-      table.read_value(*ref, got.data());
+      pool.read(ref->val_off, got.data(), ref->val_size);
       EXPECT_EQ(got, std::string(kValue, key.back()));
       EXPECT_NE(pool.alloc(kValue), ref->val_off);
       EXPECT_NE(pool.alloc(40 + key.size()), ref->node_off);

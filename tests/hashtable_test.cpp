@@ -3,6 +3,8 @@
 #include <pmemcpy/obj/hashtable.hpp>
 #include <pmemcpy/trace/trace.hpp>
 
+#include "deadline.hpp"
+
 #include <gtest/gtest.h>
 
 #include <sys/types.h>
@@ -42,7 +44,7 @@ struct HashTableTest : ::testing::Test {
     auto ref = table.find(key);
     if (!ref) return "<missing>";
     std::string out(ref->val_size, '\0');
-    table.read_value(*ref, out.data());
+    pool.read(ref->val_off, out.data(), ref->val_size);
     return out;
   }
 
@@ -189,9 +191,8 @@ TEST_F(HashTableTest, ReservePublishDirectWrite) {
   EXPECT_TRUE(ins.publish());
   auto ref = table.find("blob");
   ASSERT_TRUE(ref.has_value());
-  const std::byte* p = table.value_direct(*ref);
   std::uint64_t out = 0;
-  std::memcpy(&out, p, 8);
+  std::memcpy(&out, pool.direct(ref->val_off), 8);
   EXPECT_EQ(out, v);
   EXPECT_EQ(ref->meta, 5u);
 }
@@ -203,7 +204,7 @@ TEST_F(HashTableTest, OpenExistingTableSeesData) {
   auto ref = reopened.find("persisted");
   ASSERT_TRUE(ref.has_value());
   std::string out(ref->val_size, '\0');
-  reopened.read_value(*ref, out.data());
+  pool.read(ref->val_off, out.data(), ref->val_size);
   EXPECT_EQ(out, "yes");
 }
 
@@ -233,6 +234,27 @@ TEST_F(HashTableTest, OpenRejectsDamagedHeader) {
   }
   pool.set<std::uint64_t>(hdr, array);
   EXPECT_EQ(HashTable::open(pool, hdr).nbuckets(), 64u);
+}
+
+// A damaged next word must end a chain walk in a typed error, not a hang.
+// On-media format: a node's first word is its next pointer.
+TEST_F(HashTableTest, ChainCycleThrowsInsteadOfHanging) {
+  HashTable one = HashTable::create(pool, 1);
+  one.put("a", "1", 1);
+  one.put("b", "2", 1);  // the chain is b -> a
+  const std::uint64_t a = one.find("a")->node_off;
+  pool.set<std::uint64_t>(a, a);
+  using pmemcpy::obj::PoolError;
+  using pmemcpy::testutil::throws_before_deadline;
+  EXPECT_TRUE(throws_before_deadline<PoolError>([&] {
+    (void)one.find("zzz");
+  })) << "find";
+  EXPECT_TRUE(throws_before_deadline<PoolError>([&] {
+    (void)one.erase("zzz");
+  })) << "erase";
+  EXPECT_TRUE(throws_before_deadline<PoolError>([&] {
+    one.for_each([](std::string_view, const pmemcpy::obj::ValueRef&) {});
+  })) << "for_each";
 }
 
 TEST_F(HashTableTest, ConcurrentDistinctKeys) {
@@ -330,7 +352,7 @@ TEST(HashTableConcurrent, DistinctKeysWithBucketCountNotAMultipleOfStripes) {
       auto ref = table.find(key);
       ASSERT_TRUE(ref.has_value()) << key;
       std::string out(ref->val_size, '\0');
-      table.read_value(*ref, out.data());
+      pool.read(ref->val_off, out.data(), ref->val_size);
       EXPECT_EQ(out, key);
     }
   }

@@ -71,30 +71,15 @@ TEST(CommTest, Allgather) {
   });
 }
 
-TEST(CommTest, AllgathervVariableSizes) {
-  Runtime::run(4, [&](Comm& c) {
-    // Rank r contributes r+1 bytes of value 'A'+r.
-    const std::size_t mine = static_cast<std::size_t>(c.rank()) + 1;
-    std::vector<char> send(mine, static_cast<char>('A' + c.rank()));
-    std::vector<std::size_t> counts{1, 2, 3, 4};
-    std::vector<std::size_t> displs{0, 1, 3, 6};
-    std::vector<char> recv(10);
-    c.allgatherv(send.data(), mine, recv.data(), counts, displs);
-    EXPECT_EQ(std::string(recv.begin(), recv.end()), "ABBCCCDDDD");
-  });
-}
-
-TEST(CommTest, AllgathervCountMismatchThrows) {
-  EXPECT_THROW(
-      Runtime::run(2,
-                   [&](Comm& c) {
-                     char x = 'x';
-                     std::vector<std::size_t> counts{1, 2};  // rank1 sends 1
-                     std::vector<std::size_t> displs{0, 1};
-                     std::vector<char> recv(3);
-                     c.allgatherv(&x, 1, recv.data(), counts, displs);
-                   }),
-      std::invalid_argument);
+TEST(CommTest, AllgatherCountMismatchThrows) {
+  EXPECT_THROW(Runtime::run(2,
+                            [&](Comm& c) {
+                              const char x[2] = {'x', 'y'};
+                              std::vector<char> recv(4);
+                              // Rank 0 contributes one byte, rank 1 two.
+                              c.allgather(x, c.rank() + 1u, recv.data());
+                            }),
+               std::invalid_argument);
 }
 
 TEST(CommTest, GathervOnlyRootReceives) {
@@ -140,82 +125,20 @@ TEST(CommTest, AlltoallvZeroCounts) {
   });
 }
 
-TEST(CommTest, ScattervDistributes) {
-  Runtime::run(4, [&](Comm& c) {
-    std::vector<std::uint8_t> send;
-    std::vector<std::size_t> counts{1, 2, 3, 4}, displs{0, 1, 3, 6};
-    if (c.rank() == 1) {
-      send = {9, 10, 10, 11, 11, 11, 12, 12, 12, 12};
-    }
-    const std::size_t mine = static_cast<std::size_t>(c.rank()) + 1;
-    std::vector<std::uint8_t> recv(mine, 0);
-    c.scatterv(send.data(), counts, displs, recv.data(), mine, 1);
-    for (auto v : recv) {
-      EXPECT_EQ(v, static_cast<std::uint8_t>(9 + c.rank()));
-    }
-  });
-}
-
-TEST(CommTest, ScattervCountMismatchThrows) {
+TEST(CommTest, AlltoallvCountMismatchThrows) {
   EXPECT_THROW(
       Runtime::run(2,
                    [&](Comm& c) {
-                     std::vector<std::uint8_t> send(4);
-                     std::vector<std::size_t> counts{2, 2}, displs{0, 2};
-                     std::uint8_t recv[3];
-                     c.scatterv(send.data(), counts, displs, recv,
-                                /*bytes=*/3, 0);  // claims 3, root says 2
+                     std::vector<std::uint8_t> send(2), recv(4);
+                     std::vector<std::size_t> scounts{1, 1}, sdispls{0, 1};
+                     // Rank 0 expects two bytes from rank 1, which sends one.
+                     const std::size_t from1 = c.rank() == 0 ? 2 : 1;
+                     std::vector<std::size_t> rcounts{1, from1};
+                     std::vector<std::size_t> rdispls{0, 1};
+                     c.alltoallv(send.data(), scounts, sdispls, recv.data(),
+                                 rcounts, rdispls);
                    }),
       std::invalid_argument);
-}
-
-TEST(CommTest, SplitByParity) {
-  Runtime::run(6, [&](Comm& c) {
-    Comm sub = c.split(c.rank() % 2, c.rank());
-    ASSERT_TRUE(sub.valid());
-    EXPECT_EQ(sub.size(), 3);
-    EXPECT_EQ(sub.rank(), c.rank() / 2);
-    // Sub-communicator collectives work and stay within the group.
-    const auto sum = sub.allreduce_sum(static_cast<std::uint64_t>(c.rank()));
-    if (c.rank() % 2 == 0) {
-      EXPECT_EQ(sum, 0u + 2u + 4u);
-    } else {
-      EXPECT_EQ(sum, 1u + 3u + 5u);
-    }
-    sub.barrier();
-  });
-}
-
-TEST(CommTest, SplitKeyOrdersRanks) {
-  Runtime::run(4, [&](Comm& c) {
-    // Reverse the rank order via the key.
-    Comm sub = c.split(0, -c.rank());
-    EXPECT_EQ(sub.rank(), c.size() - 1 - c.rank());
-  });
-}
-
-TEST(CommTest, SplitNegativeColorOptsOut) {
-  Runtime::run(4, [&](Comm& c) {
-    Comm sub = c.split(c.rank() == 0 ? -1 : 7, 0);
-    if (c.rank() == 0) {
-      EXPECT_FALSE(sub.valid());
-    } else {
-      ASSERT_TRUE(sub.valid());
-      EXPECT_EQ(sub.size(), 3);
-      sub.barrier();
-    }
-  });
-}
-
-TEST(CommTest, RepeatedSplitsIndependent) {
-  Runtime::run(4, [&](Comm& c) {
-    Comm a = c.split(0, 0);
-    Comm b = c.split(c.rank() < 2 ? 0 : 1, 0);
-    EXPECT_EQ(a.size(), 4);
-    EXPECT_EQ(b.size(), 2);
-    a.barrier();
-    b.barrier();
-  });
 }
 
 TEST(CommTest, SendRecvDelivers) {
@@ -274,7 +197,6 @@ TEST(CommTest, Reductions) {
     const double mine = static_cast<double>(c.rank());
     EXPECT_DOUBLE_EQ(c.allreduce_sum(mine), 15.0);
     EXPECT_DOUBLE_EQ(c.allreduce_max(mine), 5.0);
-    EXPECT_DOUBLE_EQ(c.allreduce_min(mine), 0.0);
   });
 }
 

@@ -1,9 +1,12 @@
 // Tests for the EXT4-DAX-like filesystem: namespace, POSIX IO, DAX mappings.
 #include <pmemcpy/fs/filesystem.hpp>
 
+#include "deadline.hpp"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <thread>
 
@@ -108,6 +111,34 @@ TEST_F(FsTest, LargeFileSpansIndirectExtents) {
   EXPECT_EQ(in, out);
 }
 
+// A damaged next word must end an indirect-extent walk in a typed error,
+// not a hang.  On-media format: the superblock's seventh word is the data
+// area's offset, and an indirect block is {next, count, extents}, counted
+// in blocks.
+TEST_F(FsTest, IndirectChainCycleThrowsInsteadOfHanging) {
+  // 20 fragmented 16-block extents: 12 inline, 8 in one indirect block.
+  File big = fs.open("/frag", OpenMode::kTruncate);
+  for (int i = 0; i < 20; ++i) {
+    File pad = fs.open("/pad" + std::to_string(i), OpenMode::kTruncate);
+    fs.truncate(pad, 4096);
+    fs.truncate(big, fs.size(big) + (1 << 16));
+  }
+  std::uint64_t data_off = 0;
+  std::memcpy(&data_off, dev.raw(48), sizeof(data_off));
+  std::uint64_t self = 0;
+  for (std::uint64_t off = data_off; off < kFsSize && self == 0;
+       off += 4096) {
+    std::uint64_t w[4];
+    std::memcpy(w, dev.raw(off), sizeof(w));
+    if (w[0] == 0 && w[1] == 8 && w[3] == 16) self = (off - data_off) / 4096;
+  }
+  ASSERT_NE(self, 0u) << "no indirect block found";
+  std::memcpy(dev.raw(data_off + self * 4096), &self, sizeof(self));
+  // Growing the file walks the chain to count the blocks it owns.
+  EXPECT_TRUE(pmemcpy::testutil::throws_before_deadline<FsError>(
+      [&] { fs.truncate(big, fs.size(big) + (1 << 16)); }));
+}
+
 TEST_F(FsTest, ListDirectory) {
   fs.mkdir("/d");
   (void)fs.open("/d/one", OpenMode::kTruncate);
@@ -208,7 +239,7 @@ TEST_F(FsTest, MappingOutOfRangeThrows) {
 
 TEST_F(FsTest, MappingSpanContiguous) {
   auto m = fs.create_mapped("/span", 1 << 16);
-  auto s = m.span(0, 1 << 16);  // fresh file: one extent
+  auto s = m.direct_write_span(0, 1 << 16);  // fresh file: one extent
   EXPECT_EQ(s.size(), 1u << 16);
   s[100] = std::byte{0x77};
   std::byte out{};

@@ -2,14 +2,11 @@
 #include <pmemcpy/crc32c.hpp>
 #include <pmemcpy/obj/pool.hpp>
 
+#include "deadline.hpp"
+
 #include <gtest/gtest.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
-#include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -283,36 +280,8 @@ TEST(PoolTest, FreeListCycleThrowsInsteadOfHanging) {
   // A one-node cycle on the large free list: the chunk's next word points
   // back at the chunk.  An allocation it cannot serve walks the list.
   p.set<std::uint64_t>(a, a - 16);
-  // The walk runs in a child process, so a hang becomes a failure at the
-  // deadline below instead of a hung test.
-  const pid_t pid = fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    try {
-      (void)p.alloc(300000);
-    } catch (const PoolError&) {
-      std::_Exit(0);
-    } catch (...) {
-      std::_Exit(2);
-    }
-    std::_Exit(1);
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  int status = 0;
-  pid_t done = 0;
-  while ((done = waitpid(pid, &status, WNOHANG)) == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  if (done == 0) {
-    kill(pid, SIGKILL);
-    waitpid(pid, &status, 0);
-    FAIL() << "alloc hung on a free-list cycle";
-  }
-  ASSERT_EQ(done, pid);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0) << "alloc did not throw PoolError";
+  EXPECT_TRUE(pmemcpy::testutil::throws_before_deadline<PoolError>(
+      [&] { (void)p.alloc(300000); }));
   EXPECT_FALSE(p.check().ok());
 }
 
@@ -356,6 +325,20 @@ TEST(PoolMagazineTest, AllocFreeRoundtripStaysConsistent) {
   const auto rep = p.check();
   EXPECT_TRUE(rep.ok()) << (rep.issues.empty() ? "" : rep.issues.front());
   EXPECT_EQ(rep.bytes_in_use, p.bytes_in_use());
+}
+
+TEST(PoolMagazineTest, RefillCycleThrowsInsteadOfDoubleAllocating) {
+  Device dev(kPool);
+  Pool p = Pool::create(dev, 0, kPool);
+  const auto a = p.alloc(64);  // magazines off: the free lands on the list
+  p.free(a);
+  // A one-node cycle on the 64-byte class list, shorter than the refill
+  // batch: taking K chunks off it would put this one in the magazine K
+  // times, and each alloc would hand it out again.
+  p.set<std::uint64_t>(a, a - 16);
+  p.set_magazine_size(8);
+  EXPECT_TRUE(pmemcpy::testutil::throws_before_deadline<PoolError>(
+      [&] { (void)p.alloc(64); }));
 }
 
 TEST(PoolMagazineTest, CheckCountsMagazineOwnedChunks) {
