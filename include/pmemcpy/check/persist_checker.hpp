@@ -140,10 +140,6 @@ class PersistChecker {
   Report take_report();
   /// True iff no violations have been recorded (and not yet taken).
   [[nodiscard]] bool clean() const;
-  /// True while any line sits flushed-but-unfenced.  The device consults
-  /// this when a faulted op unwinds mid-batch, to decide whether a settling
-  /// fence is needed before the caller's retry stores to those lines.
-  [[nodiscard]] bool has_pending_flushes() const;
 
  private:
   struct Line {

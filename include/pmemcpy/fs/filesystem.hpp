@@ -10,7 +10,7 @@
 //     pMEMCPY's hierarchical layout uses this.
 //
 // On-device layout: superblock, block bitmap, fixed inode table, data blocks.
-// Files are extent-based (4 inline extents + chained indirect extent blocks),
+// Files are extent-based (12 inline extents + chained indirect extent blocks),
 // directories are files holding (inode, name) records.  Metadata updates are
 // persisted write-through so a device image can be re-mounted; full crash
 // journaling is out of scope (the object store, not the filesystem, provides
@@ -177,8 +177,8 @@ class FileSystem {
 
  private:
   friend class Mapping;
-  struct Layout;
   struct Inode;
+  struct DirHeader;
 
   FileSystem(pmem::Device& dev, std::size_t base);
 
@@ -190,7 +190,9 @@ class FileSystem {
   /// Allocate @p nblocks, preferring contiguity; returns extents.
   [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>>
   alloc_blocks(std::uint64_t nblocks);
-  void free_blocks_range(std::uint64_t start, std::uint64_t n);
+  /// Mark blocks [start, start+n) used or free in the DRAM bitmap and write
+  /// the touched bitmap bytes through to the device.
+  void mark_blocks(std::uint64_t start, std::uint64_t n, bool used);
 
   /// Ensure the file owns blocks covering [0, size); grows only.
   void ensure_capacity(Ino ino, std::uint64_t size);
@@ -198,11 +200,19 @@ class FileSystem {
   [[nodiscard]] std::vector<Mapping::Run> gather_runs(Ino ino,
                                                       std::uint64_t size) const;
   /// Visit the indirect extent blocks chained from block @p blk in order:
-  /// fn(block index, block) returns false to stop.  An intact chain holds
-  /// each block once, so a walk past total_blocks_ is a cycle on damaged
-  /// media and throws FsError instead of never ending.
+  /// fn(block index, block) returns false to stop.  Each block must lie in
+  /// the data region and hold at most its 254 extents.  An intact chain
+  /// holds each block once, so a walk past total_blocks_ is a cycle on
+  /// damaged media.  Either damage throws FsError.
   template <typename Fn>
   void walk_indirect(std::uint64_t blk, Fn&& fn) const;
+  /// The one decoder of a file's extent list: fn(extent, true) for each
+  /// inline extent, then, block by block along the indirect chain, for the
+  /// block's extents followed by fn({block, 1}, false) for the block itself;
+  /// fn returns false to stop.  At most 12 inline extents, each inside the
+  /// data region, else FsError.
+  template <typename Fn>
+  void for_each_extent(const Inode& inode, Fn&& fn) const;
   /// Append an extent to an inode's extent list (inline or indirect chain).
   void append_extent(Inode& inode, Ino ino, std::uint64_t start,
                      std::uint64_t n);
@@ -223,6 +233,10 @@ class FileSystem {
   [[nodiscard]] Ino dir_lookup(Ino dir, std::string_view name) const;
   void dir_add(Ino dir, std::string_view name, Ino child);
   void dir_remove(Ino dir, std::string_view name);
+  /// The one directory-header decoder: zero when never written, else both
+  /// slots inside the file and the live list inside one slot (FsError).
+  [[nodiscard]] DirHeader dir_header(Ino dir, const Inode& inode) const;
+  /// Parse the live entry list; an entry overrunning its slot is FsError.
   [[nodiscard]] std::vector<std::pair<std::string, Ino>> dir_entries(
       Ino dir) const;
   void dir_write_entries(

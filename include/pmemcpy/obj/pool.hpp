@@ -256,10 +256,43 @@ class Pool {
   void recover();
   void check_off(std::uint64_t off, std::size_t len) const;
 
-  /// Rebuild the DRAM quarantine cache from the persistent table (open()).
-  void load_quarantine();
-  /// Intersection test against the cache; callers hold alloc_mu_.
+  /// Intersection test against the quarantine cache; callers hold alloc_mu_.
   [[nodiscard]] bool quar_hit(std::uint64_t off, std::size_t len) const;
+
+  // --- on-media decoders (DESIGN.md §6) --------------------------------------
+  // One decoder per persistent structure, shared by open/recovery, the
+  // allocator and check().  Each bounds what it reads by the structure's own
+  // limits and throws PoolError past them; check() reports the message.
+
+  /// How a decoder loads: charged like any DAX load, or peeked uncharged
+  /// (open-time recovery metadata, not workload I/O).
+  enum class Load { kCharged, kPeek };
+  void load(std::uint64_t off, void* dst, std::size_t len, Load how) const;
+  template <typename T>
+  [[nodiscard]] T load(std::uint64_t off, Load how) const {
+    T v;
+    load(off, &v, sizeof(T), how);
+    return v;
+  }
+  using Quarantine = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  /// The persistent quarantine table: count within capacity, checksum
+  /// matching, every entry line-aligned and inside the pool.
+  [[nodiscard]] Quarantine decode_quarantine(Load how) const;
+  /// fn(pos, header) for each chunk tiling [heap start, cursor), hopping the
+  /// stretches of @p quar the allocator left without a header.  A chunk must
+  /// advance by at least 64 bytes and no further than @p cursor.
+  template <typename Fn>
+  void walk_heap(std::uint64_t cursor, const Quarantine& quar, Load how,
+                 Fn&& fn) const;
+  /// fn(chunk, next) along the class-@p cls free list from @p head until fn
+  /// returns false.  Each entry must be a chunk position below @p cursor, and
+  /// the walk is capped at one hop per 64 heap bytes (only a cycle goes on).
+  template <typename Fn>
+  void walk_free_list(std::uint32_t cls, std::uint64_t head,
+                      std::uint64_t cursor, Fn&& fn) const;
+  /// Offsets of the undo lane's entries, oldest first.  `used` must fit the
+  /// lane, and each entry must end inside `used` and target the pool.
+  [[nodiscard]] std::vector<std::uint64_t> undo_lane_entries() const;
 
   std::uint64_t alloc_locked(std::size_t bytes);
 
@@ -286,7 +319,7 @@ class Pool {
   void mag_mark_owned(std::uint64_t chunk, std::uint64_t payload,
                       std::uint32_t cls);
   /// Reclaim chunks left magazine-flagged by a crash back to the free
-  /// lists (open(), after undo-log recovery and quarantine load).
+  /// lists (open(), after undo-log recovery and quarantine decode).
   void sweep_magazines();
 
   // Allocator undo lane: pre-image logging that makes the multi-store
@@ -320,7 +353,7 @@ class Pool {
 
   /// DRAM cache of the persistent quarantine table, in table order.
   /// Guarded by alloc_mu_ (the allocator consults it on every path).
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> quar_;
+  Quarantine quar_;
 
   std::unique_ptr<AllocRuntime> art_;
   std::unique_ptr<std::mutex> alloc_mu_ = std::make_unique<std::mutex>();

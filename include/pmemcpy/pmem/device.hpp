@@ -102,8 +102,9 @@ struct FaultPlan {
   // Each checked access flips one seed-deterministic coin per attempt: a
   // faulted attempt throws (or is retried under the device retry policy);
   // the retry is a fresh attempt with a fresh coin, so transient faults
-  // succeed on retry with probability 1 - rate.  The same knobs are armed
-  // from the PMEMCPY_FAULT_RATE/_SEED/_STICKY env at construction.
+  // succeed on retry with probability 1 - rate.  The three rates and the
+  // seed are also armed from the PMEMCPY_FAULT_RATE/_SEED env at
+  // construction.
 
   /// Per-attempt fault probability for checked reads.
   double transient_read_rate = 0.0;
@@ -228,8 +229,8 @@ class Device {
 
   // --- transient faults, sticky media and retries -----------------------------
 
-  /// Retry/backoff schedule for transient faults (also armed from the
-  /// PMEMCPY_FAULT_RETRIES env).  Backoff is charged to the simulated clock.
+  /// Retry/backoff schedule for transient faults.  Backoff is charged to
+  /// the simulated clock.
   void set_retry_policy(const ft::RetryPolicy& policy) noexcept;
 
   /// Mark the cachelines covering [off, off+len) as sticky-bad media:
@@ -294,12 +295,20 @@ class Device {
   /// on a crash.  Restore their last durable images from the shadow (no-op
   /// without crash_shadow).
   void revert_unpersisted(std::size_t off, std::size_t len);
-  /// A faulted op is unwinding mid-batch.  If earlier flushes in the batch
-  /// left lines flushed-but-unfenced, issue one settling fence so the
-  /// caller's healing retry does not store onto an open CLWB window (a
-  /// store-after-flush hazard the retry could not otherwise avoid).  No-op
-  /// when nothing is pending, so it never lints as an empty fence.
+  /// A faulted op is unwinding mid-batch.  If a flush() was issued since
+  /// the last fence, issue one settling fence so the caller's healing retry
+  /// does not store onto an open CLWB window (a store-after-flush hazard the
+  /// retry could not otherwise avoid).  No-op otherwise, so it never lints
+  /// as an empty fence.  Decided from the device's own record, so an
+  /// attached checker never changes what a faulted op does.
   void settle_unwind();
+  /// Charge one store of @p len bytes at the shared write bandwidth times
+  /// @p bw_factor (the MAP_SYNC derating, else 1).
+  void charge_store(std::size_t len, double bw_factor);
+  /// Count one persist op (flush, fence or both) and return its 1-based
+  /// index; at the scheduled crash point apply the crash, freeze the device
+  /// and throw CrashError instead.
+  std::uint64_t tick_persist_op();
   /// Deterministically decide whether a torn crash reverts @p line.
   [[nodiscard]] bool torn_reverts(std::size_t line) const noexcept;
 
@@ -317,6 +326,10 @@ class Device {
   /// backoff to the sim clock; throws kTransient when the budget runs out
   /// and kMediaWrite when an attempt escalates to a sticky range.
   void run_retries(FaultOp op, std::size_t off, std::size_t len) const;
+  /// The fault point of every store and writeback: sticky media, then the
+  /// coins under the retry policy.  A failed writeback reverts the lines it
+  /// covered; either failure settles the batch and rethrows.
+  void fault_gate(FaultOp op, std::size_t off, std::size_t len);
 
   std::size_t capacity_;
   std::unique_ptr<std::byte[]> data_;
@@ -327,6 +340,8 @@ class Device {
   std::atomic<std::uint64_t> persist_ops_{0};
   std::atomic<std::uint64_t> crash_at_{0};
   std::atomic<bool> frozen_{false};
+  /// A flush() was issued since the last fence (persist() or drain()).
+  std::atomic<bool> unfenced_flush_{false};
   bool torn_writes_ = false;
   std::uint64_t torn_seed_ = 0;
 
@@ -338,7 +353,7 @@ class Device {
   double t_write_rate_ = 0.0;
   double t_persist_rate_ = 0.0;
   double sticky_rate_ = 0.0;
-  std::uint64_t fault_seed_ = 0;
+  std::uint64_t fault_seed_ = FaultPlan{}.fault_seed;
   mutable std::uint64_t fault_seq_ = 0;  // per-attempt coin index, under mu_
   ft::RetryPolicy retry_;
   /// Sticky-bad ranges (off, len).  Mutable: a faulted attempt on the const

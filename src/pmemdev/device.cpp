@@ -74,23 +74,15 @@ Device::Device(std::size_t capacity, bool crash_shadow)
       crash_shadow_(crash_shadow),
       touched_(capacity_ / kPage, false) {
   if (checker_default_on()) enable_checker();
-  // Env-driven transient-fault arming (the fault-matrix CI config).  A
-  // programmatic set_fault_plan() later overrides these.
+  // Env-driven transient-fault arming (ci.sh's fault smoke).  A
+  // programmatic set_fault_plan() later overrides it.
   const double rate = env_double("PMEMCPY_FAULT_RATE", 0.0);
   if (rate > 0.0) {
     t_read_rate_ = t_write_rate_ = t_persist_rate_ = rate;
-    sticky_rate_ = env_double("PMEMCPY_FAULT_STICKY", 0.0);
-    fault_seed_ = FaultPlan{}.fault_seed;
     if (const char* e = std::getenv("PMEMCPY_FAULT_SEED")) {
       fault_seed_ = std::strtoull(e, nullptr, 0);
     }
-    if (const char* e = std::getenv("PMEMCPY_FAULT_RETRIES")) {
-      const int n = std::atoi(e);
-      if (n > 0) retry_.max_attempts = n;
-    }
     transient_armed_.store(true, std::memory_order_relaxed);
-  } else {
-    fault_seed_ = FaultPlan{}.fault_seed;
   }
 }
 
@@ -145,14 +137,7 @@ void Device::write(std::size_t off, const void* src, std::size_t len) {
   if (frozen()) return;  // powered off: stores vanish
   note_write(off, len);
   std::memcpy(data_.get() + off, src, len);
-  auto& c = sim::ctx();
-  const auto& pm = c.model().pmem;
-  c.advance(pm.write_latency + static_cast<double>(len) /
-                                   c.shared_bw(pm.write_stream_bw,
-                                               pm.write_total_bw),
-            sim::Charge::kPmemWrite);
-  trace::count(trace::Counter::kBytesWritten, len);
-  bytes_written_.fetch_add(len, std::memory_order_relaxed);
+  charge_store(len, 1.0);
 }
 
 void Device::read(std::size_t off, void* dst, std::size_t len) const {
@@ -177,48 +162,46 @@ void Device::fill(std::size_t off, std::size_t len, std::byte value) {
   if (frozen()) return;
   note_write(off, len);
   std::memset(data_.get() + off, std::to_integer<int>(value), len);
+  charge_store(len, 1.0);
+}
+
+void Device::charge_store(std::size_t len, double bw_factor) {
   auto& c = sim::ctx();
   const auto& pm = c.model().pmem;
-  c.advance(pm.write_latency + static_cast<double>(len) /
-                                   c.shared_bw(pm.write_stream_bw,
-                                               pm.write_total_bw),
+  const double bw =
+      c.shared_bw(pm.write_stream_bw, pm.write_total_bw) * bw_factor;
+  c.advance(pm.write_latency + static_cast<double>(len) / bw,
             sim::Charge::kPmemWrite);
   trace::count(trace::Counter::kBytesWritten, len);
   bytes_written_.fetch_add(len, std::memory_order_relaxed);
 }
 
-void Device::persist(std::size_t off, std::size_t len) {
-  check_range(off, len);
-  if (frozen()) return;  // powered off: nothing to make durable
-  if (transient_armed_.load(std::memory_order_relaxed)) {
-    try {
-      check_sticky(off, len);
-      run_retries(FaultOp::kPersist, off, len);
-    } catch (const DeviceError&) {
-      // The writeback never reached media: in-flight stores to these lines
-      // are lost, exactly as on a crash.  Revert them to their last durable
-      // image so the media state the caller recovers against matches what
-      // the hardware would actually hold, then settle any earlier unfenced
-      // flushes of the batch so the healing retry starts from a clean
-      // ordering state.
-      revert_unpersisted(off, len);
-      settle_unwind();
-      throw;
-    }
+void Device::fault_gate(FaultOp op, std::size_t off, std::size_t len) {
+  if (!transient_armed_.load(std::memory_order_relaxed)) return;
+  try {
+    check_sticky(off, len);
+    run_retries(op, off, len);
+  } catch (const DeviceError&) {
+    // A failed writeback never reached media: in-flight stores to these
+    // lines are lost, exactly as on a crash.  Revert them to their last
+    // durable image so the media state the caller recovers against matches
+    // what the hardware would actually hold.  (A failed store never
+    // happened, so it has nothing to revert.)  Either way, settle any
+    // earlier unfenced flushes of the batch so the healing retry starts
+    // from a clean ordering state.
+    if (op == FaultOp::kPersist) revert_unpersisted(off, len);
+    settle_unwind();
+    throw;
   }
-  const std::size_t first = off / kCacheLine;
-  const std::size_t last = (off + len + kCacheLine - 1) / kCacheLine;
-  auto& c = sim::ctx();
-  const auto& pm = c.model().pmem;
-  c.advance(static_cast<double>(last - first) * pm.persist_line_cost +
-                pm.drain_cost,
-            sim::Charge::kPmemPersist);
+}
+
+std::uint64_t Device::tick_persist_op() {
   const std::uint64_t op =
       persist_ops_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (op == crash_at_.load(std::memory_order_relaxed)) {
-    // The scheduled crash point: power fails *before* this persist takes
-    // effect, so the lines it covers stay unpersisted and are subject to
-    // the revert policy like any other in-flight store.
+    // The scheduled crash point: power fails *before* this op takes effect,
+    // so the lines it would write back or fence stay unpersisted and are
+    // subject to the revert policy like any other in-flight store.
     {
       std::lock_guard lk(mu_);
       apply_crash_locked();
@@ -226,6 +209,23 @@ void Device::persist(std::size_t off, std::size_t len) {
     }
     throw CrashError(op);
   }
+  return op;
+}
+
+void Device::persist(std::size_t off, std::size_t len) {
+  check_range(off, len);
+  if (frozen()) return;  // powered off: nothing to make durable
+  fault_gate(FaultOp::kPersist, off, len);
+  const std::size_t first = off / kCacheLine;
+  const std::size_t last = (off + len + kCacheLine - 1) / kCacheLine;
+  auto& c = sim::ctx();
+  const auto& pm = c.model().pmem;
+  c.advance(static_cast<double>(last - first) * pm.persist_line_cost +
+                pm.drain_cost,
+            sim::Charge::kPmemPersist);
+  const std::uint64_t op = tick_persist_op();
+  // The implicit fence orders every earlier flush() too.
+  unfenced_flush_.store(false, std::memory_order_relaxed);
   if (crash_shadow_) {
     std::lock_guard lk(mu_);
     for (std::size_t line = first; line < last; ++line) {
@@ -248,33 +248,14 @@ void Device::persist(std::size_t off, std::size_t len) {
 void Device::flush(std::size_t off, std::size_t len) {
   check_range(off, len);
   if (frozen()) return;  // powered off: nothing writes back
-  if (transient_armed_.load(std::memory_order_relaxed)) {
-    try {
-      check_sticky(off, len);
-      run_retries(FaultOp::kPersist, off, len);
-    } catch (const DeviceError&) {
-      revert_unpersisted(off, len);  // the writeback never happened
-      settle_unwind();
-      throw;
-    }
-  }
+  fault_gate(FaultOp::kPersist, off, len);
   const std::size_t first = off / kCacheLine;
   const std::size_t last = (off + len + kCacheLine - 1) / kCacheLine;
   auto& c = sim::ctx();
   c.advance(static_cast<double>(last - first) * c.model().pmem.persist_line_cost,
             sim::Charge::kPmemPersist);
-  const std::uint64_t op =
-      persist_ops_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (op == crash_at_.load(std::memory_order_relaxed)) {
-    // Power fails before the writeback: the flushed lines are as lost as any
-    // other in-flight store (no fence ever ordered them to media).
-    {
-      std::lock_guard lk(mu_);
-      apply_crash_locked();
-      frozen_.store(true, std::memory_order_relaxed);
-    }
-    throw CrashError(op);
-  }
+  const std::uint64_t op = tick_persist_op();
+  unfenced_flush_.store(true, std::memory_order_relaxed);
   if (crash_shadow_) {
     std::lock_guard lk(mu_);
     for (std::size_t line = first; line < last; ++line) {
@@ -295,16 +276,8 @@ void Device::drain() {
   if (frozen()) return;
   auto& c = sim::ctx();
   c.advance(c.model().pmem.drain_cost, sim::Charge::kPmemPersist);
-  const std::uint64_t op =
-      persist_ops_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (op == crash_at_.load(std::memory_order_relaxed)) {
-    {
-      std::lock_guard lk(mu_);
-      apply_crash_locked();
-      frozen_.store(true, std::memory_order_relaxed);
-    }
-    throw CrashError(op);
-  }
+  const std::uint64_t op = tick_persist_op();
+  unfenced_flush_.store(false, std::memory_order_relaxed);
   if (crash_shadow_) {
     std::lock_guard lk(mu_);
     drain_flush_pending_locked();
@@ -315,12 +288,7 @@ void Device::drain() {
 }
 
 void Device::settle_unwind() {
-  bool pending;
-  {
-    std::lock_guard lk(mu_);
-    pending = !flush_pending_.empty();
-  }
-  if (!pending && !(checker_ && checker_->has_pending_flushes())) return;
+  if (!unfenced_flush_.load(std::memory_order_relaxed)) return;
   // A real sfence: earlier CLWBs in the aborted batch become durable, which
   // is exactly what hardware would eventually do anyway.  drain() performs
   // no fault injection, so this cannot recurse.
@@ -365,17 +333,7 @@ void Device::note_write(std::size_t off, std::size_t len) {
   // Every store path (checked writes, DAX spans, pool metadata) announces
   // itself here before mutating, so this is the one store-side fault point:
   // a throw below means the store never happened.
-  if (transient_armed_.load(std::memory_order_relaxed)) {
-    try {
-      check_sticky(off, len);
-      run_retries(FaultOp::kWrite, off, len);
-    } catch (const DeviceError&) {
-      // The store never happened, but earlier flushes of the aborted batch
-      // may still sit unfenced — settle them before the retry stores again.
-      settle_unwind();
-      throw;
-    }
-  }
+  fault_gate(FaultOp::kWrite, off, len);
   trace::count(trace::Counter::kStoreOps);
   if (checker_) checker_->on_store(off, len);
   if (!crash_shadow_) return;
@@ -418,12 +376,7 @@ void Device::charge_dax_write(std::size_t off, std::size_t len,
                                      : m.cpu.minor_fault_cost;
     c.advance(static_cast<double>(fresh) * per_page, sim::Charge::kPageFault);
   }
-  double bw = c.shared_bw(m.pmem.write_stream_bw, m.pmem.write_total_bw);
-  if (map_sync) bw *= m.pmem.map_sync_write_bw_factor;
-  c.advance(m.pmem.write_latency + static_cast<double>(len) / bw,
-            sim::Charge::kPmemWrite);
-  trace::count(trace::Counter::kBytesWritten, len);
-  bytes_written_.fetch_add(len, std::memory_order_relaxed);
+  charge_store(len, map_sync ? m.pmem.map_sync_write_bw_factor : 1.0);
 }
 
 void Device::charge_dax_read(std::size_t len, bool map_sync) const {
@@ -503,6 +456,7 @@ void Device::revive() {
   torn_writes_ = false;
   shadow_.clear();
   flush_pending_.clear();
+  unfenced_flush_.store(false, std::memory_order_relaxed);
 }
 
 void Device::inject_read_error(std::size_t off, std::size_t len) {

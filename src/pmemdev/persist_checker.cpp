@@ -351,9 +351,4 @@ bool PersistChecker::clean() const {
   return rep_.ok();
 }
 
-bool PersistChecker::has_pending_flushes() const {
-  std::lock_guard lk(mu_);
-  return !pending_lines_.empty();
-}
-
 }  // namespace pmemcpy::check

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 namespace pmemcpy::fs {
 
@@ -47,20 +48,7 @@ struct DirEntryHeader {
   std::uint16_t name_len;
 };
 
-/// Directory files are shadow-committed (see dir_write_entries): the first
-/// cacheline of the file is this header, and the entry records live in one
-/// of two slots behind it.  Rewrites fill the inactive slot, make it
-/// durable, then flip the header — a single-line store the crash model
-/// treats as atomic — so a torn crash always parses either the old or the
-/// new entry list, never a byte-mix of both.
-struct DirHeader {
-  std::uint64_t seq;          // bumped on every committed rewrite
-  std::uint64_t content_off;  // file offset of the live entry records
-  std::uint64_t content_len;  // bytes of live entry records
-  std::uint64_t cap;          // per-slot capacity, 64-byte aligned
-};
 constexpr std::uint64_t kDirHeaderSize = pmem::kCacheLine;
-static_assert(sizeof(DirHeader) <= kDirHeaderSize);
 
 std::vector<std::string> split_path(const std::string& path) {
   if (path.empty() || path[0] != '/') {
@@ -77,7 +65,88 @@ std::vector<std::string> split_path(const std::string& path) {
   return parts;
 }
 
+/// [off, off+len) ends at or before @p limit, without overflow.
+constexpr bool ends_by(std::uint64_t off, std::uint64_t len,
+                       std::uint64_t limit) {
+  return off <= limit && len <= limit - off;
+}
+
+/// The one superblock decoder: magic and version, then the regions in
+/// layout order (superblock, bitmap, inode table, data) inside the device,
+/// all checked before anything is sized from them.
+Superblock read_superblock(const pmem::Device& dev, std::size_t base) {
+  Superblock sb{};
+  dev.read(base, &sb, sizeof(sb));
+  if (sb.magic != kFsMagic || sb.version != kFsVersion) {
+    throw FsError("fs::mount: not a filesystem image");
+  }
+  const std::uint64_t room = dev.capacity() - base;
+  const bool ok =
+      sb.total_blocks > 0 && sb.total_blocks <= room / kBlockSize &&
+      sb.inode_count > 0 && sb.inode_count <= room / kInodeSize &&
+      sb.inode_count < std::numeric_limits<Ino>::max() &&
+      sb.bitmap_rel >= sizeof(Superblock) &&
+      ends_by(sb.bitmap_rel, (sb.total_blocks + 7) / 8, sb.itable_rel) &&
+      ends_by(sb.itable_rel, sb.inode_count * kInodeSize, sb.data_rel) &&
+      ends_by(sb.data_rel, sb.total_blocks * kBlockSize, room);
+  if (!ok) throw FsError("fs::mount: superblock regions outside the device");
+  return sb;
+}
+
+/// The one run clipper: fn(device offset, offset into the range, bytes) for
+/// each part of @p runs (Mapping::Run, sorted by file offset) that overlaps
+/// file range [off, off+len).
+template <typename Runs, typename Fn>
+void clip_runs(const Runs& runs, std::uint64_t off, std::uint64_t len,
+               Fn&& fn) {
+  for (const auto& r : runs) {
+    const std::uint64_t lo = std::max(r.file_off, off);
+    const std::uint64_t hi = std::min(r.file_off + r.len, off + len);
+    if (lo < hi) fn(r.dev_off + (lo - r.file_off), lo - off, hi - lo);
+  }
+}
+
+/// Flush the device lines behind file range [off, off+len) of @p runs in
+/// one CLWB pass, then fence once if anything was flushed.
+template <typename Runs>
+void persist_runs(pmem::Device& dev, const Runs& runs, std::uint64_t off,
+                  std::uint64_t len) {
+  bool flushed = false;
+  clip_runs(runs, off, len,
+            [&](std::uint64_t dev_off, std::uint64_t, std::uint64_t n) {
+              dev.flush(dev_off, n);
+              flushed = true;
+            });
+  if (flushed) dev.drain();
+}
+
+/// Device offset of file range [off, off+len) when one of @p runs holds all
+/// of it; FsError otherwise (the zero-copy spans need one contiguous run).
+template <typename Runs>
+std::uint64_t contiguous_dev_off(const Runs& runs, std::uint64_t off,
+                                 std::uint64_t len) {
+  for (const auto& r : runs) {
+    if (off >= r.file_off && off + len <= r.file_off + r.len) {
+      return r.dev_off + (off - r.file_off);
+    }
+  }
+  throw FsError("fs: range not physically contiguous");
+}
+
 }  // namespace
+
+/// Directory files are shadow-committed (see dir_write_entries): the first
+/// cacheline of the file is this header, and the entry records live in one
+/// of two slots behind it.  Rewrites fill the inactive slot, make it
+/// durable, then flip the header — a single-line store the crash model
+/// treats as atomic — so a torn crash always parses either the old or the
+/// new entry list, never a byte-mix of both.
+struct FileSystem::DirHeader {
+  std::uint64_t seq;          // bumped on every committed rewrite
+  std::uint64_t content_off;  // file offset of the live entry records
+  std::uint64_t content_len;  // bytes of live entry records
+  std::uint64_t cap;          // per-slot capacity, 64-byte aligned
+};
 
 struct FileSystem::Inode {
   std::uint32_t type;
@@ -164,11 +233,7 @@ FileSystem FileSystem::format(pmem::Device& dev, std::size_t base,
 }
 
 FileSystem FileSystem::mount(pmem::Device& dev, std::size_t base) {
-  Superblock sb{};
-  dev.read(base, &sb, sizeof(sb));
-  if (sb.magic != kFsMagic || sb.version != kFsVersion) {
-    throw FsError("fs::mount: not a filesystem image");
-  }
+  const Superblock sb = read_superblock(dev, base);
   FileSystem fs(dev, base);
   fs.total_blocks_ = sb.total_blocks;
   fs.inode_count_ = sb.inode_count;
@@ -261,31 +326,13 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> FileSystem::alloc_blocks(
     b = e;
   }
   if (need > 0) throw FsError("fs: out of space (fragmented)");
-  // Mark used: update cache + write-through the touched bitmap bytes.
-  for (const auto& [start, n] : runs) {
-    for (std::uint64_t i = start; i < start + n; ++i) bitmap_cache_[i] = true;
-    const std::uint64_t first_byte = start / 8;
-    const std::uint64_t last_byte = (start + n - 1) / 8;
-    std::vector<std::uint8_t> bytes(last_byte - first_byte + 1, 0);
-    for (std::uint64_t by = first_byte; by <= last_byte; ++by) {
-      std::uint8_t v = 0;
-      for (int bit = 0; bit < 8; ++bit) {
-        const std::uint64_t blk = by * 8 + static_cast<std::uint64_t>(bit);
-        if (blk < total_blocks_ && bitmap_cache_[blk]) {
-          v |= static_cast<std::uint8_t>(1u << bit);
-        }
-      }
-      bytes[by - first_byte] = v;
-    }
-    dev_->write(bitmap_off_ + first_byte, bytes.data(), bytes.size());
-    dev_->persist(bitmap_off_ + first_byte, bytes.size());
-    free_blocks_cache_ -= n;
-  }
+  for (const auto& [start, n] : runs) mark_blocks(start, n, true);
   return runs;
 }
 
-void FileSystem::free_blocks_range(std::uint64_t start, std::uint64_t n) {
-  for (std::uint64_t i = start; i < start + n; ++i) bitmap_cache_[i] = false;
+void FileSystem::mark_blocks(std::uint64_t start, std::uint64_t n,
+                             bool used) {
+  for (std::uint64_t i = start; i < start + n; ++i) bitmap_cache_[i] = used;
   const std::uint64_t first_byte = start / 8;
   const std::uint64_t last_byte = (start + n - 1) / 8;
   std::vector<std::uint8_t> bytes(last_byte - first_byte + 1, 0);
@@ -301,7 +348,7 @@ void FileSystem::free_blocks_range(std::uint64_t start, std::uint64_t n) {
   }
   dev_->write(bitmap_off_ + first_byte, bytes.data(), bytes.size());
   dev_->persist(bitmap_off_ + first_byte, bytes.size());
-  free_blocks_cache_ += n;
+  free_blocks_cache_ = used ? free_blocks_cache_ - n : free_blocks_cache_ + n;
 }
 
 template <typename Fn>
@@ -310,8 +357,14 @@ void FileSystem::walk_indirect(std::uint64_t blk, Fn&& fn) const {
     if (hops >= total_blocks_) {
       throw FsError("fs: indirect extent chain cycle");
     }
+    if (blk >= total_blocks_) {
+      throw FsError("fs: indirect block outside the data region");
+    }
     IndirectBlock ib{};
     dev_->read(data_off_ + blk * kBlockSize, &ib, sizeof(ib));
+    if (ib.count > kIndirectExtents) {
+      throw FsError("fs: indirect block extent count corrupt");
+    }
     if (!fn(blk, ib)) return;
     blk = ib.next;
   }
@@ -367,20 +420,36 @@ void FileSystem::append_extent(Inode& inode, Ino /*ino*/, std::uint64_t start,
   });
 }
 
+template <typename Fn>
+void FileSystem::for_each_extent(const Inode& inode, Fn&& fn) const {
+  if (inode.nextents > kInlineExtents) {
+    throw FsError("fs: inode extent count corrupt");
+  }
+  const auto data = [&](const Extent& e) {
+    if (e.start > total_blocks_ || e.len > total_blocks_ - e.start) {
+      throw FsError("fs: extent outside the data region");
+    }
+    return fn(e, true);
+  };
+  for (std::uint32_t i = 0; i < inode.nextents; ++i) {
+    if (!data(inode.ext[i])) return;
+  }
+  walk_indirect(inode.indirect, [&](std::uint64_t blk, IndirectBlock& ib) {
+    for (std::uint64_t i = 0; i < ib.count; ++i) {
+      if (!data(ib.ext[i])) return false;
+    }
+    return fn(Extent{blk, 1}, false);
+  });
+}
+
 std::vector<std::pair<std::uint64_t, std::uint64_t>>
 FileSystem::detach_extents(Inode& inode) {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> runs;
-  for (std::uint32_t i = 0; i < inode.nextents; ++i) {
-    runs.emplace_back(inode.ext[i].start, inode.ext[i].len);
-  }
-  inode.nextents = 0;
-  walk_indirect(inode.indirect, [&](std::uint64_t blk, IndirectBlock& ib) {
-    for (std::uint64_t i = 0; i < ib.count; ++i) {
-      runs.emplace_back(ib.ext[i].start, ib.ext[i].len);
-    }
-    runs.emplace_back(blk, 1);
+  for_each_extent(inode, [&](const Extent& e, bool) {
+    runs.emplace_back(e.start, e.len);
     return true;
   });
+  inode.nextents = 0;
   inode.indirect = 0;
   inode.size = 0;
   return runs;
@@ -388,7 +457,7 @@ FileSystem::detach_extents(Inode& inode) {
 
 void FileSystem::free_runs(
     const std::vector<std::pair<std::uint64_t, std::uint64_t>>& runs) {
-  for (const auto& [start, n] : runs) free_blocks_range(start, n);
+  for (const auto& [start, n] : runs) mark_blocks(start, n, false);
 }
 
 void FileSystem::drop_extents(Inode& inode, Ino ino) {
@@ -404,9 +473,8 @@ void FileSystem::drop_extents(Inode& inode, Ino ino) {
 void FileSystem::ensure_capacity(Ino ino, std::uint64_t size) {
   Inode inode = read_inode(ino);
   std::uint64_t have = 0;
-  for (std::uint32_t i = 0; i < inode.nextents; ++i) have += inode.ext[i].len;
-  walk_indirect(inode.indirect, [&](std::uint64_t, IndirectBlock& ib) {
-    for (std::uint64_t i = 0; i < ib.count; ++i) have += ib.ext[i].len;
+  for_each_extent(inode, [&](const Extent& e, bool data) {
+    if (data) have += e.len;
     return true;
   });
   const std::uint64_t need = (size + kBlockSize - 1) / kBlockSize;
@@ -423,21 +491,17 @@ std::vector<Mapping::Run> FileSystem::gather_runs(Ino ino,
                                                   std::uint64_t size) const {
   std::vector<Mapping::Run> runs;
   const Inode inode = read_inode(ino);
+  if (size == 0) return runs;
   std::uint64_t file_off = 0;
-  auto add = [&](const Extent& e) {
-    if (file_off >= size) return;
-    const std::uint64_t len = std::min(e.len * kBlockSize, size - file_off);
-    runs.push_back(
-        Mapping::Run{file_off, data_off_ + e.start * kBlockSize, len});
-    file_off += e.len * kBlockSize;
-  };
-  for (std::uint32_t i = 0; i < inode.nextents; ++i) add(inode.ext[i]);
-  if (file_off < size) {
-    walk_indirect(inode.indirect, [&](std::uint64_t, IndirectBlock& ib) {
-      for (std::uint64_t i = 0; i < ib.count; ++i) add(ib.ext[i]);
-      return file_off < size;
-    });
-  }
+  for_each_extent(inode, [&](const Extent& e, bool data) {
+    if (data) {
+      const std::uint64_t len = std::min(e.len * kBlockSize, size - file_off);
+      runs.push_back(
+          Mapping::Run{file_off, data_off_ + e.start * kBlockSize, len});
+      file_off += e.len * kBlockSize;
+    }
+    return file_off < size;
+  });
   return runs;
 }
 
@@ -447,14 +511,11 @@ std::vector<Mapping::Run> FileSystem::gather_runs(Ino ino,
 
 void FileSystem::data_write(Ino ino, const void* buf, std::size_t len,
                             std::uint64_t off) {
-  const auto runs = gather_runs(ino, off + len);
   const auto* src = static_cast<const std::byte*>(buf);
-  for (const auto& r : runs) {
-    const std::uint64_t lo = std::max(r.file_off, off);
-    const std::uint64_t hi = std::min(r.file_off + r.len, off + len);
-    if (lo >= hi) continue;
-    dev_->write(r.dev_off + (lo - r.file_off), src + (lo - off), hi - lo);
-  }
+  clip_runs(gather_runs(ino, off + len), off, len,
+            [&](std::uint64_t dev_off, std::uint64_t at, std::uint64_t n) {
+              dev_->write(dev_off, src + at, n);
+            });
   if (len == 0) return;
   // Remember the dirty span so fsync() can flush exactly what changed.
   // data_write itself runs unlocked (pwrite parallelizes the data copy), so
@@ -475,35 +536,58 @@ void FileSystem::data_write(Ino ino, const void* buf, std::size_t len,
 
 void FileSystem::data_read(Ino ino, void* buf, std::size_t len,
                            std::uint64_t off) const {
-  const auto runs = gather_runs(ino, off + len);
   auto* dst = static_cast<std::byte*>(buf);
-  for (const auto& r : runs) {
-    const std::uint64_t lo = std::max(r.file_off, off);
-    const std::uint64_t hi = std::min(r.file_off + r.len, off + len);
-    if (lo >= hi) continue;
-    dev_->read(r.dev_off + (lo - r.file_off), dst + (lo - off), hi - lo);
-  }
+  clip_runs(gather_runs(ino, off + len), off, len,
+            [&](std::uint64_t dev_off, std::uint64_t at, std::uint64_t n) {
+              dev_->read(dev_off, dst + at, n);
+            });
 }
 
 // ---------------------------------------------------------------------------
 // Directories
 // ---------------------------------------------------------------------------
 
+FileSystem::DirHeader FileSystem::dir_header(Ino dir,
+                                             const Inode& inode) const {
+  static_assert(sizeof(DirHeader) <= kDirHeaderSize);
+  DirHeader dh{};
+  if (inode.size == 0) return dh;  // never written: empty
+  data_read(dir, &dh, sizeof(dh), 0);
+  // Two slots of cap bytes sit behind the header line, inside the file and
+  // the file inside the data region; the live list fills a prefix of one
+  // slot.  An empty list reads nothing, so it needs no slot (a header that
+  // was never committed reads as all zero).
+  const std::uint64_t file =
+      std::min(inode.size, total_blocks_ * kBlockSize);
+  const bool slots_ok = file >= kDirHeaderSize &&
+                        dh.cap % pmem::kCacheLine == 0 &&
+                        dh.cap <= (file - kDirHeaderSize) / 2;
+  const bool live_ok =
+      dh.content_len == 0 ||
+      (dh.content_len <= dh.cap && (dh.content_off == kDirHeaderSize ||
+                                    dh.content_off == kDirHeaderSize + dh.cap));
+  if (!slots_ok || !live_ok) throw FsError("fs: directory header corrupt");
+  return dh;
+}
+
 std::vector<std::pair<std::string, Ino>> FileSystem::dir_entries(
     Ino dir) const {
   const Inode inode = read_inode(dir);
   if (inode.type != kTypeDir) throw FsError("fs: not a directory");
-  if (inode.size == 0) return {};  // never written: empty
-  DirHeader dh{};
-  data_read(dir, &dh, sizeof(dh), 0);
+  const DirHeader dh = dir_header(dir, inode);
   std::vector<std::byte> raw(dh.content_len);
   if (!raw.empty()) data_read(dir, raw.data(), raw.size(), dh.content_off);
   std::vector<std::pair<std::string, Ino>> out;
-  std::size_t pos = 0;
-  while (pos + sizeof(DirEntryHeader) <= raw.size()) {
+  for (std::size_t pos = 0; pos < raw.size();) {
     DirEntryHeader h{};
+    if (raw.size() - pos < sizeof(h)) {
+      throw FsError("fs: directory entry overruns its slot");
+    }
     std::memcpy(&h, raw.data() + pos, sizeof(h));
     pos += sizeof(h);
+    if (h.name_len > raw.size() - pos) {
+      throw FsError("fs: directory entry overruns its slot");
+    }
     out.emplace_back(
         std::string(reinterpret_cast<const char*>(raw.data() + pos),
                     h.name_len),
@@ -516,15 +600,7 @@ std::vector<std::pair<std::string, Ino>> FileSystem::dir_entries(
 /// Flush the device lines backing file range [off, off+len) and fence.
 void FileSystem::persist_file_range(Ino ino, std::uint64_t off,
                                     std::uint64_t len) {
-  bool flushed = false;
-  for (const auto& r : gather_runs(ino, off + len)) {
-    const std::uint64_t lo = std::max(r.file_off, off);
-    const std::uint64_t hi = std::min(r.file_off + r.len, off + len);
-    if (lo >= hi) continue;
-    dev_->flush(r.dev_off + (lo - r.file_off), hi - lo);
-    flushed = true;
-  }
-  if (flushed) dev_->drain();
+  persist_runs(*dev_, gather_runs(ino, off + len), off, len);
 }
 
 void FileSystem::dir_write_entries(
@@ -545,9 +621,7 @@ void FileSystem::dir_write_entries(
   // are shadow-committed: write the new list into the slot the live header
   // does NOT point at, fence it, then flip the single-line header.  Every
   // crash point parses either the whole old list or the whole new one.
-  Inode inode = read_inode(dir);
-  DirHeader dh{};
-  if (inode.size != 0) data_read(dir, &dh, sizeof(dh), 0);
+  const DirHeader dh = dir_header(dir, read_inode(dir));
   std::uint64_t new_cap = dh.cap;
   std::uint64_t new_off;
   if (raw.size() > dh.cap) {
@@ -863,13 +937,12 @@ void FileSystem::fsync(File f) {
   bool flushed = false;
   for (const auto& [doff, dlen] : merged) {
     const std::uint64_t end = std::min<std::uint64_t>(doff + dlen, fsize);
-    for (const auto& r : runs) {
-      const std::uint64_t lo = std::max(r.file_off, doff);
-      const std::uint64_t hi = std::min(r.file_off + r.len, end);
-      if (lo >= hi) continue;
-      dev_->flush(r.dev_off + (lo - r.file_off), hi - lo);
-      flushed = true;
-    }
+    if (end <= doff) continue;
+    clip_runs(runs, doff, end - doff,
+              [&](std::uint64_t dev_off, std::uint64_t, std::uint64_t n) {
+                dev_->flush(dev_off, n);
+                flushed = true;
+              });
   }
   if (flushed) dev_->drain();
 }
@@ -917,12 +990,7 @@ Mapping FileSystem::create_mapped(const std::string& path, std::uint64_t sz,
 template <typename Fn>
 void Mapping::for_runs(std::uint64_t off, std::size_t len, Fn&& fn) const {
   if (off + len > size_) throw FsError("fs: mapping access out of range");
-  for (const auto& r : runs_) {
-    const std::uint64_t lo = std::max(r.file_off, off);
-    const std::uint64_t hi = std::min(r.file_off + r.len, off + len);
-    if (lo >= hi) continue;
-    fn(r.dev_off + (lo - r.file_off), lo - off, hi - lo);
-  }
+  clip_runs(runs_, off, len, fn);
 }
 
 void Mapping::store(std::uint64_t off, const void* src, std::size_t len) {
@@ -948,13 +1016,8 @@ void Mapping::load(std::uint64_t off, void* dst, std::size_t len) const {
 void Mapping::persist(std::uint64_t off, std::size_t len) {
   // One CLWB pass over every run, one fence — a multi-extent file used to
   // pay a full flush+fence per run.
-  auto* dev = fs_->dev_;
-  bool flushed = false;
-  for_runs(off, len, [&](std::uint64_t dev_off, std::uint64_t, std::uint64_t n) {
-    dev->flush(dev_off, n);
-    flushed = true;
-  });
-  if (flushed) dev->drain();
+  if (off + len > size_) throw FsError("fs: mapping access out of range");
+  persist_runs(*fs_->dev_, runs_, off, len);
 }
 
 void Mapping::check_publish(std::uint64_t off, std::size_t len) {
@@ -980,29 +1043,19 @@ std::span<std::byte> Mapping::direct_write_span(std::uint64_t off,
     scratch.assign(len, std::byte{});
     return {scratch.data(), len};
   }
-  for (const auto& r : runs_) {
-    if (off >= r.file_off && off + len <= r.file_off + r.len) {
-      const std::uint64_t dev_off = r.dev_off + (off - r.file_off);
-      dev->note_write(dev_off, len);
-      dev->charge_dax_write(dev_off, len, map_sync_);
-      return {dev->raw(dev_off), len};
-    }
-  }
-  throw FsError("fs: range not physically contiguous");
+  const std::uint64_t dev_off = contiguous_dev_off(runs_, off, len);
+  dev->note_write(dev_off, len);
+  dev->charge_dax_write(dev_off, len, map_sync_);
+  return {dev->raw(dev_off), len};
 }
 
 std::span<const std::byte> Mapping::direct_read_span(std::uint64_t off,
                                                      std::size_t len) const {
   if (off + len > size_) throw FsError("fs: mapping access out of range");
   auto* dev = fs_->dev_;
-  for (const auto& r : runs_) {
-    if (off >= r.file_off && off + len <= r.file_off + r.len) {
-      const std::uint64_t dev_off = r.dev_off + (off - r.file_off);
-      dev->check_media(dev_off, len);
-      return {dev->raw(dev_off), len};
-    }
-  }
-  throw FsError("fs: range not physically contiguous");
+  const std::uint64_t dev_off = contiguous_dev_off(runs_, off, len);
+  dev->check_media(dev_off, len);
+  return {dev->raw(dev_off), len};
 }
 
 }  // namespace pmemcpy::fs

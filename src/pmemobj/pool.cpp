@@ -143,6 +143,34 @@ std::uint32_t quar_table_crc(
                       : crc32c(ents.data(), ents.size() * sizeof(QuarEntry));
 }
 
+/// The lowest-starting quarantined range overlapping [at, at+len), or
+/// nullptr: the one skip rule of every arena walk (the bump allocator hops
+/// past it, and the heap walk does the same where no filler header sits).
+const std::pair<std::uint64_t, std::uint64_t>* lowest_overlap(
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>>& quar,
+    std::uint64_t at, std::uint64_t len) {
+  const std::pair<std::uint64_t, std::uint64_t>* hit = nullptr;
+  for (const auto& q : quar) {
+    if (q.first < at + len && at < q.first + q.second &&
+        (hit == nullptr || q.first < hit->first)) {
+      hit = &q;
+    }
+  }
+  return hit;
+}
+
+/// The bump arena lies in [heap0, size) with a 64-byte-aligned cursor.
+bool arena_ok(const AllocGlobal& ag, std::uint64_t heap0, std::uint64_t size) {
+  return ag.arena_cursor >= heap0 && ag.arena_cursor <= ag.arena_end &&
+         ag.arena_end <= size && ag.arena_cursor % kChunkAlign == 0;
+}
+
+std::string list_name(std::uint32_t cls) {
+  return cls == kLargeClass
+             ? std::string("large free list")
+             : "free list[" + std::to_string(kClassSizes[cls]) + "]";
+}
+
 }  // namespace
 
 struct Pool::Layout {
@@ -232,12 +260,13 @@ Pool Pool::open(pmem::Device& dev, std::size_t base, PoolOptions opts) {
   if (hdr.crc != header_crc(hdr)) {
     throw PoolError("Pool::open: pool header checksum mismatch");
   }
-  if (base + hdr.size > dev.capacity()) {
-    throw PoolError("Pool::open: header size exceeds device");
+  if (hdr.size > dev.capacity() - base || hdr.size < Layout::heap_start()) {
+    throw PoolError("Pool::open: header size outside the device");
   }
   p.size_ = hdr.size;
   p.recover();
-  p.load_quarantine();
+  p.quar_ = p.decode_quarantine(Load::kPeek);
+  p.art_->quar_active.store(!p.quar_.empty(), std::memory_order_release);
   // After rollbacks and with the quarantine known: reclaim chunks a crash
   // left magazine-flagged (owned-but-unpublished) back to the free lists.
   p.sweep_magazines();
@@ -249,8 +278,7 @@ void Pool::format() {
   // Peeked uncharged and only cleared when stale state is actually present,
   // so formatting fresh media issues exactly the same store/flush sequence
   // as before the table existed (the audit baseline).
-  QuarHeader stale;
-  std::memcpy(&stale, dev_->raw(base_ + Layout::kQuarOff), sizeof(stale));
+  const auto stale = load<QuarHeader>(Layout::kQuarOff, Load::kPeek);
   if (stale.count != 0 || stale.crc != 0) {
     set(Layout::kQuarOff, QuarHeader{0, 0});
   }
@@ -258,17 +286,14 @@ void Pool::format() {
   // The free lists and the allocator undo lane are likewise only cleared
   // when a previous pool life actually left stale bytes behind: all-zero is
   // the valid empty form, so formatting fresh media stays cheap.
-  FreeLists stale_fl;
-  std::memcpy(&stale_fl, dev_->raw(base_ + Layout::kFreeListsOff),
-              sizeof(stale_fl));
+  const auto stale_fl = load<FreeLists>(Layout::kFreeListsOff, Load::kPeek);
   if (std::any_of(std::begin(stale_fl.free_head), std::end(stale_fl.free_head),
                   [](std::uint64_t h) { return h != 0; })) {
     set(Layout::kFreeListsOff, FreeLists{});
   }
-  std::uint64_t stale_used;
-  std::memcpy(&stale_used, dev_->raw(base_ + Layout::kUndoOff),
-              sizeof(stale_used));
-  if (stale_used != 0) set<std::uint64_t>(Layout::kUndoOff, 0);
+  if (load<std::uint64_t>(Layout::kUndoOff, Load::kPeek) != 0) {
+    set<std::uint64_t>(Layout::kUndoOff, 0);
+  }
 
   AllocGlobal ag{};
   ag.arena_cursor = Layout::heap_start();
@@ -353,6 +378,126 @@ void Pool::set_root(std::uint64_t off) {
   hdr.root = off;
   hdr.crc = header_crc(hdr);
   set(Layout::kHeaderOff, hdr);
+}
+
+// ---------------------------------------------------------------------------
+// On-media decoders (DESIGN.md §6)
+// ---------------------------------------------------------------------------
+
+void Pool::load(std::uint64_t off, void* dst, std::size_t len,
+                Load how) const {
+  if (how == Load::kCharged) {
+    read(off, dst, len);
+    return;
+  }
+  check_off(off, len);
+  std::memcpy(dst, dev_->raw(base_ + off), len);
+}
+
+Pool::Quarantine Pool::decode_quarantine(Load how) const {
+  const auto qh = load<QuarHeader>(Layout::kQuarOff, how);
+  if (qh.count == 0) {
+    if (qh.crc != 0) {
+      throw PoolError("quarantine table: checksum without entries");
+    }
+    return {};
+  }
+  if (qh.count > kQuarantineCapacity) {
+    throw PoolError("quarantine table: count " + std::to_string(qh.count) +
+                    " exceeds capacity");
+  }
+  std::vector<QuarEntry> ents(qh.count);
+  load(Layout::kQuarEntries, ents.data(), ents.size() * sizeof(QuarEntry),
+       how);
+  if (crc32c(ents.data(), ents.size() * sizeof(QuarEntry)) != qh.crc) {
+    throw PoolError("quarantine table: checksum mismatch");
+  }
+  Quarantine quar;
+  for (const auto& e : ents) {
+    if (e.len == 0 || e.off % pmem::kCacheLine != 0 ||
+        e.len % pmem::kCacheLine != 0 || e.off > size_ ||
+        e.len > size_ - e.off) {
+      throw PoolError("quarantine table: entry (" + std::to_string(e.off) +
+                      ", " + std::to_string(e.len) + ") corrupt");
+    }
+    quar.emplace_back(e.off, e.len);
+  }
+  return quar;
+}
+
+template <typename Fn>
+void Pool::walk_heap(std::uint64_t cursor, const Quarantine& quar, Load how,
+                     Fn&& fn) const {
+  for (std::uint64_t pos = Layout::heap_start(); pos < cursor;) {
+    const auto ch = load<ChunkHeader>(pos, how);
+    if (!chunk_ok(ch)) {
+      // The allocator hops quarantined media without writing a filler
+      // header when the quarantined range covers the header spot itself.
+      if (const auto* hit = lowest_overlap(quar, pos, kChunkHeader)) {
+        pos = round_up(hit->first + hit->second, kChunkAlign);
+        continue;
+      }
+      throw PoolError("heap walk: corrupt chunk header at " +
+                      std::to_string(pos));
+    }
+    const std::uint64_t room = cursor - pos;
+    const std::uint64_t adv =
+        ch.payload_size < room ? kChunkHeader + ch.payload_size : 0;
+    if (adv < kChunkAlign || adv > room || adv % kChunkAlign != 0) {
+      throw PoolError("heap walk: chunk at " + std::to_string(pos) +
+                      " overruns the arena (overlap or corrupt size)");
+    }
+    fn(pos, ch);
+    pos += adv;
+  }
+}
+
+template <typename Fn>
+void Pool::walk_free_list(std::uint32_t cls, std::uint64_t head,
+                          std::uint64_t cursor, Fn&& fn) const {
+  const std::uint64_t heap0 = Layout::heap_start();
+  std::uint64_t hops = 0;
+  for (std::uint64_t cur = head; cur != 0;) {
+    if (cur < heap0 || cur >= cursor || cursor - cur < kChunkAlign ||
+        cur % kChunkAlign != 0) {
+      throw PoolError(list_name(cls) + ": entry " + std::to_string(cur) +
+                      " outside the heap");
+    }
+    // No legal list holds more entries than the arena holds chunks.
+    if (++hops > (cursor - heap0) / kChunkAlign) {
+      throw PoolError(list_name(cls) + ": cycle detected");
+    }
+    const auto next = get<std::uint64_t>(cur + kChunkHeader);
+    if (!fn(cur, next)) return;
+    cur = next;
+  }
+}
+
+std::vector<std::uint64_t> Pool::undo_lane_entries() const {
+  const std::string lane = "allocator undo lane: ";
+  const auto used = get<std::uint64_t>(Layout::kUndoOff);
+  if (used > Layout::kUndoBytes) {
+    throw PoolError(lane + "used " + std::to_string(used) +
+                    " exceeds capacity " + std::to_string(Layout::kUndoBytes));
+  }
+  std::vector<std::uint64_t> entries;
+  const std::uint64_t end = Layout::kUndoOff + 8 + used;
+  for (std::uint64_t pos = Layout::kUndoOff + 8; pos < end;) {
+    const auto truncated = [&] {
+      return PoolError(lane + "truncated entry at " + std::to_string(pos));
+    };
+    if (end - pos < sizeof(LogEntryHeader)) throw truncated();
+    const auto eh = get<LogEntryHeader>(pos);
+    if (eh.len > size_ || eh.off > size_ - eh.len) {
+      throw PoolError(lane + "entry at " + std::to_string(pos) +
+                      " targets a range beyond the pool");
+    }
+    const std::uint64_t adv = sizeof(LogEntryHeader) + round_up(eh.len, 8);
+    if (adv > end - pos) throw truncated();
+    entries.push_back(pos);
+    pos += adv;
+  }
+  return entries;
 }
 
 // ---------------------------------------------------------------------------
@@ -489,44 +634,31 @@ std::uint64_t Pool::alloc_locked(std::size_t bytes) {
   const auto linkable = [&](std::uint64_t p) {
     return p == 0 || !dev_->media_failing(base_ + p + kChunkHeader, 8);
   };
-  // No legal list holds more entries than the arena holds chunks; only a
-  // cycle walks further (the bound check() reports cycles by).
-  const std::size_t max_hops =
-      (as.arena_cursor - Layout::heap_start()) / kChunkAlign + 1;
-  std::size_t hops = 0;
-  const auto hop = [&] {
-    if (++hops > max_hops) throw PoolError("Pool::alloc: free list cycle");
-  };
 
   // Unlinking a list head stores into the free-list block; with its media
   // dead the class lists keep their chunks linked in place (bounded leak,
   // same rule as quarantined chunks) and the arena serves instead.
   if (cls != kLargeClass && !free_lists_failing()) {
-    std::uint64_t cur = get<FreeLists>(Layout::kFreeListsOff).free_head[cls];
     std::uint64_t p = 0;
-    while (cur != 0) {
-      hop();
-      const auto next = get<std::uint64_t>(cur + kChunkHeader);
+    const auto first_eligible = [&](std::uint64_t cur, std::uint64_t next) {
       if ((quar_.empty() || !quar_hit(cur, chunk_size)) && linkable(p)) {
         chunk = cur;
         lnext = next;
         prev = p;
         from_class_list = true;
-        break;
+        return false;
       }
       p = cur;
-      cur = next;
-    }
+      return true;
+    };
+    walk_free_list(cls, get<FreeLists>(Layout::kFreeListsOff).free_head[cls],
+                   as.arena_cursor, first_eligible);
   }
   if (cls == kLargeClass) {
     chunk_size = need;
-    // First fit on the large free list.
-    std::uint64_t cur = as.large_free_head;
-    while (cur != 0) {
-      hop();
+    const auto first_fit = [&](std::uint64_t cur, std::uint64_t next) {
       const auto hdr = get<ChunkHeader>(cur);
       const std::size_t total = hdr.payload_size + kChunkHeader;
-      const auto next = get<std::uint64_t>(cur + kChunkHeader);
       if (total >= need && (quar_.empty() || !quar_hit(cur, total)) &&
           linkable(prev)) {
         chunk = cur;
@@ -539,11 +671,12 @@ std::uint64_t Pool::alloc_locked(std::size_t bytes) {
         } else {
           chunk_size = total;
         }
-        break;
+        return false;
       }
       prev = cur;
-      cur = next;
-    }
+      return true;
+    };
+    walk_free_list(cls, as.large_free_head, as.arena_cursor, first_fit);
   }
 
   // Arena gaps hopped over quarantined media.  When the header spot is on
@@ -560,23 +693,11 @@ std::uint64_t Pool::alloc_locked(std::size_t bytes) {
   if (chunk == 0) {
     // Bump arena.
     std::uint64_t at = round_up(as.arena_cursor, kChunkAlign);
-    if (!quar_.empty()) {
-      for (;;) {
-        const std::pair<std::uint64_t, std::uint64_t>* hit = nullptr;
-        for (const auto& q : quar_) {
-          if (q.first < at + chunk_size && at < q.first + q.second &&
-              (hit == nullptr || q.first < hit->first)) {
-            hit = &q;
-          }
-        }
-        if (hit == nullptr) break;
-        const std::uint64_t skip_to =
-            round_up(hit->first + hit->second, kChunkAlign);
-        if (hit->first > at) {
-          gaps.push_back({at, skip_to - at - kChunkHeader});
-        }
-        at = skip_to;
-      }
+    while (const auto* hit = lowest_overlap(quar_, at, chunk_size)) {
+      const std::uint64_t skip_to =
+          round_up(hit->first + hit->second, kChunkAlign);
+      if (hit->first > at) gaps.push_back({at, skip_to - at - kChunkHeader});
+      at = skip_to;
     }
     if (at + chunk_size > as.arena_end) throw std::bad_alloc{};
     chunk = at;
@@ -826,26 +947,11 @@ void Pool::persist_ranges(const std::vector<Range>& ranges) {
 }
 
 void Pool::rollback_log() {
-  const std::uint64_t header_off = Layout::kUndoOff;
-  const std::uint64_t payload_off = header_off + 8;
-  const auto used = get<std::uint64_t>(header_off);
-  if (used == 0) return;
-  if (used > Layout::kUndoBytes) {
-    throw PoolError("Pool: undo log header corrupt");
-  }
-  // Collect entries, then roll back newest-first so overlapping snapshots
-  // leave the oldest pre-image in place.
-  std::vector<std::uint64_t> entry_pos;
-  std::uint64_t pos = payload_off;
-  const std::uint64_t end = payload_off + used;
-  while (pos < end) {
-    const auto eh = get<LogEntryHeader>(pos);
-    if (eh.len > size_ || eh.off > size_ - eh.len) {
-      throw PoolError("Pool: undo log entry corrupt");
-    }
-    entry_pos.push_back(pos);
-    pos += sizeof(LogEntryHeader) + round_up(eh.len, 8);
-  }
+  // Parse the whole lane before restoring a byte, then roll back
+  // newest-first so overlapping snapshots leave the oldest pre-image in
+  // place.
+  const auto entry_pos = undo_lane_entries();
+  if (entry_pos.empty()) return;
   for (auto it = entry_pos.rbegin(); it != entry_pos.rend(); ++it) {
     const auto eh = get<LogEntryHeader>(*it);
     std::vector<std::byte> image(eh.len);
@@ -861,7 +967,7 @@ void Pool::rollback_log() {
   }
   // Retire the log durably: if this zero stayed in cache across a crash, a
   // second recovery would replay stale pre-images over committed state.
-  set<std::uint64_t>(header_off, 0);
+  set<std::uint64_t>(Layout::kUndoOff, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -907,16 +1013,19 @@ std::size_t Pool::refill_locked(Magazine& m, std::size_t cls) {
   // Cutting the list writes its head field; with the free-list block on
   // dead media the chunks stay linked in place (see alloc_locked).
   if (!free_lists_failing()) {
-    new_head = get<FreeLists>(Layout::kFreeListsOff).free_head[cls];
-    while (new_head != 0 && taken.size() < k) {
+    const auto cls32 = static_cast<std::uint32_t>(cls);
+    const auto take = [&](std::uint64_t c, std::uint64_t next) {
       // A chunk met twice is a cycle on damaged media: taking it again
       // would hand one chunk out twice.
-      if (std::find(taken.begin(), taken.end(), new_head) != taken.end()) {
-        throw PoolError("Pool::refill: free list cycle");
+      if (std::find(taken.begin(), taken.end(), c) != taken.end()) {
+        throw PoolError(list_name(cls32) + ": cycle detected");
       }
-      taken.push_back(new_head);
-      new_head = get<std::uint64_t>(new_head + kChunkHeader);
-    }
+      taken.push_back(c);
+      new_head = next;
+      return taken.size() < k;
+    };
+    walk_free_list(cls32, get<FreeLists>(Layout::kFreeListsOff).free_head[cls],
+                   ag.arena_cursor, take);
   }
   const std::uint64_t at = round_up(ag.arena_cursor, kChunkAlign);
   std::size_t carved = 0;
@@ -1033,7 +1142,7 @@ void Pool::drain_magazines() {
 }
 
 void Pool::sweep_magazines() {
-  // Walk the heap with uncharged raw peeks (recovery metadata, not workload
+  // Walk the heap with uncharged peeks (recovery metadata, not workload
   // I/O), collecting every chunk a crash left magazine-flagged; then push
   // each back to a free list as a flush-back batch of one under its own
   // undo transaction, so a re-crash mid-sweep just leaves the remainder
@@ -1043,47 +1152,28 @@ void Pool::sweep_magazines() {
       dev_->media_failing(base_ + Layout::kUndoOff, 8 + Layout::kUndoBytes)) {
     return;
   }
-  const auto peek = [&](std::uint64_t off, void* dst, std::size_t len) {
-    std::memcpy(dst, dev_->raw(base_ + off), len);
-  };
-  AllocGlobal ag;
-  peek(Layout::kAllocOff, &ag, sizeof(ag));
-  const std::uint64_t heap0 = Layout::heap_start();
-  if (ag.arena_cursor < heap0 || ag.arena_cursor > size_) return;
+  const auto ag = load<AllocGlobal>(Layout::kAllocOff, Load::kPeek);
+  if (!arena_ok(ag, Layout::heap_start(), size_)) return;
 
   struct Flagged {
     std::uint64_t at;
     std::uint32_t cls;
   };
   std::vector<Flagged> flagged;
-  for (std::uint64_t pos = heap0; pos < ag.arena_cursor;) {
-    ChunkHeader ch;
-    peek(pos, &ch, sizeof(ch));
-    if (!chunk_ok(ch)) {
-      // Mirror check()'s rule: the allocator hops quarantined media without
-      // writing a filler header when the range covers the header spot.
-      const std::pair<std::uint64_t, std::uint64_t>* hit = nullptr;
-      for (const auto& q : quar_) {
-        if (q.first < pos + kChunkHeader && pos < q.first + q.second &&
-            (hit == nullptr || q.first < hit->first)) {
-          hit = &q;
-        }
-      }
-      if (hit != nullptr) {
-        pos = round_up(hit->first + hit->second, kChunkAlign);
-        continue;
-      }
-      break;  // corrupt heap: check() owns the diagnosis, not the sweep
-    }
+  const auto collect = [&](std::uint64_t pos, const ChunkHeader& ch) {
     const std::uint64_t adv = kChunkHeader + ch.payload_size;
-    if (adv % kChunkAlign != 0 || pos + adv > ag.arena_cursor) break;
     if (is_magged(ch.cls) && base_class(ch.cls) < kClassSizes.size() &&
         kClassSizes[base_class(ch.cls)] == adv &&
         (quar_.empty() || !quar_hit(pos, adv)) &&
         !dev_->media_failing(base_ + pos, kChunkHeader + 8)) {
       flagged.push_back({pos, base_class(ch.cls)});
     }
-    pos += adv;
+  };
+  try {
+    walk_heap(ag.arena_cursor, quar_, Load::kPeek, collect);
+  } catch (const PoolError&) {
+    // A damaged heap ends the sweep where the damage starts: check() owns
+    // the diagnosis, not the sweep.
   }
 
   for (const auto& f : flagged) {
@@ -1101,42 +1191,8 @@ void Pool::sweep_magazines() {
 // Quarantine table
 // ---------------------------------------------------------------------------
 
-void Pool::load_quarantine() {
-  // Uncharged peeks: recovery metadata, not workload I/O.
-  QuarHeader qh;
-  std::memcpy(&qh, dev_->raw(base_ + Layout::kQuarOff), sizeof(qh));
-  quar_.clear();
-  if (qh.count == 0) {
-    if (qh.crc != 0) {
-      throw PoolError("Pool: quarantine header corrupt (crc without entries)");
-    }
-    return;
-  }
-  if (qh.count > kQuarantineCapacity) {
-    throw PoolError("Pool: quarantine count exceeds table capacity");
-  }
-  std::vector<QuarEntry> ents(qh.count);
-  std::memcpy(ents.data(), dev_->raw(base_ + Layout::kQuarEntries),
-              ents.size() * sizeof(QuarEntry));
-  if (crc32c(ents.data(), ents.size() * sizeof(QuarEntry)) != qh.crc) {
-    throw PoolError("Pool: quarantine table checksum mismatch");
-  }
-  for (const auto& e : ents) {
-    if (e.len == 0 || e.off % pmem::kCacheLine != 0 ||
-        e.len % pmem::kCacheLine != 0 || e.off > size_ ||
-        e.len > size_ - e.off) {
-      throw PoolError("Pool: quarantine entry corrupt");
-    }
-    quar_.emplace_back(e.off, e.len);
-  }
-  art_->quar_active.store(!quar_.empty(), std::memory_order_release);
-}
-
 bool Pool::quar_hit(std::uint64_t off, std::size_t len) const {
-  for (const auto& [qo, ql] : quar_) {
-    if (off < qo + ql && qo < off + len) return true;
-  }
-  return false;
+  return lowest_overlap(quar_, off, len) != nullptr;
 }
 
 ft::Status Pool::quarantine(std::uint64_t off, std::size_t len) {
@@ -1203,13 +1259,24 @@ CheckReport Pool::check() const {
   auto issue = [&rep](std::string s) {
     if (rep.issues.size() < 64) rep.issues.push_back(std::move(s));
   };
+  // Runs one section's decoder; its failure becomes the section's one issue
+  // line (decoder messages already name their structure).
+  const auto section = [&](const std::string& name, auto&& decode) {
+    try {
+      decode();
+      return true;
+    } catch (const PoolError& e) {
+      issue(e.what());
+    } catch (const pmem::DeviceError& e) {
+      issue(name + ": " + e.what());
+    }
+    return false;
+  };
 
   // --- pool header ---------------------------------------------------------
   PoolHeader hdr{};
-  try {
-    hdr = get<PoolHeader>(Layout::kHeaderOff);
-  } catch (const pmem::DeviceError& e) {
-    issue(std::string("pool header: ") + e.what());
+  if (!section("pool header",
+               [&] { hdr = get<PoolHeader>(Layout::kHeaderOff); })) {
     return rep;
   }
   if (hdr.magic != kMagic) {
@@ -1223,16 +1290,13 @@ CheckReport Pool::check() const {
   // --- allocator state ------------------------------------------------------
   AllocGlobal as{};
   FreeLists fl{};
-  try {
-    as = get<AllocGlobal>(Layout::kAllocOff);
-    fl = get<FreeLists>(Layout::kFreeListsOff);
-  } catch (const pmem::DeviceError& e) {
-    issue(std::string("alloc state: ") + e.what());
+  if (!section("alloc state", [&] {
+        as = get<AllocGlobal>(Layout::kAllocOff);
+        fl = get<FreeLists>(Layout::kFreeListsOff);
+      })) {
     return rep;
   }
-  const std::uint64_t heap0 = Layout::heap_start();
-  if (as.arena_cursor < heap0 || as.arena_cursor > as.arena_end ||
-      as.arena_end > size_ || as.arena_cursor % kChunkAlign != 0) {
+  if (!arena_ok(as, Layout::heap_start(), size_)) {
     issue("alloc state: arena bounds corrupt (cursor " +
           std::to_string(as.arena_cursor) + ", end " +
           std::to_string(as.arena_end) + ")");
@@ -1240,172 +1304,66 @@ CheckReport Pool::check() const {
   }
 
   // --- quarantine table -----------------------------------------------------
-  // Validated from media (not the DRAM cache): the heap walk below needs it
-  // to skip arena stretches the allocator hopped over without a filler.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> quar;
-  {
-    QuarHeader qh{};
-    bool qh_ok = true;
-    try {
-      qh = get<QuarHeader>(Layout::kQuarOff);
-    } catch (const pmem::DeviceError& e) {
-      issue(std::string("quarantine table: ") + e.what());
-      qh_ok = false;
-    }
-    if (qh_ok && qh.count > kQuarantineCapacity) {
-      issue("quarantine table: count " + std::to_string(qh.count) +
-            " exceeds capacity");
-      qh_ok = false;
-    }
-    if (qh_ok && qh.count == 0 && qh.crc != 0) {
-      issue("quarantine table: checksum without entries");
-      qh_ok = false;
-    }
-    if (qh_ok && qh.count > 0) {
-      std::vector<QuarEntry> ents(qh.count);
-      try {
-        read(Layout::kQuarEntries, ents.data(),
-             ents.size() * sizeof(QuarEntry));
-      } catch (const pmem::DeviceError& e) {
-        issue(std::string("quarantine table: ") + e.what());
-        qh_ok = false;
-      }
-      if (qh_ok &&
-          crc32c(ents.data(), ents.size() * sizeof(QuarEntry)) != qh.crc) {
-        issue("quarantine table: checksum mismatch");
-        qh_ok = false;
-      }
-      if (qh_ok) {
-        for (const auto& e : ents) {
-          if (e.len == 0 || e.off % pmem::kCacheLine != 0 ||
-              e.len % pmem::kCacheLine != 0 || e.off > size_ ||
-              e.len > size_ - e.off) {
-            issue("quarantine table: entry (" + std::to_string(e.off) + ", " +
-                  std::to_string(e.len) + ") corrupt");
-            qh_ok = false;
-            break;
-          }
-          quar.emplace_back(e.off, e.len);
-        }
-        if (!qh_ok) quar.clear();
-      }
-    }
-  }
+  // Decoded from media (not the DRAM cache): the heap walk below needs it to
+  // hop arena stretches the allocator left without a filler.
+  Quarantine quar;
+  section("quarantine table",
+          [&] { quar = decode_quarantine(Load::kCharged); });
 
   // --- heap walk ------------------------------------------------------------
   // Every byte of [heap_start, arena_cursor) must be tiled by chunks with
   // valid checksums; a chunk overrunning the cursor means overlap.
   std::unordered_set<std::uint64_t> boundaries;
   std::uint64_t payload_total = 0;
-  bool walk_ok = true;
-  for (std::uint64_t pos = heap0; pos < as.arena_cursor;) {
-    ChunkHeader ch{};
-    try {
-      ch = get<ChunkHeader>(pos);
-    } catch (const pmem::DeviceError& e) {
-      issue(std::string("heap walk: ") + e.what());
-      walk_ok = false;
-      break;
-    }
-    if (!chunk_ok(ch)) {
-      // The allocator hops over quarantined media without writing a filler
-      // header when the quarantined range covers the header spot itself;
-      // mirror that skip rule before calling the stretch corrupt.
-      const std::pair<std::uint64_t, std::uint64_t>* hit = nullptr;
-      for (const auto& q : quar) {
-        if (q.first < pos + kChunkHeader && pos < q.first + q.second &&
-            (hit == nullptr || q.first < hit->first)) {
-          hit = &q;
-        }
-      }
-      if (hit != nullptr) {
-        pos = round_up(hit->first + hit->second, kChunkAlign);
-        continue;
-      }
-      issue("heap walk: corrupt chunk header at " + std::to_string(pos));
-      walk_ok = false;
-      break;
-    }
-    const std::uint64_t adv = kChunkHeader + ch.payload_size;
-    if (adv % kChunkAlign != 0 || pos + adv > as.arena_cursor) {
-      issue("heap walk: chunk at " + std::to_string(pos) +
-            " overruns the arena (overlap or corrupt size)");
-      walk_ok = false;
-      break;
-    }
+  const auto tile = [&](std::uint64_t pos, const ChunkHeader& ch) {
     if (is_magged(ch.cls)) {
       // Magazine-owned: counted as in-use (never expected on a free list;
       // the class comparison below rejects a flagged list entry anyway).
       if (base_class(ch.cls) >= kClassSizes.size() ||
-          kClassSizes[base_class(ch.cls)] != adv) {
-        issue("heap walk: magazine chunk at " + std::to_string(pos) +
-              " has class " + std::to_string(ch.cls) +
-              " inconsistent with its size");
-        walk_ok = false;
-        break;
+          kClassSizes[base_class(ch.cls)] != kChunkHeader + ch.payload_size) {
+        throw PoolError("heap walk: magazine chunk at " + std::to_string(pos) +
+                        " has class " + std::to_string(ch.cls) +
+                        " inconsistent with its size");
       }
       ++rep.magazine_chunks;
     }
     boundaries.insert(pos);
     payload_total += ch.payload_size;
     ++rep.chunks_walked;
-    pos += adv;
-  }
+  };
+  const bool walk_ok = section("heap walk", [&] {
+    walk_heap(as.arena_cursor, quar, Load::kCharged, tile);
+  });
 
   // --- free lists -----------------------------------------------------------
   std::unordered_set<std::uint64_t> free_seen;
   std::uint64_t free_payload = 0;
-  // Cap generous enough for any legal list; only a cycle can exceed it.
-  const std::size_t max_hops = (as.arena_cursor - heap0) / kChunkAlign + 2;
-  auto walk_free = [&](std::uint64_t head, std::uint32_t want_cls,
-                       const std::string& name) {
-    std::uint64_t cur = head;
-    std::size_t hops = 0;
-    while (cur != 0) {
-      if (++hops > max_hops) {
-        issue(name + ": cycle detected");
-        return;
-      }
-      if (cur < heap0 || cur + kChunkHeader > as.arena_cursor) {
-        issue(name + ": entry " + std::to_string(cur) + " outside the heap");
-        return;
-      }
+  const auto walk_free = [&](std::uint32_t cls, std::uint64_t head) {
+    const std::string name = list_name(cls);
+    const auto listed = [&](std::uint64_t cur, std::uint64_t) {
+      const auto bad = [&](const std::string& what) {
+        return PoolError(name + ": entry " + std::to_string(cur) + " " + what);
+      };
       if (walk_ok && !boundaries.contains(cur)) {
-        issue(name + ": entry " + std::to_string(cur) +
-              " not on a chunk boundary (overlap)");
-        return;
+        throw bad("not on a chunk boundary (overlap)");
       }
-      if (!free_seen.insert(cur).second) {
-        issue(name + ": entry " + std::to_string(cur) +
-              " on multiple free lists");
-        return;
-      }
-      ChunkHeader ch{};
-      try {
-        ch = get<ChunkHeader>(cur);
-      } catch (const pmem::DeviceError& e) {
-        issue(name + ": " + e.what());
-        return;
-      }
-      if (!chunk_ok(ch)) {
-        issue(name + ": corrupt chunk header at " + std::to_string(cur));
-        return;
-      }
-      if (ch.cls != want_cls) {
-        issue(name + ": entry " + std::to_string(cur) + " has class " +
-              std::to_string(ch.cls) + ", want " + std::to_string(want_cls));
-        return;
+      if (!free_seen.insert(cur).second) throw bad("on multiple free lists");
+      const auto ch = get<ChunkHeader>(cur);
+      if (!chunk_ok(ch)) throw bad("has a corrupt chunk header");
+      if (ch.cls != cls) {
+        throw bad("has class " + std::to_string(ch.cls) + ", want " +
+                  std::to_string(cls));
       }
       free_payload += ch.payload_size;
       ++rep.free_chunks;
-      cur = get<std::uint64_t>(cur + kChunkHeader);
-    }
+      return true;
+    };
+    section(name, [&] { walk_free_list(cls, head, as.arena_cursor, listed); });
   };
   for (std::size_t c = 0; c < kClassSizes.size(); ++c) {
-    walk_free(fl.free_head[c], static_cast<std::uint32_t>(c),
-              "free list[" + std::to_string(kClassSizes[c]) + "]");
+    walk_free(static_cast<std::uint32_t>(c), fl.free_head[c]);
   }
-  walk_free(as.large_free_head, kLargeClass, "large free list");
+  walk_free(kLargeClass, as.large_free_head);
 
   // --- accounting -----------------------------------------------------------
   if (walk_ok) {
@@ -1414,14 +1372,10 @@ CheckReport Pool::check() const {
     // stored counter can no longer track the heap (the pool is dead for
     // writes and headed for degraded read-only mode), so a mismatch there
     // is the expected scar of the media failure, not a structural bug.
-    bool alloc_state_dead = false;
-    for (const auto& q : quar) {
-      if (q.first < Layout::kFreeListsOff + sizeof(FreeLists) &&
-          Layout::kAllocOff < q.first + q.second) {
-        alloc_state_dead = true;
-        break;
-      }
-    }
+    const bool alloc_state_dead =
+        lowest_overlap(quar, Layout::kAllocOff,
+                       Layout::kFreeListsOff + sizeof(FreeLists) -
+                           Layout::kAllocOff) != nullptr;
     // A non-empty allocator undo lane means a tx is pending recovery: it
     // tore mid-mutation and even the live rollback could not finish (the
     // media under one of its pre-image targets died).  Until the lane
@@ -1444,35 +1398,7 @@ CheckReport Pool::check() const {
   // --- undo lane ------------------------------------------------------------
   // Structural validity only: on a recovered pool the lane is empty; a
   // non-empty but well-formed lane is merely pending recovery.
-  const std::string lane = "allocator undo lane";
-  std::uint64_t used = 0;
-  try {
-    used = get<std::uint64_t>(Layout::kUndoOff);
-  } catch (const pmem::DeviceError& e) {
-    issue(lane + ": " + e.what());
-    return rep;
-  }
-  if (used > Layout::kUndoBytes) {
-    issue(lane + ": used " + std::to_string(used) + " exceeds capacity " +
-          std::to_string(Layout::kUndoBytes));
-    return rep;
-  }
-  std::uint64_t pos = Layout::kUndoOff + 8;
-  const std::uint64_t end = pos + used;
-  while (pos < end) {
-    const auto eh = get<LogEntryHeader>(pos);
-    if (eh.len > size_ || eh.off > size_ - eh.len) {
-      issue(lane + ": entry at " + std::to_string(pos) +
-            " targets a range beyond the pool");
-      return rep;
-    }
-    const std::uint64_t adv = sizeof(LogEntryHeader) + round_up(eh.len, 8);
-    if (pos + adv > end) {
-      issue(lane + ": truncated entry at " + std::to_string(pos));
-      return rep;
-    }
-    pos += adv;
-  }
+  section("allocator undo lane", [&] { (void)undo_lane_entries(); });
   return rep;
 }
 

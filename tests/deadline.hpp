@@ -11,27 +11,41 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <exception>
 #include <thread>
 
 namespace pmemcpy::testutil {
 
-/// Success when @p body, run in a forked child, throws E within
-/// @p seconds; a failure naming what happened otherwise (hung past the
-/// deadline, returned, threw something else, or died).
-template <typename E, typename Fn>
-::testing::AssertionResult throws_before_deadline(Fn&& body,
-                                                  int seconds = 60) {
+/// True when the exception @p ep holds is an E.
+template <typename E>
+bool holds(std::exception_ptr ep) {
+  try {
+    std::rethrow_exception(ep);
+  } catch (const E&) {
+    return true;
+  } catch (...) {
+    return false;
+  }
+}
+
+/// Success when @p body, run in a forked child, returns true within
+/// @p seconds.  Throwing one of @p Es also counts as success (the typed
+/// error a damaged image may end in).  A failure names what happened
+/// otherwise: hung past the deadline, returned false (@p on_false), threw
+/// something else, or died.
+template <typename... Es, typename Fn>
+::testing::AssertionResult passes_before_deadline(
+    Fn&& body, int seconds = 60, const char* on_false = "returned false") {
   const pid_t pid = fork();
   if (pid < 0) return ::testing::AssertionFailure() << "fork failed";
   if (pid == 0) {
+    int code = 0;
     try {
-      body();
-    } catch (const E&) {
-      std::_Exit(0);
+      code = body() ? 0 : 1;
     } catch (...) {
-      std::_Exit(2);
+      code = (false || ... || holds<Es>(std::current_exception())) ? 0 : 2;
     }
-    std::_Exit(1);
+    std::_Exit(code);
   }
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
@@ -54,10 +68,23 @@ template <typename E, typename Fn>
     case 0:
       return ::testing::AssertionSuccess();
     case 1:
-      return ::testing::AssertionFailure() << "returned without throwing";
+      return ::testing::AssertionFailure() << on_false;
     default:
       return ::testing::AssertionFailure() << "threw another exception";
   }
+}
+
+/// Success when @p body, run in a forked child, throws E within
+/// @p seconds.
+template <typename E, typename Fn>
+::testing::AssertionResult throws_before_deadline(Fn&& body,
+                                                  int seconds = 60) {
+  return passes_before_deadline<E>(
+      [&] {
+        body();
+        return false;
+      },
+      seconds, "returned without throwing");
 }
 
 }  // namespace pmemcpy::testutil

@@ -275,6 +275,29 @@ TEST(FaultPlanTest, PersistOpsCountsPersistAndDrain) {
   EXPECT_EQ(rep.correctness_violations, 0u) << rep.to_string();
 }
 
+// Attaching the persist checker must not change what a faulted op does: a
+// flush onto sticky media after an unfenced flush settles the batch with
+// one fence either way.
+TEST(FaultPlanTest, CheckerDoesNotChangeAFaultedFlush) {
+  const auto run = [](bool checker) {
+    Device dev(1 << 20);
+    if (checker) dev.enable_checker();
+    dev.inject_sticky_range(4096, 64);
+    Context c;
+    ScopedContext sc(c);
+    const std::uint64_t v = 1;
+    dev.write(0, &v, sizeof(v));
+    dev.flush(0, 64);
+    EXPECT_THROW(dev.flush(4096, 64), pmemcpy::pmem::DeviceError);
+    if (dev.checker() != nullptr) (void)dev.checker()->take_report();
+    return std::pair{dev.persist_ops(), c.now()};
+  };
+  const auto plain = run(false);
+  const auto checked = run(true);
+  EXPECT_EQ(plain.first, checked.first);
+  EXPECT_DOUBLE_EQ(plain.second, checked.second);
+}
+
 TEST(FaultPlanTest, CrashFiresAtScheduledOpAndFreezesDevice) {
   Device dev(1 << 20, true);
   FaultPlan plan;

@@ -111,32 +111,79 @@ TEST_F(FsTest, LargeFileSpansIndirectExtents) {
   EXPECT_EQ(in, out);
 }
 
-// A damaged next word must end an indirect-extent walk in a typed error,
-// not a hang.  On-media format: the superblock's seventh word is the data
-// area's offset, and an indirect block is {next, count, extents}, counted
-// in blocks.
-TEST_F(FsTest, IndirectChainCycleThrowsInsteadOfHanging) {
-  // 20 fragmented 16-block extents: 12 inline, 8 in one indirect block.
+// On-media format the damage tests below write: superblock words 5 and 6
+// (bytes 40 and 48) are the inode table's and the data area's offsets;
+// inode i sits at itable + (i - 1) * 256 as {u32 type, u32 nextents,
+// u64 size, {u64 start, u64 len} ext[12], u64 indirect}, extents counted in
+// 4 KiB blocks; an indirect block is {u64 next, u64 count, extents}; a
+// directory's first block starts with {seq, content_off, content_len, cap},
+// and an entry is {u32 ino, u16 name_len, 2 pad bytes, name}.
+std::uint64_t word_at(Device& dev, std::uint64_t off) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, dev.raw(off), sizeof(v));
+  return v;
+}
+
+std::uint64_t inode_at(Device& dev, pmemcpy::fs::Ino ino) {
+  return word_at(dev, 40) + (ino - 1) * 256;
+}
+
+std::uint64_t block_at(Device& dev, std::uint64_t blk) {
+  return word_at(dev, 48) + blk * 4096;
+}
+
+/// 20 fragmented 16-block extents: 12 inline, 8 in one indirect block.
+File fragmented_file(FileSystem& fs) {
   File big = fs.open("/frag", OpenMode::kTruncate);
   for (int i = 0; i < 20; ++i) {
     File pad = fs.open("/pad" + std::to_string(i), OpenMode::kTruncate);
     fs.truncate(pad, 4096);
     fs.truncate(big, fs.size(big) + (1 << 16));
   }
-  std::uint64_t data_off = 0;
-  std::memcpy(&data_off, dev.raw(48), sizeof(data_off));
-  std::uint64_t self = 0;
-  for (std::uint64_t off = data_off; off < kFsSize && self == 0;
-       off += 4096) {
-    std::uint64_t w[4];
-    std::memcpy(w, dev.raw(off), sizeof(w));
-    if (w[0] == 0 && w[1] == 8 && w[3] == 16) self = (off - data_off) / 4096;
-  }
-  ASSERT_NE(self, 0u) << "no indirect block found";
-  std::memcpy(dev.raw(data_off + self * 4096), &self, sizeof(self));
+  return big;
+}
+
+// A damaged next word must end an indirect-extent walk in a typed error,
+// not a hang.
+TEST_F(FsTest, IndirectChainCycleThrowsInsteadOfHanging) {
+  File big = fragmented_file(fs);
+  const std::uint64_t self = word_at(dev, inode_at(dev, big.ino()) + 208);
+  ASSERT_NE(self, 0u) << "no indirect block";
+  std::memcpy(dev.raw(block_at(dev, self)), &self, sizeof(self));
   // Growing the file walks the chain to count the blocks it owns.
   EXPECT_TRUE(pmemcpy::testutil::throws_before_deadline<FsError>(
       [&] { fs.truncate(big, fs.size(big) + (1 << 16)); }));
+}
+
+// An extent count past the 12 inline slots must not index beyond them.
+TEST_F(FsTest, InlineExtentCountPastItsSlotsThrows) {
+  File f = fs.open("/f", OpenMode::kTruncate);
+  fs.truncate(f, 3 * 4096);
+  const std::uint32_t n = 100000;
+  std::memcpy(dev.raw(inode_at(dev, f.ino()) + 4), &n, sizeof(n));
+  EXPECT_TRUE(pmemcpy::testutil::throws_before_deadline<FsError>(
+      [&] { (void)fs.map(f); }));
+}
+
+// An indirect block's count past its 254 extents must not read beyond it.
+TEST_F(FsTest, IndirectExtentCountPastItsBlockThrows) {
+  File big = fragmented_file(fs);
+  const std::uint64_t blk = word_at(dev, inode_at(dev, big.ino()) + 208);
+  ASSERT_NE(blk, 0u) << "no indirect block";
+  const std::uint64_t n = 100000;
+  std::memcpy(dev.raw(block_at(dev, blk) + 8), &n, sizeof(n));
+  EXPECT_TRUE(pmemcpy::testutil::throws_before_deadline<FsError>(
+      [&] { (void)fs.map(big); }));
+}
+
+// A directory entry's name must end inside the live entry list.
+TEST_F(FsTest, DirectoryNamePastItsSlotThrows) {
+  (void)fs.open("/a", OpenMode::kTruncate);
+  const std::uint64_t dir = block_at(dev, word_at(dev, inode_at(dev, 1) + 16));
+  const std::uint16_t n = 60000;
+  std::memcpy(dev.raw(dir + word_at(dev, dir + 8) + 4), &n, sizeof(n));
+  EXPECT_TRUE(pmemcpy::testutil::throws_before_deadline<FsError>(
+      [&] { (void)fs.list("/"); }));
 }
 
 TEST_F(FsTest, ListDirectory) {
@@ -191,6 +238,20 @@ TEST_F(FsTest, MountSeesExistingData) {
 TEST_F(FsTest, MountGarbageThrows) {
   Device other(1 << 20);
   EXPECT_THROW(FileSystem::mount(other, 0), FsError);
+}
+
+// The superblock's regions must lie inside the device before mount sizes
+// anything from them: word 2 is the block count, word 6 the data offset.
+TEST_F(FsTest, MountRejectsSuperblockRegionsOutsideTheDevice) {
+  for (const auto& [word, value] :
+       {std::pair<int, std::uint64_t>{2, ~std::uint64_t{0}}, {6, kFsSize}}) {
+    SCOPED_TRACE("superblock word " + std::to_string(word));
+    const std::uint64_t good = word_at(dev, word * 8);
+    std::memcpy(dev.raw(word * 8), &value, sizeof(value));
+    EXPECT_THROW(FileSystem::mount(dev, 0), FsError);
+    std::memcpy(dev.raw(word * 8), &good, sizeof(good));
+  }
+  EXPECT_NO_THROW(FileSystem::mount(dev, 0));
 }
 
 TEST_F(FsTest, PosixPathChargesSyscallAndCopy) {

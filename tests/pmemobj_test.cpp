@@ -285,6 +285,64 @@ TEST(PoolTest, FreeListCycleThrowsInsteadOfHanging) {
   EXPECT_FALSE(p.check().ok());
 }
 
+// On-media format the damage tests below write: a chunk header is the 16
+// bytes before its payload, {u64 payload_size, u32 class, u32 check} with
+// check = crc32c(first 12 bytes, seed 0xA110C8ED); the allocator undo lane
+// sits at pool offset 8192 as {u64 used} followed by entries {u64 off,
+// u64 len, pre-image}; the allocator state {arena_cursor, ...} sits at 4096.
+void stamp_chunk(Device& dev, std::uint64_t chunk, std::uint64_t payload,
+                 std::uint32_t cls) {
+  std::byte h[16] = {};
+  std::memcpy(h, &payload, 8);
+  std::memcpy(h + 8, &cls, 4);
+  const std::uint32_t check = pmemcpy::crc32c(h, 12, 0xA110C8EDu);
+  std::memcpy(h + 12, &check, 4);
+  std::memcpy(dev.raw(chunk), h, sizeof(h));
+}
+
+// A chunk whose checksummed size wraps the advance to zero must end the
+// heap walks of open's magazine sweep and of check() instead of spinning.
+TEST(PoolTest, WrappingChunkSizeEndsTheHeapWalks) {
+  Device dev(kPool);
+  Pool p = Pool::create(dev, 0, kPool);
+  const std::uint64_t chunk = p.alloc(100) - 16;
+  (void)p.alloc(100);
+  stamp_chunk(dev, chunk, ~std::uint64_t{0} - 15, 1);
+  using pmemcpy::testutil::passes_before_deadline;
+  EXPECT_TRUE(passes_before_deadline<PoolError>([&] {
+    (void)Pool::open(dev, 0);
+    return true;
+  })) << "open";
+  const std::string named = "heap walk: chunk at " + std::to_string(chunk);
+  EXPECT_TRUE(passes_before_deadline<>([&] {
+    const auto rep = p.check();
+    return std::any_of(rep.issues.begin(), rep.issues.end(),
+                       [&](const std::string& s) {
+                         return s.starts_with(named);
+                       });
+  })) << "check() must name the chunk";
+}
+
+// An undo-lane entry whose pre-image runs past `used` is torn: open must
+// refuse it, as check() does, instead of replaying the bytes behind `used`.
+TEST(PoolTest, OpenRefusesAnUndoEntryPastUsed) {
+  Device dev(kPool);
+  Pool p = Pool::create(dev, 0, kPool);
+  const std::uint64_t entry[2] = {4096, 32};  // the allocator state
+  std::memcpy(dev.raw(8200), entry, sizeof(entry));
+  std::memset(dev.raw(8216), 0xAB, 32);
+  const std::uint64_t used = sizeof(entry);  // the header only
+  std::memcpy(dev.raw(8192), &used, sizeof(used));
+  const auto rep = p.check();
+  EXPECT_NE(std::find(rep.issues.begin(), rep.issues.end(),
+                      "allocator undo lane: truncated entry at 8200"),
+            rep.issues.end());
+  EXPECT_THROW((void)Pool::open(dev, 0), PoolError);
+  std::uint64_t cursor = 0;
+  std::memcpy(&cursor, dev.raw(4096), sizeof(cursor));
+  EXPECT_NE(cursor, 0xABABABABABABABABull);
+}
+
 TEST(PoolTest, LockedAllocReadsOneFreeListBlock) {
   // The first alloc(64) with magazines on runs one refill, and a classic
   // alloc(64) runs one locked allocation.  Each reads the global allocator
