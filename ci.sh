@@ -59,8 +59,17 @@ run_config() {
 }
 
 run_checker_config() {
-  CTEST_ENV="PMEMCPY_PERSIST_CHECK=1 PMEMCPY_PERSIST_CHECK_FATAL=1" \
+  local env="PMEMCPY_PERSIST_CHECK=1 PMEMCPY_PERSIST_CHECK_FATAL=1"
+  CTEST_ENV="${env}" \
     run_config checker -DCMAKE_BUILD_TYPE=Release -DPMEMCPY_PERSIST_CHECK=ON
+  echo "==== [checker] concurrent repeats ===="
+  # The checker judges each thread by its own flushes and fences.  A rule
+  # that mixes threads up again fails only a few runs in a hundred, so the
+  # concurrent suites repeat under the fatal checker.
+  env ${env} build-ci-checker/tests/hashtable_test \
+    --gtest_filter='HashTable*Concurrent*' --gtest_repeat=20 --gtest_brief=1
+  env ${env} build-ci-checker/tests/engine_conformance_test \
+    --gtest_filter='*Concurrent*' --gtest_repeat=20 --gtest_brief=1
 }
 
 run_trace_config() {

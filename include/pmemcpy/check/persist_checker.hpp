@@ -1,59 +1,50 @@
-// Persistency-order checker: a shadow-state machine over device cachelines.
+// Persistency-order checker: rules over the device's cache-line model
+// (src/pmemdev/line_model.hpp, DESIGN.md §7).
 //
-// Every cacheline moves through
-//
-//     clean  --store-->  dirty  --flush-->  flush-pending  --fence-->  clean
-//
-// driven by the device hooks on_store()/on_flush()/on_fence().  On top of the
-// per-line state machine sits an epoch/ordering layer fed by annotation hooks
-// (tx_begin/tx_commit/publish) called from the object store and core layers.
-// The checker is a pure observer: it never charges simulated time and never
-// mutates device contents, so enabling it cannot change behavior — only
-// report it.  (In the spirit of pmemcheck/Jaaru, applied to the emulator.)
+// The device calls the hooks below under its lock, before the model applies
+// each store, flush or fence, and every rule is a predicate over the acting
+// thread's own view of that state: its newest store to a line, its last
+// flush of it and whether it has fenced that flush.  A fence makes only the
+// fencing thread's flushes durable, as on x86.  Annotation hooks
+// (tx_begin/tx_commit/publish) from the object store and core layers add
+// scopes.  The checker is a pure observer: it never charges simulated time
+// and never mutates device contents, so enabling it cannot change behavior —
+// only report it.  (In the spirit of pmemcheck/Jaaru.)
 //
 // Violation taxonomy:
 //   correctness
-//     kDirtyAtCommit      — a line stored inside an annotation scope is still
-//                           dirty (or flushed-but-unfenced) when the scope
-//                           commits: the "transaction" is not durable.
-//     kUnpersistedPublish — publish(off,len) covers a line that has not been
-//                           flushed+fenced: readers can see the range while a
-//                           crash would still tear it.
-//     kStoreAfterFlush    — a store lands on a line that was flushed but not
-//                           yet fenced: the store races the writeback, so its
-//                           durability is undefined (classic CLWB/SFENCE
-//                           reordering window).
-//   efficiency lints
-//     kCleanFlush         — flush of a line with no stores since it was last
-//                           made durable (in an earlier epoch): wasted CLWB.
-//     kDuplicateFlush     — flush of a line already flushed in the *same*
-//                           epoch with no intervening store: the second CLWB
-//                           (and its fence) bought nothing.
-//     kEmptyFence         — a fence with no flushed lines pending: ordering
-//                           point that orders nothing.
+//     kDirtyAtCommit      — the committing thread's own newest store to a
+//                           line its scope stored is not durable.
+//     kUnpersistedPublish — the same for a line publish(off,len) covers:
+//                           readers see the range while a crash would still
+//                           tear it.
+//     kStoreAfterFlush    — a thread stores to a line it flushed and has not
+//                           fenced: the store races its own writeback.
+//   efficiency lints, for a flush that writes back no store (none newer
+//   than every flush of the line, and none of the flushing thread's own
+//   that it has not flushed itself)
+//     kCleanFlush         — of a line the thread has not flushed this
+//                           epoch: a wasted CLWB.
+//     kDuplicateFlush     — the thread already flushed the line this epoch.
+//     kEmptyFence         — a fence with none of the fencing thread's own
+//                           flushes pending: it orders nothing.
 //
-// Epochs: inside a tx_begin..tx_commit scope the scope itself is the epoch
-// (one per scope instance, per thread).  Outside any scope, epochs are
-// fence-delimited.  Flushes of *dirty* lines are never flagged — a line that
-// was re-stored legitimately needs another flush, and ordering-required
-// re-flushes (e.g. consecutive undo-log entries sharing a tail line) must not
-// false-positive.
-//
-// Multi-thread soundness: each line remembers which threads stored to it
-// since its last flush.  When thread A's flush covers thread B's store, B is
-// marked "satisfied" for that line and B's next flush of the (now clean)
-// line is suppressed once instead of flagged — two threads persisting their
-// own stores to a shared metadata line is not a redundancy bug.
+// Epochs are per thread: a tx_begin..tx_commit scope, or outside any scope
+// the span up to the thread's own next fence.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
+
+namespace pmemcpy::pmem {
+class LineModel;
+}  // namespace pmemcpy::pmem
 
 namespace pmemcpy::check {
 
@@ -86,11 +77,8 @@ struct Report {
   std::vector<Finding> findings;  ///< capped; see dropped_findings
   std::uint64_t dropped_findings = 0;
 
-  // Traffic counters (efficiency accounting for benches / EXPERIMENTS.md).
-  std::uint64_t store_ops = 0;
-  std::uint64_t flush_ops = 0;       ///< flush/persist calls
-  std::uint64_t lines_flushed = 0;   ///< cachelines covered by those calls
-  std::uint64_t fence_ops = 0;
+  // Annotation traffic.  The device's store/flush/fence traffic is counted
+  // by the trace registry (trace::Counter::kStoreOps..kFenceOps).
   std::uint64_t scopes_committed = 0;
   std::uint64_t publishes = 0;
 
@@ -113,71 +101,64 @@ struct Report {
 
 class PersistChecker {
  public:
-  PersistChecker();
+  /// Judges the device's @p model, which must outlive the checker.
+  explicit PersistChecker(const pmem::LineModel& model);
   ~PersistChecker();
 
   PersistChecker(const PersistChecker&) = delete;
   PersistChecker& operator=(const PersistChecker&) = delete;
 
-  // --- device hooks (called with the device lock NOT held) -----------------
-  void on_store(std::size_t off, std::size_t len);
-  void on_flush(std::size_t off, std::size_t len, std::uint64_t persist_op);
-  void on_fence(std::uint64_t persist_op);
-  /// Power loss: cached (non-durable) state is gone; reset every line to
-  /// clean and drop open scopes.  Findings and counters survive.
+  // --- device hooks: cache lines [first, last); called under the device
+  // lock, before the model applies the event -------------------------------
+  void on_store(std::size_t first, std::size_t last);
+  void on_flush(std::size_t first, std::size_t last, std::uint64_t persist_op);
+  /// @p flushed: the calling thread flushed since its own last fence.
+  void on_fence(std::uint64_t persist_op, bool flushed);
+  /// Power loss: drop open scopes and epochs.  Findings and counters
+  /// survive.
   void on_crash();
 
-  // --- annotation hooks ----------------------------------------------------
+  // --- annotation hooks (commit and publish under the device lock) ---------
   void tx_begin(std::string_view name);
   void tx_commit(std::uint64_t persist_op);
   void tx_abort();
-  void on_publish(std::size_t off, std::size_t len, std::uint64_t persist_op);
+  void on_publish(std::size_t first, std::size_t last,
+                  std::uint64_t persist_op);
 
   // --- reporting ------------------------------------------------------------
   [[nodiscard]] Report report() const;
-  /// Snapshot and reset findings + violation tallies (traffic counters keep
-  /// accumulating).  Used by mutation tests that plant violations on purpose.
+  /// Snapshot and reset findings + violation tallies (annotation counters
+  /// keep accumulating).  Used by mutation tests that plant violations on
+  /// purpose.
   Report take_report();
-  /// True iff no violations have been recorded (and not yet taken).
-  [[nodiscard]] bool clean() const;
 
  private:
-  struct Line {
-    enum State : std::uint8_t { kClean = 0, kDirty, kFlushPending };
-    State state = kClean;
-    std::uint64_t last_flush_epoch = 0;
-    std::uint64_t last_flush_op = 0;
-    bool store_after_flush_reported = false;
-    std::vector<std::uint32_t> writers;    ///< slots with stores since last flush
-    std::vector<std::uint32_t> satisfied;  ///< slots covered by another's flush
+  /// Cache lines [first, last) one flush call covered.
+  struct Span {
+    std::size_t first;
+    std::size_t last;
   };
   struct Scope {
     std::string name;
-    std::uint64_t epoch;
     std::vector<std::size_t> dirtied;  ///< lines stored while innermost
+    std::vector<Span> flushed;         ///< flushes while innermost
   };
   struct ThreadState {
-    std::uint32_t slot;
     std::vector<Scope> scopes;
-    /// Flush calls this thread issued since its last fence.  The empty-fence
-    /// lint requires BOTH this and the global pending set to be empty, so a
-    /// concurrent thread's fence consuming our flushed lines cannot make our
-    /// own (justified) fence look empty.
-    std::uint64_t flushes_since_fence = 0;
+    std::vector<Span> flushed;  ///< flushes outside scopes since own fence
   };
 
   ThreadState& self_locked();
-  std::uint64_t epoch_of_locked(ThreadState& ts) const;
   void record_locked(Violation v, std::size_t line, std::uint64_t op,
                      const std::string& scope, std::string detail);
+  /// dirty-at-commit and unpersisted-publish: the calling thread's own
+  /// newest store to @p line is not durable.
+  void check_durable_locked(Violation v, std::size_t line, std::uint64_t op,
+                            const std::string& scope, const char* when);
 
+  const pmem::LineModel& model_;
   mutable std::mutex mu_;
-  std::unordered_map<std::size_t, Line> lines_;
   std::unordered_map<std::thread::id, ThreadState> threads_;
-  std::uint32_t next_slot_ = 0;
-  std::uint64_t next_epoch_ = 2;  // 1 is the initial fence epoch
-  std::uint64_t fence_epoch_ = 1;
-  std::vector<std::size_t> pending_lines_;  ///< flushed since last fence
   Report rep_;
 };
 

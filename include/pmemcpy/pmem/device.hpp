@@ -10,32 +10,33 @@
 //     into device memory (zero copy) and charge bandwidth/fault costs
 //     explicitly, including the MAP_SYNC first-touch penalty.
 //
-// For crash-consistency testing the device can additionally keep a shadow of
-// every cacheline written since it was last persisted; simulate_crash()
-// restores those lines, emulating the loss of CPU-cache-resident stores on
-// power failure.
+// For crash-consistency testing the device can run a cache-line model
+// (src/pmemdev/line_model.hpp): per line the durable image and, per thread,
+// the image its last flush captured.  A thread's fence makes only its own
+// flush images durable, as an SFENCE orders only the issuing core's CLWBs on
+// x86; simulate_crash() reverts every line to its durable image, emulating
+// the loss of CPU-cache-resident stores on power failure.
 //
 // On top of that sits a Jaaru-style fault plan for systematic crash-point
-// exploration: every persist()/drain() bumps a monotonic persist-op counter,
-// and a plan can schedule a crash at the Nth such op.  When the crash fires
-// the device reverts unpersisted cachelines (all of them, or — in torn-write
-// mode — a deterministic pseudo-random subset, emulating lines that happened
-// to be evicted to media before power was lost), freezes itself like a
-// powered-off DIMM (subsequent stores and persists are ignored, so stack
-// unwinding through destructors cannot retroactively mutate the post-crash
-// image), and throws CrashError for the harness to catch.  Injected media
-// read errors surface as a typed DeviceError from every checked read path.
-// Orthogonally to crash simulation, a persistency-order checker
-// (pmemcpy::check::PersistChecker) can be attached: it shadows every
-// store/flush/fence through a per-cacheline state machine and reports
-// ordering violations and redundant-flush lints.  See
-// include/pmemcpy/check/persist_checker.hpp and DESIGN.md §7.
+// exploration: every flush()/persist()/drain() bumps a monotonic persist-op
+// counter, and a plan can schedule a crash at the Nth such op.  When the
+// crash fires the device reverts in-flight lines (all of them, or — in
+// torn-write mode — a deterministic pseudo-random subset keeps its current
+// bytes, emulating lines evicted to media before power was lost), freezes
+// itself like a powered-off DIMM (subsequent stores and persists are
+// ignored, so stack unwinding through destructors cannot retroactively
+// mutate the post-crash image), and throws CrashError for the harness to
+// catch.  Injected media read errors surface as a typed DeviceError from
+// every checked read path.  The persistency-order checker
+// (pmemcpy::check::PersistChecker) reads the same model: it judges every
+// store, flush, fence and annotation by the acting thread's own state and
+// reports ordering violations and redundant-flush lints.  See
+// include/pmemcpy/check/persist_checker.hpp and DESIGN.md §6–§7.
 #pragma once
 
 #include <pmemcpy/ft/ft.hpp>
 #include <pmemcpy/sim/context.hpp>
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -44,7 +45,6 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace pmemcpy::check {
@@ -53,6 +53,8 @@ struct Report;
 }  // namespace pmemcpy::check
 
 namespace pmemcpy::pmem {
+
+class LineModel;
 
 inline constexpr std::size_t kCacheLine = 64;
 
@@ -128,9 +130,9 @@ struct FaultPlan {
 class Device {
  public:
   /// @param capacity      device size in bytes (rounded up to a page)
-  /// @param crash_shadow  keep pre-images of unpersisted cachelines so that
-  ///                      simulate_crash() can drop in-flight stores.  Costs
-  ///                      DRAM + a hash lookup per store; enable in tests only.
+  /// @param crash_shadow  run the cache-line model so that simulate_crash()
+  ///                      can drop in-flight stores.  Costs DRAM + a hash
+  ///                      lookup per store; enable in tests only.
   explicit Device(std::size_t capacity, bool crash_shadow = false);
   ~Device();
 
@@ -149,16 +151,19 @@ class Device {
   /// Set @p len bytes at @p off to @p value; charged like a write.
   void fill(std::size_t off, std::size_t len, std::byte value);
 
-  /// Flush the cachelines covering [off, off+len) and drain: after this the
+  /// Flush the cachelines covering [off, off+len) and fence: after this the
   /// range survives simulate_crash().  Charges per-line flush + fence cost.
   /// Counts one persist op; throws CrashError when the fault plan fires.
   void persist(std::size_t off, std::size_t len);
   /// Flush only (CLWB, no fence): the cachelines covering [off, off+len)
-  /// start writing back but are durable only after the next drain().  Batch
-  /// several flush() calls under one drain() to pay a single fence.  Charges
-  /// per-line flush cost; counts one persist op (a crash point).
+  /// start writing back but are durable only after the calling thread's
+  /// next fence.  Batch several flush() calls under one drain() to pay a
+  /// single fence.  Charges per-line flush cost; counts one persist op (a
+  /// crash point).
   void flush(std::size_t off, std::size_t len);
-  /// Fence only (SFENCE); charges drain cost.  Counts one persist op.
+  /// Fence only (SFENCE): makes the calling thread's own earlier flushes
+  /// durable, and no other thread's.  Charges drain cost; counts one
+  /// persist op.
   void drain();
 
   // --- DAX path -------------------------------------------------------------
@@ -183,8 +188,8 @@ class Device {
   /// bandwidth as well.
   void charge_dax_read(std::size_t len, bool map_sync = false) const;
 
-  /// Record [off, off+len) as dirty for crash tracking (pre-imaging the
-  /// affected cachelines in shadow mode).  Call *before* mutating via raw().
+  /// Record a store to [off, off+len) for crash tracking and the checker.
+  /// Call *before* mutating via raw().
   void note_write(std::size_t off, std::size_t len);
 
   /// Forget page-touch state (a fresh mmap of the device file).
@@ -192,12 +197,12 @@ class Device {
 
   // --- crash simulation ------------------------------------------------------
 
-  /// Revert cachelines written since they were last persisted (requires
-  /// crash_shadow).  Emulates power loss with stores still in CPU caches.
-  /// Honors the fault plan's torn-write mode: with it, only a deterministic
-  /// pseudo-random subset of the unpersisted lines is reverted.
+  /// Revert every line to its durable image (requires crash_shadow).
+  /// Emulates power loss with stores still in CPU caches.  Honors the fault
+  /// plan's torn-write mode: with it, only a deterministic pseudo-random
+  /// subset of the in-flight lines is reverted.
   void simulate_crash();
-  /// Number of distinct unpersisted cachelines currently tracked.
+  /// Number of cachelines whose newest store is not durable.
   [[nodiscard]] std::size_t unpersisted_lines() const;
 
   // --- fault plan -------------------------------------------------------------
@@ -205,7 +210,7 @@ class Device {
   /// Arm a fault plan for the current run (requires crash_shadow when a
   /// crash point is scheduled).
   void set_fault_plan(const FaultPlan& plan);
-  /// Monotonic count of persist()/drain() ops since construction.
+  /// Monotonic count of flush()/persist()/drain() ops since construction.
   [[nodiscard]] std::uint64_t persist_ops() const noexcept {
     return persist_ops_.load(std::memory_order_relaxed);
   }
@@ -285,22 +290,26 @@ class Device {
   void check_range(std::size_t off, std::size_t len) const;
   /// Pages of [off,len) not yet touched since the last reset; marks them.
   std::size_t claim_new_pages(std::size_t off, std::size_t len);
-  /// Revert unpersisted lines per the torn-write policy; clears the shadow.
+  /// Revert lines to their durable images per the torn-write policy and
+  /// forget them.
   void apply_crash_locked();
-  /// Resolve flushed-but-unfenced lines at a fence: the flush-time image is
-  /// now durable, so drop (or retarget) their shadow pre-images.
-  void drain_flush_pending_locked();
+  /// The flush half of flush()/persist(): count it and feed the checker
+  /// and the model.
+  void record_flush(std::size_t first, std::size_t last, std::uint64_t op);
+  /// The fence half of drain()/persist(): the calling thread's own flushes
+  /// here are fenced now.  @p flushed: the op flushed lines itself.
+  void record_fence(std::uint64_t op, bool flushed);
   /// A flush/persist of [off, off+len) failed for good: the writeback never
   /// reached media, so in-flight stores to those lines are lost exactly as
-  /// on a crash.  Restore their last durable images from the shadow (no-op
-  /// without crash_shadow).
+  /// on a crash.  Restore their durable images (no-op without crash_shadow).
   void revert_unpersisted(std::size_t off, std::size_t len);
-  /// A faulted op is unwinding mid-batch.  If a flush() was issued since
-  /// the last fence, issue one settling fence so the caller's healing retry
-  /// does not store onto an open CLWB window (a store-after-flush hazard the
-  /// retry could not otherwise avoid).  No-op otherwise, so it never lints
-  /// as an empty fence.  Decided from the device's own record, so an
-  /// attached checker never changes what a faulted op does.
+  /// A faulted op is unwinding mid-batch.  If the calling thread issued a
+  /// flush() since its own last fence, issue one settling fence so its
+  /// healing retry does not store onto an open CLWB window (a
+  /// store-after-flush hazard the retry could not otherwise avoid).  No-op
+  /// otherwise, so it never lints as an empty fence.  Decided from a
+  /// per-thread record every device keeps, so an attached checker never
+  /// changes what a faulted op does.
   void settle_unwind();
   /// Charge one store of @p len bytes at the shared write bandwidth times
   /// @p bw_factor (the MAP_SYNC derating, else 1).
@@ -340,8 +349,9 @@ class Device {
   std::atomic<std::uint64_t> persist_ops_{0};
   std::atomic<std::uint64_t> crash_at_{0};
   std::atomic<bool> frozen_{false};
-  /// A flush() was issued since the last fence (persist() or drain()).
-  std::atomic<bool> unfenced_flush_{false};
+  /// Names this device in each thread's record of unfenced flushes;
+  /// revive() draws a fresh one, forgetting them all.
+  std::atomic<std::uint64_t> serial_;
   bool torn_writes_ = false;
   std::uint64_t torn_seed_ = 0;
 
@@ -360,14 +370,10 @@ class Device {
   /// read path can escalate a range just like a store can.
   mutable std::vector<std::pair<std::size_t, std::size_t>> sticky_bad_;
 
-  mutable std::mutex mu_;  // protects shadow_, touched_, bad media
-  std::unordered_map<std::size_t, std::array<std::byte, kCacheLine>> shadow_;
-  /// Lines flushed (CLWB issued) but not yet fenced, with the line image
-  /// captured at flush time: on drain() that image is what became durable,
-  /// so a line re-stored between flush and fence reverts to it on crash.
-  std::unordered_map<std::size_t, std::array<std::byte, kCacheLine>>
-      flush_pending_;
-  std::unique_ptr<check::PersistChecker> checker_;
+  mutable std::mutex mu_;  // protects model_, touched_, bad media
+  /// The cache-line model; null unless crash_shadow or the checker is on.
+  std::unique_ptr<LineModel> model_;
+  std::unique_ptr<check::PersistChecker> checker_;  // reads *model_
   std::vector<std::pair<std::size_t, std::size_t>> bad_media_;  // off, len
   std::vector<bool> touched_;  // one bit per 4 KiB page
   /// Byte counters: relaxed atomics, so the data path never takes mu_ just

@@ -15,9 +15,10 @@
 //
 //   * A typed counter/histogram registry, the one counter store.  One
 //     vocabulary (counter_name()) shared by the stats exporter and
-//     `bench/audit --json`.  The device counts its traffic and the persist
-//     checker its lint and correctness tallies here as they happen, so the
-//     first eight counters can be cross-checked against checker_report().
+//     `bench/audit --json`.  The device counts its store/flush/fence
+//     traffic here, and the persist checker its lint and correctness
+//     tallies as it records them, so those four counters can be
+//     cross-checked against checker_report().
 //
 //   * Exporters: Chrome `trace_event` JSON (chrome://tracing, Perfetto) and
 //     a compact stats JSON.  Timestamps are integer nanoseconds derived
@@ -45,14 +46,14 @@
 
 namespace pmemcpy::trace {
 
-/// Typed counters.  The first eight carry check::Report's traffic counters
-/// and violation tallies under the same names: the device counts the
-/// traffic and PersistChecker the tallies as it records them.  The rest
-/// absorb the counters that used to live as ad-hoc fields on Device, Pool
-/// and the engines.  perfbench indexes counters by enumerator, so names
-/// and positions stay fixed.
+/// Typed counters.  The first four are the device's persist traffic, the
+/// only count of it; the next four carry check::Report's violation tallies
+/// under the same names, counted by PersistChecker as it records them.  The
+/// rest absorb the counters that used to live as ad-hoc fields on Device,
+/// Pool and the engines.  perfbench indexes counters by enumerator, so
+/// names and positions stay fixed.
 enum class Counter : int {
-  kStoreOps = 0,            ///< device stores (checker on_store events)
+  kStoreOps = 0,            ///< device stores (note_write calls)
   kFlushOps,                ///< CLWB-equivalent flush operations
   kLinesFlushed,            ///< cachelines covered by those flushes
   kFenceOps,                ///< SFENCE-equivalent drain operations

@@ -1,8 +1,11 @@
 #include <pmemcpy/pmem/device.hpp>
 
+#include "line_model.hpp"
+
 #include <pmemcpy/check/persist_checker.hpp>
 #include <pmemcpy/trace/trace.hpp>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -66,13 +69,33 @@ double env_double(const char* name, double fallback) {
 std::string range_str(std::size_t off, std::size_t len) {
   return "[" + std::to_string(off) + ", +" + std::to_string(len) + ")";
 }
+
+/// The cache lines [first, last) that [off, off+len) touches.
+std::pair<std::size_t, std::size_t> line_span(std::size_t off,
+                                              std::size_t len) {
+  return {off / kCacheLine, (off + len + kCacheLine - 1) / kCacheLine};
+}
+
+std::atomic<std::uint64_t> next_serial{1};
+
+/// Serials of the devices the calling thread has flushed since its own last
+/// fence on each: a fence orders only its own thread's flushes.  Kept by
+/// every device, plain ones included, for settle_unwind().
+thread_local std::vector<std::uint64_t> t_unfenced;
+
+bool unfenced(std::uint64_t serial) {
+  return std::find(t_unfenced.begin(), t_unfenced.end(), serial) !=
+         t_unfenced.end();
+}
 }  // namespace
 
 Device::Device(std::size_t capacity, bool crash_shadow)
     : capacity_(round_up(capacity, kPage)),
       data_(std::make_unique<std::byte[]>(capacity_)),
       crash_shadow_(crash_shadow),
+      serial_(next_serial.fetch_add(1, std::memory_order_relaxed)),
       touched_(capacity_ / kPage, false) {
+  if (crash_shadow_) model_ = std::make_unique<LineModel>(data_.get());
   if (checker_default_on()) enable_checker();
   // Env-driven transient-fault arming (ci.sh's fault smoke).  A
   // programmatic set_fault_plan() later overrides it.
@@ -101,7 +124,9 @@ Device::~Device() {
 }
 
 void Device::enable_checker() {
-  if (!checker_) checker_ = std::make_unique<check::PersistChecker>();
+  if (checker_) return;
+  if (!model_) model_ = std::make_unique<LineModel>(data_.get());
+  checker_ = std::make_unique<check::PersistChecker>(*model_);
 }
 
 check::Report Device::checker_report() const {
@@ -113,7 +138,9 @@ void Device::check_tx_begin(std::string_view name) {
 }
 
 void Device::check_tx_commit() {
-  if (checker_ && !frozen()) checker_->tx_commit(persist_ops());
+  if (!checker_ || frozen()) return;
+  std::lock_guard lk(mu_);
+  checker_->tx_commit(persist_ops());
 }
 
 void Device::check_tx_abort() {
@@ -121,7 +148,10 @@ void Device::check_tx_abort() {
 }
 
 void Device::check_publish(std::size_t off, std::size_t len) {
-  if (checker_ && !frozen()) checker_->on_publish(off, len, persist_ops());
+  if (!checker_ || frozen() || len == 0) return;
+  const auto [first, last] = line_span(off, len);
+  std::lock_guard lk(mu_);
+  checker_->on_publish(first, last, persist_ops());
 }
 
 void Device::check_range(std::size_t off, std::size_t len) const {
@@ -216,60 +246,31 @@ void Device::persist(std::size_t off, std::size_t len) {
   check_range(off, len);
   if (frozen()) return;  // powered off: nothing to make durable
   fault_gate(FaultOp::kPersist, off, len);
-  const std::size_t first = off / kCacheLine;
-  const std::size_t last = (off + len + kCacheLine - 1) / kCacheLine;
+  const auto [first, last] = line_span(off, len);
   auto& c = sim::ctx();
   const auto& pm = c.model().pmem;
   c.advance(static_cast<double>(last - first) * pm.persist_line_cost +
                 pm.drain_cost,
             sim::Charge::kPmemPersist);
   const std::uint64_t op = tick_persist_op();
-  // The implicit fence orders every earlier flush() too.
-  unfenced_flush_.store(false, std::memory_order_relaxed);
-  if (crash_shadow_) {
-    std::lock_guard lk(mu_);
-    for (std::size_t line = first; line < last; ++line) {
-      shadow_.erase(line);
-      flush_pending_.erase(line);
-    }
-    // The implicit fence also drains any earlier unfenced flush() calls.
-    drain_flush_pending_locked();
-  }
   trace::count(trace::Counter::kPersistOps);
-  trace::count(trace::Counter::kFlushOps);
-  trace::count(trace::Counter::kLinesFlushed, last - first);
-  trace::count(trace::Counter::kFenceOps);
-  if (checker_) {
-    checker_->on_flush(off, len, op);
-    checker_->on_fence(op);
-  }
+  record_flush(first, last, op);
+  record_fence(op, /*flushed=*/true);
 }
 
 void Device::flush(std::size_t off, std::size_t len) {
   check_range(off, len);
   if (frozen()) return;  // powered off: nothing writes back
   fault_gate(FaultOp::kPersist, off, len);
-  const std::size_t first = off / kCacheLine;
-  const std::size_t last = (off + len + kCacheLine - 1) / kCacheLine;
+  const auto [first, last] = line_span(off, len);
   auto& c = sim::ctx();
   c.advance(static_cast<double>(last - first) * c.model().pmem.persist_line_cost,
             sim::Charge::kPmemPersist);
   const std::uint64_t op = tick_persist_op();
-  unfenced_flush_.store(true, std::memory_order_relaxed);
-  if (crash_shadow_) {
-    std::lock_guard lk(mu_);
-    for (std::size_t line = first; line < last; ++line) {
-      if (shadow_.count(line) == 0) continue;  // already durable
-      // Capture the line image the CLWB writes back: that image (not any
-      // later store) is what the next fence makes durable.
-      auto& img = flush_pending_[line];
-      std::memcpy(img.data(), data_.get() + line * kCacheLine, kCacheLine);
-    }
-  }
   trace::count(trace::Counter::kPersistOps);
-  trace::count(trace::Counter::kFlushOps);
-  trace::count(trace::Counter::kLinesFlushed, last - first);
-  if (checker_) checker_->on_flush(off, len, op);
+  const std::uint64_t serial = serial_.load(std::memory_order_relaxed);
+  if (!unfenced(serial)) t_unfenced.push_back(serial);
+  record_flush(first, last, op);
 }
 
 void Device::drain() {
@@ -277,54 +278,48 @@ void Device::drain() {
   auto& c = sim::ctx();
   c.advance(c.model().pmem.drain_cost, sim::Charge::kPmemPersist);
   const std::uint64_t op = tick_persist_op();
-  unfenced_flush_.store(false, std::memory_order_relaxed);
-  if (crash_shadow_) {
-    std::lock_guard lk(mu_);
-    drain_flush_pending_locked();
-  }
   trace::count(trace::Counter::kPersistOps);
+  record_fence(op, /*flushed=*/false);
+}
+
+void Device::record_flush(std::size_t first, std::size_t last,
+                          std::uint64_t op) {
+  trace::count(trace::Counter::kFlushOps);
+  trace::count(trace::Counter::kLinesFlushed, last - first);
+  if (!model_) return;
+  std::lock_guard lk(mu_);
+  if (checker_) checker_->on_flush(first, last, op);
+  model_->flush(first, last);
+}
+
+void Device::record_fence(std::uint64_t op, bool flushed) {
   trace::count(trace::Counter::kFenceOps);
-  if (checker_) checker_->on_fence(op);
+  const auto it = std::find(t_unfenced.begin(), t_unfenced.end(),
+                            serial_.load(std::memory_order_relaxed));
+  if (it != t_unfenced.end()) {
+    *it = t_unfenced.back();
+    t_unfenced.pop_back();
+    flushed = true;
+  }
+  if (!model_) return;
+  std::lock_guard lk(mu_);
+  if (checker_) checker_->on_fence(op, flushed);
+  model_->fence();
 }
 
 void Device::settle_unwind() {
-  if (!unfenced_flush_.load(std::memory_order_relaxed)) return;
-  // A real sfence: earlier CLWBs in the aborted batch become durable, which
-  // is exactly what hardware would eventually do anyway.  drain() performs
-  // no fault injection, so this cannot recurse.
-  drain();
+  // Only the calling thread's own flushes count: another thread's fence
+  // ordered none of them.  A real sfence: earlier CLWBs in the aborted batch
+  // become durable, which is exactly what hardware would eventually do
+  // anyway.  drain() performs no fault injection, so this cannot recurse.
+  if (unfenced(serial_.load(std::memory_order_relaxed))) drain();
 }
 
 void Device::revert_unpersisted(std::size_t off, std::size_t len) {
   if (!crash_shadow_) return;
-  const std::size_t first = off / kCacheLine;
-  const std::size_t last = (off + len + kCacheLine - 1) / kCacheLine;
+  const auto [first, last] = line_span(off, len);
   std::lock_guard lk(mu_);
-  for (std::size_t line = first; line < last; ++line) {
-    const auto it = shadow_.find(line);
-    if (it == shadow_.end()) continue;  // line already durable
-    std::memcpy(data_.get() + line * kCacheLine, it->second.data(),
-                kCacheLine);
-    shadow_.erase(it);
-    flush_pending_.erase(line);
-  }
-}
-
-void Device::drain_flush_pending_locked() {
-  for (const auto& [line, img] : flush_pending_) {
-    // The fence made the flush-time image durable.  If the line was stored
-    // to again after the flush, a crash now reverts to that image (the
-    // later store is still cache-resident); otherwise the line is simply
-    // persisted and needs no shadow at all.
-    if (std::memcmp(data_.get() + line * kCacheLine, img.data(), kCacheLine) ==
-        0) {
-      shadow_.erase(line);
-    } else {
-      auto it = shadow_.find(line);
-      if (it != shadow_.end()) it->second = img;
-    }
-  }
-  flush_pending_.clear();
+  model_->revert(first, last);
 }
 
 void Device::note_write(std::size_t off, std::size_t len) {
@@ -335,18 +330,12 @@ void Device::note_write(std::size_t off, std::size_t len) {
   // a throw below means the store never happened.
   fault_gate(FaultOp::kWrite, off, len);
   trace::count(trace::Counter::kStoreOps);
-  if (checker_) checker_->on_store(off, len);
-  if (!crash_shadow_) return;
-  const std::size_t first = off / kCacheLine;
-  const std::size_t last = (off + len + kCacheLine - 1) / kCacheLine;
+  if (!model_) return;
+  const auto [first, last] = line_span(off, len);
   std::lock_guard lk(mu_);
-  for (std::size_t line = first; line < last; ++line) {
-    auto [it, inserted] = shadow_.try_emplace(line);
-    if (inserted) {
-      std::memcpy(it->second.data(), data_.get() + line * kCacheLine,
-                  kCacheLine);
-    }
-  }
+  // The checker judges the store against the state before it.
+  if (checker_) checker_->on_store(first, last);
+  model_->store(first, last);
 }
 
 std::size_t Device::claim_new_pages(std::size_t off, std::size_t len) {
@@ -402,14 +391,8 @@ bool Device::torn_reverts(std::size_t line) const noexcept {
 }
 
 void Device::apply_crash_locked() {
-  for (const auto& [line, image] : shadow_) {
-    if (torn_writes_ && !torn_reverts(line)) continue;  // line made it out
-    std::memcpy(data_.get() + line * kCacheLine, image.data(), kCacheLine);
-  }
-  shadow_.clear();
-  // Flushed-but-unfenced lines were never ordered to media; their loss is
-  // already covered by the shadow revert above.
-  flush_pending_.clear();
+  model_->crash(
+      [this](std::size_t line) { return torn_writes_ && !torn_reverts(line); });
   if (checker_) checker_->on_crash();
   trace::on_crash();
 }
@@ -425,7 +408,7 @@ void Device::simulate_crash() {
 
 std::size_t Device::unpersisted_lines() const {
   std::lock_guard lk(mu_);
-  return shadow_.size();
+  return model_ ? model_->unpersisted() : 0;
 }
 
 void Device::set_fault_plan(const FaultPlan& plan) {
@@ -454,9 +437,10 @@ void Device::revive() {
   crash_at_.store(0, std::memory_order_relaxed);
   frozen_.store(false, std::memory_order_relaxed);
   torn_writes_ = false;
-  shadow_.clear();
-  flush_pending_.clear();
-  unfenced_flush_.store(false, std::memory_order_relaxed);
+  if (model_) model_->clear();
+  // A fresh serial forgets every thread's unfenced flushes here.
+  serial_.store(next_serial.fetch_add(1, std::memory_order_relaxed),
+                std::memory_order_relaxed);
 }
 
 void Device::inject_read_error(std::size_t off, std::size_t len) {

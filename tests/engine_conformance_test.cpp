@@ -12,6 +12,7 @@
 #include <pmemcpy/obj/pool.hpp>
 #include <pmemcpy/pmem/device.hpp>
 #include <pmemcpy/pmemcpy.hpp>
+#include <pmemcpy/trace/trace.hpp>
 
 #include <gtest/gtest.h>
 
@@ -339,10 +340,13 @@ TEST(EngineBatchFences, TableBatchCommitIsTwoFences) {
     put->sink().write(v.data(), v.size());
     put->commit(0);
   }
-  const auto before = node.device().checker()->report();
+  namespace trace = pmemcpy::trace;
+  const bool was_tracing = trace::enabled();
+  trace::set_enabled(true);
+  const std::uint64_t before = trace::counter(trace::Counter::kFenceOps);
   batch->commit();
-  const auto after = node.device().checker()->report();
-  EXPECT_LE(after.fence_ops - before.fence_ops, 2u);
+  EXPECT_LE(trace::counter(trace::Counter::kFenceOps) - before, 2u);
+  trace::set_enabled(was_tracing);
 
   eng.reset();
   const auto rep = node.device().checker()->take_report();

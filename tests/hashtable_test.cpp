@@ -22,7 +22,6 @@
 
 namespace {
 
-using pmemcpy::check::Violation;
 using pmemcpy::obj::HashTable;
 using pmemcpy::obj::Pool;
 using pmemcpy::pmem::Device;
@@ -299,24 +298,6 @@ TEST_F(HashTableTest, ConcurrentSameKeyReplaceStaysConsistent) {
   EXPECT_EQ(v.substr(0, 6), "writer");
 }
 
-/// With the persist checker attached, publishers racing on one pool trip two
-/// cross-thread artifacts on shared metadata lines (allocator undo lane,
-/// the table header): a scope commit finds a line another thread has
-/// flushed but not yet fenced (dirty-at-commit), and a flush finds a line
-/// another thread's flush already cleaned (clean-flush).  The HashTableTest
-/// Concurrent* cases above hit them too, under CPU load.  The tests below
-/// check what the checker cannot see (lost inserts, rebuild counts), so they
-/// consume those two kinds and fail on any other finding.
-void expect_only_cross_thread_findings(Device& dev) {
-  if (dev.checker() == nullptr) return;
-  for (const auto& f : dev.checker()->take_report().findings) {
-    EXPECT_TRUE(f.kind == Violation::kDirtyAtCommit ||
-                f.kind == Violation::kCleanFlush)
-        << pmemcpy::check::violation_name(f.kind) << " line " << f.line
-        << " scope " << f.scope << ": " << f.detail;
-  }
-}
-
 TEST(HashTableConcurrent, DistinctKeysWithBucketCountNotAMultipleOfStripes) {
   // 100 buckets over 64 stripes: bucket b and bucket b+64 would share a
   // stripe if it were chosen by key hash, while keys of one bucket could
@@ -356,7 +337,10 @@ TEST(HashTableConcurrent, DistinctKeysWithBucketCountNotAMultipleOfStripes) {
       EXPECT_EQ(out, key);
     }
   }
-  expect_only_cross_thread_findings(dev);
+  if (dev.checker() != nullptr) {
+    const auto rep = dev.checker()->take_report();
+    EXPECT_TRUE(rep.ok()) << rep.to_string();
+  }
 }
 
 TEST(HashTableConcurrent, AutoGrowRebuildsOncePerGrowth) {
@@ -405,7 +389,10 @@ TEST(HashTableConcurrent, AutoGrowRebuildsOncePerGrowth) {
             << t << "/" << i;
       }
     }
-    expect_only_cross_thread_findings(dev);
+    if (dev.checker() != nullptr) {
+      const auto rep = dev.checker()->take_report();
+      EXPECT_TRUE(rep.ok()) << rep.to_string();
+    }
   }
   trace::reset();
   trace::set_enabled(was_enabled);

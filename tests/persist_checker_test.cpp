@@ -5,11 +5,14 @@
 #include <pmemcpy/check/persist_checker.hpp>
 #include <pmemcpy/obj/pool.hpp>
 #include <pmemcpy/pmem/device.hpp>
+#include <pmemcpy/trace/trace.hpp>
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <latch>
+#include <thread>
 
 namespace {
 
@@ -18,6 +21,7 @@ using pmemcpy::obj::Pool;
 using pmemcpy::pmem::CrashError;
 using pmemcpy::pmem::Device;
 using pmemcpy::pmem::FaultPlan;
+namespace trace = pmemcpy::trace;
 
 constexpr std::size_t kDev = 1 << 20;
 
@@ -42,13 +46,17 @@ TEST_F(PersistCheckerTest, CorrectSequenceIsClean) {
 }
 
 TEST_F(PersistCheckerTest, FlushBatchUnderOneFenceIsClean) {
+  const bool was_tracing = trace::enabled();
+  trace::set_enabled(true);
+  const std::uint64_t fences = trace::counter(trace::Counter::kFenceOps);
   const std::uint64_t v = 7;
   for (std::size_t i = 0; i < 4; ++i) dev.write(i * 64, &v, sizeof(v));
   for (std::size_t i = 0; i < 4; ++i) dev.flush(i * 64, sizeof(v));
   dev.drain();
+  EXPECT_EQ(trace::counter(trace::Counter::kFenceOps) - fences, 1u);
+  trace::set_enabled(was_tracing);
   const auto rep = dev.checker()->take_report();
   EXPECT_TRUE(rep.ok()) << rep.to_string();
-  EXPECT_EQ(rep.fence_ops, 1u);
 }
 
 // A line that is re-stored legitimately needs another flush: never flagged.
@@ -144,16 +152,119 @@ TEST_F(PersistCheckerTest, FlagsEmptyFence) {
   EXPECT_EQ(rep.count(Violation::kEmptyFence), 1u) << rep.to_string();
 }
 
+// --- threads: a fence covers only its own thread's flushes ------------------
+// Thread A is the test thread; B runs on a second thread, ordered by join or
+// latch, so every interleaving below is deterministic.
+
+// A's own stores were fenced long ago; B's later store and unfenced flush of
+// the same line are B's to answer for.
+TEST_F(PersistCheckerTest, OtherThreadsUnfencedFlushDoesNotFailACommit) {
+  const std::uint64_t v = 1;
+  dev.check_tx_begin("test.a");
+  dev.write(0, &v, sizeof(v));
+  dev.persist(0, sizeof(v));
+  std::thread([&] {
+    dev.write(8, &v, sizeof(v));
+    dev.flush(8, sizeof(v));
+  }).join();
+  dev.check_tx_commit();
+  const auto rep = dev.checker()->take_report();
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
+}
+
+// B's fence orders only B's flushes: A's flushed line is still not durable
+// when A commits, and a crash reverts it.
+TEST_F(PersistCheckerTest, OtherThreadsFenceDoesNotCoverOwnFlush) {
+  const std::uint64_t v = 1;
+  dev.check_tx_begin("test.b");
+  dev.write(0, &v, sizeof(v));
+  dev.flush(0, sizeof(v));
+  std::thread([&] {
+    dev.write(128, &v, sizeof(v));
+    dev.persist(128, sizeof(v));
+  }).join();
+  dev.check_tx_commit();
+  const auto rep = dev.checker()->take_report();
+  EXPECT_EQ(rep.count(Violation::kDirtyAtCommit), 1u) << rep.to_string();
+  EXPECT_EQ(rep.correctness_violations, 1u);
+
+  dev.simulate_crash();
+  std::uint64_t out = 0;
+  dev.read(0, &out, sizeof(out));
+  EXPECT_EQ(out, 0u);  // A's line reverted
+  dev.read(128, &out, sizeof(out));
+  EXPECT_EQ(out, v);  // B's line was fenced by B
+}
+
+// B did not flush the line, so its store does not race a writeback of its
+// own.
+TEST_F(PersistCheckerTest, StoreAfterAnotherThreadsFlushIsNotFlagged) {
+  const std::uint64_t v = 1;
+  dev.write(0, &v, sizeof(v));
+  dev.flush(0, sizeof(v));
+  std::thread([&] { dev.write(8, &v, sizeof(v)); }).join();
+  dev.drain();
+  const auto rep = dev.checker()->take_report();
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
+}
+
+// A's persist covered B's store too.  B's own persist of it is not flagged
+// once; B persisting again with nothing new is.
+TEST_F(PersistCheckerTest, FlushCoveredByAnotherThreadLintsOnlyOnRepeat) {
+  const std::uint64_t v = 1;
+  std::latch b_stored(1);
+  std::latch a_persisted(1);
+  pmemcpy::check::Report b_first;
+  pmemcpy::check::Report b_second;
+  std::thread b([&] {
+    dev.write(8, &v, sizeof(v));
+    b_stored.count_down();
+    a_persisted.wait();
+    dev.persist(8, sizeof(v));
+    b_first = dev.checker()->take_report();
+    dev.persist(8, sizeof(v));
+    b_second = dev.checker()->take_report();
+  });
+  b_stored.wait();
+  dev.write(0, &v, sizeof(v));
+  dev.persist(0, sizeof(v));
+  const auto a_rep = dev.checker()->take_report();
+  a_persisted.count_down();
+  b.join();
+  EXPECT_TRUE(a_rep.ok()) << a_rep.to_string();
+  EXPECT_TRUE(b_first.ok()) << b_first.to_string();
+  EXPECT_EQ(b_second.count(Violation::kCleanFlush), 1u) << b_second.to_string();
+  EXPECT_EQ(b_second.efficiency_violations, 1u);
+}
+
+// Only A's flush is pending, so B's fence orders nothing; A's own fence
+// orders A's flush.
+TEST_F(PersistCheckerTest, FenceWithOnlyAnotherThreadsFlushPendingIsEmpty) {
+  const std::uint64_t v = 1;
+  dev.write(0, &v, sizeof(v));
+  dev.flush(0, sizeof(v));
+  std::thread([&] { dev.drain(); }).join();
+  const auto rep = dev.checker()->take_report();
+  EXPECT_EQ(rep.count(Violation::kEmptyFence), 1u) << rep.to_string();
+  EXPECT_EQ(rep.findings.size(), 1u);
+  dev.drain();
+  const auto own = dev.checker()->take_report();
+  EXPECT_TRUE(own.ok()) << own.to_string();
+}
+
 // --- report mechanics --------------------------------------------------------
 
 TEST_F(PersistCheckerTest, TakeReportResetsFindingsButKeepsTraffic) {
+  dev.check_tx_begin("test.take");
+  dev.check_tx_commit();
   dev.drain();  // plant one empty fence
   const auto first = dev.checker()->take_report();
   EXPECT_EQ(first.count(Violation::kEmptyFence), 1u);
   const auto second = dev.checker()->take_report();
   EXPECT_TRUE(second.ok()) << second.to_string();
   EXPECT_TRUE(second.findings.empty());
-  EXPECT_EQ(second.fence_ops, first.fence_ops);  // traffic accumulates
+  // Annotation traffic accumulates.
+  EXPECT_EQ(second.scopes_committed, first.scopes_committed);
 }
 
 TEST_F(PersistCheckerTest, ReportJsonMentionsViolation) {

@@ -298,6 +298,33 @@ TEST(FaultPlanTest, CheckerDoesNotChangeAFaultedFlush) {
   EXPECT_DOUBLE_EQ(plain.second, checked.second);
 }
 
+// A faulted persist settles the calling thread's own unfenced flush even
+// after another thread fenced in between: that fence ordered only its own
+// thread's flushes.
+TEST(FaultPlanTest, UnwindSettlesOwnFlushAfterAnotherThreadsFence) {
+  for (const bool shadow : {false, true}) {
+    Device dev(1 << 20, shadow);
+    const std::uint64_t v = 7;
+    dev.write(0, &v, sizeof(v));
+    dev.flush(0, sizeof(v));                 // thread A: not yet fenced
+    std::thread([&] { dev.drain(); }).join();  // thread B
+    FaultPlan plan;
+    plan.transient_persist_rate = 1.0;  // every attempt faults
+    dev.set_fault_plan(plan);
+    const std::uint64_t before = dev.persist_ops();
+    EXPECT_THROW(dev.persist(64, sizeof(v)), DeviceError);
+    EXPECT_EQ(dev.persist_ops(), before + 1) << "shadow=" << shadow;
+    // B's drain ordered nothing: the checker config reports it.
+    if (dev.checker() != nullptr) (void)dev.checker()->take_report();
+    if (!shadow) continue;
+    dev.set_fault_plan(FaultPlan{});
+    dev.simulate_crash();  // A's settling fence made its line durable
+    std::uint64_t out = 0;
+    dev.read(0, &out, sizeof(out));
+    EXPECT_EQ(out, v);
+  }
+}
+
 TEST(FaultPlanTest, CrashFiresAtScheduledOpAndFreezesDevice) {
   Device dev(1 << 20, true);
   FaultPlan plan;
