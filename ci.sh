@@ -49,6 +49,12 @@ run_config() {
   echo "==== [${name}] audit ===="
   run_audit "${dir}"
   if [[ "${name}" == "release" ]]; then
+    echo "==== [${name}] tree crash-fuzz soak ===="
+    # 100k random tree-engine ops with a crash about every dozen: each
+    # remount must free the inodes and blocks its crash stranded, or the
+    # soak runs out of inodes long before the end.
+    PMEMCPY_FUZZ_ITERS=100000 "${dir}/tests/engine_property_test" \
+      --gtest_filter='*CrashFuzz*Tree' --gtest_brief=1
     echo "==== [${name}] benchmark self-check ===="
     # perfbench is its own CMake package compiling ../src into .bench_build/;
     # the self-check builds it and runs every workload at tiny sizes, so a

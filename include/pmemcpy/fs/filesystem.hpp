@@ -15,6 +15,15 @@
 // persisted write-through so a device image can be re-mounted; full crash
 // journaling is out of scope (the object store, not the filesystem, provides
 // transactional guarantees in this system).
+//
+// Like the kernel's inode bitmap and dcache, a mounted FileSystem keeps its
+// namespace in DRAM (DESIGN.md §6): an inode-allocation map and, per
+// directory, the committed entry list with a name index.  Both are filled
+// only through the on-media decoders and updated only after the write that
+// commits a change is durable, so a mount assumes it is the only mount of
+// its region.  Mount walks the namespace once and frees what a crash
+// stranded: unreachable inodes that hold no data or carry the orphan mark
+// remove() and rename() set before unlinking, and blocks no inode lists.
 #pragma once
 
 #include <pmemcpy/pmem/device.hpp>
@@ -174,24 +183,42 @@ class FileSystem {
   // --- stats ------------------------------------------------------------------
 
   [[nodiscard]] std::uint64_t free_blocks() const;
+  /// Inodes not in use, read from the DRAM inode map.
+  [[nodiscard]] std::uint64_t free_inodes() const;
 
  private:
   friend class Mapping;
   struct Inode;
   struct DirHeader;
+  using DirEntries = std::vector<std::pair<std::string, Ino>>;
+  /// DRAM copy of one directory's committed entry list: the entries in
+  /// on-media order and the first inode each name maps to.
+  struct DirIndex {
+    DirEntries entries;
+    std::unordered_map<std::string, Ino> by_name;
+  };
 
   FileSystem(pmem::Device& dev, std::size_t base);
+  /// Mount-time reclaim (DESIGN.md §6): walk the namespace from the root,
+  /// free each unreachable inode that holds no data or carries the orphan
+  /// mark, clear the mark on reachable inodes, then free every used block
+  /// that no inode lists.  Frees nothing when a directory or an extent list
+  /// does not decode.
+  void reclaim();
 
   [[nodiscard]] Inode read_inode(Ino ino) const;
   void write_inode(Ino ino, const Inode& inode);
+  /// First fit from inode 1 over the DRAM map; the map marks the inode used
+  /// once its write is durable.
   [[nodiscard]] Ino alloc_inode(std::uint32_t type);
+  /// Free an inode that no name reaches and that holds no data.
   void free_inode(Ino ino);
 
   /// Allocate @p nblocks, preferring contiguity; returns extents.
   [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>>
   alloc_blocks(std::uint64_t nblocks);
-  /// Mark blocks [start, start+n) used or free in the DRAM bitmap and write
-  /// the touched bitmap bytes through to the device.
+  /// Mark blocks [start, start+n) used or free: write the touched bitmap
+  /// bytes through to the device, then update the DRAM bitmap.
   void mark_blocks(std::uint64_t start, std::uint64_t n, bool used);
 
   /// Ensure the file owns blocks covering [0, size); grows only.
@@ -229,18 +256,30 @@ class FileSystem {
   void persist_file_range(Ino ino, std::uint64_t off, std::uint64_t len);
 
   [[nodiscard]] Ino resolve(const std::string& path, bool want_parent,
-                            std::string* leaf) const;
-  [[nodiscard]] Ino dir_lookup(Ino dir, std::string_view name) const;
-  void dir_add(Ino dir, std::string_view name, Ino child);
+                            std::string* leaf);
+  [[nodiscard]] Ino dir_lookup(Ino dir, const std::string& name);
+  /// Allocate an inode of @p type and name it @p name in @p dir.  If the
+  /// name does not commit, the inode is free again in the DRAM map.
+  Ino create(Ino dir, const std::string& name, std::uint32_t type);
   void dir_remove(Ino dir, std::string_view name);
+  /// Persist the orphan mark in the head line of inode @p ino, whose
+  /// current content is @p inode, before a name that reaches it is removed.
+  void mark_orphan(Ino ino, Inode inode);
+  /// Drop the extents of an unlinked inode, then free it.
+  void release(Ino ino);
   /// The one directory-header decoder: zero when never written, else both
   /// slots inside the file and the live list inside one slot (FsError).
   [[nodiscard]] DirHeader dir_header(Ino dir, const Inode& inode) const;
   /// Parse the live entry list; an entry overrunning its slot is FsError.
-  [[nodiscard]] std::vector<std::pair<std::string, Ino>> dir_entries(
-      Ino dir) const;
-  void dir_write_entries(
-      Ino dir, const std::vector<std::pair<std::string, Ino>>& entries);
+  [[nodiscard]] DirEntries dir_entries(Ino dir) const;
+  /// The DRAM index of @p dir, decoded through dir_entries on first use.
+  [[nodiscard]] const DirIndex& dir_index(Ino dir);
+  /// Make @p entries, indexed by name, the DRAM index of @p dir.
+  const DirIndex& cache_dir(Ino dir, DirEntries entries);
+  /// Shadow-commit @p entries as the list of @p dir; once the header flip is
+  /// durable they become its DRAM index.  A throw leaves no index, so the
+  /// next use decodes what the media holds.
+  void dir_write_entries(Ino dir, DirEntries entries);
 
   /// Raw (uncharged-copy) file data IO used by directory internals; charges
   /// device costs only.
@@ -260,6 +299,10 @@ class FileSystem {
   /// DRAM cache of the block bitmap (write-through to the device).
   std::vector<bool> bitmap_cache_;
   std::uint64_t free_blocks_cache_ = 0;
+  /// DRAM inode-allocation map, indexed by inode number - 1.
+  std::vector<bool> inode_used_;
+  /// DRAM index of every directory decoded since format or mount.
+  std::unordered_map<Ino, DirIndex> dirs_;
   /// File ranges written through the POSIX path since the last fsync(),
   /// per inode (DRAM bookkeeping, like the kernel's dirty-page tracking).
   /// fsync() flushes exactly these and pays one fence — previously it

@@ -18,6 +18,15 @@ constexpr std::size_t kIndirectExtents = 254;
 constexpr std::uint32_t kTypeFree = 0;
 constexpr std::uint32_t kTypeFile = 1;
 constexpr std::uint32_t kTypeDir = 2;
+/// Set in an inode's type word, in its head line, before remove() or
+/// rename() unlinks it: mount frees an unreachable inode that carries it
+/// even when it still holds data.
+constexpr std::uint32_t kOrphanMark = 1u << 31;
+
+/// The inode type a type word encodes, without the orphan mark.
+constexpr std::uint32_t type_of(std::uint32_t word) {
+  return word & ~kOrphanMark;
+}
 
 struct Superblock {
   std::uint64_t magic;
@@ -213,11 +222,13 @@ FileSystem FileSystem::format(pmem::Device& dev, std::size_t base,
 
   fs.bitmap_cache_.assign(blocks, false);
   fs.free_blocks_cache_ = blocks;
+  fs.inode_used_.assign(inode_count, false);
 
   // Root directory: inode 1.
   Inode root{};
   root.type = kTypeDir;
   fs.write_inode(1, root);
+  fs.inode_used_[0] = true;
 
   Superblock sb{};
   sb.magic = kFsMagic;
@@ -250,7 +261,75 @@ FileSystem FileSystem::mount(pmem::Device& dev, std::size_t base) {
     fs.bitmap_cache_[b] = used;
     if (!used) ++fs.free_blocks_cache_;
   }
+  // Build the DRAM inode map through the inode decoder.
+  fs.inode_used_.assign(sb.inode_count, false);
+  for (Ino i = 1; i <= sb.inode_count; ++i) {
+    fs.inode_used_[i - 1] = fs.read_inode(i).type != kTypeFree;
+  }
+  fs.reclaim();
   return fs;
+}
+
+void FileSystem::reclaim() {
+  // Reachability, through the directory decoder (which fills each index).
+  std::vector<bool> reached(inode_count_, false);
+  std::vector<Ino> marked;  // reachable, yet carrying a stale orphan mark
+  std::vector<Ino> pending{1};  // reached directories not yet walked
+  reached[0] = true;
+  try {
+    while (!pending.empty()) {
+      const Ino dir = pending.back();
+      pending.pop_back();
+      for (const auto& [name, ino] : dir_index(dir).entries) {
+        const Inode inode = read_inode(ino);
+        if (reached[ino - 1]) continue;
+        reached[ino - 1] = true;
+        if ((inode.type & kOrphanMark) != 0) marked.push_back(ino);
+        if (type_of(inode.type) == kTypeDir) pending.push_back(ino);
+      }
+    }
+  } catch (const FsError&) {
+    return;  // a directory that does not decode hides what it names
+  }
+  // The blocks every allocated inode lists, decoded before anything is
+  // freed.
+  std::vector<bool> owned(total_blocks_, false);
+  try {
+    for (Ino i = 1; i <= inode_count_; ++i) {
+      if (!inode_used_[i - 1]) continue;
+      for_each_extent(read_inode(i), [&](const Extent& e, bool) {
+        std::fill_n(owned.begin() + static_cast<std::ptrdiff_t>(e.start),
+                    e.len, true);
+        return true;
+      });
+    }
+  } catch (const FsError&) {
+    return;  // an extent list that does not decode: keep everything
+  }
+  // A crashed create leaves an unnamed inode that holds no data, a crashed
+  // remove() or rename() an unnamed one with the orphan mark.  An unnamed
+  // inode with data and no mark is damage (a directory whose type word
+  // changed hides a subtree of them): it stays.
+  for (Ino i = 1; i <= inode_count_; ++i) {
+    if (!inode_used_[i - 1] || reached[i - 1]) continue;
+    const Inode inode = read_inode(i);
+    const bool dataless =
+        inode.size == 0 && inode.nextents == 0 && inode.indirect == 0;
+    if (dataless || (inode.type & kOrphanMark) != 0) release(i);
+  }
+  for (const Ino i : marked) {
+    Inode inode = read_inode(i);
+    inode.type &= ~kOrphanMark;
+    write_inode(i, inode);
+  }
+  // A crash between a bitmap write and the inode write that lists (or
+  // unlists) its blocks leaves them used with no owner: free those.
+  for (std::uint64_t b = 0; b < total_blocks_;) {
+    std::uint64_t e = b;
+    while (e < total_blocks_ && bitmap_cache_[e] && !owned[e]) ++e;
+    if (e > b) mark_blocks(b, e - b, false);
+    b = e + 1;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -292,22 +371,24 @@ void FileSystem::write_inode(Ino ino, const Inode& inode) {
 }
 
 Ino FileSystem::alloc_inode(std::uint32_t type) {
-  for (Ino i = 1; i <= inode_count_; ++i) {
-    Inode inode = read_inode(i);
-    if (inode.type == kTypeFree) {
-      inode = Inode{};
-      inode.type = type;
-      write_inode(i, inode);
-      return i;
-    }
-  }
-  throw FsError("fs: out of inodes");
+  const auto it = std::find(inode_used_.begin(), inode_used_.end(), false);
+  if (it == inode_used_.end()) throw FsError("fs: out of inodes");
+  const Ino ino = static_cast<Ino>(it - inode_used_.begin()) + 1;
+  Inode inode{};
+  inode.type = type;
+  write_inode(ino, inode);
+  *it = true;
+  return ino;
 }
 
 void FileSystem::free_inode(Ino ino) {
-  Inode inode{};
-  write_inode(ino, inode);
+  // No name reaches the inode and it holds no data, so it is free from
+  // here on even if the write below faults: its media copy is then a
+  // dataless orphan, which alloc_inode overwrites whole and a mount frees.
+  inode_used_[ino - 1] = false;
+  dirs_.erase(ino);
   dirty_.erase(ino);  // a reused inode must not inherit stale dirty spans
+  write_inode(ino, Inode{});
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>> FileSystem::alloc_blocks(
@@ -332,7 +413,6 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> FileSystem::alloc_blocks(
 
 void FileSystem::mark_blocks(std::uint64_t start, std::uint64_t n,
                              bool used) {
-  for (std::uint64_t i = start; i < start + n; ++i) bitmap_cache_[i] = used;
   const std::uint64_t first_byte = start / 8;
   const std::uint64_t last_byte = (start + n - 1) / 8;
   std::vector<std::uint8_t> bytes(last_byte - first_byte + 1, 0);
@@ -340,14 +420,17 @@ void FileSystem::mark_blocks(std::uint64_t start, std::uint64_t n,
     std::uint8_t v = 0;
     for (int bit = 0; bit < 8; ++bit) {
       const std::uint64_t blk = by * 8 + static_cast<std::uint64_t>(bit);
-      if (blk < total_blocks_ && bitmap_cache_[blk]) {
-        v |= static_cast<std::uint8_t>(1u << bit);
-      }
+      const bool set = blk >= start && blk < start + n
+                           ? used
+                           : blk < total_blocks_ && bitmap_cache_[blk];
+      if (set) v |= static_cast<std::uint8_t>(1u << bit);
     }
     bytes[by - first_byte] = v;
   }
   dev_->write(bitmap_off_ + first_byte, bytes.data(), bytes.size());
   dev_->persist(bitmap_off_ + first_byte, bytes.size());
+  // The DRAM copy follows only once the bitmap bytes are durable.
+  for (std::uint64_t i = start; i < start + n; ++i) bitmap_cache_[i] = used;
   free_blocks_cache_ = used ? free_blocks_cache_ - n : free_blocks_cache_ + n;
 }
 
@@ -570,14 +653,13 @@ FileSystem::DirHeader FileSystem::dir_header(Ino dir,
   return dh;
 }
 
-std::vector<std::pair<std::string, Ino>> FileSystem::dir_entries(
-    Ino dir) const {
+FileSystem::DirEntries FileSystem::dir_entries(Ino dir) const {
   const Inode inode = read_inode(dir);
-  if (inode.type != kTypeDir) throw FsError("fs: not a directory");
+  if (type_of(inode.type) != kTypeDir) throw FsError("fs: not a directory");
   const DirHeader dh = dir_header(dir, inode);
   std::vector<std::byte> raw(dh.content_len);
   if (!raw.empty()) data_read(dir, raw.data(), raw.size(), dh.content_off);
-  std::vector<std::pair<std::string, Ino>> out;
+  DirEntries out;
   for (std::size_t pos = 0; pos < raw.size();) {
     DirEntryHeader h{};
     if (raw.size() - pos < sizeof(h)) {
@@ -597,14 +679,27 @@ std::vector<std::pair<std::string, Ino>> FileSystem::dir_entries(
   return out;
 }
 
+const FileSystem::DirIndex& FileSystem::dir_index(Ino dir) {
+  if (const auto it = dirs_.find(dir); it != dirs_.end()) return it->second;
+  return cache_dir(dir, dir_entries(dir));
+}
+
+const FileSystem::DirIndex& FileSystem::cache_dir(Ino dir,
+                                                  DirEntries entries) {
+  DirIndex& idx = dirs_[dir];
+  idx.by_name.clear();
+  for (const auto& [name, ino] : entries) idx.by_name.emplace(name, ino);
+  idx.entries = std::move(entries);
+  return idx;
+}
+
 /// Flush the device lines backing file range [off, off+len) and fence.
 void FileSystem::persist_file_range(Ino ino, std::uint64_t off,
                                     std::uint64_t len) {
   persist_runs(*dev_, gather_runs(ino, off + len), off, len);
 }
 
-void FileSystem::dir_write_entries(
-    Ino dir, const std::vector<std::pair<std::string, Ino>>& entries) {
+void FileSystem::dir_write_entries(Ino dir, DirEntries entries) {
   std::vector<std::byte> raw;
   for (const auto& [name, ino] : entries) {
     DirEntryHeader h{ino, static_cast<std::uint16_t>(name.size())};
@@ -621,6 +716,9 @@ void FileSystem::dir_write_entries(
   // are shadow-committed: write the new list into the slot the live header
   // does NOT point at, fence it, then flip the single-line header.  Every
   // crash point parses either the whole old list or the whole new one.
+  // The DRAM index is dropped until the new list commits, so a throw below
+  // leaves the next use to decode whatever the media holds.
+  dirs_.erase(dir);
   const DirHeader dh = dir_header(dir, read_inode(dir));
   std::uint64_t new_cap = dh.cap;
   std::uint64_t new_off;
@@ -646,37 +744,64 @@ void FileSystem::dir_write_entries(
   data_write(dir, &next, sizeof(next), 0);
   persist_file_range(dir, 0, kDirHeaderSize);  // single-line commit
   dirty_.erase(dir);
+  cache_dir(dir, std::move(entries));
 }
 
-Ino FileSystem::dir_lookup(Ino dir, std::string_view name) const {
-  for (const auto& [n, ino] : dir_entries(dir)) {
-    if (n == name) return ino;
-  }
-  return 0;
+Ino FileSystem::dir_lookup(Ino dir, const std::string& name) {
+  const auto& by_name = dir_index(dir).by_name;
+  const auto it = by_name.find(name);
+  return it == by_name.end() ? 0 : it->second;
 }
 
-void FileSystem::dir_add(Ino dir, std::string_view name, Ino child) {
+Ino FileSystem::create(Ino dir, const std::string& name, std::uint32_t type) {
   if (name.empty() || name.size() > 255) throw FsError("fs: bad name");
-  auto entries = dir_entries(dir);
-  for (const auto& [n, ino] : entries) {
-    if (n == name) throw FsError("fs: name exists: " + std::string(name));
+  const DirIndex& idx = dir_index(dir);
+  if (idx.by_name.count(name) != 0) throw FsError("fs: name exists: " + name);
+  auto entries = idx.entries;
+  const Ino ino = alloc_inode(type);
+  entries.emplace_back(name, ino);
+  try {
+    dir_write_entries(dir, std::move(entries));
+  } catch (...) {
+    // The rewrite faulted, and a faulted header flush can leave the new
+    // list on media.  Unless it did, no name reaches the inode and it holds
+    // no data: free in DRAM, as a mount frees it and alloc_inode overwrites
+    // it whole.
+    bool named = true;
+    try {
+      named = dir_lookup(dir, name) == ino;
+    } catch (...) {
+      // The directory no longer decodes: keep the inode used.
+    }
+    if (!named) inode_used_[ino - 1] = false;
+    throw;
   }
-  entries.emplace_back(std::string(name), child);
-  dir_write_entries(dir, entries);
+  return ino;
+}
+
+void FileSystem::mark_orphan(Ino ino, Inode inode) {
+  inode.type |= kOrphanMark;
+  write_inode(ino, inode);
+}
+
+void FileSystem::release(Ino ino) {
+  Inode inode = read_inode(ino);
+  drop_extents(inode, ino);
+  free_inode(ino);
 }
 
 void FileSystem::dir_remove(Ino dir, std::string_view name) {
-  auto entries = dir_entries(dir);
+  auto entries = dir_index(dir).entries;
   const auto it =
       std::find_if(entries.begin(), entries.end(),
                    [&](const auto& e) { return e.first == name; });
   if (it == entries.end()) throw FsError("fs: no such entry");
   entries.erase(it);
-  dir_write_entries(dir, entries);
+  dir_write_entries(dir, std::move(entries));
 }
 
 Ino FileSystem::resolve(const std::string& path, bool want_parent,
-                        std::string* leaf) const {
+                        std::string* leaf) {
   const auto parts = split_path(path);
   if (want_parent) {
     if (parts.empty()) throw FsError("fs: no parent of /");
@@ -697,63 +822,65 @@ Ino FileSystem::resolve(const std::string& path, bool want_parent,
 // ---------------------------------------------------------------------------
 
 void FileSystem::mkdir(const std::string& path) {
+  trace::Span span("fs.create");
   std::lock_guard lk(*mu_);
   std::string leaf;
   const Ino parent = resolve(path, /*want_parent=*/true, &leaf);
   if (parent == 0) throw FsError("fs: no such directory: " + path);
-  const Ino ino = alloc_inode(kTypeDir);
-  dir_add(parent, leaf, ino);
+  (void)create(parent, leaf, kTypeDir);
 }
 
 void FileSystem::mkdirs(const std::string& path) {
+  trace::Span span("fs.create");
   std::lock_guard lk(*mu_);
   const auto parts = split_path(path);
   Ino cur = 1;
   for (const auto& p : parts) {
     Ino next = dir_lookup(cur, p);
-    if (next == 0) {
-      next = alloc_inode(kTypeDir);
-      dir_add(cur, p, next);
-    }
+    if (next == 0) next = create(cur, p, kTypeDir);
     cur = next;
   }
 }
 
 bool FileSystem::exists(const std::string& path) {
+  trace::Span span("fs.lookup");
   std::lock_guard lk(*mu_);
   return resolve(path, false, nullptr) != 0;
 }
 
 bool FileSystem::is_dir(const std::string& path) {
+  trace::Span span("fs.lookup");
   std::lock_guard lk(*mu_);
   const Ino ino = resolve(path, false, nullptr);
-  return ino != 0 && read_inode(ino).type == kTypeDir;
+  return ino != 0 && type_of(read_inode(ino).type) == kTypeDir;
 }
 
 void FileSystem::remove(const std::string& path) {
+  trace::Span span("fs.remove");
   std::lock_guard lk(*mu_);
   std::string leaf;
   const Ino parent = resolve(path, true, &leaf);
   if (parent == 0) throw FsError("fs: no such path: " + path);
   const Ino ino = dir_lookup(parent, leaf);
   if (ino == 0) throw FsError("fs: no such path: " + path);
-  Inode inode = read_inode(ino);
-  if (inode.type == kTypeDir && inode.size != 0 &&
-      !dir_entries(ino).empty()) {
+  const Inode inode = read_inode(ino);
+  if (type_of(inode.type) == kTypeDir && inode.size != 0 &&
+      !dir_index(ino).entries.empty()) {
     throw FsError("fs: directory not empty: " + path);
   }
   // Soft-updates ordering: the name removal must be durable BEFORE the inode
   // or its blocks are freed.  The reverse order has a crash window where the
   // directory still names a zeroed inode — a dangling entry that reads as a
-  // zero-length file after remount.  This order can at worst leak an unnamed
-  // inode and its blocks (a space leak, never corruption).
+  // zero-length file after remount.  This order can at worst strand an
+  // unnamed inode and its blocks, which the orphan mark lets mount free.
+  mark_orphan(ino, inode);
   dir_remove(parent, leaf);
-  drop_extents(inode, ino);
-  free_inode(ino);
+  release(ino);
 }
 
 bool FileSystem::rename(const std::string& from, const std::string& to,
                         bool replace) {
+  trace::Span span("fs.rename");
   std::lock_guard lk(*mu_);
   sim::ctx().charge_syscall();
   std::string from_leaf, to_leaf;
@@ -767,19 +894,20 @@ bool FileSystem::rename(const std::string& from, const std::string& to,
   if (from_parent == to_parent && from_leaf == to_leaf) return true;
   const Ino victim = dir_lookup(to_parent, to_leaf);
   if (victim != 0) {
-    Inode vi = read_inode(victim);
-    if (vi.type != kTypeFile) throw FsError("fs: rename over a directory");
+    const Inode vi = read_inode(victim);
+    if (type_of(vi.type) != kTypeFile) {
+      throw FsError("fs: rename over a directory");
+    }
     if (!replace) {
-      // Target wins: discard the source instead.  Name removal first — the
-      // same soft-updates rule as remove(): freeing the source inode while
-      // the directory still names it would leave a dangling entry behind a
-      // crash.
+      // Target wins: discard the source instead, in remove()'s order (mark,
+      // name removal, free): freeing the source inode while the directory
+      // still names it would leave a dangling entry behind a crash.
+      mark_orphan(ino, read_inode(ino));
       dir_remove(from_parent, from_leaf);
-      Inode si = read_inode(ino);
-      drop_extents(si, ino);
-      free_inode(ino);
+      release(ino);
       return false;
     }
+    mark_orphan(victim, vi);
   }
   // Namespace update before any resource free, and — for the same-directory
   // case (the tree engine's publish rename) — as ONE entry-list rewrite:
@@ -788,23 +916,22 @@ bool FileSystem::rename(const std::string& from, const std::string& to,
   // entirely (neither the old nor the new value survives) or still names the
   // about-to-be-freed victim inode.
   if (from_parent == to_parent) {
-    auto entries = dir_entries(from_parent);
-    std::vector<std::pair<std::string, Ino>> next;
+    DirEntries next;
     bool have_to = false;
-    for (auto& e : entries) {
+    for (const auto& e : dir_index(from_parent).entries) {
       if (e.first == from_leaf) continue;  // old name dropped
+      next.push_back(e);
       if (e.first == to_leaf) {
-        e.second = ino;
+        next.back().second = ino;
         have_to = true;
       }
-      next.push_back(std::move(e));
     }
     if (!have_to) next.emplace_back(to_leaf, ino);
-    dir_write_entries(from_parent, next);
+    dir_write_entries(from_parent, std::move(next));
   } else {
     // Cross-directory: publish the new name first (at worst both names are
     // alive across a crash), then retire the old one.
-    auto tentries = dir_entries(to_parent);
+    auto tentries = dir_index(to_parent).entries;
     bool have_to = false;
     for (auto& e : tentries) {
       if (e.first == to_leaf) {
@@ -813,25 +940,22 @@ bool FileSystem::rename(const std::string& from, const std::string& to,
       }
     }
     if (!have_to) tentries.emplace_back(to_leaf, ino);
-    dir_write_entries(to_parent, tentries);
+    dir_write_entries(to_parent, std::move(tentries));
     dir_remove(from_parent, from_leaf);
   }
   // Only now, with no name pointing at it, free the replaced inode.  A crash
-  // here leaks it — the benign failure mode.
-  if (victim != 0) {
-    Inode vi = read_inode(victim);
-    drop_extents(vi, victim);
-    free_inode(victim);
-  }
+  // here strands it, orphan-marked, for mount to free.
+  if (victim != 0) release(victim);
   return true;
 }
 
 std::vector<std::string> FileSystem::list(const std::string& path) {
+  trace::Span span("fs.lookup");
   std::lock_guard lk(*mu_);
   const Ino ino = resolve(path, false, nullptr);
   if (ino == 0) throw FsError("fs: no such directory: " + path);
   std::vector<std::string> names;
-  for (const auto& [n, i] : dir_entries(ino)) names.push_back(n);
+  for (const auto& [n, i] : dir_index(ino).entries) names.push_back(n);
   return names;
 }
 
@@ -840,6 +964,7 @@ std::vector<std::string> FileSystem::list(const std::string& path) {
 // ---------------------------------------------------------------------------
 
 File FileSystem::open(const std::string& path, OpenMode mode) {
+  trace::Span span(mode == OpenMode::kRead ? "fs.lookup" : "fs.create");
   std::lock_guard lk(*mu_);
   sim::ctx().charge_syscall();
   std::string leaf;
@@ -848,11 +973,12 @@ File FileSystem::open(const std::string& path, OpenMode mode) {
   Ino ino = dir_lookup(parent, leaf);
   if (ino == 0) {
     if (mode == OpenMode::kRead) throw FsError("fs: no such file: " + path);
-    ino = alloc_inode(kTypeFile);
-    dir_add(parent, leaf, ino);
+    ino = create(parent, leaf, kTypeFile);
   } else if (mode == OpenMode::kTruncate) {
     Inode inode = read_inode(ino);
-    if (inode.type != kTypeFile) throw FsError("fs: not a file: " + path);
+    if (type_of(inode.type) != kTypeFile) {
+      throw FsError("fs: not a file: " + path);
+    }
     drop_extents(inode, ino);
     write_inode(ino, inode);
   }
@@ -953,6 +1079,7 @@ std::uint64_t FileSystem::size(File f) {
 }
 
 std::uint64_t FileSystem::size(const std::string& path) {
+  trace::Span span("fs.lookup");
   std::lock_guard lk(*mu_);
   const Ino ino = resolve(path, false, nullptr);
   if (ino == 0) throw FsError("fs: no such path: " + path);
@@ -962,6 +1089,12 @@ std::uint64_t FileSystem::size(const std::string& path) {
 std::uint64_t FileSystem::free_blocks() const {
   std::lock_guard lk(*mu_);
   return free_blocks_cache_;
+}
+
+std::uint64_t FileSystem::free_inodes() const {
+  std::lock_guard lk(*mu_);
+  return static_cast<std::uint64_t>(
+      std::count(inode_used_.begin(), inode_used_.end(), false));
 }
 
 // ---------------------------------------------------------------------------

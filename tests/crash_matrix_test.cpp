@@ -18,8 +18,10 @@
 // actually catches committed-data loss.  Targeted sweeps crash a hashtable
 // rehash at each persist point; crash a hashtable replace until it leaves a
 // shadowed duplicate, which the key's next put (single or batched) must
-// sweep; and crash a tree put at each persist point, whose temp file remount
-// must reclaim.
+// sweep; crash a tree put at each persist point, whose temp file remount
+// must reclaim without leaking a block; and crash a pmemfs create, remove and
+// rename-over at each persist point, after which a remount must show the old
+// or the new name set with exactly its free inode and block counts.
 #include <pmemcpy/check/persist_checker.hpp>
 #include <pmemcpy/core/node.hpp>
 #include <pmemcpy/obj/pool.hpp>
@@ -28,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -807,14 +810,22 @@ TEST(CrashMatrixTest, RemountReclaimsTreePutTempFiles) {
     return eng;
   };
 
-  // Counting run: the persist-op window of the overwrite.
+  // Counting run: the persist-op window of the overwrite, and the free
+  // inode and block counts before and after it.
   std::uint64_t first = 0, last = 0;
+  using Free = std::pair<std::uint64_t, std::uint64_t>;
+  const auto free_of = [](pmemcpy::PmemNode& node) {
+    return Free{node.fs().free_inodes(), node.fs().free_blocks()};
+  };
+  Free old_free, new_free;
   {
     pmemcpy::PmemNode node(node_opts());
     auto eng = seed(node);
+    old_free = free_of(node);
     first = node.device().persist_ops() + 1;
     ASSERT_TRUE(overwrite_tree_entry(*eng));
     last = node.device().persist_ops();
+    new_free = free_of(node);
   }
   ASSERT_LE(first, last);
 
@@ -845,8 +856,110 @@ TEST(CrashMatrixTest, RemountReclaimsTreePutTempFiles) {
     const std::string got(reinterpret_cast<const char*>(blob.data()),
                           blob.size());
     EXPECT_TRUE(got == "old" || got == "new") << got;
+    // Nothing leaks: the remounted counts are the crash-free run's.
+    EXPECT_EQ(free_of(node), got == "new" ? new_free : old_free);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+// ---------------------------------------------------------------------------
+// pmemfs namespace ops: every persist point of a create, remove and
+// rename-over
+// ---------------------------------------------------------------------------
+
+/// What a pmemfs image shows: the names in /d, sorted, and the free inode
+/// and block counts.
+struct FsView {
+  std::vector<std::string> names;
+  std::uint64_t free_inodes = 0;
+  std::uint64_t free_blocks = 0;
+  bool operator==(const FsView&) const = default;
+};
+
+FsView view_of(pmemcpy::fs::FileSystem& fs) {
+  FsView v{fs.list("/d"), fs.free_inodes(), fs.free_blocks()};
+  std::sort(v.names.begin(), v.names.end());
+  return v;
+}
+
+std::string describe(const FsView& v) {
+  std::string out = "names {";
+  for (const auto& n : v.names) out += " " + n;
+  return out + " } free inodes " + std::to_string(v.free_inodes) +
+         " free blocks " + std::to_string(v.free_blocks);
+}
+
+/// /d holds a, b and c, one block of data each.
+pmemcpy::fs::FileSystem seed_fs(pmemcpy::pmem::Device& dev) {
+  auto fs = pmemcpy::fs::FileSystem::format(dev, 0, dev.capacity());
+  fs.mkdir("/d");
+  for (const char* name : {"/d/a", "/d/b", "/d/c"}) {
+    fs.truncate(fs.open(name, pmemcpy::fs::OpenMode::kTruncate), 4096);
+  }
+  return fs;
+}
+
+using FsOp = void (*)(pmemcpy::fs::FileSystem&);
+
+void sweep_fs_op(const char* what, FsOp op, bool torn) {
+  SCOPED_TRACE(what);
+  constexpr std::size_t kFsBytes = 2ull << 20;
+  // Counting run: the op's persist-op window and the two views it may end
+  // in.
+  FsView before, after;
+  std::uint64_t first = 0, last = 0;
+  {
+    pmemcpy::pmem::Device dev(kFsBytes, /*crash_shadow=*/true);
+    auto fs = seed_fs(dev);
+    before = view_of(fs);
+    first = dev.persist_ops() + 1;
+    op(fs);
+    last = dev.persist_ops();
+    after = view_of(fs);
+  }
+  ASSERT_LE(first, last);
+  ASSERT_NE(before, after);
+  for (std::uint64_t k = first; k <= last; ++k) {
+    SCOPED_TRACE("crash at persist op " + std::to_string(k));
+    pmemcpy::pmem::Device dev(kFsBytes, /*crash_shadow=*/true);
+    {
+      auto fs = seed_fs(dev);
+      ASSERT_EQ(dev.persist_ops() + 1, first);  // replay determinism
+      FaultPlan fp;
+      fp.crash_at_persist = k;
+      fp.torn_writes = torn;
+      dev.set_fault_plan(fp);
+      EXPECT_THROW(op(fs), CrashError);
+      ASSERT_TRUE(dev.frozen());
+    }
+    dev.revive();
+    auto fs = pmemcpy::fs::FileSystem::mount(dev, 0);
+    const FsView got = view_of(fs);
+    EXPECT_TRUE(got == before || got == after)
+        << describe(got) << "\n  before: " << describe(before)
+        << "\n  after:  " << describe(after);
+  }
+}
+
+void sweep_fs_ops(bool torn) {
+  sweep_fs_op("create", [](pmemcpy::fs::FileSystem& fs) {
+    (void)fs.open("/d/n", pmemcpy::fs::OpenMode::kTruncate);
+  }, torn);
+  sweep_fs_op("remove", [](pmemcpy::fs::FileSystem& fs) {
+    fs.remove("/d/a");
+  }, torn);
+  sweep_fs_op("rename-over", [](pmemcpy::fs::FileSystem& fs) {
+    fs.rename("/d/b", "/d/c");
+  }, torn);
+}
+
+TEST(CrashMatrixTest, FsNamespaceOpsLeaveOldOrNewStateWithItsFreeCounts) {
+  sweep_fs_ops(/*torn=*/false);
+}
+
+TEST(CrashMatrixTest,
+     FsNamespaceOpsLeaveOldOrNewStateWithItsFreeCountsWithTornWrites) {
+  sweep_fs_ops(/*torn=*/true);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,10 +15,13 @@
 // device retry/backoff accounting, quarantine-table capacity + persistence
 // across remount, allocator avoidance of quarantined space, repair()
 // relocation + idempotence, typed damaged-key errors, degraded read-only
-// mode, collective health agreement, and a hashtable publish that faults
-// after a bucket-head store keeping the now reachable entry allocated.
+// mode, collective health agreement, a hashtable publish that faults
+// after a bucket-head store keeping the now reachable entry allocated, and
+// pmemfs namespace ops whose faults leave the DRAM namespace equal to a
+// fresh mount of the image.
 #include <pmemcpy/check/persist_checker.hpp>
 #include <pmemcpy/core/node.hpp>
+#include <pmemcpy/fs/filesystem.hpp>
 #include <pmemcpy/obj/hashtable.hpp>
 #include <pmemcpy/obj/pool.hpp>
 #include <pmemcpy/par/comm.hpp>
@@ -28,8 +31,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -672,6 +677,125 @@ TEST(FaultMatrix, FaultAfterHeadStoreKeepsReachableEntries) {
     EXPECT_TRUE(s.table.find(lands).has_value());
     EXPECT_FALSE(s.table.find(faults).has_value());
     s.expect_live_entries_kept({lands, faults});
+  }
+}
+
+// ---------------------------------------------------------------------------
+// pmemfs: a faulted namespace op leaves DRAM equal to the media
+// ---------------------------------------------------------------------------
+
+using pmemcpy::fs::FileSystem;
+using pmemcpy::fs::OpenMode;
+
+constexpr std::size_t kFsBytes = 4ull << 20;
+
+/// /d holds a and b, one block of data each.
+FileSystem seeded_fs(pmemcpy::pmem::Device& dev) {
+  FileSystem fs = FileSystem::format(dev, 0, kFsBytes);
+  fs.mkdir("/d");
+  for (const char* name : {"/d/a", "/d/b"}) {
+    fs.truncate(fs.open(name, OpenMode::kTruncate), 4096);
+  }
+  return fs;
+}
+
+/// A persist-fault plan whose first fault hits the @p k-th flush or persist
+/// after it is armed (fences draw no fault coin), escalated to sticky media
+/// when @p sticky.  The seed is found by replaying plans on a probe device.
+FaultPlan plan_faulting_attempt(int k, bool sticky) {
+  for (std::uint64_t seed = 1; seed <= 100000; ++seed) {
+    FaultPlan fp;
+    fp.transient_persist_rate = 1.0 / k;
+    fp.sticky_rate = sticky ? 1.0 : 0.0;
+    fp.fault_seed = seed;
+    pmemcpy::pmem::Device probe(static_cast<std::size_t>(k) * 64);
+    probe.set_retry_policy(pmemcpy::ft::RetryPolicy{1});
+    probe.set_fault_plan(fp);
+    int first = 0;
+    for (int i = 1; i <= k && first == 0; ++i) {
+      const std::size_t line = static_cast<std::size_t>(i - 1) * 64;
+      const std::uint8_t byte = 1;
+      probe.write(line, &byte, 1);  // draws no coin: no store faults armed
+      try {
+        probe.persist(line, 64);
+      } catch (const DeviceError&) {
+        first = i;
+      }
+    }
+    if (first == k) return fp;
+  }
+  ADD_FAILURE() << "no seed faults attempt " << k;
+  return FaultPlan{};
+}
+
+/// list(), exists() and free_inodes() of the live mount equal those of a
+/// fresh mount.  The fresh mount reads a copy of the image: a mount frees
+/// what the image strands, and it must not write under the live one.
+void expect_live_matches_fresh_mount(pmemcpy::pmem::Device& dev,
+                                     FileSystem& live) {
+  pmemcpy::pmem::Device copy(dev.capacity());
+  std::memcpy(copy.raw(0), dev.raw(0), dev.capacity());
+  FileSystem fresh = FileSystem::mount(copy, 0);
+  for (const char* dir : {"/", "/d"}) {
+    auto want = fresh.list(dir);
+    auto got = live.list(dir);
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << dir;
+  }
+  for (const char* path : {"/d", "/d/a", "/d/b", "/d/n"}) {
+    EXPECT_EQ(live.exists(path), fresh.exists(path)) << path;
+  }
+  EXPECT_EQ(live.free_inodes(), fresh.free_inodes());
+}
+
+TEST(FaultMatrix, FaultedFsNamespaceOpLeavesDramEqualToAFreshMount) {
+  using Op = std::function<void(FileSystem&)>;
+  const Op create = [](FileSystem& fs) {
+    (void)fs.open("/d/n", OpenMode::kTruncate);
+  };
+  const Op remove = [](FileSystem& fs) { fs.remove("/d/a"); };
+  // Flushes and persists (the attempts a persist fault can hit) of a
+  // fault-free run of the op.
+  const auto attempts = [](const Op& op) {
+    pmemcpy::pmem::Device dev(kFsBytes);
+    FileSystem fs = seeded_fs(dev);
+    const std::uint64_t before = ctr(Counter::kFlushOps);
+    op(fs);
+    return static_cast<int>(ctr(Counter::kFlushOps) - before);
+  };
+  // A create's first persist allocates the inode and the rest rewrite the
+  // directory; a remove's last persist frees the inode.
+  struct Case {
+    const char* what;
+    Op op;
+    int attempt;
+  };
+  std::vector<Case> cases = {{"inode allocation", create, 1}};
+  const int creates = attempts(create);
+  for (int k = 2; k <= creates; ++k) {
+    cases.push_back({"directory rewrite", create, k});
+  }
+  cases.push_back({"inode free", remove, attempts(remove)});
+  ASSERT_GE(cases.size(), 3u);
+  // With the crash shadow a faulted flush reverts its lines to their
+  // durable image; without it the stored bytes stay, so a faulted header
+  // flush leaves the new list on media.
+  for (const bool shadow : {true, false}) {
+    for (const bool sticky : {false, true}) {
+      for (const Case& c : cases) {
+        SCOPED_TRACE(std::string(shadow ? "crash shadow, " : "plain, ") +
+                     (sticky ? "sticky" : "transient") + " fault in the " +
+                     c.what + " at attempt " + std::to_string(c.attempt));
+        pmemcpy::pmem::Device dev(kFsBytes, shadow);
+        FileSystem fs = seeded_fs(dev);
+        dev.set_retry_policy(pmemcpy::ft::RetryPolicy{1});
+        dev.set_fault_plan(plan_faulting_attempt(c.attempt, sticky));
+        EXPECT_THROW(c.op(fs), DeviceError);
+        dev.set_fault_plan(FaultPlan{});
+        expect_live_matches_fresh_mount(dev, fs);
+      }
+    }
   }
 }
 

@@ -176,14 +176,56 @@ TEST_F(FsTest, IndirectExtentCountPastItsBlockThrows) {
       [&] { (void)fs.map(big); }));
 }
 
-// A directory entry's name must end inside the live entry list.
+// A directory entry's name must end inside the live entry list.  A live
+// mount serves its committed names from DRAM, so the damage shows at the
+// next decode: a fresh mount.
 TEST_F(FsTest, DirectoryNamePastItsSlotThrows) {
   (void)fs.open("/a", OpenMode::kTruncate);
   const std::uint64_t dir = block_at(dev, word_at(dev, inode_at(dev, 1) + 16));
   const std::uint16_t n = 60000;
   std::memcpy(dev.raw(dir + word_at(dev, dir + 8) + 4), &n, sizeof(n));
+  EXPECT_EQ(fs.list("/"), std::vector<std::string>{"a"});
   EXPECT_TRUE(pmemcpy::testutil::throws_before_deadline<FsError>(
-      [&] { (void)fs.list("/"); }));
+      [&] { (void)FileSystem::mount(dev, 0).list("/"); }));
+}
+
+// Mount frees only what a crash can strand.  A directory whose type word
+// now says "file" hides a subtree of unnamed inodes that hold data and
+// carry no orphan mark: every one of them, and every block, stays.
+TEST_F(FsTest, MountKeepsASubtreeHiddenByADirectoryTypedAsAFile) {
+  fs.mkdirs("/x/y");
+  for (const char* path : {"/x/f", "/x/y/g"}) {
+    fs.truncate(fs.open(path, OpenMode::kTruncate), 3 * 4096);
+  }
+  const pmemcpy::fs::Ino x = fs.open("/x", OpenMode::kRead).ino();
+  const std::uint64_t inodes = fs.free_inodes();
+  const std::uint64_t blocks = fs.free_blocks();
+  const std::uint32_t file = 1;
+  std::memcpy(dev.raw(inode_at(dev, x)), &file, sizeof(file));
+  FileSystem remounted = FileSystem::mount(dev, 0);
+  EXPECT_FALSE(remounted.is_dir("/x"));
+  EXPECT_EQ(remounted.free_inodes(), inodes);
+  EXPECT_EQ(remounted.free_blocks(), blocks);
+}
+
+// A crash between remove()'s orphan mark (the type word's top bit) and its
+// directory commit leaves a named inode marked.  Mount clears that mark, so
+// damage that later hides the inode cannot make a mount free its data.
+TEST_F(FsTest, MountClearsTheOrphanMarkOfANamedInode) {
+  fs.mkdir("/x");
+  const File f = fs.open("/x/f", OpenMode::kTruncate);
+  fs.truncate(f, 4096);
+  const pmemcpy::fs::Ino x = fs.open("/x", OpenMode::kRead).ino();
+  const std::uint64_t inodes = fs.free_inodes();
+  const std::uint64_t blocks = fs.free_blocks();
+  const std::uint32_t marked_file = 1 | (1u << 31);
+  std::memcpy(dev.raw(inode_at(dev, f.ino())), &marked_file, 4);
+  EXPECT_EQ(FileSystem::mount(dev, 0).size("/x/f"), 4096u);
+  const std::uint32_t file = 1;
+  std::memcpy(dev.raw(inode_at(dev, x)), &file, sizeof(file));
+  FileSystem remounted = FileSystem::mount(dev, 0);
+  EXPECT_EQ(remounted.free_inodes(), inodes);
+  EXPECT_EQ(remounted.free_blocks(), blocks);
 }
 
 TEST_F(FsTest, ListDirectory) {
@@ -401,6 +443,45 @@ TEST_F(FsTest, RenameAcrossDirectories) {
 
 TEST_F(FsTest, RenameMissingSourceThrows) {
   EXPECT_THROW(fs.rename("/none", "/b"), FsError);
+}
+
+/// /d holds @p names empty files; the device bytes read by one create plus
+/// one rename-over in /d, and the inode the create after that takes.
+struct NamespaceCost {
+  std::uint64_t bytes_read;
+  pmemcpy::fs::Ino next;
+};
+
+NamespaceCost create_and_rename_over(std::size_t names, bool remount) {
+  Device dev(kFsSize);
+  FileSystem fs = FileSystem::format(dev, 0, kFsSize);
+  fs.mkdir("/d");
+  for (std::size_t i = 0; i < names; ++i) {
+    (void)fs.open("/d/f" + std::to_string(i), OpenMode::kTruncate);
+  }
+  for (std::size_t i = 1; i < names; i += 3) {
+    fs.remove("/d/f" + std::to_string(i));  // holes for first fit to fill
+  }
+  const std::uint64_t before = dev.bytes_read();
+  (void)fs.open("/d/new", OpenMode::kTruncate);
+  fs.rename("/d/new", "/d/f0");
+  const std::uint64_t bytes = dev.bytes_read() - before;
+  if (!remount) return {bytes, fs.open("/d/next", OpenMode::kTruncate).ino()};
+  FileSystem again = FileSystem::mount(dev, 0);
+  return {bytes, again.open("/d/next", OpenMode::kTruncate).ino()};
+}
+
+// Inode allocation and name lookup run on DRAM, so a namespace op reads the
+// same device bytes whatever the directory or inode table holds, and a
+// remount rebuilds the same first-fit order.
+TEST(FsScaling, NamespaceOpsReadTheSameBytesAt10And1000Names) {
+  EXPECT_EQ(create_and_rename_over(1000, false).bytes_read,
+            create_and_rename_over(10, false).bytes_read);
+  for (const std::size_t names : {10, 1000}) {
+    SCOPED_TRACE(std::to_string(names) + " names");
+    EXPECT_EQ(create_and_rename_over(names, true).next,
+              create_and_rename_over(names, false).next);
+  }
 }
 
 TEST(FsFormat, TooSmallThrows) {
