@@ -10,8 +10,8 @@
 //     (a DRAM bounce, an in-place decode, or a read-cache hit);
 //   * alloc phases — the pool allocator's serialized work per engine put
 //     at 24 ranks, with magazines off (classic) and on.
-// Unlike the micro_* benches, whose google-benchmark loops adapt iteration
-// counts to wall-clock, every declared count is exact and reproducible, so
+// Unlike host-time benchmarks (perfbench), whose timings move from run to
+// run, every declared count is exact and reproducible, so
 // ci.sh diffs the --json output against bench/audit_baseline.json and any
 // changed count fails CI until the baseline is re-recorded.  A row lists
 // only its declared counters: the rest of the trace (bytes read at 24

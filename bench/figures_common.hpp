@@ -1,4 +1,5 @@
-// Shared harness for the paper-figure benchmarks (Figures 6 and 7).
+// Shared harness of `bench/figures` (the paper's Figures 6 and 7 and the
+// ablations).
 //
 // Each data point runs the paper's workload — 10 3-D double-precision
 // variables totalling PMEMCPY_BENCH_GB gibibytes, divided equally among
@@ -11,7 +12,8 @@
 //   PMCPY-B  pMEMCPY, MAP_SYNC enabled
 //
 // Reported numbers are simulated seconds on the paper's testbed model (see
-// DESIGN.md §1); data movement and correctness are real.
+// DESIGN.md §1); data movement and correctness are real: every read is
+// checked against the values written.
 #pragma once
 
 #include <miniio/miniio.hpp>
@@ -22,8 +24,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -50,12 +54,13 @@ inline const char* name(IoLib lib) {
   return "?";
 }
 
+/// Every timed point is the mean of this many runs, as in the paper.
+inline constexpr int kReps = 3;
+
 struct Params {
   double gib = 0.25;  ///< total bytes per data point (all 10 variables)
   std::vector<int> counts = {8, 16, 24, 32, 48};
   int nvars = 10;
-  int reps = 3;
-  bool verify = true;
 
   [[nodiscard]] std::size_t total_bytes() const {
     return static_cast<std::size_t>(gib * 1024.0 * 1024.0 * 1024.0);
@@ -68,13 +73,18 @@ struct Params {
 inline Params params_from_env() {
   Params p;
   if (const char* gb = std::getenv("PMEMCPY_BENCH_GB")) p.gib = atof(gb);
-  if (const char* r = std::getenv("PMEMCPY_BENCH_REPS")) p.reps = atoi(r);
-  if (const char* v = std::getenv("PMEMCPY_BENCH_VERIFY")) p.verify = atoi(v);
   return p;
 }
 
 inline bool is_pmcpy(IoLib lib) {
   return lib == IoLib::kPmcpyA || lib == IoLib::kPmcpyB;
+}
+
+/// The miniio library behind a baseline stack.
+inline miniio::Library miniio_library(IoLib lib) {
+  return lib == IoLib::kAdios    ? miniio::Library::kAdios
+         : lib == IoLib::kNetcdf ? miniio::Library::kNetcdf4
+                                 : miniio::Library::kPnetcdf;
 }
 
 /// Fresh node sized for @p data_bytes of payload under the given stack.
@@ -95,6 +105,84 @@ inline pmemcpy::Config pmcpy_config(IoLib lib, PmemNode& node) {
   cfg.serializer = pmemcpy::serial::SerializerId::kBp4;
   cfg.layout = pmemcpy::Layout::kHashTable;
   return cfg;
+}
+
+/// Fills @p buf with variable @p v of rank @p rank's box of @p dec.
+using Generator = std::function<void(std::vector<double>& buf, int v,
+                                     const wk::Decomposition& dec, int rank)>;
+
+/// The Figure-6 domain: each element is a function of its variable and
+/// global index.
+inline void domain(std::vector<double>& buf, int v,
+                   const wk::Decomposition& dec, int rank) {
+  wk::fill_box(buf, v, dec.global,
+               dec.rank_boxes[static_cast<std::size_t>(rank)]);
+}
+
+/// The one timed pMEMCPY write.  Each of @p nranks ranks maps @p path under
+/// @p cfg (the field an experiment varies) and stores its box of every
+/// variable prefix + var_name(v), v < @p nvars, generated by @p gen just
+/// before its store; @p before_munmap runs on each rank after its last
+/// store.  Returns critical-path simulated seconds from mmap to munmap
+/// (paper §4.1); generation charges nothing to the clock.  Each rank's work
+/// is one "fig.rank" span, for print_phase_breakdown.
+inline double pmcpy_write(
+    const pmemcpy::Config& cfg, const std::string& path,
+    const std::string& prefix, const wk::Decomposition& dec, int nvars,
+    int nranks, const Generator& gen = domain,
+    const std::function<void(pmemcpy::PMEM&, pmemcpy::par::Comm&)>&
+        before_munmap = {}) {
+  cfg.node->device().reset_page_touches();
+  return pmemcpy::par::Runtime::run(
+             nranks,
+             [&](pmemcpy::par::Comm& comm) {
+               pmemcpy::trace::Span rank_span("fig.rank");
+               const Box& mine =
+                   dec.rank_boxes[static_cast<std::size_t>(comm.rank())];
+               pmemcpy::PMEM pmem{cfg};
+               pmem.mmap(path, comm);
+               std::vector<double> buf;
+               for (int v = 0; v < nvars; ++v) {
+                 gen(buf, v, dec, comm.rank());
+                 pmem.alloc<double>(prefix + var_name(v), dec.global);
+                 pmem.store(prefix + var_name(v), buf.data(), 3,
+                            mine.offset.data(), mine.count.data());
+               }
+               if (before_munmap) before_munmap(pmem, comm);
+               pmem.munmap();
+             })
+      .max_time;
+}
+
+/// The one timed pMEMCPY read, symmetric to pmcpy_write: each rank loads
+/// its box of every variable back and checks it against @p gen.
+inline double pmcpy_read(const pmemcpy::Config& cfg, const std::string& path,
+                         const std::string& prefix,
+                         const wk::Decomposition& dec, int nvars, int nranks,
+                         const Generator& gen = domain) {
+  cfg.node->device().reset_page_touches();
+  return pmemcpy::par::Runtime::run(
+             nranks,
+             [&](pmemcpy::par::Comm& comm) {
+               pmemcpy::trace::Span rank_span("fig.rank");
+               const Box& mine =
+                   dec.rank_boxes[static_cast<std::size_t>(comm.rank())];
+               pmemcpy::PMEM pmem{cfg};
+               pmem.mmap(path, comm);
+               std::vector<double> buf(mine.elements()), want;
+               int bad = 0;
+               for (int v = 0; v < nvars; ++v) {
+                 pmem.load(prefix + var_name(v), buf.data(), 3,
+                           mine.offset.data(), mine.count.data());
+                 gen(want, v, dec, comm.rank());
+                 bad += buf != want;
+               }
+               pmem.munmap();
+               if (bad != 0) {
+                 throw std::runtime_error(path + ": verification failed");
+               }
+             })
+      .max_time;
 }
 
 /// When tracing is on, print the per-phase decomposition of the slowest
@@ -125,88 +213,74 @@ inline void print_phase_breakdown(const char* what, IoLib lib,
               static_cast<double>(crit->duration_ns()) * 1e-9);
 }
 
-/// One timed collective write of all variables; returns critical-path
-/// simulated seconds measured from open/mmap to close (paper §4.1).
+/// One timed collective write of all variables through @p lib; returns
+/// critical-path simulated seconds measured from open/mmap to close
+/// (paper §4.1).
 inline double run_write(IoLib lib, PmemNode& node,
                         const wk::Decomposition& dec, int nvars, int nranks) {
-  node.device().reset_page_touches();
   const std::uint64_t watermark = pmemcpy::trace::high_span_id();
-  auto result = pmemcpy::par::Runtime::run(
-      nranks, [&](pmemcpy::par::Comm& comm) {
-        pmemcpy::trace::Span rank_span("fig.rank");
-        const Box& mine =
-            dec.rank_boxes[static_cast<std::size_t>(comm.rank())];
-        // Generate outside the measured window (sim clock only advances on
-        // charged operations, and generation charges nothing).
-        std::vector<std::vector<double>> data(
-            static_cast<std::size_t>(nvars));
-        for (int v = 0; v < nvars; ++v) {
-          wk::fill_box(data[static_cast<std::size_t>(v)], v, dec.global, mine);
-        }
-        if (is_pmcpy(lib)) {
-          pmemcpy::PMEM pmem{pmcpy_config(lib, node)};
-          pmem.mmap("/fig.pmem", comm);
-          for (int v = 0; v < nvars; ++v) {
-            pmem.alloc<double>(var_name(v), dec.global);
-            pmem.store(var_name(v), data[static_cast<std::size_t>(v)].data(),
-                       3, mine.offset.data(), mine.count.data());
-          }
-          pmem.munmap();
-        } else {
-          const auto ml = lib == IoLib::kAdios     ? miniio::Library::kAdios
-                          : lib == IoLib::kNetcdf ? miniio::Library::kNetcdf4
-                                                  : miniio::Library::kPnetcdf;
-          auto w = miniio::open_writer(ml, node, "/fig.out", comm);
-          for (int v = 0; v < nvars; ++v) {
-            w->write(var_name(v), data[static_cast<std::size_t>(v)].data(),
-                     mine, dec.global);
-          }
-          w->close();
-        }
-      });
+  double t = 0;
+  if (is_pmcpy(lib)) {
+    t = pmcpy_write(pmcpy_config(lib, node), "/fig.pmem", "", dec, nvars,
+                    nranks);
+  } else {
+    node.device().reset_page_touches();
+    t = pmemcpy::par::Runtime::run(
+            nranks,
+            [&](pmemcpy::par::Comm& comm) {
+              pmemcpy::trace::Span rank_span("fig.rank");
+              const Box& mine =
+                  dec.rank_boxes[static_cast<std::size_t>(comm.rank())];
+              auto w = miniio::open_writer(miniio_library(lib), node,
+                                           "/fig.out", comm);
+              std::vector<double> buf;
+              for (int v = 0; v < nvars; ++v) {
+                domain(buf, v, dec, comm.rank());
+                w->write(var_name(v), buf.data(), mine, dec.global);
+              }
+              w->close();
+            })
+            .max_time;
+  }
   print_phase_breakdown("write", lib, watermark);
-  return result.max_time;
+  return t;
 }
 
-/// One timed collective symmetric read of all variables.
+/// One timed collective symmetric read of all variables through @p lib,
+/// checked against the values run_write wrote.
 inline double run_read(IoLib lib, PmemNode& node, const wk::Decomposition& dec,
-                       int nvars, int nranks, bool verify) {
-  node.device().reset_page_touches();
+                       int nvars, int nranks) {
   const std::uint64_t watermark = pmemcpy::trace::high_span_id();
-  auto result = pmemcpy::par::Runtime::run(
-      nranks, [&](pmemcpy::par::Comm& comm) {
-        pmemcpy::trace::Span rank_span("fig.rank");
-        const Box& mine =
-            dec.rank_boxes[static_cast<std::size_t>(comm.rank())];
-        std::vector<double> buf(mine.elements());
-        std::size_t bad = 0;
-        if (is_pmcpy(lib)) {
-          pmemcpy::PMEM pmem{pmcpy_config(lib, node)};
-          pmem.mmap("/fig.pmem", comm);
-          for (int v = 0; v < nvars; ++v) {
-            pmem.load(var_name(v), buf.data(), 3, mine.offset.data(),
-                      mine.count.data());
-            if (verify) bad += wk::verify_box(buf, v, dec.global, mine);
-          }
-          pmem.munmap();
-        } else {
-          const auto ml = lib == IoLib::kAdios     ? miniio::Library::kAdios
-                          : lib == IoLib::kNetcdf ? miniio::Library::kNetcdf4
-                                                  : miniio::Library::kPnetcdf;
-          auto r = miniio::open_reader(ml, node, "/fig.out", comm);
-          for (int v = 0; v < nvars; ++v) {
-            r->read(var_name(v), buf.data(), mine);
-            if (verify) bad += wk::verify_box(buf, v, dec.global, mine);
-          }
-          r->close();
-        }
-        if (bad != 0) {
-          throw std::runtime_error(std::string(name(lib)) +
-                                   ": verification failed");
-        }
-      });
+  double t = 0;
+  if (is_pmcpy(lib)) {
+    t = pmcpy_read(pmcpy_config(lib, node), "/fig.pmem", "", dec, nvars,
+                   nranks);
+  } else {
+    node.device().reset_page_touches();
+    t = pmemcpy::par::Runtime::run(
+            nranks,
+            [&](pmemcpy::par::Comm& comm) {
+              pmemcpy::trace::Span rank_span("fig.rank");
+              const Box& mine =
+                  dec.rank_boxes[static_cast<std::size_t>(comm.rank())];
+              auto r = miniio::open_reader(miniio_library(lib), node,
+                                           "/fig.out", comm);
+              std::vector<double> buf(mine.elements());
+              std::size_t bad = 0;
+              for (int v = 0; v < nvars; ++v) {
+                r->read(var_name(v), buf.data(), mine);
+                bad += wk::verify_box(buf, v, dec.global, mine);
+              }
+              r->close();
+              if (bad != 0) {
+                throw std::runtime_error(std::string(name(lib)) +
+                                         ": verification failed");
+              }
+            })
+            .max_time;
+  }
   print_phase_breakdown("read", lib, watermark);
-  return result.max_time;
+  return t;
 }
 
 /// Print the figure as an aligned table plus CSV lines.

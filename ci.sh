@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: lint, then build + full test suite in five configs —
-# plain Release (which also self-checks perfbench, the repo benchmark),
+# plain Release (which also runs the figure phases, diffing the tables
+# that repeat, and self-checks perfbench, the repo benchmark),
 # AddressSanitizer + UBSan (PMEMCPY_SANITIZE), the
 # persistency-order checker build (PMEMCPY_PERSIST_CHECK, with violations
 # fatal so any unconsumed finding fails the suite), the tracing build
@@ -26,6 +27,23 @@ run_audit() {
   diff -u bench/audit_baseline.json "${dir}/BENCH_audit.json"
 }
 
+run_figures() {
+  local dir="$1"
+  # The paper's figures on the simulated clock (bench/figures.cpp).  Host
+  # thread order moves nearly every cell by microseconds (ROADMAP item 5),
+  # so only phases whose every printed digit stays further from a rounding
+  # edge than the cell's spread over dozens of runs are diffed against the
+  # checked-in tables.  The other ten run without a diff, so a crash or a
+  # failed read check still fails.
+  PMEMCPY_BENCH_GB=0.05 "${dir}/bench/figures" api_complexity \
+    ablation_chunking > "${dir}/BENCH_figures.txt"
+  diff -u bench/figures_baseline.txt "${dir}/BENCH_figures.txt"
+  PMEMCPY_BENCH_GB=0.05 "${dir}/bench/figures" fig6_write fig7_read \
+    ablation_mapsync ablation_filters ablation_staging ablation_serializers \
+    ablation_layout ablation_nbuckets bb_drain read_patterns \
+    > "${dir}/BENCH_figures_ungated.txt"
+}
+
 run_config() {
   local name="$1"
   shift
@@ -49,6 +67,8 @@ run_config() {
   echo "==== [${name}] audit ===="
   run_audit "${dir}"
   if [[ "${name}" == "release" ]]; then
+    echo "==== [${name}] figures ===="
+    run_figures "${dir}"
     echo "==== [${name}] tree crash-fuzz soak ===="
     # 100k random tree-engine ops with a crash about every dozen: each
     # remount must free the inodes and blocks its crash stranded, or the

@@ -17,11 +17,12 @@
 // transactional guarantees in this system).
 //
 // Like the kernel's inode bitmap and dcache, a mounted FileSystem keeps its
-// namespace in DRAM (DESIGN.md §6): an inode-allocation map and, per
-// directory, the committed entry list with a name index.  Both are filled
-// only through the on-media decoders and updated only after the write that
-// commits a change is durable, so a mount assumes it is the only mount of
-// its region.  Mount walks the namespace once and frees what a crash
+// namespace in DRAM (DESIGN.md §6): an inode-allocation map, per directory
+// the committed entry list with a name index, and per inode the number of
+// names it has.  All are filled only through the on-media decoders and
+// updated only after the write that commits a change is durable, so a mount
+// assumes it is the only mount of its region.  An inode is released only
+// with its last name.  Mount walks the namespace once and frees what a crash
 // stranded: unreachable inodes that hold no data or carry the orphan mark
 // remove() and rename() set before unlinking, and blocks no inode lists.
 #pragma once
@@ -192,10 +193,13 @@ class FileSystem {
   struct DirHeader;
   using DirEntries = std::vector<std::pair<std::string, Ino>>;
   /// DRAM copy of one directory's committed entry list: the entries in
-  /// on-media order and the first inode each name maps to.
+  /// on-media order and the first inode each name maps to.  A stale index
+  /// (its rewrite threw) still counts its entries in names_ until the next
+  /// use decodes what the media holds.
   struct DirIndex {
     DirEntries entries;
     std::unordered_map<std::string, Ino> by_name;
+    bool stale = false;
   };
 
   FileSystem(pmem::Device& dev, std::size_t base);
@@ -267,18 +271,27 @@ class FileSystem {
   void mark_orphan(Ino ino, Inode inode);
   /// Drop the extents of an unlinked inode, then free it.
   void release(Ino ino);
+  /// Drop name @p leaf of inode @p ino (content @p inode) from @p dir in
+  /// remove()'s order: orphan mark, name removal, release.  The mark and the
+  /// release happen only when the name is the inode's last.
+  void unlink(Ino dir, std::string_view leaf, Ino ino, const Inode& inode);
+  /// Add @p delta to the name count of every inode @p entries name.
+  void count_names(const DirEntries& entries, int delta);
   /// The one directory-header decoder: zero when never written, else both
   /// slots inside the file and the live list inside one slot (FsError).
   [[nodiscard]] DirHeader dir_header(Ino dir, const Inode& inode) const;
   /// Parse the live entry list; an entry overrunning its slot is FsError.
   [[nodiscard]] DirEntries dir_entries(Ino dir) const;
-  /// The DRAM index of @p dir, decoded through dir_entries on first use.
+  /// The DRAM index of @p dir, decoded through dir_entries on first use and
+  /// while stale.
   [[nodiscard]] const DirIndex& dir_index(Ino dir);
-  /// Make @p entries, indexed by name, the DRAM index of @p dir.
+  /// Make @p entries, indexed by name, the DRAM index of @p dir, and move
+  /// the name counts from the entries it replaces to them.
   const DirIndex& cache_dir(Ino dir, DirEntries entries);
   /// Shadow-commit @p entries as the list of @p dir; once the header flip is
-  /// durable they become its DRAM index.  A throw leaves no index, so the
-  /// next use decodes what the media holds.
+  /// durable they become its DRAM index.  After a throw the index holds the
+  /// list the media holds, decoded at once, or stays stale when that decode
+  /// fails too.
   void dir_write_entries(Ino dir, DirEntries entries);
 
   /// Raw (uncharged-copy) file data IO used by directory internals; charges
@@ -303,6 +316,10 @@ class FileSystem {
   std::vector<bool> inode_used_;
   /// DRAM index of every directory decoded since format or mount.
   std::unordered_map<Ino, DirIndex> dirs_;
+  /// DRAM name count per inode, indexed by inode number - 1: the entries
+  /// naming it across dirs_.  Mount's namespace walk indexes every
+  /// reachable directory, so it counts every name.
+  std::vector<std::uint32_t> names_;
   /// File ranges written through the POSIX path since the last fsync(),
   /// per inode (DRAM bookkeeping, like the kernel's dirty-page tracking).
   /// fsync() flushes exactly these and pays one fence — previously it

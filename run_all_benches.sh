@@ -1,5 +1,8 @@
 #!/bin/sh
-# Runs every benchmark binary (paper figures, ablations, microbenches).
+# Runs both bench binaries: build/bench/figures (every paper figure and
+# ablation phase, on the simulated clock) and build/bench/audit (exact
+# persist, copy and allocator counts).  Host-time layer benchmarks live in
+# perfbench/.
 #
 # Each bench runs with the persistency-order checker attached
 # (PMEMCPY_PERSIST_CHECK=1) and tracing on
@@ -8,10 +11,12 @@
 # echoed after the bench output.  Their counters carry the device's
 # store/flush/fence traffic and the checker's lint tallies, so redundant
 # CLWB/SFENCE traffic shows up next to the timing numbers it explains.
+# With tracing on, figures also prints a phase,<write|read>,... line after
+# each Figure 6/7-style write or read: the charge breakdown of the slowest
+# rank.
 PMEMCPY_PERSIST_CHECK=1
 export PMEMCPY_PERSIST_CHECK
-for b in build/bench/*; do
-  [ -x "$b" ] || continue
+for b in build/bench/figures build/bench/audit; do
   echo "===================================================================="
   echo "== $b"
   echo "===================================================================="

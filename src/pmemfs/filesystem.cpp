@@ -223,6 +223,7 @@ FileSystem FileSystem::format(pmem::Device& dev, std::size_t base,
   fs.bitmap_cache_.assign(blocks, false);
   fs.free_blocks_cache_ = blocks;
   fs.inode_used_.assign(inode_count, false);
+  fs.names_.assign(inode_count, 0);
 
   // Root directory: inode 1.
   Inode root{};
@@ -266,6 +267,7 @@ FileSystem FileSystem::mount(pmem::Device& dev, std::size_t base) {
   for (Ino i = 1; i <= sb.inode_count; ++i) {
     fs.inode_used_[i - 1] = fs.read_inode(i).type != kTypeFree;
   }
+  fs.names_.assign(sb.inode_count, 0);
   fs.reclaim();
   return fs;
 }
@@ -386,7 +388,10 @@ void FileSystem::free_inode(Ino ino) {
   // here on even if the write below faults: its media copy is then a
   // dataless orphan, which alloc_inode overwrites whole and a mount frees.
   inode_used_[ino - 1] = false;
-  dirs_.erase(ino);
+  if (const auto it = dirs_.find(ino); it != dirs_.end()) {
+    count_names(it->second.entries, -1);
+    dirs_.erase(it);
+  }
   dirty_.erase(ino);  // a reused inode must not inherit stale dirty spans
   write_inode(ino, Inode{});
 }
@@ -680,17 +685,29 @@ FileSystem::DirEntries FileSystem::dir_entries(Ino dir) const {
 }
 
 const FileSystem::DirIndex& FileSystem::dir_index(Ino dir) {
-  if (const auto it = dirs_.find(dir); it != dirs_.end()) return it->second;
+  if (const auto it = dirs_.find(dir); it != dirs_.end() && !it->second.stale) {
+    return it->second;
+  }
   return cache_dir(dir, dir_entries(dir));
 }
 
 const FileSystem::DirIndex& FileSystem::cache_dir(Ino dir,
                                                   DirEntries entries) {
   DirIndex& idx = dirs_[dir];
+  count_names(idx.entries, -1);
+  count_names(entries, 1);
   idx.by_name.clear();
   for (const auto& [name, ino] : entries) idx.by_name.emplace(name, ino);
   idx.entries = std::move(entries);
+  idx.stale = false;
   return idx;
+}
+
+void FileSystem::count_names(const DirEntries& entries, int delta) {
+  for (const auto& [name, ino] : entries) {
+    // An out-of-range number (damage) names no inode; Ino 0 wraps past it.
+    if (ino - 1u < names_.size()) names_[ino - 1] += delta;
+  }
 }
 
 /// Flush the device lines backing file range [off, off+len) and fence.
@@ -716,33 +733,48 @@ void FileSystem::dir_write_entries(Ino dir, DirEntries entries) {
   // are shadow-committed: write the new list into the slot the live header
   // does NOT point at, fence it, then flip the single-line header.  Every
   // crash point parses either the whole old list or the whole new one.
-  // The DRAM index is dropped until the new list commits, so a throw below
-  // leaves the next use to decode whatever the media holds.
-  dirs_.erase(dir);
-  const DirHeader dh = dir_header(dir, read_inode(dir));
-  std::uint64_t new_cap = dh.cap;
-  std::uint64_t new_off;
-  if (raw.size() > dh.cap) {
-    // Grow: place the new slot beyond every byte the old header can reach
-    // ([kDirHeaderSize, kDirHeaderSize + 2*cap)), so the live list is never
-    // overwritten before the flip.
-    new_cap = std::max<std::uint64_t>(
-        {2 * dh.cap, (raw.size() + pmem::kCacheLine - 1) / pmem::kCacheLine *
-                         pmem::kCacheLine,
-         kDirHeaderSize});
-    new_off = kDirHeaderSize + new_cap;
-  } else {
-    new_off = dh.content_off == kDirHeaderSize ? kDirHeaderSize + new_cap
-                                               : kDirHeaderSize;
+  // The DRAM index turns stale until the new list commits.  A throw below
+  // can leave either list on media (a faulted header flush keeps the new
+  // one), so the index is decoded again at once: no release may count names
+  // from the list the rewrite replaced.  If that decode fails too, the
+  // index stays stale and the next use decodes whatever the media holds.
+  if (const auto it = dirs_.find(dir); it != dirs_.end()) {
+    it->second.stale = true;
   }
-  ensure_capacity(dir, kDirHeaderSize + 2 * new_cap);
-  if (!raw.empty()) {
-    data_write(dir, raw.data(), raw.size(), new_off);
-    persist_file_range(dir, new_off, raw.size());
+  try {
+    const DirHeader dh = dir_header(dir, read_inode(dir));
+    std::uint64_t new_cap = dh.cap;
+    std::uint64_t new_off;
+    if (raw.size() > dh.cap) {
+      // Grow: place the new slot beyond every byte the old header can reach
+      // ([kDirHeaderSize, kDirHeaderSize + 2*cap)), so the live list is
+      // never overwritten before the flip.
+      new_cap = std::max<std::uint64_t>(
+          {2 * dh.cap,
+           (raw.size() + pmem::kCacheLine - 1) / pmem::kCacheLine *
+               pmem::kCacheLine,
+           kDirHeaderSize});
+      new_off = kDirHeaderSize + new_cap;
+    } else {
+      new_off = dh.content_off == kDirHeaderSize ? kDirHeaderSize + new_cap
+                                                 : kDirHeaderSize;
+    }
+    ensure_capacity(dir, kDirHeaderSize + 2 * new_cap);
+    if (!raw.empty()) {
+      data_write(dir, raw.data(), raw.size(), new_off);
+      persist_file_range(dir, new_off, raw.size());
+    }
+    const DirHeader next{dh.seq + 1, new_off, raw.size(), new_cap};
+    data_write(dir, &next, sizeof(next), 0);
+    persist_file_range(dir, 0, kDirHeaderSize);  // single-line commit
+  } catch (...) {
+    try {
+      (void)dir_index(dir);
+    } catch (...) {
+      // The list does not decode or its media fails: it stays stale.
+    }
+    throw;
   }
-  const DirHeader next{dh.seq + 1, new_off, raw.size(), new_cap};
-  data_write(dir, &next, sizeof(next), 0);
-  persist_file_range(dir, 0, kDirHeaderSize);  // single-line commit
   dirty_.erase(dir);
   cache_dir(dir, std::move(entries));
 }
@@ -788,6 +820,14 @@ void FileSystem::release(Ino ino) {
   Inode inode = read_inode(ino);
   drop_extents(inode, ino);
   free_inode(ino);
+}
+
+void FileSystem::unlink(Ino dir, std::string_view leaf, Ino ino,
+                        const Inode& inode) {
+  const bool last = names_[ino - 1] == 1;
+  if (last) mark_orphan(ino, inode);
+  dir_remove(dir, leaf);
+  if (last) release(ino);
 }
 
 void FileSystem::dir_remove(Ino dir, std::string_view name) {
@@ -873,9 +913,7 @@ void FileSystem::remove(const std::string& path) {
   // directory still names a zeroed inode — a dangling entry that reads as a
   // zero-length file after remount.  This order can at worst strand an
   // unnamed inode and its blocks, which the orphan mark lets mount free.
-  mark_orphan(ino, inode);
-  dir_remove(parent, leaf);
-  release(ino);
+  unlink(parent, leaf, ino, inode);
 }
 
 bool FileSystem::rename(const std::string& from, const std::string& to,
@@ -893,8 +931,15 @@ bool FileSystem::rename(const std::string& from, const std::string& to,
   if (ino == 0) throw FsError("fs: rename: no such file: " + from);
   if (from_parent == to_parent && from_leaf == to_leaf) return true;
   const Ino victim = dir_lookup(to_parent, to_leaf);
+  bool victim_last = false;
   if (victim != 0) {
     const Inode vi = read_inode(victim);
+    if (victim == ino) {
+      // Both names already reach the inode (a crashed cross-directory
+      // rename): only the source name goes.
+      dir_remove(from_parent, from_leaf);
+      return true;
+    }
     if (type_of(vi.type) != kTypeFile) {
       throw FsError("fs: rename over a directory");
     }
@@ -902,12 +947,12 @@ bool FileSystem::rename(const std::string& from, const std::string& to,
       // Target wins: discard the source instead, in remove()'s order (mark,
       // name removal, free): freeing the source inode while the directory
       // still names it would leave a dangling entry behind a crash.
-      mark_orphan(ino, read_inode(ino));
-      dir_remove(from_parent, from_leaf);
-      release(ino);
+      unlink(from_parent, from_leaf, ino, read_inode(ino));
       return false;
     }
-    mark_orphan(victim, vi);
+    // The replaced inode goes with its last name; another one keeps it.
+    victim_last = names_[victim - 1] == 1;
+    if (victim_last) mark_orphan(victim, vi);
   }
   // Namespace update before any resource free, and — for the same-directory
   // case (the tree engine's publish rename) — as ONE entry-list rewrite:
@@ -929,8 +974,9 @@ bool FileSystem::rename(const std::string& from, const std::string& to,
     if (!have_to) next.emplace_back(to_leaf, ino);
     dir_write_entries(from_parent, std::move(next));
   } else {
-    // Cross-directory: publish the new name first (at worst both names are
-    // alive across a crash), then retire the old one.
+    // Cross-directory: publish the new name first, then retire the old one.
+    // A crash between the two leaves both names on the inode, and the name
+    // count keeps it until the last of them goes.
     auto tentries = dir_index(to_parent).entries;
     bool have_to = false;
     for (auto& e : tentries) {
@@ -945,7 +991,7 @@ bool FileSystem::rename(const std::string& from, const std::string& to,
   }
   // Only now, with no name pointing at it, free the replaced inode.  A crash
   // here strands it, orphan-marked, for mount to free.
-  if (victim != 0) release(victim);
+  if (victim_last) release(victim);
   return true;
 }
 

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -863,12 +864,12 @@ TEST(CrashMatrixTest, RemountReclaimsTreePutTempFiles) {
 }
 
 // ---------------------------------------------------------------------------
-// pmemfs namespace ops: every persist point of a create, remove and
-// rename-over
+// pmemfs namespace ops: every persist point of a create, remove,
+// rename-over and cross-directory rename
 // ---------------------------------------------------------------------------
 
-/// What a pmemfs image shows: the names in /d, sorted, and the free inode
-/// and block counts.
+/// What a pmemfs image shows: the paths in / and /d, sorted, and the free
+/// inode and block counts.
 struct FsView {
   std::vector<std::string> names;
   std::uint64_t free_inodes = 0;
@@ -877,7 +878,10 @@ struct FsView {
 };
 
 FsView view_of(pmemcpy::fs::FileSystem& fs) {
-  FsView v{fs.list("/d"), fs.free_inodes(), fs.free_blocks()};
+  FsView v{{}, fs.free_inodes(), fs.free_blocks()};
+  for (const std::string dir : {"/", "/d/"}) {
+    for (const auto& name : fs.list(dir)) v.names.push_back(dir + name);
+  }
   std::sort(v.names.begin(), v.names.end());
   return v;
 }
@@ -901,7 +905,44 @@ pmemcpy::fs::FileSystem seed_fs(pmemcpy::pmem::Device& dev) {
 
 using FsOp = void (*)(pmemcpy::fs::FileSystem&);
 
-void sweep_fs_op(const char* what, FsOp op, bool torn) {
+/// A crashed rename of /d/a to /a can leave both names on one inode.
+/// Dropping either name, by rename-over or by remove, must leave the other
+/// one reading its 4,096 bytes, and the next create must take a fresh inode.
+void expect_other_name_survives(pmemcpy::pmem::Device& dev) {
+  using pmemcpy::fs::FileSystem;
+  using pmemcpy::fs::OpenMode;
+  struct Drop {
+    const char* what;
+    FsOp op;
+    const char* kept;
+  };
+  const Drop drops[] = {
+      {"rename-over", [](FileSystem& fs) { fs.rename("/d/a", "/a"); }, "/a"},
+      {"remove /d/a", [](FileSystem& fs) { fs.remove("/d/a"); }, "/a"},
+      {"remove /a", [](FileSystem& fs) { fs.remove("/a"); }, "/d/a"},
+  };
+  for (const Drop& d : drops) {
+    SCOPED_TRACE(d.what);
+    pmemcpy::pmem::Device copy(dev.capacity());
+    std::memcpy(copy.raw(0), dev.raw(0), dev.capacity());
+    auto fs = FileSystem::mount(copy, 0);
+    const auto ino = fs.open("/a", OpenMode::kRead).ino();
+    ASSERT_EQ(fs.open("/d/a", OpenMode::kRead).ino(), ino);
+    d.op(fs);
+    EXPECT_NE(fs.exists("/a"), fs.exists("/d/a"));
+    const auto kept = fs.open(d.kept, OpenMode::kRead);
+    EXPECT_EQ(kept.ino(), ino);
+    std::vector<std::byte> buf(4096);
+    EXPECT_EQ(fs.pread(kept, buf.data(), buf.size(), 0), buf.size());
+    EXPECT_NE(fs.open("/d/n", OpenMode::kTruncate).ino(), ino);
+  }
+}
+
+/// Crash @p op at each of its persist points.  The remounted image must show
+/// the state before it or after it; with @p two_names, also the state with
+/// the names of both, which expect_other_name_survives then checks.
+void sweep_fs_op(const char* what, FsOp op, bool torn,
+                 bool two_names = false) {
   SCOPED_TRACE(what);
   constexpr std::size_t kFsBytes = 2ull << 20;
   // Counting run: the op's persist-op window and the two views it may end
@@ -919,6 +960,12 @@ void sweep_fs_op(const char* what, FsOp op, bool torn) {
   }
   ASSERT_LE(first, last);
   ASSERT_NE(before, after);
+  FsView both = before;
+  both.names.clear();
+  std::set_union(before.names.begin(), before.names.end(),
+                 after.names.begin(), after.names.end(),
+                 std::back_inserter(both.names));
+  int two_name_states = 0;
   for (std::uint64_t k = first; k <= last; ++k) {
     SCOPED_TRACE("crash at persist op " + std::to_string(k));
     pmemcpy::pmem::Device dev(kFsBytes, /*crash_shadow=*/true);
@@ -935,9 +982,18 @@ void sweep_fs_op(const char* what, FsOp op, bool torn) {
     dev.revive();
     auto fs = pmemcpy::fs::FileSystem::mount(dev, 0);
     const FsView got = view_of(fs);
+    if (two_names && got == both) {
+      ++two_name_states;
+      expect_other_name_survives(dev);
+      continue;
+    }
     EXPECT_TRUE(got == before || got == after)
         << describe(got) << "\n  before: " << describe(before)
         << "\n  after:  " << describe(after);
+  }
+  // The crash window between the two directory commits is swept.
+  if (two_names) {
+    EXPECT_GT(two_name_states, 0);
   }
 }
 
@@ -951,6 +1007,9 @@ void sweep_fs_ops(bool torn) {
   sweep_fs_op("rename-over", [](pmemcpy::fs::FileSystem& fs) {
     fs.rename("/d/b", "/d/c");
   }, torn);
+  sweep_fs_op("cross-directory rename", [](pmemcpy::fs::FileSystem& fs) {
+    fs.rename("/d/a", "/a");
+  }, torn, /*two_names=*/true);
 }
 
 TEST(CrashMatrixTest, FsNamespaceOpsLeaveOldOrNewStateWithItsFreeCounts) {

@@ -799,6 +799,55 @@ TEST(FaultMatrix, FaultedFsNamespaceOpLeavesDramEqualToAFreshMount) {
   }
 }
 
+/// A faulted cross-directory rename can leave both names on the inode: on a
+/// plain device a faulted header flush of the target directory leaves its
+/// new list in place.  Removing the source name then must keep the inode
+/// for the target, so the name count must follow the list the media holds,
+/// not the one the rewrite started from.
+TEST(FaultMatrix, FaultedCrossDirectoryRenameKeepsTheInodeForItsOtherName) {
+  const auto seed = [](pmemcpy::pmem::Device& dev) {
+    FileSystem fs = seeded_fs(dev);
+    fs.mkdir("/e");
+    return fs;
+  };
+  const auto move = [](FileSystem& fs) { fs.rename("/d/a", "/e/a"); };
+  int attempts = 0;
+  {
+    pmemcpy::pmem::Device dev(kFsBytes);
+    FileSystem fs = seed(dev);
+    const std::uint64_t before = ctr(Counter::kFlushOps);
+    move(fs);
+    attempts = static_cast<int>(ctr(Counter::kFlushOps) - before);
+  }
+  ASSERT_GE(attempts, 2);
+  int two_names = 0;
+  for (const bool shadow : {true, false}) {
+    for (int k = 1; k <= attempts; ++k) {
+      SCOPED_TRACE(std::string(shadow ? "crash shadow" : "plain") +
+                   ", fault at attempt " + std::to_string(k));
+      pmemcpy::pmem::Device dev(kFsBytes, shadow);
+      FileSystem fs = seed(dev);
+      const auto ino = fs.open("/d/a", OpenMode::kRead).ino();
+      dev.set_retry_policy(pmemcpy::ft::RetryPolicy{1});
+      dev.set_fault_plan(plan_faulting_attempt(k, /*sticky=*/false));
+      EXPECT_THROW(move(fs), DeviceError);
+      dev.set_fault_plan(FaultPlan{});
+      // Drop the source name first: looking /e up would decode it again.
+      const bool had_source = fs.exists("/d/a");
+      if (had_source) fs.remove("/d/a");
+      if (fs.exists("/e/a")) {
+        two_names += had_source;
+        const auto kept = fs.open("/e/a", OpenMode::kRead);
+        EXPECT_EQ(kept.ino(), ino);
+        EXPECT_EQ(fs.size(kept), 4096u);
+        EXPECT_NE(fs.open("/d/n", OpenMode::kTruncate).ino(), ino);
+      }
+      expect_live_matches_fresh_mount(dev, fs);
+    }
+  }
+  EXPECT_GT(two_names, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Collective health agreement
 // ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@
 // re-stamped with valid checksums, so the bounds behind the checksums are
 // what gets tested.  Each case runs in a forked child under a 60 s
 // deadline: it must open the pool and check() it, or mount the filesystem
-// and list() and map() it, cleanly or with a typed PoolError/FsError —
-// never a hang, a crash or a sanitizer report.
+// and list() and map() it (or rename over the damaged entry), cleanly or
+// with a typed PoolError/FsError — never a hang, a crash or a sanitizer
+// report.
 #include <pmemcpy/core/node.hpp>
 #include <pmemcpy/crc32c.hpp>
 #include <pmemcpy/fs/filesystem.hpp>
@@ -323,6 +324,32 @@ TEST(ImageMutation, FsMountsListsAndMapsOrThrowsTyped) {
     }
     return true;
   });
+}
+
+// An entry naming a damaged inode number: a rename over that name, from
+// the same directory and from another one, must decode the inode before
+// anything else uses the number.
+TEST(ImageMutation, FsRenamesOverADamagedEntryOrThrowsTyped) {
+  FsImage img;
+  const std::uint64_t hdr =
+      img.block_at(word_at(img.dev, img.inode_at(img.dir) + 16));
+  const std::uint64_t entry = hdr + word_at(img.dev, hdr + 8);
+  std::uint16_t name_len = 0;
+  std::memcpy(&name_len, img.dev.raw(entry + 4), sizeof(name_len));
+  const std::string target =
+      "/d/" + std::string(reinterpret_cast<const char*>(img.dev.raw(entry + 8)),
+                          name_len);
+  const std::vector<Field> fields = {
+      {"entry ino", entry, 4, word_at(img.dev, 24), nullptr, {}}};
+  for (const std::string from : {"/d/src", "/src"}) {
+    SCOPED_TRACE(from + " -> " + target);
+    sweep<FsError>(img.dev, fields, [&] {
+      FileSystem fs = FileSystem::mount(img.dev, 0);
+      (void)fs.open(from, OpenMode::kTruncate);
+      (void)fs.rename(from, target);
+      return true;
+    });
+  }
 }
 
 }  // namespace
