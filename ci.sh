@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: lint, then build + full test suite in five configs —
 # plain Release (which also runs the figure phases, diffing the tables
-# that repeat, and self-checks perfbench, the repo benchmark),
+# that repeat, runs every example, and self-checks perfbench, the repo
+# benchmark),
 # AddressSanitizer + UBSan (PMEMCPY_SANITIZE), the
 # persistency-order checker build (PMEMCPY_PERSIST_CHECK, with violations
 # fatal so any unconsumed finding fails the suite), the tracing build
@@ -44,6 +45,18 @@ run_figures() {
     > "${dir}/BENCH_figures_ungated.txt"
 }
 
+run_examples() {
+  local dir="$1"
+  # Every example binary once, end to end (hierarchical_vars drives the tree
+  # layout); a non-zero exit fails the config.
+  local ex
+  for ex in "${dir}"/examples/*; do
+    [[ -f "${ex}" && -x "${ex}" ]] || continue
+    echo "-- ${ex##*/}"
+    "${ex}" > /dev/null
+  done
+}
+
 run_config() {
   local name="$1"
   shift
@@ -69,6 +82,8 @@ run_config() {
   if [[ "${name}" == "release" ]]; then
     echo "==== [${name}] figures ===="
     run_figures "${dir}"
+    echo "==== [${name}] examples ===="
+    run_examples "${dir}"
     echo "==== [${name}] tree crash-fuzz soak ===="
     # 100k random tree-engine ops with a crash about every dozen: each
     # remount must free the inodes and blocks its crash stranded, or the

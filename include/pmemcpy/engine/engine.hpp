@@ -172,12 +172,6 @@ std::unique_ptr<Engine> make_table_engine(std::shared_ptr<obj::Pool> pool,
 std::unique_ptr<Engine> make_tree_engine(fs::FileSystem& fs, std::string root,
                                          bool map_sync);
 
-/// Remove every temp file a tree put left behind on @p fs (a put writes its
-/// entry to a temp file and renames it into place, so a crash strands the
-/// temp).  Only safe while no tree put is in flight: PmemNode::remount()
-/// calls it on the freshly mounted filesystem.
-void reclaim_tree_temps(fs::FileSystem& fs);
-
 /// Options for the standard pool-backed open path.
 struct PoolEngineOptions {
   std::string name;            ///< pool name

@@ -17,14 +17,17 @@
 // transactional guarantees in this system).
 //
 // Like the kernel's inode bitmap and dcache, a mounted FileSystem keeps its
-// namespace in DRAM (DESIGN.md §6): an inode-allocation map, per directory
-// the committed entry list with a name index, and per inode the number of
-// names it has.  All are filled only through the on-media decoders and
-// updated only after the write that commits a change is durable, so a mount
-// assumes it is the only mount of its region.  An inode is released only
-// with its last name.  Mount walks the namespace once and frees what a crash
+// namespace in DRAM (DESIGN.md §6): an inode-allocation map and, per
+// directory, the committed entry list with a name index.  Both are filled
+// only through the on-media decoders and updated only after the write that
+// commits a change is durable, so a mount assumes it is the only mount of
+// its region.  Every inode has at most one name: rename() stays within one
+// directory, and a file created unnamed (O_TMPFILE) gets its one name from
+// link() (linkat).  Mount walks the namespace once and frees what a crash
 // stranded: unreachable inodes that hold no data or carry the orphan mark
-// remove() and rename() set before unlinking, and blocks no inode lists.
+// (set by remove() and rename() before unlinking, and by create_unnamed()
+// from birth), and blocks no inode lists.  It also records any inode it
+// reaches twice, which only damage makes, and never releases one.
 #pragma once
 
 #include <pmemcpy/pmem/device.hpp>
@@ -35,7 +38,9 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -152,13 +157,26 @@ class FileSystem {
   [[nodiscard]] bool is_dir(const std::string& path);
   /// Remove a file or empty directory.
   void remove(const std::string& path);
-  /// Atomically move a file to @p to.  With @p replace, an existing target
-  /// file is superseded; without it, an existing target wins and @p from is
-  /// removed instead (returns false).
-  bool rename(const std::string& from, const std::string& to,
-              bool replace = true);
+  /// Atomically move a file to @p to in the same directory (FsError across
+  /// directories), superseding an existing target file.
+  void rename(const std::string& from, const std::string& to);
+  /// O_TMPFILE: a file with no name, orphan-marked so that a mount frees it
+  /// unless link() names it first.  Size it with truncate() and map it.
+  [[nodiscard]] File create_unnamed();
+  /// linkat: name unnamed file @p f at @p path in one directory commit, then
+  /// clear its orphan mark.  With @p replace, an existing target file is
+  /// superseded; without it, the target wins, @p f is released and link
+  /// returns false.  Consumes @p f: after a throw it stays only when the
+  /// media names it.  FsError, with @p f kept, unless @p f is unnamed.
+  bool link(File f, const std::string& path, bool replace = true);
+  /// Release unnamed file @p f, which link() never got (FsError unless @p f
+  /// is unnamed).
+  void discard(File f);
   /// Names in a directory (unsorted).
   [[nodiscard]] std::vector<std::string> list(const std::string& path);
+  /// FsError unless @p name can name a directory entry: 1 to 255 bytes.
+  /// Every call that adds a name checks it before writing anything.
+  static void check_name(std::string_view name);
 
   // --- POSIX-style access (charged: syscall + kernel copy + device) --------
 
@@ -193,17 +211,15 @@ class FileSystem {
   struct DirHeader;
   using DirEntries = std::vector<std::pair<std::string, Ino>>;
   /// DRAM copy of one directory's committed entry list: the entries in
-  /// on-media order and the first inode each name maps to.  A stale index
-  /// (its rewrite threw) still counts its entries in names_ until the next
-  /// use decodes what the media holds.
+  /// on-media order and the first inode each name maps to.
   struct DirIndex {
     DirEntries entries;
     std::unordered_map<std::string, Ino> by_name;
-    bool stale = false;
   };
 
   FileSystem(pmem::Device& dev, std::size_t base);
   /// Mount-time reclaim (DESIGN.md §6): walk the namespace from the root,
+  /// marking each inode reached used and recording each one reached twice,
   /// free each unreachable inode that holds no data or carries the orphan
   /// mark, clear the mark on reachable inodes, then free every used block
   /// that no inode lists.  Frees nothing when a directory or an extent list
@@ -266,32 +282,35 @@ class FileSystem {
   /// name does not commit, the inode is free again in the DRAM map.
   Ino create(Ino dir, const std::string& name, std::uint32_t type);
   void dir_remove(Ino dir, std::string_view name);
-  /// Persist the orphan mark in the head line of inode @p ino, whose
-  /// current content is @p inode, before a name that reaches it is removed.
-  void mark_orphan(Ino ino, Inode inode);
-  /// Drop the extents of an unlinked inode, then free it.
+  /// Persist the orphan mark, set or cleared per @p marked, in the head
+  /// line of inode @p ino, whose current content is @p inode: set before a
+  /// name that reaches it is removed, cleared once a name reaches it.
+  void mark_orphan(Ino ino, Inode inode, bool marked = true);
+  /// Drop the extents of an unlinked inode, then free it.  An inode that
+  /// mount reached by two names is kept: the other may still reach it.
   void release(Ino ino);
-  /// Drop name @p leaf of inode @p ino (content @p inode) from @p dir in
-  /// remove()'s order: orphan mark, name removal, release.  The mark and the
-  /// release happen only when the name is the inode's last.
-  void unlink(Ino dir, std::string_view leaf, Ino ino, const Inode& inode);
-  /// Add @p delta to the name count of every inode @p entries name.
-  void count_names(const DirEntries& entries, int delta);
+  /// The inode of @p f when it is an unnamed file, one that carries the
+  /// orphan mark create_unnamed() set and link() clears; FsError otherwise.
+  [[nodiscard]] Inode unnamed_inode(File f) const;
+  /// Point name @p leaf of @p dir at @p ino and drop name @p from (empty:
+  /// none) in one entry-list rewrite.  An existing target file is marked
+  /// before the commit and released after it; without @p replace it wins
+  /// instead and nothing changes (returns false).  A bad name throws before
+  /// anything is written.
+  bool bind(Ino dir, std::string_view from, const std::string& leaf, Ino ino,
+            bool replace);
   /// The one directory-header decoder: zero when never written, else both
   /// slots inside the file and the live list inside one slot (FsError).
   [[nodiscard]] DirHeader dir_header(Ino dir, const Inode& inode) const;
   /// Parse the live entry list; an entry overrunning its slot is FsError.
   [[nodiscard]] DirEntries dir_entries(Ino dir) const;
-  /// The DRAM index of @p dir, decoded through dir_entries on first use and
-  /// while stale.
+  /// The DRAM index of @p dir, decoded through dir_entries on first use.
   [[nodiscard]] const DirIndex& dir_index(Ino dir);
-  /// Make @p entries, indexed by name, the DRAM index of @p dir, and move
-  /// the name counts from the entries it replaces to them.
+  /// Make @p entries, indexed by name, the DRAM index of @p dir.
   const DirIndex& cache_dir(Ino dir, DirEntries entries);
-  /// Shadow-commit @p entries as the list of @p dir; once the header flip is
-  /// durable they become its DRAM index.  After a throw the index holds the
-  /// list the media holds, decoded at once, or stays stale when that decode
-  /// fails too.
+  /// Shadow-commit @p entries as the list of @p dir.  The DRAM index is
+  /// dropped when the rewrite starts and set to @p entries once the header
+  /// flip is durable, so after a throw the next use decodes the media.
   void dir_write_entries(Ino dir, DirEntries entries);
 
   /// Raw (uncharged-copy) file data IO used by directory internals; charges
@@ -316,10 +335,8 @@ class FileSystem {
   std::vector<bool> inode_used_;
   /// DRAM index of every directory decoded since format or mount.
   std::unordered_map<Ino, DirIndex> dirs_;
-  /// DRAM name count per inode, indexed by inode number - 1: the entries
-  /// naming it across dirs_.  Mount's namespace walk indexes every
-  /// reachable directory, so it counts every name.
-  std::vector<std::uint32_t> names_;
+  /// Inodes mount's namespace walk reached by two names (damage).
+  std::unordered_set<Ino> named_twice_;
   /// File ranges written through the POSIX path since the last fsync(),
   /// per inode (DRAM bookkeeping, like the kernel's dirty-page tracking).
   /// fsync() flushes exactly these and pays one fence — previously it

@@ -1,5 +1,4 @@
 #include <pmemcpy/core/node.hpp>
-#include <pmemcpy/engine/engine.hpp>
 
 #include <cstring>
 
@@ -162,8 +161,6 @@ void PmemNode::remount() {
   open_pools_.clear();
   load_registry();
   fs_.emplace(fs::FileSystem::mount(*dev_, pool_area_end_));
-  // No engine exists yet, so every tree-put temp file is a crash leftover.
-  engine::reclaim_tree_temps(*fs_);
 }
 
 PmemNode* PmemNode::default_node() noexcept {

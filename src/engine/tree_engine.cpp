@@ -1,14 +1,15 @@
 // Hierarchical-layout engine: one DAX file per entry under a root
-// directory.  Each file starts with the 8-byte meta word; writes land in a
-// unique temp file that commit() renames over the final path (so concurrent
-// same-key puts last-write-win instead of racing on one inode, and crashes
-// never expose partial entries).  The payload region is reserved up front
-// as a direct_write_span over the temp file's extent (reserve-then-
-// serialize, DESIGN.md §12) and serialization lands straight in it;
-// tree_finalize() then stores the meta word, persists the whole file in one
-// coalesced flush pass, and renames it visible.
+// directory.  Each file starts with the 8-byte meta word; writes land in an
+// unnamed file (O_TMPFILE) that commit() links at the final path (linkat),
+// so concurrent same-key puts last-write-win instead of racing on one
+// inode, and crashes never expose partial entries: the next mount frees an
+// unnamed file a crash stranded.  The payload region is reserved up front
+// as a direct_write_span over the file's extent (reserve-then-serialize,
+// DESIGN.md §12) and serialization lands straight in it; tree_finalize()
+// then stores the meta word, persists the whole file in one coalesced flush
+// pass, and links it visible in one directory rewrite.
 //
-// The batch path defers the persist+publish+rename of each staged entry to
+// The batch path defers the persist+publish+link of each staged entry to
 // Batch::commit().  The filesystem already fences per-file, so unlike the
 // table engine there is no cross-entry fence coalescing to win here —
 // batching only buys the deferred-visibility semantics of the contract.
@@ -17,8 +18,6 @@
 #include <pmemcpy/trace/trace.hpp>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -32,37 +31,39 @@ namespace {
 /// Each entry file starts with its meta word.
 constexpr std::size_t kTreeHeader = 8;
 
-/// Process-wide temp-name counter: rank threads share the filesystem, so
-/// per-store counters would collide.
-std::atomic<std::uint64_t> g_tmp_seq{0};
-
-/// Whether @p name is a temp file of make_pending(): "<leaf>.tmp.<12 digits>".
-bool is_tree_temp(std::string_view name) {
-  constexpr std::string_view kTag = ".tmp.";
-  constexpr std::size_t kDigits = 12;
-  if (name.size() < kTag.size() + kDigits) return false;
-  const std::string_view digits = name.substr(name.size() - kDigits);
-  return name.substr(name.size() - kDigits - kTag.size(), kTag.size()) ==
-             kTag &&
-         std::all_of(digits.begin(), digits.end(),
-                     [](char c) { return c >= '0' && c <= '9'; });
-}
-
-void reclaim_temps_under(fs::FileSystem& fs, const std::string& dir) {
-  for (const auto& name : fs.list(dir.empty() ? "/" : dir)) {
-    const std::string path = dir + "/" + name;
-    if (fs.is_dir(path)) {
-      reclaim_temps_under(fs, path);
-    } else if (is_tree_temp(name)) {
-      fs.remove(path);
+/// An entry's unnamed file, discarded when dropped unless link() took it.
+/// A discard that faults leaves the file orphan-marked for the next mount
+/// to free.
+class UnnamedFile {
+ public:
+  explicit UnnamedFile(fs::FileSystem& fs)
+      : fs_(&fs), file_(fs.create_unnamed()) {}
+  UnnamedFile(UnnamedFile&& o) noexcept
+      : fs_(o.fs_), file_(std::exchange(o.file_, {})) {}
+  UnnamedFile& operator=(UnnamedFile&&) = delete;
+  ~UnnamedFile() {
+    if (!file_.valid()) return;
+    try {
+      fs_->discard(file_);
+    } catch (...) {
     }
   }
-}
+
+  [[nodiscard]] fs::File get() const noexcept { return file_; }
+  /// Hand the file to link(), which consumes it even when it throws.
+  void link(const std::string& path, bool replace) {
+    (void)fs_->link(std::exchange(file_, {}), path, replace);
+  }
+
+ private:
+  fs::FileSystem* fs_;
+  fs::File file_;
+};
 
 /// A fully written, not yet published entry: everything finalize() needs.
 struct TreePending {
   fs::Mapping mapping;
-  std::string tmp_path;
+  UnnamedFile file;
   std::string final_path;
   std::uint64_t meta;
   std::size_t size;
@@ -70,18 +71,17 @@ struct TreePending {
   std::uint32_t crc = 0;
 };
 
-/// Persist + publish the file and rename it over the final path.
-void tree_finalize(fs::FileSystem& fs, TreePending& p) {
+/// Persist + publish the file and link it at the final path.  An entry
+/// whose file link() already took is skipped, so a batch commit retried
+/// after a throw never stores into a file it no longer owns.
+void tree_finalize(TreePending& p) {
+  if (!p.file.get().valid()) return;
   const std::uint64_t meta =
       (p.meta & 0xFFFFFFFFull) | (static_cast<std::uint64_t>(p.crc) << 32);
   p.mapping.store(0, &meta, sizeof(meta));
   p.mapping.persist(0, kTreeHeader + p.size);
   p.mapping.check_publish(0, kTreeHeader + p.size);
-  fs.rename(p.tmp_path, p.final_path, /*replace=*/!p.keep_existing);
-}
-
-void tree_discard(fs::FileSystem& fs, const TreePending& p) {
-  if (fs.exists(p.tmp_path)) fs.remove(p.tmp_path);
+  p.file.link(p.final_path, /*replace=*/!p.keep_existing);
 }
 
 /// Reserved destination for one entry's payload (reserve-then-serialize,
@@ -155,26 +155,16 @@ class TreeEntry final : public Engine::Entry {
 /// Shared between a TreeBatch and its handles, so a handle committed after
 /// the batch died parks its entry here until the state dies (discard).
 struct TreeBatchState {
-  fs::FileSystem* fs;
   std::vector<TreePending> staged;
-
-  ~TreeBatchState() {
-    for (const auto& p : staged) tree_discard(*fs, p);
-  }
 };
 
 /// The engine's one put handle.  Without a batch (@p st null) commit()
 /// finalizes the entry; inside one it stages it for TreeBatch::commit().
 class TreeBatchPut final : public Engine::PutHandle {
  public:
-  TreeBatchPut(fs::FileSystem& fs, std::shared_ptr<TreeBatchState> st,
-               TreePending pending)
-      : fs_(&fs), st_(std::move(st)), pending_(std::move(pending)),
+  TreeBatchPut(std::shared_ptr<TreeBatchState> st, TreePending pending)
+      : st_(std::move(st)), pending_(std::move(pending)),
         dest_(pending_.mapping, pending_.size) {}
-
-  ~TreeBatchPut() override {
-    if (!done_) tree_discard(*fs_, pending_);
-  }
 
   serial::Sink& sink() override { return dest_.sink(); }
   std::span<std::byte> reserved_span() override { return dest_.span(); }
@@ -185,13 +175,12 @@ class TreeBatchPut final : public Engine::PutHandle {
     if (st_) {
       st_->staged.push_back(std::move(pending_));
     } else {
-      tree_finalize(*fs_, pending_);
+      tree_finalize(pending_);
     }
     done_ = true;
   }
 
  private:
-  fs::FileSystem* fs_;
   std::shared_ptr<TreeBatchState> st_;
   TreePending pending_;
   TreeDest dest_;
@@ -204,31 +193,26 @@ TreePending make_pending(fs::FileSystem& fs, const std::string& root,
                          bool map_sync) {
   const std::string path = root + "/" + key;
   const std::size_t slash = path.rfind('/');
+  // The leaf becomes the file's name.  Reject a bad one as the put opens:
+  // link() would reject it only after a batch published what it staged
+  // before this entry.
+  fs::FileSystem::check_name(std::string_view(path).substr(slash + 1));
   if (slash > 0 && slash != std::string::npos) {
     const std::string dir = path.substr(0, slash);
     if (!fs.exists(dir)) fs.mkdirs(dir);
   }
-  // Fixed-width sequence so the temp name's LENGTH never depends on how
-  // many temps this process made before: variable-length names leak the
-  // process history into directory-entry byte counts and break run-to-run
-  // counter determinism (tests/determinism_test.cpp).
-  char seq[24];
-  std::snprintf(seq, sizeof(seq), ".tmp.%012llu",
-                static_cast<unsigned long long>(
-                    g_tmp_seq.fetch_add(1, std::memory_order_relaxed)));
-  const std::string tmp = path + seq;
-  auto mapping = fs.create_mapped(tmp, kTreeHeader + size, map_sync);
-  return TreePending{std::move(mapping), tmp,  path,
-                     meta,               size, keep_existing};
+  UnnamedFile file(fs);
+  fs.truncate(file.get(), kTreeHeader + size);
+  auto mapping = fs.map(file.get(), map_sync);
+  return TreePending{std::move(mapping), std::move(file), path, meta, size,
+                     keep_existing};
 }
 
 class TreeBatch final : public Engine::Batch {
  public:
   TreeBatch(fs::FileSystem& fs, std::string root, bool map_sync)
-      : root_(std::move(root)), map_sync_(map_sync),
-        st_(std::make_shared<TreeBatchState>()) {
-    st_->fs = &fs;
-  }
+      : fs_(&fs), root_(std::move(root)), map_sync_(map_sync),
+        st_(std::make_shared<TreeBatchState>()) {}
 
   std::unique_ptr<Engine::PutHandle> put(const std::string& key,
                                          std::size_t size, std::uint64_t meta,
@@ -236,9 +220,8 @@ class TreeBatch final : public Engine::Batch {
     trace::Span span("engine.put");
     trace::count(trace::Counter::kEnginePuts);
     return std::make_unique<TreeBatchPut>(
-        *st_->fs, st_,
-        make_pending(*st_->fs, root_, key, size, meta, keep_existing,
-                     map_sync_));
+        st_, make_pending(*fs_, root_, key, size, meta, keep_existing,
+                          map_sync_));
   }
 
   void commit() override {
@@ -246,13 +229,14 @@ class TreeBatch final : public Engine::Batch {
     trace::count(trace::Counter::kBatchCommits);
     trace::observe(trace::Hist::kBatchSize,
                    static_cast<double>(st_->staged.size()));
-    for (auto& p : st_->staged) tree_finalize(*st_->fs, p);
+    for (auto& p : st_->staged) tree_finalize(p);
     st_->staged.clear();
   }
 
   std::size_t staged() const override { return st_->staged.size(); }
 
  private:
+  fs::FileSystem* fs_;
   std::string root_;
   bool map_sync_;
   std::shared_ptr<TreeBatchState> st_;
@@ -271,7 +255,7 @@ class TreeEngine final : public Engine {
     trace::Span span("engine.put");
     trace::count(trace::Counter::kEnginePuts);
     return std::make_unique<TreeBatchPut>(
-        *fs_, nullptr,
+        nullptr,
         make_pending(*fs_, root_, key, size, meta, keep_existing, map_sync_));
   }
 
@@ -311,7 +295,6 @@ class TreeEngine final : public Engine {
                 fn) {
     if (!fs_->exists(dir)) return;
     for (const auto& name : fs_->list(dir)) {
-      if (is_tree_temp(name)) continue;  // in flight
       const std::string key =
           key_so_far.empty() ? name : key_so_far + "/" + name;
       const std::string path = dir + "/" + name;
@@ -346,7 +329,5 @@ std::unique_ptr<Engine> make_tree_engine(fs::FileSystem& fs, std::string root,
                                          bool map_sync) {
   return std::make_unique<TreeEngine>(fs, std::move(root), map_sync);
 }
-
-void reclaim_tree_temps(fs::FileSystem& fs) { reclaim_temps_under(fs, ""); }
 
 }  // namespace pmemcpy::engine

@@ -19,8 +19,8 @@ constexpr std::uint32_t kTypeFree = 0;
 constexpr std::uint32_t kTypeFile = 1;
 constexpr std::uint32_t kTypeDir = 2;
 /// Set in an inode's type word, in its head line, before remove() or
-/// rename() unlinks it: mount frees an unreachable inode that carries it
-/// even when it still holds data.
+/// rename() unlinks it, and from birth to link() on an unnamed file: mount
+/// frees an unreachable inode that carries it even when it still holds data.
 constexpr std::uint32_t kOrphanMark = 1u << 31;
 
 /// The inode type a type word encodes, without the orphan mark.
@@ -223,7 +223,6 @@ FileSystem FileSystem::format(pmem::Device& dev, std::size_t base,
   fs.bitmap_cache_.assign(blocks, false);
   fs.free_blocks_cache_ = blocks;
   fs.inode_used_.assign(inode_count, false);
-  fs.names_.assign(inode_count, 0);
 
   // Root directory: inode 1.
   Inode root{};
@@ -267,7 +266,6 @@ FileSystem FileSystem::mount(pmem::Device& dev, std::size_t base) {
   for (Ino i = 1; i <= sb.inode_count; ++i) {
     fs.inode_used_[i - 1] = fs.read_inode(i).type != kTypeFree;
   }
-  fs.names_.assign(sb.inode_count, 0);
   fs.reclaim();
   return fs;
 }
@@ -284,8 +282,14 @@ void FileSystem::reclaim() {
       pending.pop_back();
       for (const auto& [name, ino] : dir_index(dir).entries) {
         const Inode inode = read_inode(ino);
-        if (reached[ino - 1]) continue;
+        if (reached[ino - 1]) {
+          named_twice_.insert(ino);
+          continue;
+        }
         reached[ino - 1] = true;
+        // In use even when damage names a free inode: no create may hand it
+        // out as a second name.
+        inode_used_[ino - 1] = true;
         if ((inode.type & kOrphanMark) != 0) marked.push_back(ino);
         if (type_of(inode.type) == kTypeDir) pending.push_back(ino);
       }
@@ -308,10 +312,10 @@ void FileSystem::reclaim() {
   } catch (const FsError&) {
     return;  // an extent list that does not decode: keep everything
   }
-  // A crashed create leaves an unnamed inode that holds no data, a crashed
-  // remove() or rename() an unnamed one with the orphan mark.  An unnamed
-  // inode with data and no mark is damage (a directory whose type word
-  // changed hides a subtree of them): it stays.
+  // A crashed create leaves an unnamed inode that holds no data; a crashed
+  // remove() or rename(), and an unnamed file link() never named, leave one
+  // with the orphan mark.  An unnamed inode with data and no mark is damage
+  // (a directory whose type word changed hides a subtree of them): it stays.
   for (Ino i = 1; i <= inode_count_; ++i) {
     if (!inode_used_[i - 1] || reached[i - 1]) continue;
     const Inode inode = read_inode(i);
@@ -319,11 +323,7 @@ void FileSystem::reclaim() {
         inode.size == 0 && inode.nextents == 0 && inode.indirect == 0;
     if (dataless || (inode.type & kOrphanMark) != 0) release(i);
   }
-  for (const Ino i : marked) {
-    Inode inode = read_inode(i);
-    inode.type &= ~kOrphanMark;
-    write_inode(i, inode);
-  }
+  for (const Ino i : marked) mark_orphan(i, read_inode(i), false);
   // A crash between a bitmap write and the inode write that lists (or
   // unlists) its blocks leaves them used with no owner: free those.
   for (std::uint64_t b = 0; b < total_blocks_;) {
@@ -388,10 +388,7 @@ void FileSystem::free_inode(Ino ino) {
   // here on even if the write below faults: its media copy is then a
   // dataless orphan, which alloc_inode overwrites whole and a mount frees.
   inode_used_[ino - 1] = false;
-  if (const auto it = dirs_.find(ino); it != dirs_.end()) {
-    count_names(it->second.entries, -1);
-    dirs_.erase(it);
-  }
+  dirs_.erase(ino);
   dirty_.erase(ino);  // a reused inode must not inherit stale dirty spans
   write_inode(ino, Inode{});
 }
@@ -685,29 +682,17 @@ FileSystem::DirEntries FileSystem::dir_entries(Ino dir) const {
 }
 
 const FileSystem::DirIndex& FileSystem::dir_index(Ino dir) {
-  if (const auto it = dirs_.find(dir); it != dirs_.end() && !it->second.stale) {
-    return it->second;
-  }
+  if (const auto it = dirs_.find(dir); it != dirs_.end()) return it->second;
   return cache_dir(dir, dir_entries(dir));
 }
 
 const FileSystem::DirIndex& FileSystem::cache_dir(Ino dir,
                                                   DirEntries entries) {
   DirIndex& idx = dirs_[dir];
-  count_names(idx.entries, -1);
-  count_names(entries, 1);
   idx.by_name.clear();
   for (const auto& [name, ino] : entries) idx.by_name.emplace(name, ino);
   idx.entries = std::move(entries);
-  idx.stale = false;
   return idx;
-}
-
-void FileSystem::count_names(const DirEntries& entries, int delta) {
-  for (const auto& [name, ino] : entries) {
-    // An out-of-range number (damage) names no inode; Ino 0 wraps past it.
-    if (ino - 1u < names_.size()) names_[ino - 1] += delta;
-  }
 }
 
 /// Flush the device lines backing file range [off, off+len) and fence.
@@ -733,48 +718,35 @@ void FileSystem::dir_write_entries(Ino dir, DirEntries entries) {
   // are shadow-committed: write the new list into the slot the live header
   // does NOT point at, fence it, then flip the single-line header.  Every
   // crash point parses either the whole old list or the whole new one.
-  // The DRAM index turns stale until the new list commits.  A throw below
-  // can leave either list on media (a faulted header flush keeps the new
-  // one), so the index is decoded again at once: no release may count names
-  // from the list the rewrite replaced.  If that decode fails too, the
-  // index stays stale and the next use decodes whatever the media holds.
-  if (const auto it = dirs_.find(dir); it != dirs_.end()) {
-    it->second.stale = true;
+  // A throw below can leave either list on media (a faulted header flush
+  // keeps the new one), so the DRAM index is dropped until the new list
+  // commits, and the next use after a throw decodes what the media holds.
+  dirs_.erase(dir);
+  const DirHeader dh = dir_header(dir, read_inode(dir));
+  std::uint64_t new_cap = dh.cap;
+  std::uint64_t new_off;
+  if (raw.size() > dh.cap) {
+    // Grow: place the new slot beyond every byte the old header can reach
+    // ([kDirHeaderSize, kDirHeaderSize + 2*cap)), so the live list is never
+    // overwritten before the flip.
+    new_cap = std::max<std::uint64_t>(
+        {2 * dh.cap,
+         (raw.size() + pmem::kCacheLine - 1) / pmem::kCacheLine *
+             pmem::kCacheLine,
+         kDirHeaderSize});
+    new_off = kDirHeaderSize + new_cap;
+  } else {
+    new_off = dh.content_off == kDirHeaderSize ? kDirHeaderSize + new_cap
+                                               : kDirHeaderSize;
   }
-  try {
-    const DirHeader dh = dir_header(dir, read_inode(dir));
-    std::uint64_t new_cap = dh.cap;
-    std::uint64_t new_off;
-    if (raw.size() > dh.cap) {
-      // Grow: place the new slot beyond every byte the old header can reach
-      // ([kDirHeaderSize, kDirHeaderSize + 2*cap)), so the live list is
-      // never overwritten before the flip.
-      new_cap = std::max<std::uint64_t>(
-          {2 * dh.cap,
-           (raw.size() + pmem::kCacheLine - 1) / pmem::kCacheLine *
-               pmem::kCacheLine,
-           kDirHeaderSize});
-      new_off = kDirHeaderSize + new_cap;
-    } else {
-      new_off = dh.content_off == kDirHeaderSize ? kDirHeaderSize + new_cap
-                                                 : kDirHeaderSize;
-    }
-    ensure_capacity(dir, kDirHeaderSize + 2 * new_cap);
-    if (!raw.empty()) {
-      data_write(dir, raw.data(), raw.size(), new_off);
-      persist_file_range(dir, new_off, raw.size());
-    }
-    const DirHeader next{dh.seq + 1, new_off, raw.size(), new_cap};
-    data_write(dir, &next, sizeof(next), 0);
-    persist_file_range(dir, 0, kDirHeaderSize);  // single-line commit
-  } catch (...) {
-    try {
-      (void)dir_index(dir);
-    } catch (...) {
-      // The list does not decode or its media fails: it stays stale.
-    }
-    throw;
+  ensure_capacity(dir, kDirHeaderSize + 2 * new_cap);
+  if (!raw.empty()) {
+    data_write(dir, raw.data(), raw.size(), new_off);
+    persist_file_range(dir, new_off, raw.size());
   }
+  const DirHeader next{dh.seq + 1, new_off, raw.size(), new_cap};
+  data_write(dir, &next, sizeof(next), 0);
+  persist_file_range(dir, 0, kDirHeaderSize);  // single-line commit
   dirty_.erase(dir);
   cache_dir(dir, std::move(entries));
 }
@@ -785,8 +757,14 @@ Ino FileSystem::dir_lookup(Ino dir, const std::string& name) {
   return it == by_name.end() ? 0 : it->second;
 }
 
-Ino FileSystem::create(Ino dir, const std::string& name, std::uint32_t type) {
+void FileSystem::check_name(std::string_view name) {
+  // An entry record stores the length in 16 bits: a longer name would be
+  // written with a cut length that the next mount misparses.
   if (name.empty() || name.size() > 255) throw FsError("fs: bad name");
+}
+
+Ino FileSystem::create(Ino dir, const std::string& name, std::uint32_t type) {
+  check_name(name);
   const DirIndex& idx = dir_index(dir);
   if (idx.by_name.count(name) != 0) throw FsError("fs: name exists: " + name);
   auto entries = idx.entries;
@@ -811,23 +789,51 @@ Ino FileSystem::create(Ino dir, const std::string& name, std::uint32_t type) {
   return ino;
 }
 
-void FileSystem::mark_orphan(Ino ino, Inode inode) {
-  inode.type |= kOrphanMark;
+void FileSystem::mark_orphan(Ino ino, Inode inode, bool marked) {
+  inode.type = marked ? inode.type | kOrphanMark : type_of(inode.type);
   write_inode(ino, inode);
 }
 
 void FileSystem::release(Ino ino) {
+  if (named_twice_.count(ino) != 0) return;
   Inode inode = read_inode(ino);
   drop_extents(inode, ino);
   free_inode(ino);
 }
 
-void FileSystem::unlink(Ino dir, std::string_view leaf, Ino ino,
-                        const Inode& inode) {
-  const bool last = names_[ino - 1] == 1;
-  if (last) mark_orphan(ino, inode);
-  dir_remove(dir, leaf);
-  if (last) release(ino);
+bool FileSystem::bind(Ino dir, std::string_view from, const std::string& leaf,
+                      Ino ino, bool replace) {
+  check_name(leaf);
+  const Ino victim = dir_lookup(dir, leaf);
+  if (victim != 0) {
+    const Inode vi = read_inode(victim);
+    if (type_of(vi.type) != kTypeFile) {
+      throw FsError("fs: rename over a directory");
+    }
+    if (!replace) return false;
+    mark_orphan(victim, vi);
+  }
+  // Namespace update before any resource free, and as ONE entry-list
+  // rewrite: dropping the source name and repointing the target name in
+  // separate directory updates would open a crash window where the target
+  // is missing entirely (neither the old nor the new value survives) or
+  // still names the about-to-be-freed victim inode.
+  DirEntries next;
+  bool have = false;
+  for (const auto& e : dir_index(dir).entries) {
+    if (!from.empty() && e.first == from) continue;  // old name dropped
+    next.push_back(e);
+    if (e.first == leaf) {
+      next.back().second = ino;
+      have = true;
+    }
+  }
+  if (!have) next.emplace_back(leaf, ino);
+  dir_write_entries(dir, std::move(next));
+  // Only now, with no name pointing at it, free the replaced inode.  A crash
+  // here strands it, orphan-marked, for mount to free.
+  if (victim != 0) release(victim);
+  return true;
 }
 
 void FileSystem::dir_remove(Ino dir, std::string_view name) {
@@ -913,86 +919,80 @@ void FileSystem::remove(const std::string& path) {
   // directory still names a zeroed inode — a dangling entry that reads as a
   // zero-length file after remount.  This order can at worst strand an
   // unnamed inode and its blocks, which the orphan mark lets mount free.
-  unlink(parent, leaf, ino, inode);
+  mark_orphan(ino, inode);
+  dir_remove(parent, leaf);
+  release(ino);
 }
 
-bool FileSystem::rename(const std::string& from, const std::string& to,
-                        bool replace) {
+void FileSystem::rename(const std::string& from, const std::string& to) {
   trace::Span span("fs.rename");
   std::lock_guard lk(*mu_);
   sim::ctx().charge_syscall();
   std::string from_leaf, to_leaf;
-  const Ino from_parent = resolve(from, true, &from_leaf);
-  const Ino to_parent = resolve(to, true, &to_leaf);
-  if (from_parent == 0 || to_parent == 0) {
-    throw FsError("fs: rename: no such directory");
-  }
-  const Ino ino = dir_lookup(from_parent, from_leaf);
+  const Ino dir = resolve(from, true, &from_leaf);
+  const Ino to_dir = resolve(to, true, &to_leaf);
+  if (dir == 0 || to_dir == 0) throw FsError("fs: rename: no such directory");
+  if (to_dir != dir) throw FsError("fs: rename across directories: " + to);
+  const Ino ino = dir_lookup(dir, from_leaf);
   if (ino == 0) throw FsError("fs: rename: no such file: " + from);
-  if (from_parent == to_parent && from_leaf == to_leaf) return true;
-  const Ino victim = dir_lookup(to_parent, to_leaf);
-  bool victim_last = false;
-  if (victim != 0) {
-    const Inode vi = read_inode(victim);
-    if (victim == ino) {
-      // Both names already reach the inode (a crashed cross-directory
-      // rename): only the source name goes.
-      dir_remove(from_parent, from_leaf);
-      return true;
-    }
-    if (type_of(vi.type) != kTypeFile) {
-      throw FsError("fs: rename over a directory");
-    }
-    if (!replace) {
-      // Target wins: discard the source instead, in remove()'s order (mark,
-      // name removal, free): freeing the source inode while the directory
-      // still names it would leave a dangling entry behind a crash.
-      unlink(from_parent, from_leaf, ino, read_inode(ino));
-      return false;
-    }
-    // The replaced inode goes with its last name; another one keeps it.
-    victim_last = names_[victim - 1] == 1;
-    if (victim_last) mark_orphan(victim, vi);
+  if (from_leaf != to_leaf) (void)bind(dir, from_leaf, to_leaf, ino, true);
+}
+
+File FileSystem::create_unnamed() {
+  trace::Span span("fs.create");
+  std::lock_guard lk(*mu_);
+  sim::ctx().charge_syscall();
+  return File(this, alloc_inode(kTypeFile | kOrphanMark));
+}
+
+FileSystem::Inode FileSystem::unnamed_inode(File f) const {
+  if (!f.valid()) throw FsError("fs: invalid file");
+  const Inode inode = read_inode(f.ino_);
+  if (type_of(inode.type) != kTypeFile || (inode.type & kOrphanMark) == 0) {
+    throw FsError("fs: not an unnamed file");
   }
-  // Namespace update before any resource free, and — for the same-directory
-  // case (the tree engine's publish rename) — as ONE entry-list rewrite:
-  // dropping the source name and repointing the target name in separate
-  // directory updates would open a crash window where the target is missing
-  // entirely (neither the old nor the new value survives) or still names the
-  // about-to-be-freed victim inode.
-  if (from_parent == to_parent) {
-    DirEntries next;
-    bool have_to = false;
-    for (const auto& e : dir_index(from_parent).entries) {
-      if (e.first == from_leaf) continue;  // old name dropped
-      next.push_back(e);
-      if (e.first == to_leaf) {
-        next.back().second = ino;
-        have_to = true;
-      }
+  return inode;
+}
+
+bool FileSystem::link(File f, const std::string& path, bool replace) {
+  trace::Span span("fs.rename");
+  std::lock_guard lk(*mu_);
+  sim::ctx().charge_syscall();
+  // Outside the rollback below: a file that is not unnamed is not ours to
+  // release.
+  const Inode inode = unnamed_inode(f);
+  std::string leaf;
+  Ino dir = 0;
+  bool linked = false;
+  try {
+    dir = resolve(path, true, &leaf);
+    if (dir == 0) throw FsError("fs: link: no such directory: " + path);
+    linked = bind(dir, {}, leaf, f.ino_, replace);
+    // bind() writes only the directory and the replaced inode, so the read
+    // above is still this inode's content.
+    if (linked) mark_orphan(f.ino_, inode, false);
+  } catch (...) {
+    // Decided as create() decides its rollback: a faulted header flush can
+    // leave the new list on media, and only then does the file stay.  When
+    // the directory no longer decodes it stays too, still marked, so the
+    // next mount frees it unless a name reaches it.
+    bool named = true;
+    try {
+      named = dir != 0 && dir_lookup(dir, leaf) == f.ino_;
+    } catch (...) {
     }
-    if (!have_to) next.emplace_back(to_leaf, ino);
-    dir_write_entries(from_parent, std::move(next));
-  } else {
-    // Cross-directory: publish the new name first, then retire the old one.
-    // A crash between the two leaves both names on the inode, and the name
-    // count keeps it until the last of them goes.
-    auto tentries = dir_index(to_parent).entries;
-    bool have_to = false;
-    for (auto& e : tentries) {
-      if (e.first == to_leaf) {
-        e.second = ino;
-        have_to = true;
-      }
-    }
-    if (!have_to) tentries.emplace_back(to_leaf, ino);
-    dir_write_entries(to_parent, std::move(tentries));
-    dir_remove(from_parent, from_leaf);
+    if (!named) release(f.ino_);
+    throw;
   }
-  // Only now, with no name pointing at it, free the replaced inode.  A crash
-  // here strands it, orphan-marked, for mount to free.
-  if (victim_last) release(victim);
-  return true;
+  if (!linked) release(f.ino_);
+  return linked;
+}
+
+void FileSystem::discard(File f) {
+  trace::Span span("fs.remove");
+  std::lock_guard lk(*mu_);
+  (void)unnamed_inode(f);
+  release(f.ino_);
 }
 
 std::vector<std::string> FileSystem::list(const std::string& path) {

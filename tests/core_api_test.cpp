@@ -409,4 +409,97 @@ TEST(CoreApiHierarchical, SlashCreatesDirectories) {
   pmem.munmap();
 }
 
+TEST(CoreApiHierarchical, KeyShapedLikeATempNameIsListedAndSurvivesRemount) {
+  // A put's file stays unnamed until it is linked, so no stored name is
+  // ever mistaken for an in-flight put: a key shaped like a temp name
+  // ("<key>.tmp.<12 digits>") is listed, and a remount keeps it.
+  PmemNode node(small_node());
+  Config cfg;
+  cfg.node = &node;
+  cfg.layout = Layout::kHierarchical;
+  const std::vector<std::string> ids = {"a", "x.tmp.000000000001"};
+  {
+    PMEM pmem{cfg};
+    pmem.mmap("/keys.bp");
+    pmem.store(ids[0], 1.0);
+    pmem.store(ids[1], 2.0);
+    EXPECT_EQ(pmem.ids(), ids);
+    pmem.munmap();
+  }
+  node.remount();
+  PMEM pmem{cfg};
+  pmem.mmap("/keys.bp");
+  EXPECT_DOUBLE_EQ(pmem.load<double>(ids[0]), 1.0);
+  EXPECT_DOUBLE_EQ(pmem.load<double>(ids[1]), 2.0);
+  EXPECT_EQ(pmem.ids(), ids);
+  pmem.munmap();
+}
+
+TEST(CoreApiHierarchical, LeafPastTheNameLimitThrowsAndKeepsItsDirectory) {
+  // A key's leaf becomes one pmemfs name of at most 255 bytes.  A longer
+  // leaf fails the put as it opens, in a batch too, so nothing is
+  // allocated, and the directory keeps its other keys across a remount.
+  PmemNode node(small_node());
+  Config cfg;
+  cfg.node = &node;
+  cfg.layout = Layout::kHierarchical;
+  const std::vector<std::string> ids = {"d/a", "d/b"};
+  {
+    PMEM pmem{cfg};
+    pmem.mmap("/long.bp");
+    pmem.store(ids[0], 1.0);
+    const std::uint64_t inodes = node.fs().free_inodes();
+    const std::uint64_t blocks = node.fs().free_blocks();
+    for (const std::size_t len : {std::size_t{256}, std::size_t{70000}}) {
+      SCOPED_TRACE(len);
+      EXPECT_THROW(pmem.store("d/" + std::string(len, 'k'), 2.0),
+                   pmemcpy::fs::FsError);
+      EXPECT_EQ(node.fs().free_inodes(), inodes);
+      EXPECT_EQ(node.fs().free_blocks(), blocks);
+    }
+    {
+      auto batch = pmem.batch();
+      pmem.store(ids[1], 3.0);
+      EXPECT_THROW(pmem.store("d/" + std::string(256, 'k'), 2.0),
+                   pmemcpy::fs::FsError);
+      EXPECT_EQ(batch.staged(), 1u);
+      batch.commit();
+    }
+    EXPECT_EQ(pmem.ids(), ids);
+    pmem.munmap();
+  }
+  node.remount();
+  PMEM pmem{cfg};
+  pmem.mmap("/long.bp");
+  EXPECT_EQ(pmem.ids(), ids);
+  EXPECT_DOUBLE_EQ(pmem.load<double>(ids[0]), 1.0);
+  EXPECT_DOUBLE_EQ(pmem.load<double>(ids[1]), 3.0);
+  pmem.munmap();
+}
+
+TEST(CoreApiHierarchical, RetriedBatchCommitPublishesWhatTheFailedOneLeft) {
+  // The first staged entry's key names a directory, so its link fails and
+  // releases its file.  A retried commit skips that entry, whose file it no
+  // longer owns, and publishes the rest.
+  PmemNode node(small_node());
+  Config cfg;
+  cfg.node = &node;
+  cfg.layout = Layout::kHierarchical;
+  PMEM pmem{cfg};
+  pmem.mmap("/retry.bp");
+  pmem.store("d/x", 0.5);
+  const std::uint64_t inodes = node.fs().free_inodes();
+  {
+    auto batch = pmem.batch();
+    pmem.store("d", 1.0);
+    pmem.store("b", 2.0);
+    EXPECT_THROW(batch.commit(), pmemcpy::fs::FsError);
+    batch.commit();
+  }
+  EXPECT_EQ(pmem.ids(), (std::vector<std::string>{"b", "d/x"}));
+  EXPECT_DOUBLE_EQ(pmem.load<double>("b"), 2.0);
+  EXPECT_EQ(node.fs().free_inodes(), inodes - 1);
+  pmem.munmap();
+}
+
 }  // namespace

@@ -596,9 +596,10 @@ TEST(CoreCrash, CrashMidSerializeIntoReservedSpanLeavesNoTrace) {
 
 TEST(CoreCrash, TreeCrashMidSerializeLeavesNoTrace) {
   // Same hazard on the hierarchical layout: the payload span is reserved
-  // over the entry's temp file, so a crash mid-serialize strands a half-
-  // filled ".tmp." file.  Recovery must neither surface the key nor let the
-  // scrubber flag the stranded bytes.
+  // over the entry's unnamed file, so a crash mid-serialize strands a half-
+  // filled file that no name reaches, and the remount frees it.  Recovery
+  // must neither surface the key nor let the scrubber flag the stranded
+  // bytes.
   PmemNode::Options o = node_opts();
   o.crash_shadow = true;
   PmemNode node(o);

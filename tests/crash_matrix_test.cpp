@@ -18,10 +18,11 @@
 // actually catches committed-data loss.  Targeted sweeps crash a hashtable
 // rehash at each persist point; crash a hashtable replace until it leaves a
 // shadowed duplicate, which the key's next put (single or batched) must
-// sweep; crash a tree put at each persist point, whose temp file remount
-// must reclaim without leaking a block; and crash a pmemfs create, remove and
-// rename-over at each persist point, after which a remount must show the old
-// or the new name set with exactly its free inode and block counts.
+// sweep; crash a tree put at each persist point, whose unnamed file remount
+// must free without leaking a block; and crash a pmemfs create, remove,
+// rename-over and link at each persist point, after which a remount must
+// show the old or the new name set with exactly its free inode and block
+// counts.
 #include <pmemcpy/check/persist_checker.hpp>
 #include <pmemcpy/core/node.hpp>
 #include <pmemcpy/obj/pool.hpp>
@@ -35,7 +36,6 @@
 #include <cstdint>
 #include <cstring>
 #include <iostream>
-#include <iterator>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -773,7 +773,7 @@ TEST(CrashMatrixTest, RehashIsAtomicAtEveryPersistPointWithTornWrites) {
 }
 
 // ---------------------------------------------------------------------------
-// Tree layout: remount reclaims the temp file of a crashed put
+// Tree layout: remount frees the unnamed file of a crashed put
 // ---------------------------------------------------------------------------
 
 /// Every name under @p dir, recursively.
@@ -799,7 +799,7 @@ bool overwrite_tree_entry(pmemcpy::engine::Engine& eng) {
   }
 }
 
-TEST(CrashMatrixTest, RemountReclaimsTreePutTempFiles) {
+TEST(CrashMatrixTest, RemountFreesTheUnnamedFileOfACrashedTreePut) {
   const auto open = [](pmemcpy::PmemNode& node) {
     return pmemcpy::engine::open_tree_engine(node, "/tree", false, nullptr);
   };
@@ -819,9 +819,11 @@ TEST(CrashMatrixTest, RemountReclaimsTreePutTempFiles) {
     return Free{node.fs().free_inodes(), node.fs().free_blocks()};
   };
   Free old_free, new_free;
+  std::vector<std::string> seeded;
   {
     pmemcpy::PmemNode node(node_opts());
     auto eng = seed(node);
+    collect_names(node.fs(), "/", seeded);
     old_free = free_of(node);
     first = node.device().persist_ops() + 1;
     ASSERT_TRUE(overwrite_tree_entry(*eng));
@@ -848,9 +850,7 @@ TEST(CrashMatrixTest, RemountReclaimsTreePutTempFiles) {
 
     std::vector<std::string> names;
     collect_names(node.fs(), "/", names);
-    for (const auto& name : names) {
-      EXPECT_EQ(name.find(".tmp."), std::string::npos) << name;
-    }
+    EXPECT_EQ(names, seeded);
     auto entry = open(node)->find("dir/k");
     ASSERT_NE(entry, nullptr);
     const auto blob = entry->stored_span();
@@ -865,13 +865,13 @@ TEST(CrashMatrixTest, RemountReclaimsTreePutTempFiles) {
 
 // ---------------------------------------------------------------------------
 // pmemfs namespace ops: every persist point of a create, remove,
-// rename-over and cross-directory rename
+// rename-over and link
 // ---------------------------------------------------------------------------
 
-/// What a pmemfs image shows: the paths in / and /d, sorted, and the free
-/// inode and block counts.
+/// What a pmemfs image shows: the paths in / and /d with the inode each
+/// names, sorted, and the free inode and block counts.
 struct FsView {
-  std::vector<std::string> names;
+  std::vector<std::pair<std::string, pmemcpy::fs::Ino>> names;
   std::uint64_t free_inodes = 0;
   std::uint64_t free_blocks = 0;
   bool operator==(const FsView&) const = default;
@@ -880,7 +880,10 @@ struct FsView {
 FsView view_of(pmemcpy::fs::FileSystem& fs) {
   FsView v{{}, fs.free_inodes(), fs.free_blocks()};
   for (const std::string dir : {"/", "/d/"}) {
-    for (const auto& name : fs.list(dir)) v.names.push_back(dir + name);
+    for (const auto& name : fs.list(dir)) {
+      const auto f = fs.open(dir + name, pmemcpy::fs::OpenMode::kRead);
+      v.names.emplace_back(dir + name, f.ino());
+    }
   }
   std::sort(v.names.begin(), v.names.end());
   return v;
@@ -888,7 +891,9 @@ FsView view_of(pmemcpy::fs::FileSystem& fs) {
 
 std::string describe(const FsView& v) {
   std::string out = "names {";
-  for (const auto& n : v.names) out += " " + n;
+  for (const auto& [n, ino] : v.names) {
+    out += " " + n + ":" + std::to_string(ino);
+  }
   return out + " } free inodes " + std::to_string(v.free_inodes) +
          " free blocks " + std::to_string(v.free_blocks);
 }
@@ -903,48 +908,23 @@ pmemcpy::fs::FileSystem seed_fs(pmemcpy::pmem::Device& dev) {
   return fs;
 }
 
-using FsOp = void (*)(pmemcpy::fs::FileSystem&);
-
-/// A crashed rename of /d/a to /a can leave both names on one inode.
-/// Dropping either name, by rename-over or by remove, must leave the other
-/// one reading its 4,096 bytes, and the next create must take a fresh inode.
-void expect_other_name_survives(pmemcpy::pmem::Device& dev) {
-  using pmemcpy::fs::FileSystem;
-  using pmemcpy::fs::OpenMode;
-  struct Drop {
-    const char* what;
-    FsOp op;
-    const char* kept;
-  };
-  const Drop drops[] = {
-      {"rename-over", [](FileSystem& fs) { fs.rename("/d/a", "/a"); }, "/a"},
-      {"remove /d/a", [](FileSystem& fs) { fs.remove("/d/a"); }, "/a"},
-      {"remove /a", [](FileSystem& fs) { fs.remove("/a"); }, "/d/a"},
-  };
-  for (const Drop& d : drops) {
-    SCOPED_TRACE(d.what);
-    pmemcpy::pmem::Device copy(dev.capacity());
-    std::memcpy(copy.raw(0), dev.raw(0), dev.capacity());
-    auto fs = FileSystem::mount(copy, 0);
-    const auto ino = fs.open("/a", OpenMode::kRead).ino();
-    ASSERT_EQ(fs.open("/d/a", OpenMode::kRead).ino(), ino);
-    d.op(fs);
-    EXPECT_NE(fs.exists("/a"), fs.exists("/d/a"));
-    const auto kept = fs.open(d.kept, OpenMode::kRead);
-    EXPECT_EQ(kept.ino(), ino);
-    std::vector<std::byte> buf(4096);
-    EXPECT_EQ(fs.pread(kept, buf.data(), buf.size(), 0), buf.size());
-    EXPECT_NE(fs.open("/d/n", OpenMode::kTruncate).ino(), ino);
-  }
-}
+using FsOp = void (*)(pmemcpy::fs::FileSystem&, pmemcpy::fs::File);
 
 /// Crash @p op at each of its persist points.  The remounted image must show
-/// the state before it or after it; with @p two_names, also the state with
-/// the names of both, which expect_other_name_survives then checks.
-void sweep_fs_op(const char* what, FsOp op, bool torn,
-                 bool two_names = false) {
+/// the state before it or after it.  With @p unnamed, @p op gets a one-block
+/// unnamed file made before the window; the state before the op does not
+/// hold it, since a mount frees it.
+void sweep_fs_op(const char* what, FsOp op, bool torn, bool unnamed = false) {
   SCOPED_TRACE(what);
   constexpr std::size_t kFsBytes = 2ull << 20;
+  const auto prepare = [unnamed](pmemcpy::fs::FileSystem& fs) {
+    pmemcpy::fs::File f;
+    if (unnamed) {
+      f = fs.create_unnamed();
+      fs.truncate(f, 4096);
+    }
+    return f;
+  };
   // Counting run: the op's persist-op window and the two views it may end
   // in.
   FsView before, after;
@@ -953,63 +933,55 @@ void sweep_fs_op(const char* what, FsOp op, bool torn,
     pmemcpy::pmem::Device dev(kFsBytes, /*crash_shadow=*/true);
     auto fs = seed_fs(dev);
     before = view_of(fs);
+    const auto f = prepare(fs);
     first = dev.persist_ops() + 1;
-    op(fs);
+    op(fs, f);
     last = dev.persist_ops();
     after = view_of(fs);
   }
   ASSERT_LE(first, last);
   ASSERT_NE(before, after);
-  FsView both = before;
-  both.names.clear();
-  std::set_union(before.names.begin(), before.names.end(),
-                 after.names.begin(), after.names.end(),
-                 std::back_inserter(both.names));
-  int two_name_states = 0;
   for (std::uint64_t k = first; k <= last; ++k) {
     SCOPED_TRACE("crash at persist op " + std::to_string(k));
     pmemcpy::pmem::Device dev(kFsBytes, /*crash_shadow=*/true);
     {
       auto fs = seed_fs(dev);
+      const auto f = prepare(fs);
       ASSERT_EQ(dev.persist_ops() + 1, first);  // replay determinism
       FaultPlan fp;
       fp.crash_at_persist = k;
       fp.torn_writes = torn;
       dev.set_fault_plan(fp);
-      EXPECT_THROW(op(fs), CrashError);
+      EXPECT_THROW(op(fs, f), CrashError);
       ASSERT_TRUE(dev.frozen());
     }
     dev.revive();
     auto fs = pmemcpy::fs::FileSystem::mount(dev, 0);
     const FsView got = view_of(fs);
-    if (two_names && got == both) {
-      ++two_name_states;
-      expect_other_name_survives(dev);
-      continue;
-    }
     EXPECT_TRUE(got == before || got == after)
         << describe(got) << "\n  before: " << describe(before)
         << "\n  after:  " << describe(after);
   }
-  // The crash window between the two directory commits is swept.
-  if (two_names) {
-    EXPECT_GT(two_name_states, 0);
-  }
 }
 
 void sweep_fs_ops(bool torn) {
-  sweep_fs_op("create", [](pmemcpy::fs::FileSystem& fs) {
+  using pmemcpy::fs::File;
+  using pmemcpy::fs::FileSystem;
+  sweep_fs_op("create", [](FileSystem& fs, File) {
     (void)fs.open("/d/n", pmemcpy::fs::OpenMode::kTruncate);
   }, torn);
-  sweep_fs_op("remove", [](pmemcpy::fs::FileSystem& fs) {
+  sweep_fs_op("remove", [](FileSystem& fs, File) {
     fs.remove("/d/a");
   }, torn);
-  sweep_fs_op("rename-over", [](pmemcpy::fs::FileSystem& fs) {
+  sweep_fs_op("rename-over", [](FileSystem& fs, File) {
     fs.rename("/d/b", "/d/c");
   }, torn);
-  sweep_fs_op("cross-directory rename", [](pmemcpy::fs::FileSystem& fs) {
-    fs.rename("/d/a", "/a");
-  }, torn, /*two_names=*/true);
+  sweep_fs_op("link over /d/c", [](FileSystem& fs, File f) {
+    fs.link(f, "/d/c");
+  }, torn, /*unnamed=*/true);
+  sweep_fs_op("link to /d/n", [](FileSystem& fs, File f) {
+    fs.link(f, "/d/n");
+  }, torn, /*unnamed=*/true);
 }
 
 TEST(CrashMatrixTest, FsNamespaceOpsLeaveOldOrNewStateWithItsFreeCounts) {

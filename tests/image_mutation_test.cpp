@@ -9,9 +9,10 @@
 // re-stamped with valid checksums, so the bounds behind the checksums are
 // what gets tested.  Each case runs in a forked child under a 60 s
 // deadline: it must open the pool and check() it, or mount the filesystem
-// and list() and map() it (or rename over the damaged entry), cleanly or
-// with a typed PoolError/FsError — never a hang, a crash or a sanitizer
-// report.
+// and list() and map() it (or rename or link over the damaged entry),
+// cleanly or with a typed PoolError/FsError — never a hang, a crash or a
+// sanitizer report.  A directory entry damaged to name another file's inode
+// must not let dropping either name free the inode the other still names.
 #include <pmemcpy/core/node.hpp>
 #include <pmemcpy/crc32c.hpp>
 #include <pmemcpy/fs/filesystem.hpp>
@@ -242,6 +243,22 @@ TEST(ImageMutation, PoolOpensAndChecksOrThrowsTyped) {
 
 constexpr std::size_t kFsBytes = 8ull << 20;
 
+std::uint64_t inode_at(Device& dev, pmemcpy::fs::Ino ino) {
+  return word_at(dev, 40) + (ino - 1) * 256;
+}
+
+std::uint64_t block_at(Device& dev, std::uint64_t blk) {
+  return word_at(dev, 48) + blk * 4096;
+}
+
+/// Device offset of the first live entry of directory @p dir, whose header
+/// sits in its first block.
+std::uint64_t first_entry_at(Device& dev, pmemcpy::fs::Ino dir) {
+  const std::uint64_t hdr =
+      block_at(dev, word_at(dev, inode_at(dev, dir) + 16));
+  return hdr + word_at(dev, hdr + 8);
+}
+
 struct FsImage {
   Device dev{kFsBytes};
   pmemcpy::fs::Ino dir = 0;
@@ -267,13 +284,6 @@ struct FsImage {
     dir = fs.open("/d", OpenMode::kRead).ino();
   }
 
-  std::uint64_t inode_at(pmemcpy::fs::Ino ino) {
-    return word_at(dev, 40) + (ino - 1) * 256;
-  }
-  std::uint64_t block_at(std::uint64_t blk) {
-    return word_at(dev, 48) + blk * 4096;
-  }
-
   std::vector<Field> fields() {
     const std::uint64_t total = word_at(dev, 16);
     const std::uint64_t inodes = word_at(dev, 24);
@@ -287,20 +297,22 @@ struct FsImage {
         {"sb data_rel", 48, 8, kFsBytes - total * 4096, nullptr, {}},
     };
     for (const auto& [name, ino] : {std::pair{"file", big}, {"dir", dir}}) {
-      const std::uint64_t at = inode_at(ino);
+      const std::uint64_t at = inode_at(dev, ino);
       const std::string n = std::string(name) + " inode ";
       out.push_back({n + "nextents", at + 4, 4, 12, nullptr, {}});
       out.push_back(
           {n + "size", at + 8, 8, word_at(dev, at + 8), nullptr, {}});
       out.push_back({n + "indirect", at + 208, 8, total - 1, nullptr, {}});
     }
-    const std::uint64_t ind = block_at(word_at(dev, inode_at(big) + 208));
+    const std::uint64_t ind =
+        block_at(dev, word_at(dev, inode_at(dev, big) + 208));
     out.push_back({"indirect next", ind, 8, total - 1, nullptr, {}});
     out.push_back({"indirect count", ind + 8, 8, 254, nullptr, {}});
-    const std::uint64_t hdr = block_at(word_at(dev, inode_at(dir) + 16));
+    const std::uint64_t hdr =
+        block_at(dev, word_at(dev, inode_at(dev, dir) + 16));
     const std::uint64_t cap = word_at(dev, hdr + 24);
     const std::uint64_t len = word_at(dev, hdr + 16);
-    const std::uint64_t dir_size = word_at(dev, inode_at(dir) + 8);
+    const std::uint64_t dir_size = word_at(dev, inode_at(dev, dir) + 8);
     out.push_back({"dir content_off", hdr + 8, 8, 64 + cap, nullptr, {}});
     out.push_back({"dir content_len", hdr + 16, 8, cap, nullptr, {}});
     out.push_back({"dir cap", hdr + 24, 8, (dir_size - 64) / 2, nullptr, {}});
@@ -326,14 +338,12 @@ TEST(ImageMutation, FsMountsListsAndMapsOrThrowsTyped) {
   });
 }
 
-// An entry naming a damaged inode number: a rename over that name, from
-// the same directory and from another one, must decode the inode before
-// anything else uses the number.
+// An entry naming a damaged inode number: a rename within the directory
+// over that name, and a link of an unnamed file over it, must decode the
+// inode before anything else uses the number.
 TEST(ImageMutation, FsRenamesOverADamagedEntryOrThrowsTyped) {
   FsImage img;
-  const std::uint64_t hdr =
-      img.block_at(word_at(img.dev, img.inode_at(img.dir) + 16));
-  const std::uint64_t entry = hdr + word_at(img.dev, hdr + 8);
+  const std::uint64_t entry = first_entry_at(img.dev, img.dir);
   std::uint16_t name_len = 0;
   std::memcpy(&name_len, img.dev.raw(entry + 4), sizeof(name_len));
   const std::string target =
@@ -341,15 +351,87 @@ TEST(ImageMutation, FsRenamesOverADamagedEntryOrThrowsTyped) {
                           name_len);
   const std::vector<Field> fields = {
       {"entry ino", entry, 4, word_at(img.dev, 24), nullptr, {}}};
-  for (const std::string from : {"/d/src", "/src"}) {
-    SCOPED_TRACE(from + " -> " + target);
+  const std::pair<const char*, std::function<void(FileSystem&)>> ops[] = {
+      {"rename /d/src",
+       [&](FileSystem& fs) {
+         (void)fs.open("/d/src", OpenMode::kTruncate);
+         fs.rename("/d/src", target);
+       }},
+      {"link an unnamed file",
+       [&](FileSystem& fs) { (void)fs.link(fs.create_unnamed(), target); }},
+  };
+  for (const auto& [what, op] : ops) {
+    SCOPED_TRACE(std::string(what) + " over " + target);
     sweep<FsError>(img.dev, fields, [&] {
       FileSystem fs = FileSystem::mount(img.dev, 0);
-      (void)fs.open(from, OpenMode::kTruncate);
-      (void)fs.rename(from, target);
+      op(fs);
       return true;
     });
   }
+}
+
+// Only damage names an inode twice: here /d/b's entry names /a's inode.
+// Dropping either name, by a rename over /d/b or by a remove, must leave
+// the other reading its 4,096 bytes, and the next create must take a fresh
+// inode.
+TEST(ImageMutation, FsKeepsAnInodeThatADamagedEntryNamesTwice) {
+  Device dev{kFsBytes};
+  pmemcpy::fs::Ino ino = 0;
+  pmemcpy::fs::Ino dir = 0;
+  {
+    FileSystem fs = FileSystem::format(dev, 0, kFsBytes);
+    fs.mkdir("/d");
+    for (const char* name : {"/a", "/d/b", "/d/c"}) {
+      fs.truncate(fs.open(name, OpenMode::kTruncate), 4096);
+    }
+    ino = fs.open("/a", OpenMode::kRead).ino();
+    dir = fs.open("/d", OpenMode::kRead).ino();
+  }
+  std::memcpy(dev.raw(first_entry_at(dev, dir)), &ino, sizeof(ino));
+  struct Drop {
+    const char* what;
+    std::function<void(FileSystem&)> op;
+    const char* kept;
+  };
+  const Drop drops[] = {
+      {"rename-over /d/b", [](FileSystem& fs) { fs.rename("/d/c", "/d/b"); },
+       "/a"},
+      {"remove /d/b", [](FileSystem& fs) { fs.remove("/d/b"); }, "/a"},
+      {"remove /a", [](FileSystem& fs) { fs.remove("/a"); }, "/d/b"},
+  };
+  for (const Drop& d : drops) {
+    SCOPED_TRACE(d.what);
+    Device copy(kFsBytes);
+    std::memcpy(copy.raw(0), dev.raw(0), kFsBytes);
+    FileSystem fs = FileSystem::mount(copy, 0);
+    ASSERT_EQ(fs.open("/d/b", OpenMode::kRead).ino(), ino);
+    d.op(fs);
+    const File kept = fs.open(d.kept, OpenMode::kRead);
+    EXPECT_EQ(kept.ino(), ino);
+    std::vector<std::byte> buf(4096);
+    EXPECT_EQ(fs.pread(kept, buf.data(), buf.size(), 0), buf.size());
+    EXPECT_NE(fs.open("/d/n", OpenMode::kTruncate).ino(), ino);
+  }
+}
+
+// Damage can also name a free inode: the next create must not hand it out
+// as a second name, whose removal would free what /d/b still names.
+TEST(ImageMutation, FsNeverHandsOutAFreeInodeThatADamagedEntryNames) {
+  Device dev{kFsBytes};
+  pmemcpy::fs::Ino next = 0;
+  pmemcpy::fs::Ino dir = 0;
+  {
+    FileSystem fs = FileSystem::format(dev, 0, kFsBytes);
+    fs.mkdir("/d");
+    fs.truncate(fs.open("/d/b", OpenMode::kTruncate), 4096);
+    next = fs.open("/d/n", OpenMode::kTruncate).ino();  // first fit's next
+    fs.remove("/d/n");
+    dir = fs.open("/d", OpenMode::kRead).ino();
+  }
+  std::memcpy(dev.raw(first_entry_at(dev, dir)), &next, sizeof(next));
+  FileSystem fs = FileSystem::mount(dev, 0);
+  ASSERT_EQ(fs.open("/d/b", OpenMode::kRead).ino(), next);
+  EXPECT_NE(fs.open("/d/x", OpenMode::kTruncate).ino(), next);
 }
 
 }  // namespace

@@ -399,7 +399,7 @@ TEST_F(FsTest, RenameMovesFile) {
   File f = fs.open("/a", OpenMode::kTruncate);
   const std::uint64_t v = 9;
   fs.pwrite(f, &v, 8, 0);
-  EXPECT_TRUE(fs.rename("/a", "/b"));
+  fs.rename("/a", "/b");
   EXPECT_FALSE(fs.exists("/a"));
   File g = fs.open("/b", OpenMode::kRead);
   std::uint64_t out = 0;
@@ -413,32 +413,121 @@ TEST_F(FsTest, RenameReplacesTargetAndFreesIt) {
   File b = fs.open("/b", OpenMode::kTruncate);
   fs.truncate(b, 1 << 18);
   const auto free_before = fs.free_blocks();
-  EXPECT_TRUE(fs.rename("/a", "/b"));
+  fs.rename("/a", "/b");
   // The old /b's blocks came back.
   EXPECT_EQ(fs.free_blocks(), free_before + (1 << 18) / 4096);
   EXPECT_EQ(fs.size("/b"), 1u << 16);
 }
 
-TEST_F(FsTest, RenameNoReplaceKeepsTarget) {
-  File a = fs.open("/a", OpenMode::kTruncate);
-  const std::uint64_t va = 1;
-  fs.pwrite(a, &va, 8, 0);
-  File b = fs.open("/b", OpenMode::kTruncate);
-  const std::uint64_t vb = 2;
-  fs.pwrite(b, &vb, 8, 0);
-  EXPECT_FALSE(fs.rename("/a", "/b", /*replace=*/false));
-  EXPECT_FALSE(fs.exists("/a"));  // source discarded
-  std::uint64_t out = 0;
-  File g = fs.open("/b", OpenMode::kRead);
-  fs.pread(g, &out, 8, 0);
-  EXPECT_EQ(out, 2u);  // target untouched
-}
-
+// Every inode has at most one name, and a rename moves it only within its
+// directory.
 TEST_F(FsTest, RenameAcrossDirectories) {
   fs.mkdirs("/x/y");
   (void)fs.open("/x/f", OpenMode::kTruncate);
-  EXPECT_TRUE(fs.rename("/x/f", "/x/y/g"));
-  EXPECT_TRUE(fs.exists("/x/y/g"));
+  EXPECT_THROW(fs.rename("/x/f", "/x/y/g"), FsError);
+  auto names = fs.list("/x");
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"f", "y"}));
+  EXPECT_TRUE(fs.list("/x/y").empty());
+}
+
+TEST_F(FsTest, LinkNamesAnUnnamedFileOverItsTarget) {
+  fs.mkdir("/d");
+  fs.truncate(fs.open("/d/t", OpenMode::kTruncate), 1 << 18);
+  const std::uint64_t inodes = fs.free_inodes();
+  const std::uint64_t blocks = fs.free_blocks();
+  const File f = fs.create_unnamed();
+  fs.truncate(f, 4096);
+  EXPECT_EQ(fs.list("/d"), (std::vector<std::string>{"t"}));
+  EXPECT_TRUE(fs.link(f, "/d/t"));
+  EXPECT_EQ(fs.open("/d/t", OpenMode::kRead).ino(), f.ino());
+  EXPECT_EQ(fs.size("/d/t"), 4096u);
+  // The old target is released, and the linked file lost its orphan mark.
+  EXPECT_EQ(fs.free_inodes(), inodes);
+  EXPECT_EQ(fs.free_blocks(), blocks + (1 << 18) / 4096 - 1);
+  std::uint32_t type = 0;
+  std::memcpy(&type, dev.raw(inode_at(dev, f.ino())), sizeof(type));
+  EXPECT_EQ(type, 1u);
+}
+
+TEST_F(FsTest, LinkWithoutReplaceKeepsTheTargetAndReleasesTheFile) {
+  const File t = fs.open("/t", OpenMode::kTruncate);
+  const std::uint64_t vt = 2;
+  fs.pwrite(t, &vt, 8, 0);
+  const std::uint64_t inodes = fs.free_inodes();
+  const std::uint64_t blocks = fs.free_blocks();
+  const File f = fs.create_unnamed();
+  fs.truncate(f, 4096);
+  EXPECT_FALSE(fs.link(f, "/t", /*replace=*/false));
+  EXPECT_EQ(fs.open("/t", OpenMode::kRead).ino(), t.ino());
+  std::uint64_t out = 0;
+  fs.pread(fs.open("/t", OpenMode::kRead), &out, 8, 0);
+  EXPECT_EQ(out, 2u);  // target untouched
+  EXPECT_EQ(fs.free_inodes(), inodes);
+  EXPECT_EQ(fs.free_blocks(), blocks);
+}
+
+TEST_F(FsTest, FailedLinkAndDiscardReleaseTheFile) {
+  fs.mkdir("/d");
+  const std::uint64_t inodes = fs.free_inodes();
+  const std::uint64_t blocks = fs.free_blocks();
+  const auto unnamed = [&] {
+    const File f = fs.create_unnamed();
+    fs.truncate(f, 4096);
+    return f;
+  };
+  EXPECT_THROW(fs.link(unnamed(), "/d"), FsError);       // over a directory
+  EXPECT_THROW(fs.link(unnamed(), "/none/f"), FsError);  // no such directory
+  EXPECT_THROW(fs.link(unnamed(), "/d/" + std::string(256, 'n')), FsError);
+  fs.discard(unnamed());
+  EXPECT_TRUE(fs.is_dir("/d"));
+  EXPECT_EQ(fs.free_inodes(), inodes);
+  EXPECT_EQ(fs.free_blocks(), blocks);
+}
+
+// link() and discard() take only an unnamed file, so no inode gets a second
+// name and no named inode is freed.
+TEST_F(FsTest, LinkAndDiscardRejectANamedFile) {
+  const File a = fs.open("/a", OpenMode::kTruncate);
+  fs.truncate(a, 4096);
+  const File f = fs.create_unnamed();
+  ASSERT_TRUE(fs.link(f, "/b"));
+  const std::uint64_t inodes = fs.free_inodes();
+  const std::uint64_t blocks = fs.free_blocks();
+  for (const File named : {a, f}) {
+    EXPECT_THROW(fs.link(named, "/c"), FsError);
+    EXPECT_THROW(fs.discard(named), FsError);
+  }
+  EXPECT_THROW(fs.link(File{}, "/c"), FsError);
+  auto names = fs.list("/");
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(fs.open("/a", OpenMode::kRead).ino(), a.ino());
+  EXPECT_EQ(fs.open("/b", OpenMode::kRead).ino(), f.ino());
+  EXPECT_EQ(fs.free_inodes(), inodes);
+  EXPECT_EQ(fs.free_blocks(), blocks);
+}
+
+// A name is 1 to 255 bytes wherever it enters a directory.
+TEST_F(FsTest, NamePastItsLimitThrows) {
+  const std::string ok(255, 'n');
+  const std::string over(256, 'n');
+  (void)fs.open("/" + ok, OpenMode::kTruncate);
+  EXPECT_THROW((void)fs.open("/" + over, OpenMode::kTruncate), FsError);
+  EXPECT_THROW(fs.rename("/" + ok, "/" + over), FsError);
+  EXPECT_THROW(fs.rename("/" + ok, "/" + std::string(70000, 'n')), FsError);
+  EXPECT_EQ(fs.list("/"), (std::vector<std::string>{ok}));
+}
+
+// An unnamed file carries the orphan mark from birth: a mount frees it
+// unless link() named it.
+TEST_F(FsTest, MountFreesAnUnnamedFile) {
+  const std::uint64_t inodes = fs.free_inodes();
+  const std::uint64_t blocks = fs.free_blocks();
+  fs.truncate(fs.create_unnamed(), 3 * 4096);
+  FileSystem remounted = FileSystem::mount(dev, 0);
+  EXPECT_EQ(remounted.free_inodes(), inodes);
+  EXPECT_EQ(remounted.free_blocks(), blocks);
 }
 
 TEST_F(FsTest, RenameMissingSourceThrows) {
