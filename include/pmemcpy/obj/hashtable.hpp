@@ -17,10 +17,13 @@
 //     shadowed duplicate (the head entry wins) that the next put/erase of
 //     the key sweeps, deepest-first, before it links anything.
 //   * erase/unlink — one 8-byte pointer store.
-//   * rehash  — builds a complete new bucket array + node set (value blobs
-//     are shared, not copied).  The array carries its own bucket count, so
-//     one 8-byte store of its offset into the header swaps it in; a crash
-//     before that store only leaks the new copies.
+//   * rehash  — links the existing nodes into a new bucket array in place:
+//     each node has one next word per bucket-array generation, the array
+//     records which one its chains follow, and the rebuild writes only the
+//     other one, so the live chains never change.  The array carries its
+//     own bucket count and generation, so one 8-byte store of its offset
+//     into the header swaps it in; a crash before that store only leaks the
+//     new array.
 //
 // Read path: the persistent header is mirrored in DRAM (loaded at
 // construction, updated only once the matching persistent store is durable),
@@ -154,7 +157,8 @@ class HashTable {
   [[nodiscard]] std::size_t count() const;
   [[nodiscard]] std::size_t nbuckets() const;
 
-  /// Rebuild with a new bucket count (values shared; see file comment).
+  /// Rebuild with a new bucket count, relinking the nodes in place (see
+  /// file comment).
   void rehash(std::size_t new_nbuckets);
 
   /// Enable automatic geometric growth: when the load factor exceeds 4 the
@@ -181,7 +185,7 @@ class HashTable {
   /// and the mirror of the persistent header and the bucket count.  The
   /// persistent image stays the source of truth; the mirror changes only
   /// after the corresponding store is durable (count, or the rehash's swap
-  /// of buckets_off, which brings the new array's nbuckets with it).
+  /// of buckets_off, which brings the new array's nbuckets and gen with it).
   struct Shared {
     std::array<std::mutex, kStripes> stripes;
     /// Serializes the count stores and each publish's visibility step
@@ -190,11 +194,14 @@ class HashTable {
     /// Read without a lock to pick a stripe; written under every stripe.
     std::atomic<std::uint64_t> nbuckets{0};
     std::uint64_t buckets_off = 0;  ///< read under any stripe lock
+    /// Which of a node's two next words the live chains follow; read under
+    /// any stripe lock.
+    std::uint64_t gen = 0;
     std::atomic<std::uint64_t> count{0};
   };
 
-  /// One chain position matching a key, with the node's next pointer and
-  /// value offset as read during the walk.
+  /// One chain position matching a key, with the node's live next pointer
+  /// and value offset as read during the walk.
   struct Match {
     std::uint64_t prev = 0;  ///< predecessor node, 0 = bucket head
     std::uint64_t node = 0;
@@ -204,7 +211,7 @@ class HashTable {
   };
 
   HashTable(Pool& pool, std::uint64_t hoff, std::uint64_t nbuckets,
-            std::uint64_t buckets_off, std::uint64_t count);
+            std::uint64_t buckets_off, std::uint64_t gen, std::uint64_t count);
 
   /// Pool offset of bucket @p b's head slot; read under any stripe lock.
   [[nodiscard]] std::uint64_t bucket_slot(std::uint64_t b) const;
@@ -230,8 +237,8 @@ class HashTable {
   ///      and the match's predecessor.  Crash leftovers (a key matched more
   ///      than once) are swept deepest-first before anything is linked;
   ///   3. wire the winners into per-bucket shadow chains with plain stores
-  ///      of their next pointers.  A winner replacing the bucket head points
-  ///      past it, so the head store swaps old for new atomically;
+  ///      of their live next pointers.  A winner replacing the bucket head
+  ///      points past it, so the head store swaps old for new atomically;
   ///   4. fence #1 — one coalesced flush of every blob + node (next pointers
   ///      included) and one drain.  Nothing is reachable yet;
   ///   5. fence #2 — the bucket-head stores and the count, one coalesced
@@ -245,7 +252,8 @@ class HashTable {
   std::size_t link(std::span<GroupPut* const> puts);
   [[nodiscard]] bool over_load() const noexcept;
   void maybe_grow();
-  /// Build the replacement table and swap it in; every stripe must be held.
+  /// Link every node into a new bucket array through its other next word
+  /// and swap the array in; every stripe must be held.
   void rebuild(std::size_t new_nbuckets);
   void bump_count(std::int64_t delta);
 

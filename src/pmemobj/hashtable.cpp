@@ -17,34 +17,49 @@ namespace pmemcpy::obj {
 
 namespace {
 
-/// Persistent table header.  The bucket array carries its own bucket count,
-/// so a rehash publishes a rebuilt array with one 8-byte store of
-/// buckets_off.
+/// Persistent table header.  The bucket array carries its own bucket count
+/// and generation, so a rehash publishes a rebuilt array with one 8-byte
+/// store of buckets_off.
 struct TableHeader {
   std::uint64_t buckets_off;
   std::uint64_t count;
 };
 
-/// Bucket array layout: the bucket count in word 0, the chain heads from
+/// Bucket array layout: this prefix (the bucket count, then the generation,
+/// 0 or 1, whose next words the array's chains follow), the chain heads from
 /// kHeadsOff on.  The prefix is a whole cacheline, so every head sits on the
 /// line it would occupy in a bare array of heads.
+struct ArrayPrefix {
+  std::uint64_t nbuckets;
+  std::uint64_t gen;
+};
 constexpr std::uint64_t kHeadsOff = 64;
 
-/// Persistent node layout: this fixed header, then the key bytes.  Staged
-/// with one store (reserve, rehash copies) and fetched with one load, so a
-/// chain step costs one latency-bound PMEM read instead of one per field.
+constexpr std::uint64_t kValSizeMask = (std::uint64_t{1} << 48) - 1;
+constexpr std::size_t kMaxKeyLen = 0xFFFF;
+
+/// Persistent node layout: this fixed header, then the key bytes.  A node
+/// has one next word per bucket-array generation, so a rehash links it into
+/// the array it builds without touching the live chains.  Staged with one
+/// store (reserve) and fetched with one load, so a chain step costs one
+/// latency-bound PMEM read instead of one per field.
 struct NodeHeaderImage {
-  std::uint64_t next;
+  std::uint64_t next[2];  ///< by generation
   std::uint64_t val_off;
-  std::uint64_t val_size;
+  std::uint64_t size;  ///< val_size in the low 48 bits, key_len in the high 16
   std::uint64_t meta;
-  std::uint32_t key_len;
-  std::uint32_t pad;
+
+  [[nodiscard]] std::uint64_t val_size() const { return size & kValSizeMask; }
+  [[nodiscard]] std::size_t key_len() const { return size >> 48; }
 };
-constexpr std::uint64_t kNodeNext = offsetof(NodeHeaderImage, next);
 constexpr std::uint64_t kNodeMeta = offsetof(NodeHeaderImage, meta);
 constexpr std::uint64_t kNodeKey = sizeof(NodeHeaderImage);
 static_assert(kNodeKey == 40);
+
+/// Pool offset of @p node's next word for generation @p gen.
+constexpr std::uint64_t next_word(std::uint64_t node, std::uint64_t gen) {
+  return node + offsetof(NodeHeaderImage, next) + 8 * gen;
+}
 
 std::uint64_t fnv1a(std::string_view s) {
   std::uint64_t h = 1469598103934665603ull;
@@ -55,7 +70,13 @@ std::uint64_t fnv1a(std::string_view s) {
   return h;
 }
 
+/// The chain decoder: a head or next word is bounded by the pool before its
+/// header is read, and a key length before its bytes are.
 NodeHeaderImage read_header(const Pool& pool, std::uint64_t node) {
+  if (node > pool.size() || kNodeKey > pool.size() - node) {
+    throw PoolError("HashTable: chain node " + std::to_string(node) +
+                    " outside the pool");
+  }
   NodeHeaderImage h;
   pool.read(node, &h, sizeof(h));
   return h;
@@ -63,22 +84,28 @@ NodeHeaderImage read_header(const Pool& pool, std::uint64_t node) {
 
 std::string read_key(const Pool& pool, std::uint64_t node,
                      const NodeHeaderImage& h) {
-  std::string key(h.key_len, '\0');
-  if (h.key_len != 0) pool.read(node + kNodeKey, key.data(), h.key_len);
+  if (h.key_len() > pool.size() - node - kNodeKey) {
+    throw PoolError("HashTable: key of node " + std::to_string(node) +
+                    " runs past the pool");
+  }
+  std::string key(h.key_len(), '\0');
+  if (!key.empty()) pool.read(node + kNodeKey, key.data(), key.size());
   return key;
 }
 
-/// Walk the chain from @p node, handing each node and its header to @p fn
-/// until @p fn returns true or the chain ends.  Chunks are 64-byte aligned,
-/// so an intact chain has at most pool.size() / 64 nodes; a longer walk is
-/// a cycle on damaged media and throws PoolError instead of never ending.
+/// Walk the chain of generation @p gen from @p node, handing each node and
+/// its header to @p fn until @p fn returns true or the chain ends.  Chunks
+/// are 64-byte aligned, so an intact chain has at most pool.size() / 64
+/// nodes; a longer walk is a cycle on damaged media and throws PoolError
+/// instead of never ending.
 template <typename Fn>
-void walk_chain(const Pool& pool, std::uint64_t node, Fn&& fn) {
+void walk_chain(const Pool& pool, std::uint64_t node, std::uint64_t gen,
+                Fn&& fn) {
   for (std::uint64_t hops = 0; node != 0; ++hops) {
     if (hops > pool.size() / 64) throw PoolError("HashTable: chain cycle");
     const auto h = read_header(pool, node);
     if (fn(node, h)) return;
-    node = h.next;
+    node = h.next[gen];
   }
 }
 
@@ -86,7 +113,7 @@ void walk_chain(const Pool& pool, std::uint64_t node, Fn&& fn) {
 /// when the lengths match.
 bool holds_key(const Pool& pool, std::uint64_t node, const NodeHeaderImage& h,
                std::string_view key) {
-  return h.key_len == key.size() && read_key(pool, node, h) == key;
+  return h.key_len() == key.size() && read_key(pool, node, h) == key;
 }
 
 /// A set of stripe locks, taken in ascending order (the one order every
@@ -120,35 +147,40 @@ class StripeLocks {
   std::size_t held_ = 0;
 };
 
-/// DRAM image of an empty bucket array of @p nbuckets buckets.
-std::vector<std::uint64_t> empty_array(std::uint64_t nbuckets) {
+/// DRAM image of an empty bucket array of @p nbuckets buckets whose chains
+/// follow generation @p gen.
+std::vector<std::uint64_t> empty_array(std::uint64_t nbuckets,
+                                       std::uint64_t gen) {
   std::vector<std::uint64_t> image(kHeadsOff / 8 + nbuckets, 0);
-  image[0] = nbuckets;
+  image[offsetof(ArrayPrefix, nbuckets) / 8] = nbuckets;
+  image[offsetof(ArrayPrefix, gen) / 8] = gen;
   return image;
 }
 
 }  // namespace
 
 HashTable::HashTable(Pool& pool, std::uint64_t hoff, std::uint64_t nbuckets,
-                     std::uint64_t buckets_off, std::uint64_t count)
+                     std::uint64_t buckets_off, std::uint64_t gen,
+                     std::uint64_t count)
     : pool_(&pool), hoff_(hoff) {
   s_->nbuckets.store(nbuckets, std::memory_order_relaxed);
   s_->buckets_off = buckets_off;
+  s_->gen = gen;
   s_->count.store(count, std::memory_order_relaxed);
 }
 
 HashTable HashTable::create(Pool& pool, std::size_t nbuckets) {
   if (nbuckets == 0) nbuckets = 1;
-  // Count and heads persist together: the header store below makes the
+  // Prefix and heads persist together: the header store below makes the
   // whole array reachable.
-  const auto image = empty_array(nbuckets);
+  const auto image = empty_array(nbuckets, 0);
   const std::uint64_t buckets = pool.alloc(image.size() * 8);
   pool.write(buckets, image.data(), image.size() * 8);
   pool.persist(buckets, image.size() * 8);
   const std::uint64_t hoff = pool.alloc(sizeof(TableHeader));
   const TableHeader hdr{buckets, 0};
   pool.set(hoff, hdr);
-  return HashTable(pool, hoff, nbuckets, hdr.buckets_off, hdr.count);
+  return HashTable(pool, hoff, nbuckets, hdr.buckets_off, 0, hdr.count);
 }
 
 HashTable HashTable::open(Pool& pool, std::uint64_t header_off) {
@@ -159,12 +191,19 @@ HashTable HashTable::open(Pool& pool, std::uint64_t header_off) {
   }
   // usable_size() throws PoolError when no valid chunk holds the array.
   const std::uint64_t cap = pool.usable_size(hdr.buckets_off);
-  const auto nbuckets = pool.get<std::uint64_t>(hdr.buckets_off);
-  if (nbuckets == 0 || cap < kHeadsOff || nbuckets > (cap - kHeadsOff) / 8) {
+  const auto prefix = pool.get<ArrayPrefix>(hdr.buckets_off);
+  if (prefix.nbuckets == 0 || cap < kHeadsOff ||
+      prefix.nbuckets > (cap - kHeadsOff) / 8) {
     throw PoolError("HashTable::open: bucket count " +
-                    std::to_string(nbuckets) + " does not fit its array");
+                    std::to_string(prefix.nbuckets) +
+                    " does not fit its array");
   }
-  return HashTable(pool, header_off, nbuckets, hdr.buckets_off, hdr.count);
+  if (prefix.gen > 1) {
+    throw PoolError("HashTable::open: bucket array generation " +
+                    std::to_string(prefix.gen) + " is neither 0 nor 1");
+  }
+  return HashTable(pool, header_off, prefix.nbuckets, hdr.buckets_off,
+                   prefix.gen, hdr.count);
 }
 
 std::uint64_t HashTable::bucket_slot(std::uint64_t b) const {
@@ -191,11 +230,12 @@ std::uint64_t HashTable::lock_bucket(std::string_view key,
 
 std::optional<ValueRef> HashTable::find(std::string_view key) const {
   std::unique_lock<std::mutex> lk;
+  const std::uint64_t slot = lock_bucket(key, lk);
   std::optional<ValueRef> found;
-  walk_chain(*pool_, pool_->get<std::uint64_t>(lock_bucket(key, lk)),
+  walk_chain(*pool_, pool_->get<std::uint64_t>(slot), s_->gen,
              [&](std::uint64_t node, const NodeHeaderImage& h) {
                if (!holds_key(*pool_, node, h, key)) return false;
-               found = ValueRef{node, h.val_off, h.val_size, h.meta};
+               found = ValueRef{node, h.val_off, h.val_size(), h.meta};
                return true;
              });
   return found;
@@ -204,13 +244,18 @@ std::optional<ValueRef> HashTable::find(std::string_view key) const {
 HashTable::Inserter HashTable::reserve(std::string_view key,
                                        std::size_t val_size,
                                        std::uint64_t meta) {
+  if (key.size() > kMaxKeyLen) {
+    throw PoolError("HashTable::reserve: key of " +
+                    std::to_string(key.size()) + " bytes exceeds " +
+                    std::to_string(kMaxKeyLen));
+  }
   pool_->device().check_tx_begin("ht.put");
   const std::uint64_t val = val_size > 0 ? pool_->alloc(val_size) : 0;
   const std::uint64_t node = pool_->alloc(kNodeKey + key.size());
   // Stage header + key with plain stores; publish() makes the whole node
   // durable with one flush pass and a single fence.
-  const NodeHeaderImage nh{0, val, val_size, meta,
-                           static_cast<std::uint32_t>(key.size()), 0};
+  const NodeHeaderImage nh{
+      {0, 0}, val, val_size | std::uint64_t{key.size()} << 48, meta};
   pool_->write(node, &nh, sizeof(nh));
   if (!key.empty()) {
     pool_->write(node + kNodeKey, key.data(), key.size());
@@ -232,11 +277,13 @@ std::vector<HashTable::Match> HashTable::find_chain(
     std::uint64_t slot, std::string_view key, std::uint64_t& head) const {
   std::vector<Match> matches;
   head = pool_->get<std::uint64_t>(slot);
+  const std::uint64_t gen = s_->gen;
   std::uint64_t prev = 0;
   std::size_t depth = 0;
-  walk_chain(*pool_, head, [&](std::uint64_t node, const NodeHeaderImage& h) {
+  walk_chain(*pool_, head, gen, [&](std::uint64_t node,
+                                    const NodeHeaderImage& h) {
     if (holds_key(*pool_, node, h, key)) {
-      matches.push_back({prev, node, h.next, h.val_off, depth});
+      matches.push_back({prev, node, h.next[gen], h.val_off, depth});
     }
     prev = node;
     ++depth;
@@ -247,8 +294,10 @@ std::vector<HashTable::Match> HashTable::find_chain(
 
 void HashTable::unlink_free(std::uint64_t slot, std::uint64_t prev,
                             std::uint64_t node) {
+  const std::uint64_t gen = s_->gen;
   const auto h = read_header(*pool_, node);
-  pool_->set<std::uint64_t>(prev == 0 ? slot : prev + kNodeNext, h.next);
+  pool_->set<std::uint64_t>(prev == 0 ? slot : next_word(prev, gen),
+                            h.next[gen]);
   pool_->free(node);
   if (h.val_off != 0) pool_->free(h.val_off);
 }
@@ -300,11 +349,12 @@ void HashTable::for_each(
       s_->nbuckets.load(std::memory_order_relaxed));
   pool_->read(bucket_slot(0), heads.data(), heads.size() * 8);
   for (const std::uint64_t head : heads) {
-    walk_chain(*pool_, head, [&](std::uint64_t node, const NodeHeaderImage& h) {
-      fn(read_key(*pool_, node, h),
-         ValueRef{node, h.val_off, h.val_size, h.meta});
-      return false;
-    });
+    walk_chain(*pool_, head, s_->gen,
+               [&](std::uint64_t node, const NodeHeaderImage& h) {
+                 fn(read_key(*pool_, node, h),
+                    ValueRef{node, h.val_off, h.val_size(), h.meta});
+                 return false;
+               });
   }
 }
 
@@ -341,68 +391,80 @@ void HashTable::maybe_grow() {
 
 void HashTable::rebuild(std::size_t new_nbuckets) {
   trace::Span span("ht.rehash");
+  const std::uint64_t gen = s_->gen;
+  const std::uint64_t new_gen = 1 - gen;
   std::vector<std::uint64_t> old_heads(
       s_->nbuckets.load(std::memory_order_relaxed));
   const std::uint64_t old_off = s_->buckets_off;
   pool_->read(bucket_slot(0), old_heads.data(), old_heads.size() * 8);
 
-  // Build a complete replacement: new array + copied nodes sharing the old
-  // value blobs.  Nothing existing is mutated until the header swap.  Each
-  // copy is written back as it is made and the new array's image collects
-  // in DRAM; one drain after the array store makes all of it durable at
-  // once.
-  auto new_array = empty_array(new_nbuckets);
+  // Link every live node into the new array through its other next word.
+  // The live chains follow next[gen], so nothing reachable changes until
+  // the swap.  Each link is one 8-byte store flushed without a fence; the
+  // new array's image collects in DRAM, and one drain after its store makes
+  // all of it durable at once.
+  auto new_array = empty_array(new_nbuckets, new_gen);
   const std::size_t array_bytes = new_array.size() * 8;
   const std::uint64_t new_off = pool_->alloc(array_bytes);
-  const std::span<std::uint64_t> heads(new_array.data() + kHeadsOff / 8,
-                                       new_nbuckets);
-  std::vector<std::uint64_t> old_nodes;
-  std::vector<std::uint64_t> dup_vals;
-  std::vector<std::byte> image;
-  for (const std::uint64_t old_head : old_heads) {
-    std::set<std::string> seen;  // keys copied from this chain
-    walk_chain(*pool_, old_head, [&](std::uint64_t node,
-                                     const NodeHeaderImage& h) {
-      old_nodes.push_back(node);
-      const std::string key = read_key(*pool_, node, h);
-      if (!seen.insert(key).second) {
-        // Shadowed crash-leftover duplicate (see link()): copying it
-        // would RE-ORDER it above the live entry, because this loop
-        // prepends while walking head-to-tail.  Drop it instead; its value
-        // blob is freed with the other retired storage after the swap.
-        dup_vals.push_back(h.val_off);
+  const std::uint64_t swap = hoff_ + offsetof(TableHeader, buckets_off);
+  // Once the swap is on media: move the mirror over before retiring the
+  // old storage (a fault while freeing must not leave it pointing back).
+  const auto adopt = [&] {
+    s_->buckets_off = new_off;
+    s_->gen = new_gen;
+    s_->nbuckets.store(new_nbuckets, std::memory_order_release);
+  };
+  std::vector<std::uint64_t> dropped;  // duplicate nodes and their values
+  try {
+    const std::span<std::uint64_t> heads(new_array.data() + kHeadsOff / 8,
+                                         new_nbuckets);
+    for (const std::uint64_t old_head : old_heads) {
+      std::set<std::string> seen;  // keys linked from this chain
+      walk_chain(*pool_, old_head, gen, [&](std::uint64_t node,
+                                            const NodeHeaderImage& h) {
+        const std::string key = read_key(*pool_, node, h);
+        if (!seen.insert(key).second) {
+          // Shadowed crash-leftover duplicate (see link()): linking it
+          // would RE-ORDER it above the live entry, because this loop
+          // prepends while walking head-to-tail.  Drop it instead; it and
+          // its value are freed after the swap.
+          dropped.push_back(node);
+          if (h.val_off != 0) dropped.push_back(h.val_off);
+          return false;
+        }
+        std::uint64_t& head = heads[fnv1a(key) % new_nbuckets];
+        pool_->write(next_word(node, new_gen), &head, sizeof(head));
+        pool_->flush(next_word(node, new_gen), sizeof(head));
+        head = node;
         return false;
+      });
+    }
+    pool_->write(new_off, new_array.data(), array_bytes);
+    pool_->flush(new_off, array_bytes);
+    pool_->drain();
+
+    // The swap: one 8-byte store, crash-atomic on its own, publishes the
+    // new array together with the bucket count and generation it carries.
+    pool_->set<std::uint64_t>(swap, new_off);
+  } catch (...) {
+    // Unless a faulted swap left its store on media (a faulted flush
+    // reverts its lines only under the crash shadow), the table never saw
+    // the new array: free it, best effort.
+    std::uint64_t now = 0;
+    std::memcpy(&now, pool_->direct(swap), sizeof(now));
+    if (now == new_off) {
+      adopt();
+    } else {
+      try {
+        pool_->free(new_off);
+      } catch (...) {
+        // A second fault, or a crash: the array leaks.
       }
-      const std::uint64_t copy = pool_->alloc(kNodeKey + key.size());
-      std::uint64_t& head = heads[fnv1a(key) % new_nbuckets];
-      const NodeHeaderImage nh{head, h.val_off, h.val_size, h.meta,
-                               h.key_len, 0};
-      image.resize(kNodeKey + key.size());
-      std::memcpy(image.data(), &nh, sizeof(nh));
-      std::memcpy(image.data() + kNodeKey, key.data(), key.size());
-      pool_->write(copy, image.data(), image.size());
-      pool_->flush(copy, image.size());
-      head = copy;
-      return false;
-    });
+    }
+    throw;
   }
-  pool_->write(new_off, new_array.data(), array_bytes);
-  pool_->flush(new_off, array_bytes);
-  pool_->drain();
-
-  // The swap: one 8-byte store, crash-atomic on its own, publishes the new
-  // array together with the bucket count it carries.
-  pool_->set<std::uint64_t>(hoff_ + offsetof(TableHeader, buckets_off),
-                            new_off);
-  // The swap is durable: move the mirror over before retiring the old
-  // storage (a fault while freeing must not leave it pointing back).
-  s_->buckets_off = new_off;
-  s_->nbuckets.store(new_nbuckets, std::memory_order_release);
-
-  for (std::uint64_t node : old_nodes) pool_->free(node);
-  for (std::uint64_t val : dup_vals) {
-    if (val != 0) pool_->free(val);
-  }
+  adopt();
+  for (const std::uint64_t off : dropped) pool_->free(off);
   pool_->free(old_off);
 }
 
@@ -639,7 +701,7 @@ std::size_t HashTable::link(std::span<GroupPut* const> puts) {
   for (const Link& l : links) {
     const Inserter& ins = *l.put->ins;
     Bucket& b = buckets.find(l.slot)->second;
-    pool_->write(ins.node_off_ + kNodeNext, &b.top, sizeof(b.top));
+    pool_->write(next_word(ins.node_off_, s_->gen), &b.top, sizeof(b.top));
     b.top = ins.node_off_;
     if (b.first == 0) b.first = ins.node_off_;
     if (ins.val_size_ > 0) durable.push_back({ins.val_off_, ins.val_size_});
@@ -728,7 +790,7 @@ std::size_t HashTable::link(std::span<GroupPut* const> puts) {
       const auto it = relinked.find(l->old.node);
       const std::uint64_t next =
           it == relinked.end() ? l->old.next : it->second;
-      pool_->set<std::uint64_t>(prev + kNodeNext, next);
+      pool_->set<std::uint64_t>(next_word(prev, s_->gen), next);
       relinked[prev] = next;
     }
     pool_->free(l->old.node);

@@ -23,7 +23,9 @@ constexpr std::uint64_t kMagic = 0x504d454d43505921ull;  // "PMEMCPY!"
 // allocator undo lanes.
 // v4: one free-list block and one allocator undo lane; the heap starts at
 // 12 KiB.
-constexpr std::uint32_t kVersion = 4;
+// v5: a hashtable node carries one next word per bucket-array generation,
+// and its bucket array records which one its chains follow.
+constexpr std::uint32_t kVersion = 5;
 constexpr std::size_t kChunkAlign = 64;
 constexpr std::size_t kChunkHeader = 16;
 /// Minimum remainder worth splitting off a large free chunk.

@@ -16,7 +16,8 @@
 // workload, and a mutation test re-introduces a known durability bug (the
 // unpersisted retire zero of an allocator undo lane) to prove the harness
 // actually catches committed-data loss.  Targeted sweeps crash a hashtable
-// rehash at each persist point; crash a hashtable replace until it leaves a
+// rehash at each persist point, from either bucket-array generation, and
+// bound what it may leak; crash a hashtable replace until it leaves a
 // shadowed duplicate, which the key's next put (single or batched) must
 // sweep; crash a tree put at each persist point, whose unnamed file remount
 // must free without leaking a block; and crash a pmemfs create, remove,
@@ -36,6 +37,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -695,21 +697,81 @@ TEST(CrashMatrixTest, ReplaceSweepsLeftoverDuplicate) {
 // ---------------------------------------------------------------------------
 
 constexpr int kRehashKeys = 24;
+/// Payload of the 64-bucket array a crashed rehash may leak: its 64-byte
+/// prefix and 64 heads (576 bytes) take a 1,024-byte chunk, 16 bytes of
+/// which are the chunk header.
+constexpr std::size_t kArray64Payload = 1008;
 
 std::string rehash_value(int i) { return "value-" + std::to_string(i); }
 
-/// Builds a 4-bucket table holding kRehashKeys keys, then rehashes it to 64
-/// buckets with a crash scheduled at the rehash's @p k-th persist op
-/// (k = 0: no crash).  Returns the rehash's persist-op count.
-std::uint64_t rehash_with_crash(pmemcpy::pmem::Device& dev, std::uint64_t k,
-                                bool torn) {
-  auto pool = pmemcpy::obj::Pool::create(dev, 0, kPoolBytes);
-  auto table = HashTable::create(pool, 4);
-  pool.set_root(table.header_off());
-  for (int i = 0; i < kRehashKeys; ++i) {
-    const std::string v = rehash_value(i);
-    table.put("key" + std::to_string(i), v.data(), v.size());
+/// A table of kRehashKeys keys, rehashed to 64 buckets.  The plain scene
+/// rehashes from 4 buckets.  The relinked one first rehashes 4 -> 16, so
+/// its chains follow generation 1, then overwrites 4 keys, erases 2 and
+/// adds 2, linking and unlinking nodes under that generation, and rehashes
+/// from 16 back to generation 0.
+struct RehashScene {
+  bool relinked = false;
+
+  std::size_t from() const { return relinked ? 16 : 4; }
+
+  /// The entries the table holds before (and after) the crashed rehash.
+  std::map<std::string, std::string> entries() const {
+    std::map<std::string, std::string> out;
+    for (int i = 0; i < kRehashKeys; ++i) {
+      out["key" + std::to_string(i)] = rehash_value(i);
+    }
+    if (relinked) {
+      for (int i = 0; i < 4; ++i) {
+        out["key" + std::to_string(i)] = "new-" + rehash_value(i);
+      }
+      out.erase("key4");
+      out.erase("key5");
+      for (int i = kRehashKeys; i < kRehashKeys + 2; ++i) {
+        out["key" + std::to_string(i)] = rehash_value(i);
+      }
+    }
+    return out;
   }
+
+  HashTable build(pmemcpy::obj::Pool& pool) const {
+    auto table = HashTable::create(pool, 4);
+    pool.set_root(table.header_off());
+    const auto put = [&](const std::string& key, const std::string& v) {
+      table.put(key, v.data(), v.size());
+    };
+    for (int i = 0; i < kRehashKeys; ++i) {
+      put("key" + std::to_string(i), rehash_value(i));
+    }
+    if (relinked) {
+      table.rehash(16);
+      const auto want = entries();
+      for (int i = 0; i < 4; ++i) {
+        const std::string key = "key" + std::to_string(i);
+        put(key, want.at(key));
+      }
+      table.erase("key4");
+      table.erase("key5");
+      for (int i = kRehashKeys; i < kRehashKeys + 2; ++i) {
+        put("key" + std::to_string(i), rehash_value(i));
+      }
+    }
+    return table;
+  }
+};
+
+struct RehashRun {
+  std::uint64_t persist_ops = 0;   ///< the rehash's own
+  std::uint64_t bytes_before = 0;  ///< pool bytes in use before it
+};
+
+/// Builds @p scene's table, then rehashes it to 64 buckets with a crash
+/// scheduled at the rehash's @p k-th persist op (k = 0: no crash).
+RehashRun rehash_with_crash(pmemcpy::pmem::Device& dev, const RehashScene& scene,
+                            std::uint64_t k, bool torn) {
+  auto pool = pmemcpy::obj::Pool::create(dev, 0, kPoolBytes);
+  auto table = scene.build(pool);
+  RehashRun run;
+  run.bytes_before = pool.bytes_in_use();
   const std::uint64_t start = dev.persist_ops();
   if (k != 0) {
     FaultPlan fp;
@@ -722,40 +784,50 @@ std::uint64_t rehash_with_crash(pmemcpy::pmem::Device& dev, std::uint64_t k,
   } catch (const CrashError& e) {
     EXPECT_EQ(e.persist_op, start + k);
   }
-  return dev.persist_ops() - start;
+  run.persist_ops = dev.persist_ops() - start;
+  return run;
 }
 
-void sweep_rehash_crash_points(bool torn) {
+/// Crash @p scene's rehash at each persist point.  Recovery must show the
+/// old or the new bucket count with exactly the scene's entries, a clean
+/// pool check and a clean checker.  While it shows the old count, the
+/// pool may have leaked the new array and nothing else.
+void sweep_rehash_crash_points(const RehashScene& scene, bool torn) {
   std::uint64_t points = 0;
   {
     pmemcpy::pmem::Device dev(kPoolBytes, /*crash_shadow=*/true);
-    points = rehash_with_crash(dev, 0, torn);
+    points = rehash_with_crash(dev, scene, 0, torn).persist_ops;
   }
   ASSERT_GT(points, 0u);
   std::cout << "[ crash matrix ] sweeping " << points
             << " rehash persist points\n";
+  const auto want = scene.entries();
   for (std::uint64_t k = 1; k <= points; ++k) {
     SCOPED_TRACE("crash at the rehash's persist op " + std::to_string(k) +
                  (torn ? " (torn writes)" : ""));
     pmemcpy::pmem::Device dev(kPoolBytes, /*crash_shadow=*/true);
     dev.enable_checker();
-    (void)rehash_with_crash(dev, k, torn);
+    const RehashRun run = rehash_with_crash(dev, scene, k, torn);
     ASSERT_TRUE(dev.frozen());
     dev.revive();
 
     auto pool = pmemcpy::obj::Pool::open(dev, 0);
     auto table = HashTable::open(pool, pool.root());
-    EXPECT_TRUE(table.nbuckets() == 4 || table.nbuckets() == 64)
+    EXPECT_TRUE(table.nbuckets() == scene.from() || table.nbuckets() == 64)
         << table.nbuckets() << " buckets";
-    for (int i = 0; i < kRehashKeys; ++i) {
-      EXPECT_EQ(table_value(pool, table, "key" + std::to_string(i)),
-                rehash_value(i));
+    for (const auto& [key, value] : want) {
+      EXPECT_EQ(table_value(pool, table, key), value) << key;
     }
-    std::size_t visited = 0;
-    table.for_each([&](std::string_view, const pmemcpy::obj::ValueRef&) {
-      ++visited;
+    std::map<std::string, std::size_t> visits;
+    table.for_each([&](std::string_view key, const pmemcpy::obj::ValueRef&) {
+      ++visits[std::string(key)];
     });
-    EXPECT_EQ(visited, static_cast<std::size_t>(kRehashKeys));
+    std::map<std::string, std::size_t> once;
+    for (const auto& [key, value] : want) once[key] = 1;
+    EXPECT_EQ(visits, once);
+    if (table.nbuckets() == scene.from()) {
+      EXPECT_LE(pool.bytes_in_use(), run.bytes_before + kArray64Payload);
+    }
     const auto report = pool.check();
     EXPECT_TRUE(report.ok()) << join_issues(report.issues);
     const auto chk = dev.checker()->take_report();
@@ -765,11 +837,20 @@ void sweep_rehash_crash_points(bool torn) {
 }
 
 TEST(CrashMatrixTest, RehashIsAtomicAtEveryPersistPoint) {
-  sweep_rehash_crash_points(/*torn=*/false);
+  sweep_rehash_crash_points(RehashScene{}, /*torn=*/false);
 }
 
 TEST(CrashMatrixTest, RehashIsAtomicAtEveryPersistPointWithTornWrites) {
-  sweep_rehash_crash_points(/*torn=*/true);
+  sweep_rehash_crash_points(RehashScene{}, /*torn=*/true);
+}
+
+TEST(CrashMatrixTest, RehashOfRelinkedChainsIsAtomicAtEveryPersistPoint) {
+  sweep_rehash_crash_points(RehashScene{.relinked = true}, /*torn=*/false);
+}
+
+TEST(CrashMatrixTest,
+     RehashOfRelinkedChainsIsAtomicAtEveryPersistPointWithTornWrites) {
+  sweep_rehash_crash_points(RehashScene{.relinked = true}, /*torn=*/true);
 }
 
 // ---------------------------------------------------------------------------

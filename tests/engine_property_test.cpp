@@ -15,6 +15,10 @@
 // its old or its new value — never a torn one.  The model then adopts
 // whatever the recovered image shows and fuzzing continues.
 //
+// The crash suite has one more cell, TableRehash, whose op stream also
+// rehashes the table to random bucket counts, so crashes land inside
+// rebuilds of either bucket-array generation.
+//
 // The tier-1 run uses a fixed seed corpus at 1000+ iterations per engine;
 // PMEMCPY_FUZZ_ITERS=<n> scales the sequences up for soak runs without a
 // rebuild.
@@ -28,6 +32,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <map>
 #include <memory>
 #include <optional>
@@ -53,6 +58,9 @@ struct Config {
   Kind kind;
   int magazine_size;  ///< -1 = engine default, 0 = classic locked path
   const char* name;
+  /// Crash fuzz only: about one op in 8 rehashes the table, through the
+  /// node's shared instance, to 1 to 64 buckets.
+  bool rehash = false;
 };
 
 std::unique_ptr<Engine> open_engine(PmemNode& node, const Config& cfg) {
@@ -335,6 +343,8 @@ TEST_P(EngineCrashFuzz, RandomOpsSurviveRandomCrashes) {
   Model model;
   Rng rng(0xc4a54c4a54ull);
   std::size_t crashes = 0;
+  std::size_t rehashes = 0;
+  std::size_t rehash_crashes = 0;
 
   for (std::size_t i = 0; i < iters; ++i) {
     // Arm a crash a few persist ops ahead, roughly every dozen iterations.
@@ -347,11 +357,16 @@ TEST_P(EngineCrashFuzz, RandomOpsSurviveRandomCrashes) {
     }
 
     // Mutating op with its allowed before/after states recorded, so a crash
-    // inside it can settle either way.
+    // inside it can settle either way.  A rehash changes no key.
     std::map<std::string, Pending> pending;
-    const std::uint64_t op = rng.below(100);
+    const bool rehash = GetParam().rehash && rng.below(8) == 0;
+    const std::uint64_t op = rehash ? 0 : rng.below(100);
     try {
-      if (op < 55) {
+      if (rehash) {
+        const auto pool = node.open_pool("fuzz");
+        ++rehashes;
+        node.table_for(pool, pool->root())->rehash(1 + rng.below(64));
+      } else if (op < 55) {
         const std::string key = random_key(rng);
         const std::string value = random_value(rng);
         const std::uint64_t meta = rng.below(1u << 30);
@@ -397,6 +412,7 @@ TEST_P(EngineCrashFuzz, RandomOpsSurviveRandomCrashes) {
       if (armed) dev.set_fault_plan(FaultPlan{});  // op outran the crash
     } catch (const CrashError&) {
       ++crashes;
+      if (rehash) ++rehash_crashes;
       ASSERT_TRUE(dev.frozen());
       // Dead process: drop the engine with its in-flight handles, power the
       // device back on, remount, and recover with a fresh engine.
@@ -454,10 +470,21 @@ TEST_P(EngineCrashFuzz, RandomOpsSurviveRandomCrashes) {
   verify_model(*eng, model, "final sweep");
   // The fixed seed is chosen to actually exercise the crash path.
   EXPECT_GE(crashes, 3u) << "seed produced too few crashes to test anything";
+  if (GetParam().rehash) {
+    std::cout << "[ crash fuzz ] " << iters << " ops, " << rehashes
+              << " rehashes, " << crashes << " crashes, " << rehash_crashes
+              << " inside a rehash\n";
+    EXPECT_GE(rehash_crashes, 1u) << "no crash landed inside a rehash";
+  }
 }
 
+constexpr Config kCrashConfigs[] = {
+    kConfigs[0], kConfigs[1], kConfigs[2], kConfigs[3],
+    {Kind::kTable, -1, "TableRehash", true},
+};
+
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineCrashFuzz,
-                         ::testing::ValuesIn(kConfigs),
+                         ::testing::ValuesIn(kCrashConfigs),
                          [](const auto& info) {
                            return std::string(info.param.name);
                          });

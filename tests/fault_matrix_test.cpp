@@ -16,9 +16,10 @@
 // across remount, allocator avoidance of quarantined space, repair()
 // relocation + idempotence, typed damaged-key errors, degraded read-only
 // mode, collective health agreement, a hashtable publish that faults
-// after a bucket-head store keeping the now reachable entry allocated, and
+// after a bucket-head store keeping the now reachable entry allocated,
 // pmemfs namespace ops whose faults leave the DRAM namespace equal to a
-// fresh mount of the image.
+// fresh mount of the image, and a rehash whose faults up to its swap leave
+// the old bucket array in force.
 #include <pmemcpy/check/persist_checker.hpp>
 #include <pmemcpy/core/node.hpp>
 #include <pmemcpy/fs/filesystem.hpp>
@@ -32,12 +33,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <iostream>
 #include <map>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 namespace {
@@ -827,6 +831,141 @@ TEST(FaultMatrix, FaultedFsNamespaceOpLeavesDramEqualToAFreshMount) {
         }
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Rehash: a fault up to the swap leaves the old table in force
+// ---------------------------------------------------------------------------
+
+constexpr int kRehashKeys = 24;
+
+std::string rehash_key(int i) { return "key" + std::to_string(i); }
+std::string rehash_value(int i) { return "value-" + std::to_string(i); }
+
+/// A 24-key table: 4 buckets, or 16 reached by one rehash, so that its
+/// chains follow the second generation.  With the crash shadow a faulted
+/// flush reverts its lines, as the hardware would lose them; without it the
+/// stored bytes stay.
+struct RehashFaultScene {
+  static constexpr std::size_t kBytes = 4ull << 20;
+
+  pmemcpy::pmem::Device dev;
+  Pool pool = Pool::create(dev, 0, kBytes);
+  HashTable table = HashTable::create(pool, 4);
+
+  RehashFaultScene(bool shadow, bool second_generation) : dev(kBytes, shadow) {
+    pool.set_root(table.header_off());
+    for (int i = 0; i < kRehashKeys; ++i) {
+      table.put(rehash_key(i), rehash_value(i).data(),
+                rehash_value(i).size());
+    }
+    if (second_generation) table.rehash(16);
+  }
+
+  void expect_every_key() {
+    for (int i = 0; i < kRehashKeys; ++i) {
+      const auto ref = table.find(rehash_key(i));
+      ASSERT_TRUE(ref.has_value()) << rehash_key(i);
+      std::string got(ref->val_size, '\0');
+      pool.read(ref->val_off, got.data(), got.size());
+      EXPECT_EQ(got, rehash_value(i));
+    }
+  }
+};
+
+/// What a table shows: its counts and every entry for_each walks.
+using TableView =
+    std::tuple<std::size_t, std::size_t,
+               std::map<std::string, std::array<std::uint64_t, 4>>>;
+
+TableView view_of(const HashTable& t) {
+  std::map<std::string, std::array<std::uint64_t, 4>> entries;
+  t.for_each([&](std::string_view key, const pmemcpy::obj::ValueRef& ref) {
+    entries[std::string(key)] = {ref.node_off, ref.val_off, ref.val_size,
+                                 ref.meta};
+  });
+  return {t.nbuckets(), t.count(), std::move(entries)};
+}
+
+/// The live table's DRAM mirror shows what HashTable::open of a copy of
+/// the image shows.
+void expect_mirror_matches_fresh_open(pmemcpy::pmem::Device& dev,
+                                      const HashTable& live) {
+  pmemcpy::pmem::Device copy(dev.capacity());
+  std::memcpy(copy.raw(0), dev.raw(0), dev.capacity());
+  Pool pool = Pool::open(copy, 0);
+  EXPECT_TRUE(view_of(HashTable::open(pool, pool.root())) == view_of(live));
+}
+
+TEST(FaultMatrix, FaultedRehashKeepsTheOldTableInForce) {
+  for (const bool second : {false, true}) {
+    // Flushes and persists (the attempts a persist fault can hit) of a
+    // fault-free rehash: the new array's allocation, one flush per node
+    // linked, the array's flush, the swap, then the old array's free.
+    int attempts = 0;
+    {
+      RehashFaultScene s(true, second);
+      const std::uint64_t before = ctr(Counter::kFlushOps);
+      s.table.rehash(64);
+      attempts = static_cast<int>(ctr(Counter::kFlushOps) - before);
+    }
+    int swap = 0;  // the swap's attempt, found under the crash shadow
+    for (const auto& [shadow, sticky] :
+         {std::pair{true, false}, std::pair{true, true},
+          std::pair{false, false}}) {
+      // A fault before the swap leaves the old array in force.  So does one
+      // at the swap under the crash shadow, which reverts the store; without
+      // it the store stays on media and the table adopts the new array.
+      int last_old = 0;
+      for (int k = 1; k <= attempts; ++k) {
+        SCOPED_TRACE(std::string(shadow ? "crash shadow, " : "plain, ") +
+                     (second ? "generation 1, " : "generation 0, ") +
+                     (sticky ? "sticky" : "transient") + " fault at attempt " +
+                     std::to_string(k));
+        RehashFaultScene s(shadow, second);
+        const std::size_t from = s.table.nbuckets();
+        const std::uint64_t bytes = s.pool.bytes_in_use();
+        s.dev.set_retry_policy(pmemcpy::ft::RetryPolicy{1});
+        s.dev.set_fault_plan(plan_faulting_attempt(k, sticky));
+        EXPECT_THROW(s.table.rehash(64), DeviceError);
+        s.dev.set_fault_plan(FaultPlan{});
+        if (s.table.nbuckets() == from) {
+          EXPECT_EQ(last_old, k - 1) << "an earlier fault moved the table";
+          last_old = k;
+          // The new array is freed unless a sticky line refuses the free.
+          // Without the crash shadow, a fault at the allocation's last
+          // persist throws after the array is allocated, and it leaks.
+          if (shadow && !sticky) {
+            EXPECT_EQ(s.pool.bytes_in_use(), bytes);
+          }
+        } else {
+          EXPECT_EQ(s.table.nbuckets(), 64u);
+        }
+        s.expect_every_key();
+        expect_mirror_matches_fresh_open(s.dev, s.table);
+        const auto report = s.pool.check();
+        EXPECT_TRUE(report.ok()) << (report.issues.empty()
+                                         ? std::string()
+                                         : report.issues.front());
+        s.table.rehash(64);
+        EXPECT_EQ(s.table.nbuckets(), 64u);
+        s.expect_every_key();
+        expect_mirror_matches_fresh_open(s.dev, s.table);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      if (shadow) {
+        // Every flush that links a node, the array's flush and the swap
+        // are among the faults that leave the old array.
+        EXPECT_GE(last_old, kRehashKeys + 2);
+        EXPECT_LT(last_old, attempts);
+        swap = last_old;
+      } else {
+        EXPECT_EQ(last_old, swap - 1);
+      }
+    }
+    std::cout << "[ fault matrix ] " << attempts
+              << " rehash persist attempts, the swap at " << swap << "\n";
   }
 }
 

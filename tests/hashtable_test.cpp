@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <latch>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -209,7 +210,8 @@ TEST_F(HashTableTest, OpenExistingTableSeesData) {
 
 // A damaged header must end in a typed error, not reach the bucket-count-
 // sized vectors of for_each() and rehash().  On-media format: the header's
-// first word is the bucket array's offset, the array's first word its count.
+// first word is the bucket array's offset, the array's first word its count
+// and its second the generation (0 or 1) whose next words its chains follow.
 TEST_F(HashTableTest, OpenRejectsDamagedHeader) {
   put_str("k", "v");
   const std::uint64_t hdr = table.header_off();
@@ -227,6 +229,12 @@ TEST_F(HashTableTest, OpenRejectsDamagedHeader) {
   }
   pool.set<std::uint64_t>(array, 64);
   {
+    SCOPED_TRACE("generation 2");
+    pool.set<std::uint64_t>(array + 8, 2);
+    EXPECT_THROW((void)HashTable::open(pool, hdr), pmemcpy::obj::PoolError);
+  }
+  pool.set<std::uint64_t>(array + 8, 0);
+  {
     SCOPED_TRACE("bucket array past the pool");
     pool.set<std::uint64_t>(hdr, pool.size() + 4096);
     EXPECT_THROW((void)HashTable::open(pool, hdr), pmemcpy::obj::PoolError);
@@ -236,7 +244,8 @@ TEST_F(HashTableTest, OpenRejectsDamagedHeader) {
 }
 
 // A damaged next word must end a chain walk in a typed error, not a hang.
-// On-media format: a node's first word is its next pointer.
+// On-media format: a node's first two words are its next pointers, one per
+// bucket-array generation, and a fresh table's chains follow the first.
 TEST_F(HashTableTest, ChainCycleThrowsInsteadOfHanging) {
   HashTable one = HashTable::create(pool, 1);
   one.put("a", "1", 1);
@@ -254,6 +263,110 @@ TEST_F(HashTableTest, ChainCycleThrowsInsteadOfHanging) {
   EXPECT_TRUE(throws_before_deadline<PoolError>([&] {
     one.for_each([](std::string_view, const pmemcpy::obj::ValueRef&) {});
   })) << "for_each";
+}
+
+// A head or next word outside the pool, or a key running past its end, is
+// damage the chain decoder names with a PoolError before reading it.
+// On-media format: the heads start 64 bytes into the bucket array, and a
+// node is {next[2], val_off, size word (key length in the high 16 bits),
+// meta} followed by its key.
+TEST_F(HashTableTest, ChainWordsOutsideThePoolThrowPoolError) {
+  using pmemcpy::obj::PoolError;
+  HashTable one = HashTable::create(pool, 1);
+  one.put("a", "1", 1);
+  one.put("b", "2", 1);  // the chain is b -> a
+  const std::uint64_t b = one.find("b")->node_off;
+  const std::uint64_t head = pool.get<std::uint64_t>(one.header_off()) + 64;
+  const auto visit_all = [&] {
+    one.for_each([](std::string_view, const pmemcpy::obj::ValueRef&) {});
+  };
+  {
+    SCOPED_TRACE("head whose header ends past the pool");
+    pool.set<std::uint64_t>(head, pool.size() - 39);
+    EXPECT_THROW((void)one.find("a"), PoolError);
+    pool.set<std::uint64_t>(head, b);
+  }
+  {
+    SCOPED_TRACE("next word of all ones");
+    const std::uint64_t a = pool.get<std::uint64_t>(b);
+    pool.set<std::uint64_t>(b, ~std::uint64_t{0});
+    EXPECT_THROW((void)one.find("zzz"), PoolError);
+    EXPECT_THROW(visit_all(), PoolError);
+    pool.set<std::uint64_t>(b, a);
+  }
+  // A node in the pool's last 64 bytes: its 24-byte key ends at the pool's
+  // end, a 25-byte one past it.
+  const std::uint64_t last = pool.size() - 64;
+  pool.set<std::uint64_t>(head, last);
+  for (const std::uint64_t key_len : {24, 25}) {
+    SCOPED_TRACE("key of " + std::to_string(key_len) + " bytes");
+    const std::uint64_t node[5] = {0, 0, 0, key_len << 48, 0};
+    pool.write(last, node, sizeof(node));
+    pool.persist(last, sizeof(node));
+    if (key_len == 24) {
+      EXPECT_NO_THROW(visit_all());
+    } else {
+      EXPECT_THROW(visit_all(), PoolError);
+    }
+  }
+}
+
+// A key length is stored in 16 bits: a longer key is refused before
+// anything is allocated.
+TEST_F(HashTableTest, ReserveRejectsAKeyLongerThan65535Bytes) {
+  const auto before = pool.bytes_in_use();
+  const bool was_enabled = trace::enabled();
+  trace::set_enabled(true);
+  const auto allocs = trace::counter(trace::Counter::kAllocOps);
+  EXPECT_THROW((void)table.reserve(std::string(65536, 'k'), 8),
+               pmemcpy::obj::PoolError);
+  EXPECT_EQ(trace::counter(trace::Counter::kAllocOps), allocs);
+  trace::set_enabled(was_enabled);
+  EXPECT_EQ(pool.bytes_in_use(), before);
+  const std::string longest(65535, 'k');
+  put_str(longest, "v");
+  EXPECT_EQ(get_str(longest), "v");
+  EXPECT_EQ(table.count(), 1u);
+}
+
+// A rehash links the existing nodes into the new array through their other
+// next word: no node moves, and the only allocation and free are the new
+// and the old bucket array.  Two rehashes use both generations.
+TEST_F(HashTableTest, RehashRelinksNodesInPlace) {
+  HashTable small = HashTable::create(pool, 4);
+  const auto key = [](int i) { return "key" + std::to_string(i); };
+  const auto value = [](int i) { return "value-" + std::to_string(i); };
+  std::map<std::string, std::uint64_t> nodes;
+  for (int i = 0; i < 24; ++i) {
+    small.put(key(i), value(i).data(), value(i).size());
+  }
+  for (int i = 0; i < 24; ++i) nodes[key(i)] = small.find(key(i))->node_off;
+  const auto expect_in_place = [&](const HashTable& t) {
+    for (int i = 0; i < 24; ++i) {
+      SCOPED_TRACE(key(i));
+      const auto ref = t.find(key(i));
+      ASSERT_TRUE(ref.has_value());
+      EXPECT_EQ(ref->node_off, nodes[key(i)]);
+      std::string got(ref->val_size, '\0');
+      pool.read(ref->val_off, got.data(), got.size());
+      EXPECT_EQ(got, value(i));
+    }
+  };
+  const bool was_enabled = trace::enabled();
+  trace::set_enabled(true);
+  for (const std::size_t n : {64, 16}) {
+    SCOPED_TRACE("rehash to " + std::to_string(n) + " buckets");
+    const auto allocs = trace::counter(trace::Counter::kAllocOps);
+    const auto frees = trace::counter(trace::Counter::kFreeOps);
+    small.rehash(n);
+    EXPECT_EQ(trace::counter(trace::Counter::kAllocOps) - allocs, 1u);
+    EXPECT_EQ(trace::counter(trace::Counter::kFreeOps) - frees, 1u);
+    EXPECT_EQ(small.nbuckets(), n);
+    EXPECT_EQ(small.count(), 24u);
+    expect_in_place(small);
+  }
+  trace::set_enabled(was_enabled);
+  expect_in_place(HashTable::open(pool, small.header_off()));
 }
 
 TEST_F(HashTableTest, ConcurrentDistinctKeys) {

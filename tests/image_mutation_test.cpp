@@ -8,14 +8,17 @@
 // limit + 1 and all ones — with chunk headers and the quarantine table
 // re-stamped with valid checksums, so the bounds behind the checksums are
 // what gets tested.  Each case runs in a forked child under a 60 s
-// deadline: it must open the pool and check() it, or mount the filesystem
-// and list() and map() it (or rename or link over the damaged entry),
-// cleanly or with a typed PoolError/FsError — never a hang, a crash or a
-// sanitizer report.  A directory entry damaged to name another file's inode
-// must not let dropping either name free the inode the other still names.
+// deadline: it must open the pool and check() it, open the hashtable and
+// walk it (for_each and a find of every seeded key), or mount the
+// filesystem and list() and map() it (or rename or link over the damaged
+// entry), cleanly or with a typed PoolError/FsError — never a hang, a
+// crash or a sanitizer report.  A directory entry damaged to name another
+// file's inode must not let dropping either name free the inode the other
+// still names.
 #include <pmemcpy/core/node.hpp>
 #include <pmemcpy/crc32c.hpp>
 #include <pmemcpy/fs/filesystem.hpp>
+#include <pmemcpy/obj/hashtable.hpp>
 #include <pmemcpy/obj/pool.hpp>
 #include <pmemcpy/pmemcpy.hpp>
 
@@ -37,6 +40,7 @@ using pmemcpy::fs::File;
 using pmemcpy::fs::FileSystem;
 using pmemcpy::fs::FsError;
 using pmemcpy::fs::OpenMode;
+using pmemcpy::obj::HashTable;
 using pmemcpy::obj::Pool;
 using pmemcpy::obj::PoolError;
 using pmemcpy::pmem::Device;
@@ -220,6 +224,54 @@ struct PoolImage {
     return out;
   }
 };
+
+// ---------------------------------------------------------------------------
+// Hashtable: on-media format (pool-relative offsets).  The pool header at 64
+// holds the root, the table header's offset, at +24; the table header is
+// {buckets_off, count}; the bucket array starts {nbuckets, generation (0 or
+// 1)} and its heads start 64 bytes in; a node is {next[2] by generation,
+// val_off, size word (val_size in the low 48 bits, key_len in the high 16),
+// meta} followed by the key.
+// ---------------------------------------------------------------------------
+
+std::vector<Field> table_fields(PoolImage& img) {
+  Device& dev = img.node.device();
+  const std::uint64_t base = img.base;
+  const std::uint64_t size = img.size;
+  const std::uint64_t table = word_at(dev, base + 64 + 24);
+  const std::uint64_t array = word_at(dev, base + table);
+  const std::uint64_t cap = word_at(dev, base + array - 16);
+  const std::uint64_t gen = word_at(dev, base + array + 8);
+  EXPECT_EQ(gen, 1u) << "the image's one growth moved its chains";
+  std::uint64_t head_at = base + array + 64;
+  while (word_at(dev, head_at) == 0) head_at += 8;
+  const std::uint64_t node = word_at(dev, head_at);
+  const std::uint64_t size_word = word_at(dev, base + node + 24);
+  constexpr std::uint64_t kValSizeMask = (std::uint64_t{1} << 48) - 1;
+  return {
+      {"table buckets_off", base + table, 8, size - 64, nullptr, {}},
+      {"array count", base + array, 8, (cap - 64) / 8, nullptr, {}},
+      {"array generation", base + array + 8, 8, 1, nullptr, {}},
+      {"bucket head", head_at, 8, size - 40, nullptr, {}},
+      {"node next[gen]", base + node + 8 * gen, 8, size - 40, nullptr, {}},
+      // The limit keeps the key length and maximizes val_size; one past it
+      // carries into the key length.
+      {"node size word", base + node + 24, 8, size_word | kValSizeMask,
+       nullptr, {}},
+  };
+}
+
+TEST(ImageMutation, TableOpensAndWalksOrThrowsTyped) {
+  PoolImage img;
+  const auto fields = table_fields(img);
+  sweep<PoolError>(img.node.device(), fields, [&] {
+    Pool p = Pool::open(img.node.device(), img.base);
+    const HashTable t = HashTable::open(p, p.root());
+    t.for_each([](std::string_view, const pmemcpy::obj::ValueRef&) {});
+    for (int i = 0; i < 48; ++i) (void)t.find("k" + std::to_string(i));
+    return true;
+  });
+}
 
 TEST(ImageMutation, PoolOpensAndChecksOrThrowsTyped) {
   PoolImage img;
