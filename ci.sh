@@ -8,7 +8,8 @@
 # fatal so any unconsumed finding fails the suite), the tracing build
 # (PMEMCPY_TRACE, every test with the observability layer recording), and
 # the fault config (the self-healing sweeps under all three instrumentation
-# layers at once, DESIGN.md §10).
+# layers at once, DESIGN.md §10), and ThreadSanitizer over the suites that
+# run threads of their own.
 #
 #   ./ci.sh            # all configs
 #   ./ci.sh release    # release only
@@ -16,6 +17,7 @@
 #   ./ci.sh checker    # persist-checker config only
 #   ./ci.sh trace      # tracing-enabled config only
 #   ./ci.sh fault      # fault-injection sweep config only
+#   ./ci.sh tsan       # ThreadSanitizer config only
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -57,6 +59,15 @@ run_examples() {
   done
 }
 
+run_fault_smoke() {
+  local dir="$1"
+  # An unmodified example under env-armed transient faults, which the
+  # default retry budget must heal invisibly.  Arming starts the device's
+  # cache-line model, so a failed writeback reverts its lines.
+  env PMEMCPY_FAULT_RATE=0.001 PMEMCPY_FAULT_SEED=7 \
+    "${dir}/examples/quickstart" >/dev/null
+}
+
 run_config() {
   local name="$1"
   shift
@@ -84,6 +95,9 @@ run_config() {
     run_figures "${dir}"
     echo "==== [${name}] examples ===="
     run_examples "${dir}"
+    echo "==== [${name}] env-armed fault smoke ===="
+    # Here no checker has started the model before the faults arm.
+    run_fault_smoke "${dir}"
     echo "==== [${name}] crash-fuzz soaks ===="
     # 100k random tree-engine ops with a crash about every dozen: each
     # remount must free the inodes and blocks its crash stranded, or the
@@ -129,9 +143,7 @@ run_fault_config() {
   # unwinding bug in the retry/rollback paths, the persistency-order checker
   # proves zero violations while faults fire, tracing records the ft.*
   # counters the tests assert on.  The suites arm their own seeded fault
-  # plans; the env-armed smoke then exercises the PMEMCPY_FAULT_* path with
-  # transient-only faults that the default retry budget must heal invisibly
-  # under an unmodified example.
+  # plans; the env-armed smoke then exercises the PMEMCPY_FAULT_* path.
   local dir="build-ci-fault"
   echo "==== [fault] lint ===="
   mkdir -p "${dir}"
@@ -149,12 +161,38 @@ run_fault_config() {
     ctest --test-dir "${dir}" --output-on-failure --timeout 600 \
     -j"$(nproc)" -L fault
   echo "==== [fault] env-armed smoke ===="
-  env PMEMCPY_FAULT_RATE=0.001 PMEMCPY_FAULT_SEED=7 \
-    "${dir}/examples/quickstart" >/dev/null
+  run_fault_smoke "${dir}"
   echo "==== [fault] audit (injection disabled) ===="
   # The audit stays env-free: with injection disabled the build must be
   # count-for-count identical to an uninstrumented one.
   run_audit "${dir}"
+}
+
+run_tsan_config() {
+  # ThreadSanitizer over the suites whose threads share a device, a pool, a
+  # table or a filesystem; the first race report fails the config.
+  # engine_conformance_test and core_api_test stay out until every rank's
+  # open_pool_engine stops setting pool and table knobs that other ranks
+  # already use (ROADMAP item 4).
+  local dir="build-ci-tsan"
+  local suites=(pmemdev_test hashtable_test stress_test par_test
+    determinism_test)
+  echo "==== [tsan] lint ===="
+  mkdir -p "${dir}"
+  LINT_JSON="${dir}/pmemlint_report.json" scripts/lint.sh
+  echo "==== [tsan] configure ===="
+  cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+    -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread
+  echo "==== [tsan] build ===="
+  cmake --build "${dir}" -j"$(nproc)" --target "${suites[@]}"
+  echo "==== [tsan] race-checked suites ===="
+  local t
+  for t in "${suites[@]}"; do
+    echo "-- ${t}"
+    env TSAN_OPTIONS="halt_on_error=1 detect_deadlocks=0" \
+      "${dir}/tests/${t}" --gtest_brief=1
+  done
 }
 
 what="${1:-all}"
@@ -175,15 +213,19 @@ case "${what}" in
   fault)
     run_fault_config
     ;;
+  tsan)
+    run_tsan_config
+    ;;
   all)
     run_config release -DCMAKE_BUILD_TYPE=Release
     run_config sanitize -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPMEMCPY_SANITIZE=ON
     run_checker_config
     run_trace_config
     run_fault_config
+    run_tsan_config
     ;;
   *)
-    echo "usage: $0 [release|sanitize|checker|trace|fault|all]" >&2
+    echo "usage: $0 [release|sanitize|checker|trace|fault|tsan|all]" >&2
     exit 2
     ;;
 esac

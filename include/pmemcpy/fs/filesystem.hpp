@@ -308,9 +308,9 @@ class FileSystem {
   [[nodiscard]] const DirIndex& dir_index(Ino dir);
   /// Make @p entries, indexed by name, the DRAM index of @p dir.
   const DirIndex& cache_dir(Ino dir, DirEntries entries);
-  /// Shadow-commit @p entries as the list of @p dir.  The DRAM index is
-  /// dropped when the rewrite starts and set to @p entries once the header
-  /// flip is durable, so after a throw the next use decodes the media.
+  /// Shadow-commit @p entries as the list of @p dir.  The DRAM index is set
+  /// to @p entries once the header flip is durable; after a throw it keeps
+  /// the old list, which is the one on media.
   void dir_write_entries(Ino dir, DirEntries entries);
 
   /// Raw (uncharged-copy) file data IO used by directory internals; charges

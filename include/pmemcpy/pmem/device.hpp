@@ -12,7 +12,8 @@
 //
 // For crash-consistency testing the device can run a cache-line model
 // (src/pmemdev/line_model.hpp): per line the durable image and, per thread,
-// the image its last flush captured.  A thread's fence makes only its own
+// the image its last flush captured.  It runs with crash_shadow, with the
+// checker, or once a fault is armed.  A thread's fence makes only its own
 // flush images durable, as an SFENCE orders only the issuing core's CLWBs on
 // x86; simulate_crash() reverts every line to its durable image, emulating
 // the loss of CPU-cache-resident stores on power failure.
@@ -130,8 +131,9 @@ struct FaultPlan {
 class Device {
  public:
   /// @param capacity      device size in bytes (rounded up to a page)
-  /// @param crash_shadow  run the cache-line model so that simulate_crash()
-  ///                      can drop in-flight stores.  Costs DRAM + a hash
+  /// @param crash_shadow  run the cache-line model from the first store, so
+  ///                      that a crash can drop in-flight stores (arming a
+  ///                      fault starts it later).  Costs DRAM + a hash
   ///                      lookup per store; enable in tests only.
   explicit Device(std::size_t capacity, bool crash_shadow = false);
   ~Device();
@@ -208,7 +210,9 @@ class Device {
   // --- fault plan -------------------------------------------------------------
 
   /// Arm a fault plan for the current run (requires crash_shadow when a
-  /// crash point is scheduled).
+  /// crash point is scheduled).  A nonzero rate starts the cache-line model,
+  /// so a failed writeback reverts; stores made before count as durable.
+  /// Like enable_checker(), must not race a store on another thread.
   void set_fault_plan(const FaultPlan& plan);
   /// Monotonic count of flush()/persist()/drain() ops since construction.
   [[nodiscard]] std::uint64_t persist_ops() const noexcept {
@@ -242,6 +246,7 @@ class Device {
   /// stores and persists touching them throw DeviceError{kMediaWrite};
   /// reads still succeed (the data is recoverable, so callers can
   /// quarantine + relocate).  Survives revive(), like real media damage.
+  /// Arms injection as set_fault_plan() does, under the same thread rule.
   void inject_sticky_range(std::size_t off, std::size_t len);
   [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>>
   sticky_ranges() const;
@@ -253,6 +258,7 @@ class Device {
   /// Attach the PersistChecker (idempotent).  Also attached at construction
   /// when the PMEMCPY_PERSIST_CHECK env var (or the CMake default) says so.
   /// A pure observer: charges nothing and never mutates device contents.
+  /// Must not race a store on another thread: it may start the model.
   void enable_checker();
   [[nodiscard]] bool checker_enabled() const noexcept {
     return checker_ != nullptr;
@@ -301,8 +307,11 @@ class Device {
   void record_fence(std::uint64_t op, bool flushed);
   /// A flush/persist of [off, off+len) failed for good: the writeback never
   /// reached media, so in-flight stores to those lines are lost exactly as
-  /// on a crash.  Restore their durable images (no-op without crash_shadow).
+  /// on a crash.  Restore their durable images.
   void revert_unpersisted(std::size_t off, std::size_t len);
+  /// Build the cache-line model unless one runs (never replace it: the
+  /// checker holds a reference to it).
+  void start_model();
   /// A faulted op is unwinding mid-batch.  If the calling thread issued a
   /// flush() since its own last fence, issue one settling fence so its
   /// healing retry does not store onto an open CLWB window (a
@@ -370,8 +379,9 @@ class Device {
   /// read path can escalate a range just like a store can.
   mutable std::vector<std::pair<std::size_t, std::size_t>> sticky_bad_;
 
-  mutable std::mutex mu_;  // protects model_, touched_, bad media
-  /// The cache-line model; null unless crash_shadow or the checker is on.
+  mutable std::mutex mu_;  // protects *model_, touched_, bad media
+  /// The cache-line model; null until crash_shadow, the checker or an
+  /// armed fault starts it.  The store path tests the pointer without mu_.
   std::unique_ptr<LineModel> model_;
   std::unique_ptr<check::PersistChecker> checker_;  // reads *model_
   std::vector<std::pair<std::size_t, std::size_t>> bad_media_;  // off, len

@@ -132,10 +132,11 @@ class Context {
 };
 
 /// The context of the calling thread (a rank's context inside the parallel
-/// runtime, else the process-wide default).
+/// runtime, else the thread's default).
 Context& ctx() noexcept;
 
-/// The process-wide default context (what ctx() returns outside any scope).
+/// The calling thread's default context (what ctx() returns outside any
+/// scope).  One per thread, so unscoped threads never share a clock.
 Context& default_context() noexcept;
 
 /// RAII: install @p c as the calling thread's current context.

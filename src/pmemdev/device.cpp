@@ -95,17 +95,19 @@ Device::Device(std::size_t capacity, bool crash_shadow)
       crash_shadow_(crash_shadow),
       serial_(next_serial.fetch_add(1, std::memory_order_relaxed)),
       touched_(capacity_ / kPage, false) {
-  if (crash_shadow_) model_ = std::make_unique<LineModel>(data_.get());
+  if (crash_shadow_) start_model();
   if (checker_default_on()) enable_checker();
   // Env-driven transient-fault arming (ci.sh's fault smoke).  A
   // programmatic set_fault_plan() later overrides it.
   const double rate = env_double("PMEMCPY_FAULT_RATE", 0.0);
   if (rate > 0.0) {
-    t_read_rate_ = t_write_rate_ = t_persist_rate_ = rate;
+    FaultPlan plan;
+    plan.transient_read_rate = plan.transient_write_rate =
+        plan.transient_persist_rate = rate;
     if (const char* e = std::getenv("PMEMCPY_FAULT_SEED")) {
-      fault_seed_ = std::strtoull(e, nullptr, 0);
+      plan.fault_seed = std::strtoull(e, nullptr, 0);
     }
-    transient_armed_.store(true, std::memory_order_relaxed);
+    set_fault_plan(plan);
   }
 }
 
@@ -123,9 +125,13 @@ Device::~Device() {
   }
 }
 
+void Device::start_model() {
+  if (!model_) model_ = std::make_unique<LineModel>(data_.get());
+}
+
 void Device::enable_checker() {
   if (checker_) return;
-  if (!model_) model_ = std::make_unique<LineModel>(data_.get());
+  start_model();
   checker_ = std::make_unique<check::PersistChecker>(*model_);
 }
 
@@ -316,10 +322,9 @@ void Device::settle_unwind() {
 }
 
 void Device::revert_unpersisted(std::size_t off, std::size_t len) {
-  if (!crash_shadow_) return;
   const auto [first, last] = line_span(off, len);
   std::lock_guard lk(mu_);
-  model_->revert(first, last);
+  model_->revert(first, last);  // arming a fault started the model
 }
 
 void Device::note_write(std::size_t off, std::size_t len) {
@@ -429,6 +434,7 @@ void Device::set_fault_plan(const FaultPlan& plan) {
   sticky_rate_ = plan.sticky_rate;
   fault_seed_ = plan.fault_seed;
   fault_seq_ = 0;
+  if (plan.transient_armed()) start_model();
   transient_armed_.store(plan.transient_armed(), std::memory_order_relaxed);
 }
 
@@ -483,6 +489,7 @@ void Device::inject_sticky_range(std::size_t off, std::size_t len) {
   {
     std::lock_guard lk(mu_);
     sticky_bad_.emplace_back(first, last - first);
+    start_model();
   }
   trace::count(trace::Counter::kFtStickyRanges);
   // Sticky checks only run while injection is armed; an explicit injection

@@ -8,9 +8,9 @@
 // A thread's fence makes only its own flush images durable, because on x86
 // an SFENCE orders only the issuing core's CLWBs (Raad et al., POPL 2020).
 //
-// The device runs the model only when crash_shadow or the checker is on,
-// and calls every member under its lock.  A line drops out once it is
-// durable and no thread still owes it a flush or a fence.
+// The device runs the model with crash_shadow, with the checker, or once a
+// fault is armed, and calls every member under its lock.  A line drops out
+// once it is durable and no thread still owes it a flush or a fence.
 #pragma once
 
 #include <pmemcpy/pmem/device.hpp>

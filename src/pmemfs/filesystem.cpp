@@ -718,10 +718,6 @@ void FileSystem::dir_write_entries(Ino dir, DirEntries entries) {
   // are shadow-committed: write the new list into the slot the live header
   // does NOT point at, fence it, then flip the single-line header.  Every
   // crash point parses either the whole old list or the whole new one.
-  // A throw below can leave either list on media (a faulted header flush
-  // keeps the new one), so the DRAM index is dropped until the new list
-  // commits, and the next use after a throw decodes what the media holds.
-  dirs_.erase(dir);
   const DirHeader dh = dir_header(dir, read_inode(dir));
   std::uint64_t new_cap = dh.cap;
   std::uint64_t new_off;
@@ -773,17 +769,10 @@ Ino FileSystem::create(Ino dir, const std::string& name, std::uint32_t type) {
   try {
     dir_write_entries(dir, std::move(entries));
   } catch (...) {
-    // The rewrite faulted, and a faulted header flush can leave the new
-    // list on media.  Unless it did, no name reaches the inode and it holds
-    // no data: free in DRAM, as a mount frees it and alloc_inode overwrites
-    // it whole.
-    bool named = true;
-    try {
-      named = dir_lookup(dir, name) == ino;
-    } catch (...) {
-      // The directory no longer decodes: keep the inode used.
-    }
-    if (!named) inode_used_[ino - 1] = false;
+    // The old list stayed on media (a faulted header flush reverts its
+    // line), so no name reaches the inode and it holds no data: free in
+    // DRAM, as a mount frees it and alloc_inode overwrites it whole.
+    inode_used_[ino - 1] = false;
     throw;
   }
   return ino;
@@ -972,16 +961,10 @@ bool FileSystem::link(File f, const std::string& path, bool replace) {
     // above is still this inode's content.
     if (linked) mark_orphan(f.ino_, inode, false);
   } catch (...) {
-    // Decided as create() decides its rollback: a faulted header flush can
-    // leave the new list on media, and only then does the file stay.  When
-    // the directory no longer decodes it stays too, still marked, so the
-    // next mount frees it unless a name reaches it.
-    bool named = true;
-    try {
-      named = dir != 0 && dir_lookup(dir, leaf) == f.ino_;
-    } catch (...) {
-    }
-    if (!named) release(f.ino_);
+    // The DRAM index holds the list on media, so the file stays only if
+    // the commit named it, even when a later step (releasing the replaced
+    // file, clearing the mark) threw.
+    if (dir == 0 || dir_lookup(dir, leaf) != f.ino_) release(f.ino_);
     throw;
   }
   if (!linked) release(f.ino_);

@@ -406,14 +406,6 @@ void HashTable::rebuild(std::size_t new_nbuckets) {
   auto new_array = empty_array(new_nbuckets, new_gen);
   const std::size_t array_bytes = new_array.size() * 8;
   const std::uint64_t new_off = pool_->alloc(array_bytes);
-  const std::uint64_t swap = hoff_ + offsetof(TableHeader, buckets_off);
-  // Once the swap is on media: move the mirror over before retiring the
-  // old storage (a fault while freeing must not leave it pointing back).
-  const auto adopt = [&] {
-    s_->buckets_off = new_off;
-    s_->gen = new_gen;
-    s_->nbuckets.store(new_nbuckets, std::memory_order_release);
-  };
   std::vector<std::uint64_t> dropped;  // duplicate nodes and their values
   try {
     const std::span<std::uint64_t> heads(new_array.data() + kHeadsOff / 8,
@@ -445,25 +437,23 @@ void HashTable::rebuild(std::size_t new_nbuckets) {
 
     // The swap: one 8-byte store, crash-atomic on its own, publishes the
     // new array together with the bucket count and generation it carries.
-    pool_->set<std::uint64_t>(swap, new_off);
+    pool_->set<std::uint64_t>(hoff_ + offsetof(TableHeader, buckets_off),
+                              new_off);
   } catch (...) {
-    // Unless a faulted swap left its store on media (a faulted flush
-    // reverts its lines only under the crash shadow), the table never saw
-    // the new array: free it, best effort.
-    std::uint64_t now = 0;
-    std::memcpy(&now, pool_->direct(swap), sizeof(now));
-    if (now == new_off) {
-      adopt();
-    } else {
-      try {
-        pool_->free(new_off);
-      } catch (...) {
-        // A second fault, or a crash: the array leaks.
-      }
+    // The table never saw the new array (a faulted swap reverts its line):
+    // free it, best effort.
+    try {
+      pool_->free(new_off);
+    } catch (...) {
+      // A second fault, or a crash: the array leaks.
     }
     throw;
   }
-  adopt();
+  // The swap is on media: move the mirror over before retiring the old
+  // storage (a fault while freeing must not leave it pointing back).
+  s_->buckets_off = new_off;
+  s_->gen = new_gen;
+  s_->nbuckets.store(new_nbuckets, std::memory_order_release);
   for (const std::uint64_t off : dropped) pool_->free(off);
   pool_->free(old_off);
 }
@@ -547,9 +537,9 @@ bool HashTable::Inserter::publish(bool keep_existing) {
   } catch (...) {
     // A fault after the head store unwinds with the entry reachable, and
     // link() marked it published so the destructor keeps its storage.
-    // Abort (not commit) the checker scope: the faulted tail may have left a
-    // stored-but-reverted line the checker still sees as dirty, and
-    // tx_commit would flag that as a violation of ours.
+    // Abort (not commit) the checker scope: a fault reverts only its own
+    // flush run, so the faulted tail may have left stores of other runs
+    // unflushed, and tx_commit would flag them as a violation of ours.
     if (published_) close_checker_scope();
     throw;
   }

@@ -12,7 +12,7 @@ thread_local Context* t_current = nullptr;
 }  // namespace
 
 Context& default_context() noexcept {
-  static Context c{default_model(), 1, 0};
+  thread_local Context c{default_model(), 1, 0};
   return c;
 }
 

@@ -808,12 +808,13 @@ TEST(FaultMatrix, FaultedFsNamespaceOpLeavesDramEqualToAFreshMount) {
   cases.push_back({"link's mark clear", link, links});
   cases.push_back({"discard's inode free", discard, attempts(discard)});
   ASSERT_GE(cases.size(), 6u);
-  // With the crash shadow a faulted flush reverts its lines to their
-  // durable image; without it the stored bytes stay, so a faulted header
-  // flush leaves the new list on media.
-  for (const bool shadow : {true, false}) {
-    for (const bool sticky : {false, true}) {
-      for (const Case& c : cases) {
+  // A faulted flush reverts its lines to their durable image on every
+  // device, so a faulted header flush leaves the old list on media, and a
+  // plain device ends where the crash shadow does.
+  for (const bool sticky : {false, true}) {
+    for (const Case& c : cases) {
+      std::vector<std::pair<std::vector<std::string>, std::uint64_t>> ends;
+      for (const bool shadow : {true, false}) {
         SCOPED_TRACE(std::string(shadow ? "crash shadow, " : "plain, ") +
                      (sticky ? "sticky" : "transient") + " fault in the " +
                      c.what + " at attempt " + std::to_string(c.attempt));
@@ -829,7 +830,14 @@ TEST(FaultMatrix, FaultedFsNamespaceOpLeavesDramEqualToAFreshMount) {
         if (c.op.unnamed && fs.exists("/d/n")) {
           EXPECT_EQ(fs.size("/d/n"), 4096u);
         }
+        auto names = fs.list("/d");
+        std::sort(names.begin(), names.end());
+        ends.emplace_back(std::move(names), fs.free_inodes());
       }
+      EXPECT_EQ(ends[0], ends[1])
+          << (sticky ? "sticky" : "transient") << " fault in the " << c.what
+          << " at attempt " << c.attempt
+          << ": the plain device ended apart from the crash shadow";
     }
   }
 }
@@ -844,9 +852,8 @@ std::string rehash_key(int i) { return "key" + std::to_string(i); }
 std::string rehash_value(int i) { return "value-" + std::to_string(i); }
 
 /// A 24-key table: 4 buckets, or 16 reached by one rehash, so that its
-/// chains follow the second generation.  With the crash shadow a faulted
-/// flush reverts its lines, as the hardware would lose them; without it the
-/// stored bytes stay.
+/// chains follow the second generation.  On either device a faulted flush
+/// reverts its lines, as the hardware would lose them.
 struct RehashFaultScene {
   static constexpr std::size_t kBytes = 4ull << 20;
 
@@ -910,13 +917,12 @@ TEST(FaultMatrix, FaultedRehashKeepsTheOldTableInForce) {
       s.table.rehash(64);
       attempts = static_cast<int>(ctr(Counter::kFlushOps) - before);
     }
-    int swap = 0;  // the swap's attempt, found under the crash shadow
+    int swap = 0;  // the swap's attempt, found by the first variant
     for (const auto& [shadow, sticky] :
          {std::pair{true, false}, std::pair{true, true},
-          std::pair{false, false}}) {
-      // A fault before the swap leaves the old array in force.  So does one
-      // at the swap under the crash shadow, which reverts the store; without
-      // it the store stays on media and the table adopts the new array.
+          std::pair{false, false}, std::pair{false, true}}) {
+      // A fault up to and including the swap leaves the old array in force:
+      // a faulted swap reverts its store on either device.
       int last_old = 0;
       for (int k = 1; k <= attempts; ++k) {
         SCOPED_TRACE(std::string(shadow ? "crash shadow, " : "plain, ") +
@@ -934,9 +940,7 @@ TEST(FaultMatrix, FaultedRehashKeepsTheOldTableInForce) {
           EXPECT_EQ(last_old, k - 1) << "an earlier fault moved the table";
           last_old = k;
           // The new array is freed unless a sticky line refuses the free.
-          // Without the crash shadow, a fault at the allocation's last
-          // persist throws after the array is allocated, and it leaks.
-          if (shadow && !sticky) {
+          if (!sticky) {
             EXPECT_EQ(s.pool.bytes_in_use(), bytes);
           }
         } else {
@@ -954,15 +958,12 @@ TEST(FaultMatrix, FaultedRehashKeepsTheOldTableInForce) {
         expect_mirror_matches_fresh_open(s.dev, s.table);
         if (::testing::Test::HasFatalFailure()) return;
       }
-      if (shadow) {
-        // Every flush that links a node, the array's flush and the swap
-        // are among the faults that leave the old array.
-        EXPECT_GE(last_old, kRehashKeys + 2);
-        EXPECT_LT(last_old, attempts);
-        swap = last_old;
-      } else {
-        EXPECT_EQ(last_old, swap - 1);
-      }
+      // Every flush that links a node, the array's flush and the swap
+      // are among the faults that leave the old array, on both devices.
+      EXPECT_GE(last_old, kRehashKeys + 2);
+      EXPECT_LT(last_old, attempts);
+      if (swap == 0) swap = last_old;
+      EXPECT_EQ(last_old, swap);
     }
     std::cout << "[ fault matrix ] " << attempts
               << " rehash persist attempts, the swap at " << swap << "\n";

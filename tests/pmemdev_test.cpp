@@ -8,6 +8,7 @@
 #include <array>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -322,6 +323,33 @@ TEST(FaultPlanTest, UnwindSettlesOwnFlushAfterAnotherThreadsFence) {
     std::uint64_t out = 0;
     dev.read(0, &out, sizeof(out));
     EXPECT_EQ(out, v);
+  }
+}
+
+// A writeback that fails for good loses its in-flight lines, as a crash
+// would, on a device without the crash shadow too: arming the fault starts
+// the line model, and the stores made before it count as durable.
+TEST(FaultPlanTest, FaultedPersistRevertsOnEveryDevice) {
+  for (const bool checker : {false, true}) {
+    for (const double sticky : {0.0, 1.0}) {
+      SCOPED_TRACE(std::string(checker ? "checker, " : "plain, ") +
+                   (sticky > 0.0 ? "sticky" : "transient"));
+      Device dev(1 << 20);
+      if (checker) dev.enable_checker();
+      const std::uint64_t v1 = 1, v2 = 2;
+      dev.write(0, &v1, sizeof(v1));
+      dev.persist(0, sizeof(v1));
+      FaultPlan plan;
+      plan.transient_persist_rate = 1.0;
+      plan.sticky_rate = sticky;
+      dev.set_fault_plan(plan);
+      dev.write(0, &v2, sizeof(v2));
+      EXPECT_THROW(dev.persist(0, sizeof(v2)), DeviceError);
+      dev.set_fault_plan(FaultPlan{});
+      std::uint64_t out = 0;
+      dev.read(0, &out, sizeof(out));
+      EXPECT_EQ(out, v1);
+    }
   }
 }
 
