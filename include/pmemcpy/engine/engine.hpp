@@ -5,7 +5,8 @@
 //
 // The contract:
 //   * Entries are (key, blob, 64-bit meta word).  Keys are flat strings;
-//     prefix iteration is the only enumeration primitive.
+//     prefix iteration is the only enumeration primitive, and it yields
+//     keys only: find() opens an entry.
 //   * put() is two-phase: the returned PutHandle exposes a Sink over the
 //     reserved blob, and commit(crc) stamps the checksum and publishes.  An
 //     entry is either fully visible or absent — never torn.  A PutHandle
@@ -145,9 +146,10 @@ class Engine {
   virtual std::unique_ptr<Entry> find(const std::string& key) = 0;
   /// false when absent.
   virtual bool erase(const std::string& key) = 0;
+  /// fn(key) for every published key starting with @p prefix.
   virtual void for_each_prefix(
       const std::string& prefix,
-      const std::function<void(const std::string&, const EntryInfo&)>& fn) = 0;
+      const std::function<void(const std::string&)>& fn) = 0;
   virtual std::unique_ptr<Batch> begin_batch() = 0;
 
   /// Record the device-absolute range [dev_off, dev_off+len) in the pool's

@@ -77,12 +77,14 @@ class File {
   Ino ino_ = 0;
 };
 
-/// DAX mapping of a file: loads/stores run against device memory directly.
+/// DAX mapping of a file: loads/stores run against device memory directly,
+/// through the device's DAX calls (one per extent run).
 class Mapping {
  public:
   /// Store @p len bytes at file offset @p off (zero kernel involvement).
   void store(std::uint64_t off, const void* src, std::size_t len);
-  /// Load @p len bytes from file offset @p off.
+  /// Load @p len bytes from file offset @p off; DeviceError over injected
+  /// bad media.
   void load(std::uint64_t off, void* dst, std::size_t len) const;
   /// Flush + fence the given file range: one CLWB pass over every extent
   /// run, then a single fence (not a fence per run).
@@ -93,11 +95,11 @@ class Mapping {
   void check_publish(std::uint64_t off, std::size_t len);
   /// Charged, crash-tracked writable span over [off, off+len) when the
   /// range is physically contiguous; throws FsError otherwise (callers
-  /// fall back to streaming store()s).  The write is announced
-  /// (note_write) and charged once up front — the zero-copy reservation
-  /// primitive of the reserve-then-serialize contract (DESIGN.md §12),
-  /// exactly like Pool::direct_write_span.  Persisting the filled span
-  /// stays the caller's job.
+  /// fall back to streaming store()s).  The device's store_span()
+  /// announces and charges the write once up front — the zero-copy
+  /// reservation primitive of the reserve-then-serialize contract
+  /// (DESIGN.md §12), exactly like Pool::direct_write_span.  Persisting the
+  /// filled span stays the caller's job.
   [[nodiscard]] std::span<std::byte> direct_write_span(std::uint64_t off,
                                                        std::size_t len);
   /// Media-checked read-only span over [off, off+len) when the range is
@@ -243,7 +245,8 @@ class FileSystem {
 
   /// Ensure the file owns blocks covering [0, size); grows only.
   void ensure_capacity(Ino ino, std::uint64_t size);
-  /// Gather the (file_off, dev_off, len) runs of a file's first @p size bytes.
+  /// Gather the (file_off, dev_off, len) runs of a file's first @p size
+  /// bytes, under mu_: unlocked callers copy through the runs afterwards.
   [[nodiscard]] std::vector<Mapping::Run> gather_runs(Ino ino,
                                                       std::uint64_t size) const;
   /// Visit the indirect extent blocks chained from block @p blk in order:

@@ -166,8 +166,12 @@ class HashTable {
   /// load factor is re-checked once every stripe is held, so concurrent
   /// publishers crossing the same threshold rebuild the table once.  Off by
   /// default so fixed-size tables stay fixed (e.g. for ablations).
-  void set_auto_grow(bool on) noexcept { auto_grow_ = on; }
-  [[nodiscard]] bool auto_grow() const noexcept { return auto_grow_; }
+  void set_auto_grow(bool on) noexcept {
+    s_->auto_grow.store(on, std::memory_order_relaxed);
+  }
+  [[nodiscard]] bool auto_grow() const noexcept {
+    return s_->auto_grow.load(std::memory_order_relaxed);
+  }
 
   /// Iterate all entries (takes all stripe locks, released even if @p fn
   /// throws; don't mutate from @p fn).
@@ -198,6 +202,8 @@ class HashTable {
     /// any stripe lock.
     std::uint64_t gen = 0;
     std::atomic<std::uint64_t> count{0};
+    /// Set by every rank's engine open while other ranks publish.
+    std::atomic<bool> auto_grow{false};
   };
 
   /// One chain position matching a key, with the node's live next pointer
@@ -260,7 +266,6 @@ class HashTable {
   Pool* pool_;
   std::uint64_t hoff_;
   std::unique_ptr<Shared> s_ = std::make_unique<Shared>();
-  bool auto_grow_ = false;
 };
 
 }  // namespace pmemcpy::obj

@@ -95,8 +95,11 @@ class Pool {
   ~Pool();
 
   [[nodiscard]] pmem::Device& device() noexcept { return *dev_; }
-  [[nodiscard]] bool map_sync() const noexcept { return opts_.map_sync; }
-  void set_map_sync(bool on) noexcept { opts_.map_sync = on; }
+  // MAP_SYNC, the expected contenders and the magazine size are relaxed
+  // atomics in the pool's shared DRAM state: every rank's engine open sets
+  // them while other ranks already use the pool.
+  [[nodiscard]] bool map_sync() const noexcept;
+  void set_map_sync(bool on) noexcept;
   [[nodiscard]] TestFaults& test_faults() noexcept { return test_faults_; }
 
   // --- root object ----------------------------------------------------------
@@ -119,16 +122,14 @@ class Pool {
   /// of (n-1) * PmemModel::pool_op_queue_cost.  Engines set it to the rank
   /// count at open; the default of 1 charges nothing, so serial code is
   /// unaffected.
-  void set_expected_contenders(int n) noexcept { contenders_ = n < 1 ? 1 : n; }
+  void set_expected_contenders(int n) noexcept;
 
   /// Per-rank magazine capacity: the refill batch K.  0 (the default for a
   /// raw pool) disables magazines entirely — every alloc/free takes the
   /// classic locked path.  Engines arm K = 8 unless told otherwise.
   /// Clamped to [0, kMaxMagazineSize].
-  void set_magazine_size(int k) noexcept {
-    mag_size_ = k < 0 ? 0 : (k > kMaxMagazineSize ? kMaxMagazineSize : k);
-  }
-  [[nodiscard]] int magazine_size() const noexcept { return mag_size_; }
+  void set_magazine_size(int k) noexcept;
+  [[nodiscard]] int magazine_size() const noexcept;
 
   /// No-op, kept only so perfbench/src/replay.cpp still compiles: the pool
   /// has one free-list block and one allocator undo lane, so there is no
@@ -172,10 +173,6 @@ class Pool {
   /// Snapshot of the quarantine table as (off, len) pairs, in table order.
   [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>>
   quarantined() const;
-
-  /// Throw pmem::DeviceError if [off, off+len) intersects injected bad
-  /// media, without reading it (for zero-copy consumers of direct()).
-  void verify_media(std::uint64_t off, std::size_t len) const;
 
   // --- charged data access ----------------------------------------------------
 
@@ -223,12 +220,7 @@ class Pool {
     dev_->check_publish(base_ + off, len);
   }
 
-  /// Zero-copy pointer to pool memory.  Mutating through it requires a prior
-  /// note_write()/charge via write(); prefer write().  Reading through it is
-  /// free of charge — use charge_read() to account a bulk DAX read.
-  [[nodiscard]] std::byte* direct(std::uint64_t off) noexcept {
-    return dev_->raw(base_ + off);
-  }
+  /// Zero-copy read-only pointer to pool memory, unchecked and uncharged.
   [[nodiscard]] const std::byte* direct(std::uint64_t off) const noexcept {
     return dev_->raw(base_ + off);
   }
@@ -236,9 +228,13 @@ class Pool {
   /// crash-tracked but not persisted (the direct-serialization sink).
   [[nodiscard]] std::span<std::byte> direct_write_span(std::uint64_t off,
                                                        std::size_t len);
+  /// Media-checked, uncharged view of [off, off+len) (the zero-copy read);
+  /// charge_read() accounts the slice the caller consumes.
+  [[nodiscard]] std::span<const std::byte> direct_read_span(
+      std::uint64_t off, std::size_t len) const;
   /// Account a bulk zero-copy read of @p len bytes.
   void charge_read(std::size_t len) const {
-    dev_->charge_dax_read(len, opts_.map_sync);
+    dev_->charge_dax_read(len, map_sync());
   }
 
   /// Device offset of the pool base (for diagnostics).
@@ -251,7 +247,7 @@ class Pool {
 
   struct Layout;  // offsets of persistent control structures
   struct Magazine;      // per-thread size-class chunk cache
-  struct AllocRuntime;  // DRAM-side magazine table + quarantine-active flag
+  struct AllocRuntime;  // shared DRAM state: magazines, knobs, flags
   void format();
   void recover();
   void check_off(std::uint64_t off, std::size_t len) const;
@@ -314,10 +310,6 @@ class Pool {
   /// each reclaimed chunk as a batch of one.
   void flush_back_locked(const std::vector<std::uint64_t>& out,
                          std::size_t cls);
-  /// Durably mark a chunk owned-but-unpublished (header rewritten with the
-  /// magazine flag; persistence deferred to the caller's batch flush).
-  void mag_mark_owned(std::uint64_t chunk, std::uint64_t payload,
-                      std::uint32_t cls);
   /// Reclaim chunks left magazine-flagged by a crash back to the free
   /// lists (open(), after undo-log recovery and quarantine decode).
   void sweep_magazines();
@@ -346,10 +338,7 @@ class Pool {
   pmem::Device* dev_;
   std::size_t base_;
   std::size_t size_;
-  PoolOptions opts_;
   TestFaults test_faults_;
-  int contenders_ = 1;
-  int mag_size_ = 0;  ///< refill batch K; 0 = magazines off
 
   /// DRAM cache of the persistent quarantine table, in table order.
   /// Guarded by alloc_mu_ (the allocator consults it on every path).

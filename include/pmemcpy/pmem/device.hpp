@@ -5,10 +5,13 @@
 // of the calling rank:
 //
 //   * read()/write()  — explicit, bounds-checked, charged transfers; used by
-//     the POSIX path of the filesystem and by the object store.
-//   * raw() + charge_dax_*() — the DAX path: callers get a pointer straight
-//     into device memory (zero copy) and charge bandwidth/fault costs
-//     explicitly, including the MAP_SYNC first-touch penalty.
+//     the POSIX path of the filesystem.
+//   * store()/store_span() and load()/load_span() — the DAX path of the
+//     object store and the filesystem's mappings.  They apply every access
+//     rule: a powered-off device drops stores, a store is announced to the
+//     line model, checker and fault gate before the bytes change, a load
+//     checks for injected media damage, and both are charged (including
+//     the MAP_SYNC first-touch penalty).  The spans are device memory.
 //
 // For crash-consistency testing the device can run a cache-line model
 // (src/pmemdev/line_model.hpp): per line the durable image and, per thread,
@@ -43,6 +46,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -150,8 +154,6 @@ class Device {
   /// Load @p len bytes from @p off; charges read latency + bandwidth.
   /// Throws DeviceError if the range intersects an injected media error.
   void read(std::size_t off, void* dst, std::size_t len) const;
-  /// Set @p len bytes at @p off to @p value; charged like a write.
-  void fill(std::size_t off, std::size_t len, std::byte value);
 
   /// Flush the cachelines covering [off, off+len) and fence: after this the
   /// range survives simulate_crash().  Charges per-line flush + fence cost.
@@ -170,9 +172,25 @@ class Device {
 
   // --- DAX path -------------------------------------------------------------
 
-  /// Pointer into device memory.  Mutations through this pointer are
-  /// invisible to crash tracking unless note_write() is called; production
-  /// code uses the typed helpers in pmemobj which do so.
+  /// Store @p len bytes at @p off (@p map_sync: the mapping's MAP_SYNC
+  /// costs); durable only after a flush or persist.
+  void store(std::size_t off, const void* src, std::size_t len,
+             bool map_sync);
+  /// store() for a span the caller fills (the zero-copy reservation).
+  /// While the device is powered off it is a per-thread scratch buffer.
+  [[nodiscard]] std::span<std::byte> store_span(std::size_t off,
+                                                std::size_t len,
+                                                bool map_sync);
+  /// Load @p len bytes from @p off; DeviceError over injected bad media.
+  void load(std::size_t off, void* dst, std::size_t len, bool map_sync) const;
+  /// Media-checked view of [off, off+len), uncharged: the caller charges
+  /// the slice it consumes with charge_dax_read().
+  [[nodiscard]] std::span<const std::byte> load_span(std::size_t off,
+                                                     std::size_t len) const;
+
+  /// Pointer into device memory, unchecked and uncharged (tests, damage
+  /// probes, uncharged peeks).  Stores through it are invisible to crash
+  /// tracking unless note_write() comes first.
   [[nodiscard]] std::byte* raw(std::size_t off = 0) noexcept {
     return data_.get() + off;
   }
@@ -212,7 +230,9 @@ class Device {
   /// Arm a fault plan for the current run (requires crash_shadow when a
   /// crash point is scheduled).  A nonzero rate starts the cache-line model,
   /// so a failed writeback reverts; stores made before count as durable.
-  /// Like enable_checker(), must not race a store on another thread.
+  /// The plan replaces the crash point and the rates only: injected sticky
+  /// ranges and read errors stay armed.  Like enable_checker(), must not
+  /// race a store on another thread.
   void set_fault_plan(const FaultPlan& plan);
   /// Monotonic count of flush()/persist()/drain() ops since construction.
   [[nodiscard]] std::uint64_t persist_ops() const noexcept {
@@ -231,9 +251,9 @@ class Device {
   /// range throw DeviceError{kMediaRead}.
   void inject_read_error(std::size_t off, std::size_t len);
   void clear_read_errors();
-  /// Throw DeviceError if [off, off+len) intersects an injected bad range.
-  /// DAX-path consumers (which bypass read()) call this before trusting a
-  /// raw() view.
+  /// Throw DeviceError if [off, off+len) intersects an injected bad range
+  /// (read(), load() and load_span() call it).  With no fault armed it
+  /// returns without taking the device lock.
   void check_media(std::size_t off, std::size_t len) const;
 
   // --- transient faults, sticky media and retries -----------------------------
@@ -245,8 +265,9 @@ class Device {
   /// Mark the cachelines covering [off, off+len) as sticky-bad media:
   /// stores and persists touching them throw DeviceError{kMediaWrite};
   /// reads still succeed (the data is recoverable, so callers can
-  /// quarantine + relocate).  Survives revive(), like real media damage.
-  /// Arms injection as set_fault_plan() does, under the same thread rule.
+  /// quarantine + relocate).  Survives revive() and set_fault_plan(), like
+  /// real media damage.  Arms injection as set_fault_plan() does, under the
+  /// same thread rule.
   void inject_sticky_range(std::size_t off, std::size_t len);
   [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>>
   sticky_ranges() const;
@@ -338,8 +359,6 @@ class Device {
   /// a faulted store/persist to a sticky-bad range (out param).
   Attempt fault_attempt(FaultOp op, std::size_t off, std::size_t len,
                         std::pair<std::size_t, std::size_t>* sticky) const;
-  /// Throw DeviceError{kMediaWrite} when the range hits sticky-bad media.
-  void check_sticky(std::size_t off, std::size_t len) const;
   /// Run the per-attempt fault coin under the retry policy, charging each
   /// backoff to the sim clock; throws kTransient when the budget runs out
   /// and kMediaWrite when an attempt escalates to a sticky range.
@@ -348,6 +367,8 @@ class Device {
   /// coins under the retry policy.  A failed writeback reverts the lines it
   /// covered; either failure settles the batch and rethrows.
   void fault_gate(FaultOp op, std::size_t off, std::size_t len);
+  /// Recompute armed_ from the rates, sticky ranges and read errors.
+  void rearm_locked();
 
   std::size_t capacity_;
   std::unique_ptr<std::byte[]> data_;
@@ -364,10 +385,10 @@ class Device {
   bool torn_writes_ = false;
   std::uint64_t torn_seed_ = 0;
 
-  // Transient-fault state.  The armed flag is the disabled fast path: one
-  // relaxed load per access, no rate math, no lock — the ft layer is free
-  // when off.
-  std::atomic<bool> transient_armed_{false};
+  // Fault state.  The armed flag is set while any rate, sticky range or
+  // read error is armed.  Clear, it is the disabled fast path: one relaxed
+  // load per access, no rate math, no lock — the ft layer is free when off.
+  std::atomic<bool> armed_{false};
   double t_read_rate_ = 0.0;
   double t_write_rate_ = 0.0;
   double t_persist_rate_ = 0.0;

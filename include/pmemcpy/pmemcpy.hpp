@@ -667,10 +667,12 @@ class PMEM {
   /// The scrub/repair pass: visit each distinct stored key once, with its
   /// whole blob read in place (stored_span) and checked against its
   /// checksum.  @p fn gets the key, the entry, the blob and the issue found
-  /// ("" when intact; the blob is empty after a media error).  Returns the
-  /// number of keys examined.
+  /// ("" when intact; the blob is empty after a media error, and the entry
+  /// null when the error came from opening it).  Returns the number of
+  /// keys examined.
   std::size_t examine(
-      const std::function<void(const std::string&, engine::Engine::Entry&,
+      const std::function<void(const std::string&,
+                               const engine::Engine::Entry*,
                                std::span<const std::byte>,
                                const std::string&)>& fn);
 

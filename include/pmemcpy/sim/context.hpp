@@ -4,7 +4,7 @@
 // simulated clock.  Modules (device, filesystem, communicator, serializers)
 // charge costs to the *current* context, found through a thread-local
 // pointer.  Code that runs outside the parallel runtime (unit tests, serial
-// examples) uses a process-wide default context.
+// examples) uses its thread's own default context.
 #pragma once
 
 #include <pmemcpy/sim/model.hpp>

@@ -284,18 +284,17 @@ std::vector<std::string> PMEM::ids() {
   // Dedup through an ordered set: regions hold one entry per rank per
   // variable, so the old linear-scan dedup was quadratic in ranks×vars.
   std::set<std::string> uniq;
-  engine_ref().for_each_prefix(
-      "", [&](const std::string& key, const engine::EntryInfo&) {
-        std::string id = key;
-        if (const auto p = id.find("#p:"); p != std::string::npos) {
-          id.resize(p);
-        } else if (const auto a = id.find("#attr:"); a != std::string::npos) {
-          id.resize(a);
-        } else if (id.size() >= 5 && id.ends_with("#dims")) {
-          id.resize(id.size() - 5);
-        }
-        uniq.insert(std::move(id));
-      });
+  engine_ref().for_each_prefix("", [&](const std::string& key) {
+    std::string id = key;
+    if (const auto p = id.find("#p:"); p != std::string::npos) {
+      id.resize(p);
+    } else if (const auto a = id.find("#attr:"); a != std::string::npos) {
+      id.resize(a);
+    } else if (id.size() >= 5 && id.ends_with("#dims")) {
+      id.resize(id.size() - 5);
+    }
+    uniq.insert(std::move(id));
+  });
   return {uniq.begin(), uniq.end()};
 }
 
@@ -304,10 +303,7 @@ void PMEM::for_each_raw(
                              std::uint64_t)>& fn) {
   auto& st = engine_ref();
   std::vector<std::string> keys;
-  st.for_each_prefix("",
-                     [&](const std::string& key, const engine::EntryInfo&) {
-                       keys.push_back(key);
-                     });
+  st.for_each_prefix("", [&](const std::string& key) { keys.push_back(key); });
   for (const auto& key : keys) {
     auto entry = st.find(key);
     if (!entry) continue;
@@ -335,13 +331,11 @@ void PMEM::remove(const std::string& id) {
   const std::string piece_prefix = detail::piece_prefix(id);
   const std::string attr_prefix = detail::attr_prefix(id);
   std::vector<std::string> keys;
-  st.for_each_prefix(id + "#",
-                     [&](const std::string& key, const engine::EntryInfo&) {
-                       if (key.starts_with(piece_prefix) ||
-                           key.starts_with(attr_prefix)) {
-                         keys.push_back(key);
-                       }
-                     });
+  st.for_each_prefix(id + "#", [&](const std::string& key) {
+    if (key.starts_with(piece_prefix) || key.starts_with(attr_prefix)) {
+      keys.push_back(key);
+    }
+  });
   for (const auto& key : keys) any |= st.erase(key);
   invalidate_piece_cache(id);
   if (read_cache_) {
@@ -355,7 +349,7 @@ void PMEM::remove(const std::string& id) {
 }
 
 std::size_t PMEM::examine(
-    const std::function<void(const std::string&, engine::Engine::Entry&,
+    const std::function<void(const std::string&, const engine::Engine::Entry*,
                              std::span<const std::byte>,
                              const std::string&)>& fn) {
   auto& st = engine_ref();
@@ -365,18 +359,15 @@ std::size_t PMEM::examine(
   // visits both copies, and find() only ever returns the live one — examine
   // (and report, and relocate) each distinct key once.
   std::set<std::string> keys;
-  st.for_each_prefix("",
-                     [&](const std::string& key, const engine::EntryInfo&) {
-                       keys.insert(key);
-                     });
+  st.for_each_prefix("", [&](const std::string& key) { keys.insert(key); });
   std::size_t examined = 0;
   for (const auto& key : keys) {
-    auto entry = st.find(key);
-    if (!entry) continue;  // concurrently removed
-    ++examined;
+    std::unique_ptr<engine::Engine::Entry> entry;
     std::span<const std::byte> blob;
     std::string issue;
     try {
+      entry = st.find(key);
+      if (!entry) continue;  // concurrently removed
       blob = entry->stored_span();
       if (crc32c(blob.data(), blob.size()) !=
           detail::meta_crc(entry->info().meta)) {
@@ -385,7 +376,8 @@ std::size_t PMEM::examine(
     } catch (const pmem::DeviceError& e) {
       issue = std::string("media error: ") + e.what();
     }
-    fn(key, *entry, blob, issue);
+    ++examined;
+    fn(key, entry.get(), blob, issue);
   }
   return examined;
 }
@@ -394,10 +386,12 @@ ScrubReport PMEM::scrub() {
   trace::Span span("core.scrub");
   ScrubReport rep;
   rep.entries = examine([&](const std::string& key,
-                            engine::Engine::Entry& entry,
+                            const engine::Engine::Entry* entry,
                             std::span<const std::byte>,
                             const std::string& issue) {
-    if (!issue.empty()) rep.corrupt.push_back({key, issue, entry.dev_off()});
+    if (!issue.empty()) {
+      rep.corrupt.push_back({key, issue, entry ? entry->dev_off() : 0});
+    }
   });
   return rep;
 }
@@ -459,10 +453,10 @@ RepairReport PMEM::repair() {
     trace::count(trace::Counter::kFtDamagedKeys);
   };
   rep.entries = examine([&](const std::string& key,
-                            engine::Engine::Entry& entry,
+                            const engine::Engine::Entry* entry,
                             std::span<const std::byte> blob,
                             const std::string& issue) {
-    const std::uint64_t dev_off = entry.dev_off();
+    const std::uint64_t dev_off = entry ? entry->dev_off() : 0;
     if (!issue.empty()) {
       // Unreadable or torn: there is nothing intact to relocate.
       mark_damaged(key, issue, dev_off);
@@ -489,7 +483,7 @@ RepairReport PMEM::repair() {
     // the write faults and the entry is reported damaged rather than
     // silently left in place.
     try {
-      import_raw(key, blob, entry.info().meta);
+      import_raw(key, blob, entry->info().meta);
       ++rep.relocated;
       trace::count(trace::Counter::kFtRelocations);
     } catch (const ft::DegradedError& e) {
@@ -511,10 +505,9 @@ RepairReport PMEM::repair() {
 std::vector<std::string> PMEM::attributes(const std::string& id) {
   const std::string prefix = detail::attr_prefix(id);
   std::vector<std::string> names;
-  engine_ref().for_each_prefix(
-      prefix, [&](const std::string& key, const engine::EntryInfo&) {
-        names.push_back(key.substr(prefix.size()));
-      });
+  engine_ref().for_each_prefix(prefix, [&](const std::string& key) {
+    names.push_back(key.substr(prefix.size()));
+  });
   std::sort(names.begin(), names.end());
   return names;
 }
@@ -525,9 +518,7 @@ const std::vector<std::string>& PMEM::piece_keys(const std::string& id) {
   std::vector<std::string> keys;
   engine_ref().for_each_prefix(
       detail::piece_prefix(id),
-      [&](const std::string& key, const engine::EntryInfo&) {
-        keys.push_back(key);
-      });
+      [&](const std::string& key) { keys.push_back(key); });
   return piece_cache_.emplace(id, std::move(keys)).first->second;
 }
 

@@ -22,11 +22,11 @@ class TableEntry final : public Engine::Entry {
   EntryInfo info() const override { return {ref_.val_size, ref_.meta}; }
 
   std::span<const std::byte> stored_span(std::size_t charge_bytes) override {
-    // Zero-copy bypasses the checked read path, so probe for injected
-    // media errors explicitly before handing out the span.
-    pool_->verify_media(ref_.val_off, ref_.val_size);
+    // Media-checked view; the charge covers only the slice the caller will
+    // decode.
+    const auto s = pool_->direct_read_span(ref_.val_off, ref_.val_size);
     pool_->charge_read(charge_bytes);
-    return {pool_->direct(ref_.val_off), ref_.val_size};
+    return s;
   }
 
   std::uint64_t dev_off() const override {
@@ -155,13 +155,12 @@ class TableEngine final : public Engine {
 
   bool erase(const std::string& key) override { return table_->erase(key); }
 
-  void for_each_prefix(
-      const std::string& prefix,
-      const std::function<void(const std::string&, const EntryInfo&)>& fn)
+  void for_each_prefix(const std::string& prefix,
+                       const std::function<void(const std::string&)>& fn)
       override {
     table_->for_each_prefix(
-        prefix, [&](std::string_view key, const obj::ValueRef& ref) {
-          fn(std::string(key), EntryInfo{ref.val_size, ref.meta});
+        prefix, [&](std::string_view key, const obj::ValueRef&) {
+          fn(std::string(key));
         });
   }
 

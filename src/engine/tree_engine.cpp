@@ -275,9 +275,8 @@ class TreeEngine final : public Engine {
     return true;
   }
 
-  void for_each_prefix(
-      const std::string& prefix,
-      const std::function<void(const std::string&, const EntryInfo&)>& fn)
+  void for_each_prefix(const std::string& prefix,
+                       const std::function<void(const std::string&)>& fn)
       override {
     walk("", root_, prefix, fn);
   }
@@ -288,11 +287,11 @@ class TreeEngine final : public Engine {
 
  private:
   /// Recursive directory walk visiting every entry whose key starts with
-  /// @p prefix.  Descends only into directories that can contain matches.
+  /// @p prefix.  Descends only into directories that can contain matches,
+  /// and reads names only: no entry file is opened.
   void walk(const std::string& key_so_far, const std::string& dir,
             const std::string& prefix,
-            const std::function<void(const std::string&, const EntryInfo&)>&
-                fn) {
+            const std::function<void(const std::string&)>& fn) {
     if (!fs_->exists(dir)) return;
     for (const auto& name : fs_->list(dir)) {
       const std::string key =
@@ -306,15 +305,7 @@ class TreeEngine final : public Engine {
         }
         continue;
       }
-      if (key.size() < prefix.size() ||
-          key.compare(0, prefix.size(), prefix) != 0) {
-        continue;
-      }
-      auto f = fs_->open(path, fs::OpenMode::kRead);
-      auto m = fs_->map(f, map_sync_);
-      std::uint64_t meta = 0;
-      m.load(0, &meta, sizeof(meta));
-      fn(key, EntryInfo{m.size() - kTreeHeader, meta});
+      if (key.starts_with(prefix)) fn(key);
     }
   }
 

@@ -70,6 +70,16 @@ std::string range_str(std::size_t off, std::size_t len) {
   return "[" + std::to_string(off) + ", +" + std::to_string(len) + ")";
 }
 
+/// The first of @p ranges that [off, off+len) intersects, or null.
+const std::pair<std::size_t, std::size_t>* first_overlap(
+    const std::vector<std::pair<std::size_t, std::size_t>>& ranges,
+    std::size_t off, std::size_t len) {
+  for (const auto& r : ranges) {
+    if (off < r.first + r.second && r.first < off + len) return &r;
+  }
+  return nullptr;
+}
+
 /// The cache lines [first, last) that [off, off+len) touches.
 std::pair<std::size_t, std::size_t> line_span(std::size_t off,
                                               std::size_t len) {
@@ -177,28 +187,46 @@ void Device::write(std::size_t off, const void* src, std::size_t len) {
 }
 
 void Device::read(std::size_t off, void* dst, std::size_t len) const {
-  check_range(off, len);
-  check_media(off, len);
-  if (transient_armed_.load(std::memory_order_relaxed)) {
+  const auto src = load_span(off, len);
+  if (armed_.load(std::memory_order_relaxed)) {
     run_retries(FaultOp::kRead, off, len);
   }
-  std::memcpy(dst, data_.get() + off, len);
-  auto& c = sim::ctx();
-  const auto& pm = c.model().pmem;
-  c.advance(pm.read_latency + static_cast<double>(len) /
-                                  c.shared_bw(pm.read_stream_bw,
-                                              pm.read_total_bw),
-            sim::Charge::kPmemRead);
-  trace::count(trace::Counter::kBytesRead, len);
-  bytes_read_.fetch_add(len, std::memory_order_relaxed);
+  std::memcpy(dst, src.data(), len);
+  charge_dax_read(len);
 }
 
-void Device::fill(std::size_t off, std::size_t len, std::byte value) {
+std::span<std::byte> Device::store_span(std::size_t off, std::size_t len,
+                                        bool map_sync) {
   check_range(off, len);
-  if (frozen()) return;
+  if (frozen()) {
+    // Powered off: the caller's stores land in scratch DRAM and vanish,
+    // like stores through a dead DIMM mapping.
+    thread_local std::vector<std::byte> scratch;
+    scratch.assign(len, std::byte{});
+    return {scratch.data(), len};
+  }
   note_write(off, len);
-  std::memset(data_.get() + off, std::to_integer<int>(value), len);
-  charge_store(len, 1.0);
+  charge_dax_write(off, len, map_sync);
+  return {data_.get() + off, len};
+}
+
+void Device::store(std::size_t off, const void* src, std::size_t len,
+                   bool map_sync) {
+  const auto dst = store_span(off, len, map_sync);
+  if (len > 0) std::memcpy(dst.data(), src, len);
+}
+
+std::span<const std::byte> Device::load_span(std::size_t off,
+                                             std::size_t len) const {
+  check_range(off, len);
+  check_media(off, len);
+  return {data_.get() + off, len};
+}
+
+void Device::load(std::size_t off, void* dst, std::size_t len,
+                  bool map_sync) const {
+  std::memcpy(dst, load_span(off, len).data(), len);
+  charge_dax_read(len, map_sync);
 }
 
 void Device::charge_store(std::size_t len, double bw_factor) {
@@ -213,9 +241,19 @@ void Device::charge_store(std::size_t len, double bw_factor) {
 }
 
 void Device::fault_gate(FaultOp op, std::size_t off, std::size_t len) {
-  if (!transient_armed_.load(std::memory_order_relaxed)) return;
+  if (!armed_.load(std::memory_order_relaxed)) return;
   try {
-    check_sticky(off, len);
+    {
+      std::lock_guard lk(mu_);
+      if (const auto* bad = first_overlap(sticky_bad_, off, len)) {
+        // Report the *bad range*, not the op range: that is what a caller
+        // should quarantine before relocating.
+        throw DeviceError(DeviceError::Kind::kMediaWrite, bad->first,
+                          bad->second,
+                          "pmem::Device: store to sticky-bad media " +
+                              range_str(bad->first, bad->second));
+      }
+    }
     run_retries(op, off, len);
   } catch (const DeviceError&) {
     // A failed writeback never reached media: in-flight stores to these
@@ -435,7 +473,14 @@ void Device::set_fault_plan(const FaultPlan& plan) {
   fault_seed_ = plan.fault_seed;
   fault_seq_ = 0;
   if (plan.transient_armed()) start_model();
-  transient_armed_.store(plan.transient_armed(), std::memory_order_relaxed);
+  rearm_locked();
+}
+
+void Device::rearm_locked() {
+  armed_.store(t_read_rate_ > 0.0 || t_write_rate_ > 0.0 ||
+                   t_persist_rate_ > 0.0 || !sticky_bad_.empty() ||
+                   !bad_media_.empty(),
+               std::memory_order_relaxed);
 }
 
 void Device::revive() {
@@ -453,22 +498,22 @@ void Device::inject_read_error(std::size_t off, std::size_t len) {
   check_range(off, len);
   std::lock_guard lk(mu_);
   bad_media_.emplace_back(off, len);
+  rearm_locked();
 }
 
 void Device::clear_read_errors() {
   std::lock_guard lk(mu_);
   bad_media_.clear();
+  rearm_locked();
 }
 
 void Device::check_media(std::size_t off, std::size_t len) const {
+  if (!armed_.load(std::memory_order_relaxed)) return;
   std::lock_guard lk(mu_);
-  if (bad_media_.empty()) return;
-  for (const auto& [boff, blen] : bad_media_) {
-    if (off < boff + blen && boff < off + len) {
-      throw DeviceError(DeviceError::Kind::kMediaRead, off, len,
-                        "pmem::Device: media read error in " +
-                            range_str(boff, blen));
-    }
+  if (const auto* bad = first_overlap(bad_media_, off, len)) {
+    throw DeviceError(DeviceError::Kind::kMediaRead, off, len,
+                      "pmem::Device: media read error in " +
+                          range_str(bad->first, bad->second));
   }
 }
 
@@ -490,11 +535,9 @@ void Device::inject_sticky_range(std::size_t off, std::size_t len) {
     std::lock_guard lk(mu_);
     sticky_bad_.emplace_back(first, last - first);
     start_model();
+    rearm_locked();
   }
   trace::count(trace::Counter::kFtStickyRanges);
-  // Sticky checks only run while injection is armed; an explicit injection
-  // must bite even without a transient plan.
-  transient_armed_.store(true, std::memory_order_relaxed);
 }
 
 std::vector<std::pair<std::size_t, std::size_t>> Device::sticky_ranges()
@@ -504,25 +547,9 @@ std::vector<std::pair<std::size_t, std::size_t>> Device::sticky_ranges()
 }
 
 bool Device::media_failing(std::size_t off, std::size_t len) const {
+  if (!armed_.load(std::memory_order_relaxed)) return false;
   std::lock_guard lk(mu_);
-  for (const auto& [soff, slen] : sticky_bad_) {
-    if (off < soff + slen && soff < off + len) return true;
-  }
-  return false;
-}
-
-void Device::check_sticky(std::size_t off, std::size_t len) const {
-  std::lock_guard lk(mu_);
-  if (sticky_bad_.empty()) return;
-  for (const auto& [soff, slen] : sticky_bad_) {
-    if (off < soff + slen && soff < off + len) {
-      // Report the *bad range*, not the op range: that is what a caller
-      // should quarantine before relocating.
-      throw DeviceError(DeviceError::Kind::kMediaWrite, soff, slen,
-                        "pmem::Device: store to sticky-bad media " +
-                            range_str(soff, slen));
-    }
-  }
+  return first_overlap(sticky_bad_, off, len) != nullptr;
 }
 
 Device::Attempt Device::fault_attempt(

@@ -574,6 +574,7 @@ void FileSystem::ensure_capacity(Ino ino, std::uint64_t size) {
 
 std::vector<Mapping::Run> FileSystem::gather_runs(Ino ino,
                                                   std::uint64_t size) const {
+  std::lock_guard lk(*mu_);  // another rank's pwrite may rewrite the inode
   std::vector<Mapping::Run> runs;
   const Inode inode = read_inode(ino);
   if (size == 0) return runs;
@@ -603,7 +604,7 @@ void FileSystem::data_write(Ino ino, const void* buf, std::size_t len,
             });
   if (len == 0) return;
   // Remember the dirty span so fsync() can flush exactly what changed.
-  // data_write itself runs unlocked (pwrite parallelizes the data copy), so
+  // The copy above runs unlocked (pwrite parallelizes the data copy), so
   // the bookkeeping takes the fs lock (recursive: callers may hold it).
   std::lock_guard lk(*mu_);
   auto& d = dirty_[ino];
@@ -1156,22 +1157,18 @@ void Mapping::for_runs(std::uint64_t off, std::size_t len, Fn&& fn) const {
 }
 
 void Mapping::store(std::uint64_t off, const void* src, std::size_t len) {
-  auto* dev = fs_->dev_;
   for_runs(off, len, [&](std::uint64_t dev_off, std::uint64_t src_off,
                          std::uint64_t n) {
-    dev->note_write(dev_off, n);
-    std::memcpy(dev->raw(dev_off),
-                static_cast<const std::byte*>(src) + src_off, n);
-    dev->charge_dax_write(dev_off, n, map_sync_);
+    fs_->dev_->store(dev_off, static_cast<const std::byte*>(src) + src_off, n,
+                     map_sync_);
   });
 }
 
 void Mapping::load(std::uint64_t off, void* dst, std::size_t len) const {
-  auto* dev = fs_->dev_;
   for_runs(off, len, [&](std::uint64_t dev_off, std::uint64_t dst_off,
                          std::uint64_t n) {
-    std::memcpy(static_cast<std::byte*>(dst) + dst_off, dev->raw(dev_off), n);
-    dev->charge_dax_read(n, map_sync_);
+    fs_->dev_->load(dev_off, static_cast<std::byte*>(dst) + dst_off, n,
+                    map_sync_);
   });
 }
 
@@ -1196,28 +1193,14 @@ void Mapping::charge_load(std::size_t bytes) const {
 std::span<std::byte> Mapping::direct_write_span(std::uint64_t off,
                                                 std::size_t len) {
   if (off + len > size_) throw FsError("fs: mapping access out of range");
-  auto* dev = fs_->dev_;
-  if (dev->frozen()) {
-    // Powered off: hand out scratch DRAM so the caller's stores vanish,
-    // exactly like stores through a dead DIMM mapping (and exactly like
-    // Pool::direct_write_span).
-    thread_local std::vector<std::byte> scratch;
-    scratch.assign(len, std::byte{});
-    return {scratch.data(), len};
-  }
-  const std::uint64_t dev_off = contiguous_dev_off(runs_, off, len);
-  dev->note_write(dev_off, len);
-  dev->charge_dax_write(dev_off, len, map_sync_);
-  return {dev->raw(dev_off), len};
+  return fs_->dev_->store_span(contiguous_dev_off(runs_, off, len), len,
+                               map_sync_);
 }
 
 std::span<const std::byte> Mapping::direct_read_span(std::uint64_t off,
                                                      std::size_t len) const {
   if (off + len > size_) throw FsError("fs: mapping access out of range");
-  auto* dev = fs_->dev_;
-  const std::uint64_t dev_off = contiguous_dev_off(runs_, off, len);
-  dev->check_media(dev_off, len);
-  return {dev->raw(dev_off), len};
+  return fs_->dev_->load_span(contiguous_dev_off(runs_, off, len), len);
 }
 
 }  // namespace pmemcpy::fs

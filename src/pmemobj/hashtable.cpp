@@ -381,7 +381,7 @@ bool HashTable::over_load() const noexcept {
 }
 
 void HashTable::maybe_grow() {
-  if (!auto_grow_ || !over_load()) return;
+  if (!auto_grow() || !over_load()) return;
   StripeLocks all(s_->stripes);
   all.lock_all();
   // Every publisher that crossed the threshold gets here; the first to hold

@@ -224,6 +224,9 @@ struct Pool::AllocRuntime {
   /// disabled and allocation falls back to the fully validated classic
   /// path.  Read unlocked by the fast paths, written under alloc_mu_.
   std::atomic<bool> quar_active{false};
+  std::atomic<bool> map_sync{false};
+  std::atomic<int> contenders{1};
+  std::atomic<int> mag_size{0};  ///< refill batch K; 0 = magazines off
 };
 
 Pool::Pool(pmem::Device& dev, std::size_t base, std::size_t size,
@@ -231,8 +234,9 @@ Pool::Pool(pmem::Device& dev, std::size_t base, std::size_t size,
     : dev_(&dev),
       base_(base),
       size_(size),
-      opts_(opts),
-      art_(std::make_unique<AllocRuntime>()) {}
+      art_(std::make_unique<AllocRuntime>()) {
+  set_map_sync(opts.map_sync);
+}
 
 Pool::Pool(Pool&&) noexcept = default;
 
@@ -315,6 +319,27 @@ void Pool::format() {
   set(Layout::kHeaderOff, hdr);
 }
 
+bool Pool::map_sync() const noexcept {
+  return art_->map_sync.load(std::memory_order_relaxed);
+}
+
+void Pool::set_map_sync(bool on) noexcept {
+  art_->map_sync.store(on, std::memory_order_relaxed);
+}
+
+void Pool::set_expected_contenders(int n) noexcept {
+  art_->contenders.store(std::max(n, 1), std::memory_order_relaxed);
+}
+
+void Pool::set_magazine_size(int k) noexcept {
+  art_->mag_size.store(std::clamp(k, 0, kMaxMagazineSize),
+                       std::memory_order_relaxed);
+}
+
+int Pool::magazine_size() const noexcept {
+  return art_->mag_size.load(std::memory_order_relaxed);
+}
+
 void Pool::check_off(std::uint64_t off, std::size_t len) const {
   if (off > size_ || len > size_ - off) {
     throw std::out_of_range("Pool: access beyond pool size");
@@ -323,20 +348,12 @@ void Pool::check_off(std::uint64_t off, std::size_t len) const {
 
 void Pool::write(std::uint64_t off, const void* src, std::size_t len) {
   check_off(off, len);
-  // The device cannot intercept stores made through raw pointers, so the
-  // powered-off gate lives here too: post-crash unwind (destructor
-  // rollbacks, frees) must not mutate the crash image.
-  if (dev_->frozen()) return;
-  dev_->note_write(base_ + off, len);
-  std::memcpy(dev_->raw(base_ + off), src, len);
-  dev_->charge_dax_write(base_ + off, len, opts_.map_sync);
+  dev_->store(base_ + off, src, len, map_sync());
 }
 
 void Pool::read(std::uint64_t off, void* dst, std::size_t len) const {
   check_off(off, len);
-  dev_->check_media(base_ + off, len);
-  std::memcpy(dst, dev_->raw(base_ + off), len);
-  dev_->charge_dax_read(len, opts_.map_sync);
+  dev_->load(base_ + off, dst, len, map_sync());
 }
 
 void Pool::persist(std::uint64_t off, std::size_t len) {
@@ -349,24 +366,16 @@ void Pool::flush(std::uint64_t off, std::size_t len) {
   dev_->flush(base_ + off, len);
 }
 
-void Pool::verify_media(std::uint64_t off, std::size_t len) const {
-  check_off(off, len);
-  dev_->check_media(base_ + off, len);
-}
-
 std::span<std::byte> Pool::direct_write_span(std::uint64_t off,
                                              std::size_t len) {
   check_off(off, len);
-  if (dev_->frozen()) {
-    // Powered off: hand out scratch DRAM so the caller's stores vanish,
-    // exactly like stores through a dead DIMM mapping.
-    thread_local std::vector<std::byte> scratch;
-    scratch.assign(len, std::byte{});
-    return {scratch.data(), len};
-  }
-  dev_->note_write(base_ + off, len);
-  dev_->charge_dax_write(base_ + off, len, opts_.map_sync);
-  return {dev_->raw(base_ + off), len};
+  return dev_->store_span(base_ + off, len, map_sync());
+}
+
+std::span<const std::byte> Pool::direct_read_span(std::uint64_t off,
+                                                  std::size_t len) const {
+  check_off(off, len);
+  return dev_->load_span(base_ + off, len);
 }
 
 std::uint64_t Pool::root() const {
@@ -514,10 +523,11 @@ std::unique_lock<std::mutex> Pool::lock_allocator() {
   // another rank's (possibly lagging) simulated clock would be unsound.
   // Instead every metadata op is charged the expected queueing share: one
   // slot per other contender, since every rank queues on this one lock.
-  if (contenders_ <= 1) return lk;
+  const int contenders = art_->contenders.load(std::memory_order_relaxed);
+  if (contenders <= 1) return lk;
   auto& c = sim::ctx();
   const double delay =
-      static_cast<double>(contenders_ - 1) * c.model().pmem.pool_op_queue_cost;
+      static_cast<double>(contenders - 1) * c.model().pmem.pool_op_queue_cost;
   c.advance(delay, sim::Charge::kOther);
   trace::observe(trace::Hist::kShardQueueDelay, delay);
   trace::count(trace::Counter::kAllocQueueCharges);
@@ -581,7 +591,7 @@ std::uint64_t Pool::alloc(std::size_t bytes) {
   // validated classic path).
   const std::size_t need = round_up(bytes + kChunkHeader, kChunkAlign);
   const std::uint32_t cls = class_for(need);
-  if (cls != kLargeClass && mag_size_ > 0 &&
+  if (cls != kLargeClass && magazine_size() > 0 &&
       !art_->quar_active.load(std::memory_order_acquire)) {
     Magazine& m = magazine();
     auto& stack = m.chunks[cls];
@@ -798,7 +808,8 @@ void Pool::free(std::uint64_t off) {
   // same line, which must not happen flushed-but-unfenced.  One fence here
   // still beats the classic path's two (undo-log persist + metadata
   // persist) plus the lock.  Overflow beyond 2K flushes a batch of K back.
-  if (hdr.cls != kLargeClass && mag_size_ > 0 &&
+  const int mag_size = magazine_size();
+  if (hdr.cls != kLargeClass && mag_size > 0 &&
       !art_->quar_active.load(std::memory_order_acquire) &&
       !dev_->media_failing(base_ + chunk, kChunkHeader + 8)) {
     const ChunkHeader fh =
@@ -809,9 +820,9 @@ void Pool::free(std::uint64_t off) {
     trace::count(trace::Counter::kAllocMagazineFreeHits);
     Magazine& m = magazine();
     m.chunks[hdr.cls].push_back(chunk);
-    const std::size_t cap = 2 * static_cast<std::size_t>(mag_size_);
+    const std::size_t cap = 2 * static_cast<std::size_t>(mag_size);
     if (m.chunks[hdr.cls].size() >= cap) {
-      flush_back(m, hdr.cls, static_cast<std::size_t>(mag_size_));
+      flush_back(m, hdr.cls, static_cast<std::size_t>(mag_size));
     }
     return;
   }
@@ -976,20 +987,6 @@ void Pool::rollback_log() {
 // Magazines (DESIGN.md §14)
 // ---------------------------------------------------------------------------
 
-void Pool::mag_mark_owned(std::uint64_t chunk, std::uint64_t payload,
-                          std::uint32_t cls) {
-  // Deferred-persist primitive: rewrites a chunk header with the magazine
-  // flag as a raw tracked store.  Callers (refill/sweep batches) cover it
-  // with their one coalesced flush+fence pass, so this helper deliberately
-  // returns with the store unpersisted — pmemlint knows it by name.
-  check_off(chunk, kChunkHeader);
-  if (dev_->frozen()) return;
-  const ChunkHeader h = make_chunk(payload, cls | kMagFlag);
-  dev_->note_write(base_ + chunk, sizeof(h));
-  std::memcpy(dev_->raw(base_ + chunk), &h, sizeof(h));
-  dev_->charge_dax_write(base_ + chunk, sizeof(h), opts_.map_sync);
-}
-
 std::size_t Pool::refill_magazine(Magazine& m, std::size_t cls) {
   trace::Span span("pool.refill");
   const auto lk = lock_allocator();
@@ -1006,7 +1003,7 @@ std::size_t Pool::refill_locked(Magazine& m, std::size_t cls) {
   // charge, one log batch and two coalesced flush+fence passes stand in for
   // K full allocations.  This path never runs with a nonempty quarantine
   // (fast paths are disabled), so no per-chunk avoidance checks are needed.
-  const std::size_t k = static_cast<std::size_t>(mag_size_);
+  const std::size_t k = static_cast<std::size_t>(magazine_size());
   const std::size_t csize = kClassSizes[cls];
   const auto ag = get<AllocGlobal>(Layout::kAllocOff);
 
@@ -1046,14 +1043,17 @@ std::size_t Pool::refill_locked(Magazine& m, std::size_t cls) {
   for (const auto c : taken) log.push_back({c, kChunkHeader});
   aundo_log_batch(log);
 
+  // Each header is rewritten flagged magazine-owned; the one coalesced
+  // flush+fence below makes the whole batch durable.
+  const ChunkHeader owned = make_chunk(
+      csize - kChunkHeader, static_cast<std::uint32_t>(cls) | kMagFlag);
   std::vector<Range> dirty;
   for (const auto c : taken) {
-    mag_mark_owned(c, csize - kChunkHeader, static_cast<std::uint32_t>(cls));
+    write(c, &owned, sizeof(owned));
     dirty.push_back({c, kChunkHeader});
   }
   for (std::size_t i = 0; i < carved; ++i) {
-    mag_mark_owned(at + i * csize, csize - kChunkHeader,
-                   static_cast<std::uint32_t>(cls));
+    write(at + i * csize, &owned, sizeof(owned));
     dirty.push_back({at + i * csize, kChunkHeader});
   }
   if (!taken.empty()) {

@@ -27,7 +27,6 @@ namespace {
 
 using pmemcpy::PmemNode;
 using pmemcpy::engine::Engine;
-using pmemcpy::engine::EntryInfo;
 using pmemcpy::pmem::CrashError;
 using pmemcpy::pmem::FaultPlan;
 
@@ -185,9 +184,7 @@ TEST_P(EngineTest, ForEachPrefix) {
   put_str(*engine_, "other", "o");
   std::set<std::string> seen;
   engine_->for_each_prefix("var#p:",
-                           [&](const std::string& key, const EntryInfo&) {
-                             seen.insert(key);
-                           });
+                           [&](const std::string& key) { seen.insert(key); });
   EXPECT_EQ(seen,
             (std::set<std::string>{"var#p:0_0:2_2", "var#p:2_0:2_2"}));
 }
@@ -197,9 +194,7 @@ TEST_P(EngineTest, PrefixWithDirectoryComponent) {
   put_str(*engine_, "grp/var2#p:0:1", "b");
   std::set<std::string> seen;
   engine_->for_each_prefix("grp/var#",
-                           [&](const std::string& key, const EntryInfo&) {
-                             seen.insert(key);
-                           });
+                           [&](const std::string& key) { seen.insert(key); });
   EXPECT_EQ(seen, (std::set<std::string>{"grp/var#p:0:1"}));
 }
 
@@ -311,8 +306,7 @@ TEST_P(EngineTest, LargeBatchRoundtrip) {
               "value-" + std::to_string(i));
   }
   std::size_t n = 0;
-  engine_->for_each_prefix(
-      "key", [&](const std::string&, const EntryInfo&) { ++n; });
+  engine_->for_each_prefix("key", [&](const std::string&) { ++n; });
   EXPECT_EQ(n, static_cast<std::size_t>(kN));
 }
 

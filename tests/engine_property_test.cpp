@@ -175,10 +175,7 @@ void verify_model(Engine& eng, const Model& model, const char* when) {
   for (const char* prefix : {"", "p/", "k"}) {
     std::set<std::string> got;
     eng.for_each_prefix(prefix,
-                        [&](const std::string& key,
-                            const pmemcpy::engine::EntryInfo&) {
-                          got.insert(key);
-                        });
+                        [&](const std::string& key) { got.insert(key); });
     std::set<std::string> want;
     for (const auto& [key, mv] : model) {
       if (key.rfind(prefix, 0) == 0) want.insert(key);

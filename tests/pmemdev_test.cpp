@@ -43,14 +43,6 @@ TEST(DeviceTest, OutOfRangeThrows) {
                std::out_of_range);
 }
 
-TEST(DeviceTest, FillSetsBytes) {
-  Device dev(1 << 16);
-  dev.fill(100, 50, std::byte{0x7F});
-  std::vector<std::uint8_t> out(50);
-  dev.read(100, out.data(), 50);
-  for (auto v : out) EXPECT_EQ(v, 0x7F);
-}
-
 TEST(DeviceTest, WriteChargesLatencyPlusBandwidth) {
   Device dev(1 << 20);
   Context c;  // nranks=1
@@ -180,7 +172,7 @@ TEST(DeviceTest, StatsCountBytes) {
 
 TEST(DeviceTest, StatsCountBytesFromConcurrentThreads) {
   // The byte counters are bumped without the device lock: concurrent
-  // stores, loads, fills and DAX charges must still sum exactly.
+  // stores, loads and DAX charges must still sum exactly.
   constexpr std::uint64_t kThreads = 4;
   constexpr std::uint64_t kIters = 2000;
   Device dev(1 << 20);
@@ -194,7 +186,7 @@ TEST(DeviceTest, StatsCountBytesFromConcurrentThreads) {
       for (std::uint64_t i = 0; i < kIters; ++i) {
         dev.write(off, buf.data(), 64);
         dev.read(off, buf.data(), 32);
-        dev.fill(off, 16, std::byte{1});
+        dev.write(off, buf.data(), 16);
         dev.charge_dax_write(off, 8, false);
         dev.charge_dax_read(4, false);
       }
@@ -351,6 +343,24 @@ TEST(FaultPlanTest, FaultedPersistRevertsOnEveryDevice) {
       EXPECT_EQ(out, v1);
     }
   }
+}
+
+// Injected media damage outlives a plan change: a plan replaces the crash
+// point and the rates, not the sticky ranges or the read errors.
+TEST(FaultPlanTest, InjectedDamageSurvivesAPlanChange) {
+  Device dev(1 << 20);
+  dev.inject_sticky_range(4096, 64);
+  dev.inject_read_error(16384, 8);
+  dev.set_fault_plan(FaultPlan{});
+  ASSERT_EQ(dev.sticky_ranges().size(), 1u);
+  const std::uint64_t v = 1;
+  EXPECT_THROW(dev.write(4096, &v, sizeof(v)), DeviceError);
+  EXPECT_THROW(dev.persist(4096, sizeof(v)), DeviceError);
+  EXPECT_TRUE(dev.media_failing(4096, sizeof(v)));
+  std::uint64_t out = 0;
+  EXPECT_THROW(dev.read(16384, &out, sizeof(out)), DeviceError);
+  dev.write(8192, &v, sizeof(v));  // healthy lines still take stores
+  dev.persist(8192, sizeof(v));
 }
 
 TEST(FaultPlanTest, CrashFiresAtScheduledOpAndFreezesDevice) {

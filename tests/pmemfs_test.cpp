@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <numeric>
 #include <thread>
@@ -348,6 +349,36 @@ TEST_F(FsTest, MappingSpanContiguous) {
   std::byte out{};
   m.load(100, &out, 1);
   EXPECT_EQ(out, std::byte{0x77});
+}
+
+TEST_F(FsTest, MappingLoadOverBadMediaThrows) {
+  auto m = fs.create_mapped("/bad", 4096);
+  const auto span = m.direct_read_span(0, 4096);
+  const auto dev_off = static_cast<std::size_t>(span.data() - dev.raw());
+  dev.inject_read_error(dev_off + 100, 8);
+  std::array<std::byte, 16> out{};
+  EXPECT_THROW(m.load(96, out.data(), out.size()), pmemcpy::pmem::DeviceError);
+  EXPECT_THROW((void)m.direct_read_span(0, 4096), pmemcpy::pmem::DeviceError);
+  m.load(0, out.data(), out.size());  // clear of the bad range
+}
+
+// A powered-off device drops mapping stores, as it drops Pool::write's.
+TEST(FsCrash, MappingStoreAfterAScheduledCrashLeavesTheImage) {
+  Device dev(kFsSize, /*crash_shadow=*/true);
+  FileSystem fs = FileSystem::format(dev, 0, kFsSize);
+  auto m = fs.create_mapped("/f", 4096);
+  const std::uint64_t one = 1, two = 2;
+  m.store(0, &one, sizeof(one));
+  m.persist(0, sizeof(one));
+  pmemcpy::pmem::FaultPlan plan;
+  plan.crash_at_persist = dev.persist_ops() + 1;
+  dev.set_fault_plan(plan);
+  EXPECT_THROW(m.persist(0, sizeof(one)), pmemcpy::pmem::CrashError);
+  ASSERT_TRUE(dev.frozen());
+  m.store(0, &two, sizeof(two));
+  std::uint64_t out = 0;
+  m.load(0, &out, sizeof(out));
+  EXPECT_EQ(out, one);
 }
 
 TEST_F(FsTest, ConcurrentWritersToDifferentFiles) {

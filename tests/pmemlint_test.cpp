@@ -146,6 +146,22 @@ TEST(PmemlintMutations, RawDeviceInCore) {
   expect_single(live_findings(c), "raw-device", rel, at + 2);
 }
 
+// The pool stores through the device's DAX calls, so even a persisted
+// note_write() in the obj layer bypasses the device's access rules.
+TEST(PmemlintMutations, RawDeviceNoteWriteInObjLayer) {
+  const std::string rel = "src/pmemobj/pool.cpp";
+  std::string content = slurp(repo_root() / rel);
+  const int at = plant(content,
+                       "template <typename Dev>\n"
+                       "void planted_mark(Dev& d) {\n"
+                       "  d.note_write(0, 16);\n"
+                       "  d.persist(0, 16);\n"
+                       "}\n");
+  Corpus c;
+  c.add(rel, std::move(content));
+  expect_single(live_findings(c), "raw-device", rel, at + 2);
+}
+
 TEST(PmemlintMutations, UnregisteredTest) {
   Corpus c;
   c.tests_cmake = slurp(repo_root() / "tests" / "CMakeLists.txt");
@@ -237,25 +253,6 @@ TEST(PmemlintMutations, AtomicStoreIsNotAPmemStore) {
   c.add(rel, std::move(content));
   const auto live = live_findings(c);
   EXPECT_TRUE(live.empty()) << pmemlint::to_human(live);
-}
-
-TEST(PmemlintMutations, MagMarkOwnedIsADeferredPersistPrimitive) {
-  // The magazine header-flag helper is a sanctioned deferred-persist store
-  // (DESIGN.md §14): its refill/sweep callers own the coalesced flush+fence
-  // over the whole batch, so a definition by that exact name must not flag
-  // — while the identical body under any other name still does.
-  Corpus c;
-  c.add("src/pmemobj/planted_mag.cpp",
-        "template <typename Dev>\n"
-        "void mag_mark_owned(Dev& d) {\n"
-        "  d.note_write(0, 16);\n"
-        "}\n"
-        "template <typename Dev>\n"
-        "void planted_mark(Dev& d) {\n"
-        "  d.note_write(0, 16);\n"
-        "}\n");
-  expect_single(live_findings(c), "unpersisted-return",
-                "src/pmemobj/planted_mag.cpp", 7);
 }
 
 TEST(PmemlintMutations, IncludeLayeringInversion) {

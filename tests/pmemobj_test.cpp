@@ -35,7 +35,8 @@ TEST(PoolTest, CreateOpenRoundtrip) {
 
 TEST(PoolTest, OpenUnformattedThrows) {
   Device dev(kPool);
-  dev.fill(0, 4096, std::byte{0});
+  const std::vector<std::byte> zeros(4096);
+  dev.write(0, zeros.data(), zeros.size());
   EXPECT_THROW(Pool::open(dev, 0), PoolError);
 }
 

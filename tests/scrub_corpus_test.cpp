@@ -174,4 +174,30 @@ TEST(ScrubCorpus, MediaErrorsAreTypedWithProvenance) {
   p.munmap();
 }
 
+// A tree entry whose 8-byte meta word sits on unreadable media: the load
+// fails typed, and scrub reports the key though it cannot open the entry.
+TEST(ScrubCorpus, UnreadableTreeEntryHeaderIsReported) {
+  pmemcpy::PmemNode node(node_opts());
+  auto& dev = node.device();
+  auto cfg = make_cfg(node);
+  cfg.layout = pmemcpy::Layout::kHierarchical;
+  pmemcpy::PMEM p(cfg);
+  p.mmap("scrub.tree");
+  p.store("dead", std::string("unreadable header"));
+  p.store("alive", 5);
+
+  const auto loc = locate_blob(p, dev, "dead");
+  dev.inject_read_error(loc.dev_off - 8, 8);  // the entry file's meta word
+
+  EXPECT_THROW((void)p.load<std::string>("dead"), pmemcpy::pmem::DeviceError);
+  const auto rep = p.scrub();
+  EXPECT_EQ(rep.entries, 2u);
+  ASSERT_EQ(rep.corrupt.size(), 1u);
+  EXPECT_EQ(rep.corrupt[0].key, "dead");
+  EXPECT_EQ(rep.corrupt[0].issue.rfind("media error: ", 0), 0u)
+      << rep.corrupt[0].issue;
+  EXPECT_EQ(p.load<int>("alive"), 5);
+  p.munmap();
+}
+
 }  // namespace

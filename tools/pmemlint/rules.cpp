@@ -53,7 +53,8 @@ std::string fn_context(const SourceFile& f, std::size_t ti) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 1 — raw-device: Device::note_write()/raw() confined to storage layers
+// Rule 1 — raw-device: Device::note_write() confined to the device layer,
+// raw() to the storage layers
 // ---------------------------------------------------------------------------
 
 void rule_raw_device(const Corpus& corpus, std::vector<Finding>& out) {
@@ -61,21 +62,24 @@ void rule_raw_device(const Corpus& corpus, std::vector<Finding>& out) {
     const SourceFile& f = *fp;
     if (!any_prefix(f.rel, {"src/", "include/", "bench/", "examples/"}))
       continue;
-    if (any_prefix(f.rel, {"src/pmemdev/", "src/pmemobj/", "src/pmemfs/",
-                           "include/pmemcpy/pmem/", "include/pmemcpy/obj/",
-                           "include/pmemcpy/fs/"}))
+    if (any_prefix(f.rel, {"src/pmemdev/", "include/pmemcpy/pmem/"}))
       continue;
+    // The pool and pmemfs may read through raw() (uncharged peeks), but
+    // they store through the device's DAX calls, which announce the store.
+    const bool storage = any_prefix(
+        f.rel, {"src/pmemobj/", "src/pmemfs/", "include/pmemcpy/obj/",
+                "include/pmemcpy/fs/"});
     const auto& ts = f.tokens;
     for (std::size_t i = 0; i + 1 < ts.size(); ++i) {
       if (!is_punct(ts[i + 1], "(")) continue;
       const bool member =
           i > 0 && (is_punct(ts[i - 1], ".") || is_punct(ts[i - 1], "->"));
       if (is_ident(ts[i], "note_write") ||
-          (member && is_ident(ts[i], "raw"))) {
+          (!storage && member && is_ident(ts[i], "raw"))) {
         add_finding(out, "raw-device", f, ts[i].line, fn_context(f, i),
                     "raw device access (" + std::string(ts[i].text) +
-                        ") outside the storage layers bypasses the "
-                        "charged/persist-checked transfer path");
+                        ") outside the device layer's DAX calls bypasses "
+                        "the charged/persist-checked transfer path");
       }
     }
   }
@@ -296,7 +300,7 @@ void rule_dropped_result(const Corpus& corpus, std::vector<Finding>& out) {
 /// Store vocabulary (dirties persistent state) and persist vocabulary
 /// (makes it durable / hands durability off).  The device layer itself is
 /// out of scope — it *implements* these ops.
-constexpr const char* kWriteOps[] = {"store", "note_write"};
+constexpr const char* kWriteOps[] = {"store", "store_span", "note_write"};
 constexpr const char* kPersistOps[] = {"persist", "flush",  "drain",
                                        "fsync",   "publish", "check_publish",
                                        "publish_group"};
@@ -315,15 +319,9 @@ bool is_persist_op(std::string_view s) {
 
 /// Functions that are themselves store primitives or persist primitives
 /// forward durability to their callers and must not self-flag (Pool::write
-/// and Pool::store wrap dev_->note_write by design).  mag_mark_owned is the
-/// magazine layer's sanctioned deferred-persist store (DESIGN.md §14): it
-/// rewrites one chunk header as a raw tracked store and its batch callers
-/// (refill/sweep) own the single coalesced flush+fence over all K headers —
-/// the same split direct_write_span is baselined for, but narrow enough to
-/// allow by name.
+/// and Mapping::store wrap the device's store by design).
 bool is_primitive_name(std::string_view s) {
-  return is_write_op(s) || is_persist_op(s) || s == "write" || s == "fill" ||
-         s == "mag_mark_owned";
+  return is_write_op(s) || is_persist_op(s) || s == "write";
 }
 
 /// `x.store(v, std::memory_order_*)` is a DRAM atomic, not a pmem store:
@@ -626,7 +624,8 @@ void rule_include_layering(const Corpus& corpus, std::vector<Finding>& out) {
 const std::vector<RuleInfo>& rules() {
   static const std::vector<RuleInfo> kRules = {
       {"raw-device",
-       "Device::note_write()/raw() stay inside the storage layers"},
+       "Device::note_write() stays in the device layer, raw() in the "
+       "storage layers"},
       {"unregistered-test",
        "every tests/*_test.cpp is registered in tests/CMakeLists.txt"},
       {"container-layering",
