@@ -156,6 +156,7 @@ class FileSystem {
   /// mkdir -p.
   void mkdirs(const std::string& path);
   [[nodiscard]] bool exists(const std::string& path);
+  /// From the DRAM inode map: reads no PMEM.
   [[nodiscard]] bool is_dir(const std::string& path);
   /// Remove a file or empty directory.
   void remove(const std::string& path);
@@ -228,8 +229,14 @@ class FileSystem {
   /// does not decode.
   void reclaim();
 
+  /// What an inode holds, as the DRAM inode map records it.
+  enum class InodeKind : std::uint8_t { kFree, kFile, kDir };
   [[nodiscard]] Inode read_inode(Ino ino) const;
   void write_inode(Ino ino, const Inode& inode);
+  /// The map's kind for an inode type word: any word but a free one is in
+  /// use, and only a directory type (with or without the orphan mark) is a
+  /// directory.
+  [[nodiscard]] static InodeKind kind_of(std::uint32_t type) noexcept;
   /// First fit from inode 1 over the DRAM map; the map marks the inode used
   /// once its write is durable.
   [[nodiscard]] Ino alloc_inode(std::uint32_t type);
@@ -334,8 +341,9 @@ class FileSystem {
   /// DRAM cache of the block bitmap (write-through to the device).
   std::vector<bool> bitmap_cache_;
   std::uint64_t free_blocks_cache_ = 0;
-  /// DRAM inode-allocation map, indexed by inode number - 1.
-  std::vector<bool> inode_used_;
+  /// DRAM inode map, indexed by inode number - 1: allocation and the one
+  /// type a listing needs, so is_dir() reads no PMEM.
+  std::vector<InodeKind> inode_kind_;
   /// DRAM index of every directory decoded since format or mount.
   std::unordered_map<Ino, DirIndex> dirs_;
   /// Inodes mount's namespace walk reached by two names (damage).

@@ -25,10 +25,11 @@
 //     into the header swaps it in; a crash before that store only leaks the
 //     new array.
 //
-// Read path: the persistent header is mirrored in DRAM (loaded at
-// construction, updated only once the matching persistent store is durable),
-// and each chain node's fixed header is fetched with one PMEM read — the key
-// bytes with a second read only when the key length matches (DESIGN.md §8,
+// Read path: the persistent header and the bucket heads are mirrored in
+// DRAM (loaded at construction, updated only once the matching persistent
+// store is durable), and each chain node's fixed header, which carries its
+// key's hash, is fetched with one PMEM read — the key bytes with a second
+// read only when the hash and the key length match (DESIGN.md §8,
 // "Hashtable read path").
 //
 // Thread-safety: operations take one of 64 stripe locks chosen by bucket
@@ -36,7 +37,8 @@
 // different variables proceed in parallel (the paper's "metadata updates
 // were parallelized").  One HashTable instance must be shared by all threads
 // operating on the same persistent table, and it must be the only one in
-// use: another instance's header mirror would not see this one's growth.
+// use: another instance's mirror would not see this one's head changes or
+// growth.
 #pragma once
 
 #include <pmemcpy/obj/pool.hpp>
@@ -108,14 +110,15 @@ class HashTable {
 
    private:
     friend class HashTable;
-    Inserter(HashTable& t, std::string_view key, std::uint64_t node_off,
-             std::uint64_t val_off, std::uint64_t val_size,
-             std::uint64_t meta);
+    Inserter(HashTable& t, std::string_view key, std::uint64_t hash,
+             std::uint64_t node_off, std::uint64_t val_off,
+             std::uint64_t val_size, std::uint64_t meta);
     /// Free the never-linked reservation and disown it first, so a fault
     /// part-way cannot make the destructor free it a second time.
     void drop();
     HashTable* table_;
     std::string key_;
+    std::uint64_t hash_;  ///< the key's hash, staged in the node header
     std::uint64_t node_off_;
     std::uint64_t val_off_;
     std::uint64_t val_size_;
@@ -177,7 +180,9 @@ class HashTable {
   /// throws; don't mutate from @p fn).
   void for_each(
       const std::function<void(std::string_view, const ValueRef&)>& fn) const;
-  /// Iterate entries whose key starts with @p prefix.
+  /// Iterate entries whose key starts with @p prefix (same locking as
+  /// for_each); a key shorter than the prefix is skipped on its node
+  /// header, without reading the key.
   void for_each_prefix(
       std::string_view prefix,
       const std::function<void(std::string_view, const ValueRef&)>& fn) const;
@@ -186,10 +191,12 @@ class HashTable {
   static constexpr std::size_t kStripes = 64;
 
   /// DRAM state shared by every thread using the table: the stripe locks
-  /// and the mirror of the persistent header and the bucket count.  The
-  /// persistent image stays the source of truth; the mirror changes only
-  /// after the corresponding store is durable (count, or the rehash's swap
-  /// of buckets_off, which brings the new array's nbuckets and gen with it).
+  /// and the mirror of the persistent header, the bucket count and the
+  /// bucket heads.  The persistent image stays the source of truth; the
+  /// mirror changes only after the corresponding store is durable (count, a
+  /// head, or the rehash's swap of buckets_off, which brings the new array's
+  /// nbuckets, gen and heads with it), or, when a publish's visibility step
+  /// faults, to the heads and count the media then holds.
   struct Shared {
     std::array<std::mutex, kStripes> stripes;
     /// Serializes the count stores and each publish's visibility step
@@ -201,6 +208,10 @@ class HashTable {
     /// Which of a node's two next words the live chains follow; read under
     /// any stripe lock.
     std::uint64_t gen = 0;
+    /// The bucket heads: heads[b] is read and written under bucket b's
+    /// stripe, and the whole vector is replaced under every stripe.  A head
+    /// whose line open() could not read is marked unread (see head()).
+    std::vector<std::uint64_t> heads;
     std::atomic<std::uint64_t> count{0};
     /// Set by every rank's engine open while other ranks publish.
     std::atomic<bool> auto_grow{false};
@@ -216,25 +227,31 @@ class HashTable {
     std::size_t depth = 0;  ///< chain position, 0 = bucket head
   };
 
-  HashTable(Pool& pool, std::uint64_t hoff, std::uint64_t nbuckets,
-            std::uint64_t buckets_off, std::uint64_t gen, std::uint64_t count);
+  /// The bucket count is heads.size().
+  HashTable(Pool& pool, std::uint64_t hoff, std::uint64_t buckets_off,
+            std::uint64_t gen, std::uint64_t count,
+            std::vector<std::uint64_t> heads);
 
   /// Pool offset of bucket @p b's head slot; read under any stripe lock.
   [[nodiscard]] std::uint64_t bucket_slot(std::uint64_t b) const;
-  /// Lock the stripe guarding @p key's chain into @p lk and return the
-  /// chain's bucket slot.
-  std::uint64_t lock_bucket(std::string_view key,
+  /// Bucket @p b's head, from the mirror; a head marked unread is read from
+  /// media (pmem::DeviceError while its line still fails) and mirrored.
+  /// Called under bucket b's stripe.
+  [[nodiscard]] std::uint64_t head(std::uint64_t b) const;
+  /// Lock the stripe guarding the chain of keys hashing to @p hash into
+  /// @p lk and return the chain's bucket.
+  std::uint64_t lock_bucket(std::uint64_t hash,
                             std::unique_lock<std::mutex>& lk) const;
-  /// Every chain position matching @p key, head-first; @p head receives the
-  /// bucket head.  More than one match is a crash leftover: an overwrite
+  /// Every position of bucket @p b's chain holding @p key (hash @p hash),
+  /// head-first.  More than one match is a crash leftover: an overwrite
   /// that published its new head but lost power before unlinking the
   /// superseded node.
-  [[nodiscard]] std::vector<Match> find_chain(std::uint64_t slot,
+  [[nodiscard]] std::vector<Match> find_chain(std::uint64_t b,
                                               std::string_view key,
-                                              std::uint64_t& head) const;
-  /// Unlink @p node (whose predecessor is @p prev, 0 = bucket head) and
-  /// free its storage.
-  void unlink_free(std::uint64_t slot, std::uint64_t prev, std::uint64_t node);
+                                              std::uint64_t hash) const;
+  /// Unlink @p node (whose predecessor is @p prev, 0 = the head of bucket
+  /// @p b) and free its storage.
+  void unlink_free(std::uint64_t b, std::uint64_t prev, std::uint64_t node);
   /// The one publish protocol behind publish() and publish_group() (see
   /// DESIGN.md §8), for unpublished reservations of this table:
   ///   1. resolve within-batch duplicate keys (replace: last wins;

@@ -222,13 +222,13 @@ FileSystem FileSystem::format(pmem::Device& dev, std::size_t base,
 
   fs.bitmap_cache_.assign(blocks, false);
   fs.free_blocks_cache_ = blocks;
-  fs.inode_used_.assign(inode_count, false);
+  fs.inode_kind_.assign(inode_count, InodeKind::kFree);
 
   // Root directory: inode 1.
   Inode root{};
   root.type = kTypeDir;
   fs.write_inode(1, root);
-  fs.inode_used_[0] = true;
+  fs.inode_kind_[0] = InodeKind::kDir;
 
   Superblock sb{};
   sb.magic = kFsMagic;
@@ -262,9 +262,9 @@ FileSystem FileSystem::mount(pmem::Device& dev, std::size_t base) {
     if (!used) ++fs.free_blocks_cache_;
   }
   // Build the DRAM inode map through the inode decoder.
-  fs.inode_used_.assign(sb.inode_count, false);
+  fs.inode_kind_.assign(sb.inode_count, InodeKind::kFree);
   for (Ino i = 1; i <= sb.inode_count; ++i) {
-    fs.inode_used_[i - 1] = fs.read_inode(i).type != kTypeFree;
+    fs.inode_kind_[i - 1] = kind_of(fs.read_inode(i).type);
   }
   fs.reclaim();
   return fs;
@@ -288,8 +288,10 @@ void FileSystem::reclaim() {
         }
         reached[ino - 1] = true;
         // In use even when damage names a free inode: no create may hand it
-        // out as a second name.
-        inode_used_[ino - 1] = true;
+        // out as a second name.  Such an inode is not a directory.
+        if (inode_kind_[ino - 1] == InodeKind::kFree) {
+          inode_kind_[ino - 1] = InodeKind::kFile;
+        }
         if ((inode.type & kOrphanMark) != 0) marked.push_back(ino);
         if (type_of(inode.type) == kTypeDir) pending.push_back(ino);
       }
@@ -302,7 +304,7 @@ void FileSystem::reclaim() {
   std::vector<bool> owned(total_blocks_, false);
   try {
     for (Ino i = 1; i <= inode_count_; ++i) {
-      if (!inode_used_[i - 1]) continue;
+      if (inode_kind_[i - 1] == InodeKind::kFree) continue;
       for_each_extent(read_inode(i), [&](const Extent& e, bool) {
         std::fill_n(owned.begin() + static_cast<std::ptrdiff_t>(e.start),
                     e.len, true);
@@ -317,7 +319,7 @@ void FileSystem::reclaim() {
   // with the orphan mark.  An unnamed inode with data and no mark is damage
   // (a directory whose type word changed hides a subtree of them): it stays.
   for (Ino i = 1; i <= inode_count_; ++i) {
-    if (!inode_used_[i - 1] || reached[i - 1]) continue;
+    if (inode_kind_[i - 1] == InodeKind::kFree || reached[i - 1]) continue;
     const Inode inode = read_inode(i);
     const bool dataless =
         inode.size == 0 && inode.nextents == 0 && inode.indirect == 0;
@@ -372,14 +374,20 @@ void FileSystem::write_inode(Ino ino, const Inode& inode) {
   dev_->persist(off, kHead);
 }
 
+FileSystem::InodeKind FileSystem::kind_of(std::uint32_t type) noexcept {
+  if (type == kTypeFree) return InodeKind::kFree;
+  return type_of(type) == kTypeDir ? InodeKind::kDir : InodeKind::kFile;
+}
+
 Ino FileSystem::alloc_inode(std::uint32_t type) {
-  const auto it = std::find(inode_used_.begin(), inode_used_.end(), false);
-  if (it == inode_used_.end()) throw FsError("fs: out of inodes");
-  const Ino ino = static_cast<Ino>(it - inode_used_.begin()) + 1;
+  const auto it =
+      std::find(inode_kind_.begin(), inode_kind_.end(), InodeKind::kFree);
+  if (it == inode_kind_.end()) throw FsError("fs: out of inodes");
+  const Ino ino = static_cast<Ino>(it - inode_kind_.begin()) + 1;
   Inode inode{};
   inode.type = type;
   write_inode(ino, inode);
-  *it = true;
+  *it = kind_of(type);
   return ino;
 }
 
@@ -387,7 +395,7 @@ void FileSystem::free_inode(Ino ino) {
   // No name reaches the inode and it holds no data, so it is free from
   // here on even if the write below faults: its media copy is then a
   // dataless orphan, which alloc_inode overwrites whole and a mount frees.
-  inode_used_[ino - 1] = false;
+  inode_kind_[ino - 1] = InodeKind::kFree;
   dirs_.erase(ino);
   dirty_.erase(ino);  // a reused inode must not inherit stale dirty spans
   write_inode(ino, Inode{});
@@ -773,7 +781,7 @@ Ino FileSystem::create(Ino dir, const std::string& name, std::uint32_t type) {
     // The old list stayed on media (a faulted header flush reverts its
     // line), so no name reaches the inode and it holds no data: free in
     // DRAM, as a mount frees it and alloc_inode overwrites it whole.
-    inode_used_[ino - 1] = false;
+    inode_kind_[ino - 1] = InodeKind::kFree;
     throw;
   }
   return ino;
@@ -888,7 +896,9 @@ bool FileSystem::is_dir(const std::string& path) {
   trace::Span span("fs.lookup");
   std::lock_guard lk(*mu_);
   const Ino ino = resolve(path, false, nullptr);
-  return ino != 0 && type_of(read_inode(ino).type) == kTypeDir;
+  // A damaged entry can name an inode past the table, as read_inode rejects.
+  if (ino > inode_count_) throw FsError("fs: bad inode");
+  return ino != 0 && inode_kind_[ino - 1] == InodeKind::kDir;
 }
 
 void FileSystem::remove(const std::string& path) {
@@ -1124,7 +1134,7 @@ std::uint64_t FileSystem::free_blocks() const {
 std::uint64_t FileSystem::free_inodes() const {
   std::lock_guard lk(*mu_);
   return static_cast<std::uint64_t>(
-      std::count(inode_used_.begin(), inode_used_.end(), false));
+      std::count(inode_kind_.begin(), inode_kind_.end(), InodeKind::kFree));
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <map>
 #include <numeric>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -35,26 +34,33 @@ struct ArrayPrefix {
 };
 constexpr std::uint64_t kHeadsOff = 64;
 
+/// A mirrored head whose line failed open's read: it is read from media on
+/// first use.  No node starts at this offset.
+constexpr std::uint64_t kUnread = ~std::uint64_t{0};
+
 constexpr std::uint64_t kValSizeMask = (std::uint64_t{1} << 48) - 1;
 constexpr std::size_t kMaxKeyLen = 0xFFFF;
 
 /// Persistent node layout: this fixed header, then the key bytes.  A node
 /// has one next word per bucket-array generation, so a rehash links it into
-/// the array it builds without touching the live chains.  Staged with one
-/// store (reserve) and fetched with one load, so a chain step costs one
-/// latency-bound PMEM read instead of one per field.
+/// the array it builds without touching the live chains.  The header carries
+/// the key's hash, so a chain step reads the key only when the hash and the
+/// length match, and a rebuild buckets the node without reading its key.
+/// Staged with one store (reserve) and fetched with one load, so a chain
+/// step costs one latency-bound PMEM read.
 struct NodeHeaderImage {
   std::uint64_t next[2];  ///< by generation
   std::uint64_t val_off;
   std::uint64_t size;  ///< val_size in the low 48 bits, key_len in the high 16
   std::uint64_t meta;
+  std::uint64_t hash;  ///< fnv1a(key), the hash that picks the bucket
 
   [[nodiscard]] std::uint64_t val_size() const { return size & kValSizeMask; }
   [[nodiscard]] std::size_t key_len() const { return size >> 48; }
 };
 constexpr std::uint64_t kNodeMeta = offsetof(NodeHeaderImage, meta);
 constexpr std::uint64_t kNodeKey = sizeof(NodeHeaderImage);
-static_assert(kNodeKey == 40);
+static_assert(kNodeKey == 48);
 
 /// Pool offset of @p node's next word for generation @p gen.
 constexpr std::uint64_t next_word(std::uint64_t node, std::uint64_t gen) {
@@ -83,12 +89,12 @@ NodeHeaderImage read_header(const Pool& pool, std::uint64_t node) {
 }
 
 std::string read_key(const Pool& pool, std::uint64_t node,
-                     const NodeHeaderImage& h) {
-  if (h.key_len() > pool.size() - node - kNodeKey) {
+                     std::size_t key_len) {
+  if (key_len > pool.size() - node - kNodeKey) {
     throw PoolError("HashTable: key of node " + std::to_string(node) +
                     " runs past the pool");
   }
-  std::string key(h.key_len(), '\0');
+  std::string key(key_len, '\0');
   if (!key.empty()) pool.read(node + kNodeKey, key.data(), key.size());
   return key;
 }
@@ -109,11 +115,12 @@ void walk_chain(const Pool& pool, std::uint64_t node, std::uint64_t gen,
   }
 }
 
-/// Whether @p node (header @p h) holds @p key.  The key bytes are read only
-/// when the lengths match.
+/// Whether @p node (header @p h) holds @p key, whose hash is @p hash.  The
+/// key bytes are read only when the hash and the length match.
 bool holds_key(const Pool& pool, std::uint64_t node, const NodeHeaderImage& h,
-               std::string_view key) {
-  return h.key_len() == key.size() && read_key(pool, node, h) == key;
+               std::string_view key, std::uint64_t hash) {
+  return h.hash == hash && h.key_len() == key.size() &&
+         read_key(pool, node, h.key_len()) == key;
 }
 
 /// A set of stripe locks, taken in ascending order (the one order every
@@ -159,13 +166,14 @@ std::vector<std::uint64_t> empty_array(std::uint64_t nbuckets,
 
 }  // namespace
 
-HashTable::HashTable(Pool& pool, std::uint64_t hoff, std::uint64_t nbuckets,
-                     std::uint64_t buckets_off, std::uint64_t gen,
-                     std::uint64_t count)
+HashTable::HashTable(Pool& pool, std::uint64_t hoff, std::uint64_t buckets_off,
+                     std::uint64_t gen, std::uint64_t count,
+                     std::vector<std::uint64_t> heads)
     : pool_(&pool), hoff_(hoff) {
-  s_->nbuckets.store(nbuckets, std::memory_order_relaxed);
+  s_->nbuckets.store(heads.size(), std::memory_order_relaxed);
   s_->buckets_off = buckets_off;
   s_->gen = gen;
+  s_->heads = std::move(heads);
   s_->count.store(count, std::memory_order_relaxed);
 }
 
@@ -180,7 +188,8 @@ HashTable HashTable::create(Pool& pool, std::size_t nbuckets) {
   const std::uint64_t hoff = pool.alloc(sizeof(TableHeader));
   const TableHeader hdr{buckets, 0};
   pool.set(hoff, hdr);
-  return HashTable(pool, hoff, nbuckets, hdr.buckets_off, 0, hdr.count);
+  return HashTable(pool, hoff, hdr.buckets_off, 0, hdr.count,
+                   std::vector<std::uint64_t>(nbuckets, 0));
 }
 
 HashTable HashTable::open(Pool& pool, std::uint64_t header_off) {
@@ -202,20 +211,47 @@ HashTable HashTable::open(Pool& pool, std::uint64_t header_off) {
     throw PoolError("HashTable::open: bucket array generation " +
                     std::to_string(prefix.gen) + " is neither 0 nor 1");
   }
-  return HashTable(pool, header_off, prefix.nbuckets, hdr.buckets_off,
-                   prefix.gen, hdr.count);
+  // The heads, with one bulk read: from here on the mirror serves them.  On
+  // a read error, a line at a time: each unreadable line's heads are marked
+  // unread, so only the keys whose bucket heads fail to read fail, at first
+  // use, and the rest of the table stays open.
+  std::vector<std::uint64_t> heads(prefix.nbuckets);
+  const std::uint64_t first = hdr.buckets_off + kHeadsOff;
+  try {
+    pool.read(first, heads.data(), heads.size() * 8);
+  } catch (const pmem::DeviceError&) {
+    for (std::size_t b = 0; b < heads.size();) {
+      const std::uint64_t line_left =
+          pmem::kCacheLine - (pool.base() + first + 8 * b) % pmem::kCacheLine;
+      const std::size_t n = std::min<std::size_t>(
+          heads.size() - b, std::max<std::uint64_t>(1, line_left / 8));
+      try {
+        pool.read(first + 8 * b, &heads[b], n * 8);
+      } catch (const pmem::DeviceError&) {
+        std::fill_n(heads.begin() + b, n, kUnread);
+      }
+      b += n;
+    }
+  }
+  return HashTable(pool, header_off, hdr.buckets_off, prefix.gen, hdr.count,
+                   std::move(heads));
 }
 
 std::uint64_t HashTable::bucket_slot(std::uint64_t b) const {
   return s_->buckets_off + kHeadsOff + b * 8;
 }
 
-std::uint64_t HashTable::lock_bucket(std::string_view key,
+std::uint64_t HashTable::head(std::uint64_t b) const {
+  std::uint64_t& h = s_->heads[b];
+  if (h == kUnread) h = pool_->get<std::uint64_t>(bucket_slot(b));
+  return h;
+}
+
+std::uint64_t HashTable::lock_bucket(std::uint64_t hash,
                                      std::unique_lock<std::mutex>& lk) const {
-  const std::uint64_t h = fnv1a(key);
   for (;;) {
     const std::uint64_t nb = s_->nbuckets.load(std::memory_order_acquire);
-    const std::uint64_t b = h % nb;
+    const std::uint64_t b = hash % nb;
     std::unique_lock stripe(s_->stripes[b % kStripes]);
     // A rehash that committed between the load and the lock moved the key
     // to another bucket, and maybe under another stripe: drop this stripe
@@ -223,18 +259,19 @@ std::uint64_t HashTable::lock_bucket(std::string_view key,
     // the every-stripe lockers rely on) and retry.
     if (s_->nbuckets.load(std::memory_order_relaxed) == nb) {
       lk = std::move(stripe);
-      return bucket_slot(b);
+      return b;
     }
   }
 }
 
 std::optional<ValueRef> HashTable::find(std::string_view key) const {
+  const std::uint64_t hash = fnv1a(key);
   std::unique_lock<std::mutex> lk;
-  const std::uint64_t slot = lock_bucket(key, lk);
+  const std::uint64_t b = lock_bucket(hash, lk);
   std::optional<ValueRef> found;
-  walk_chain(*pool_, pool_->get<std::uint64_t>(slot), s_->gen,
+  walk_chain(*pool_, head(b), s_->gen,
              [&](std::uint64_t node, const NodeHeaderImage& h) {
-               if (!holds_key(*pool_, node, h, key)) return false;
+               if (!holds_key(*pool_, node, h, key, hash)) return false;
                found = ValueRef{node, h.val_off, h.val_size(), h.meta};
                return true;
              });
@@ -254,13 +291,16 @@ HashTable::Inserter HashTable::reserve(std::string_view key,
   const std::uint64_t node = pool_->alloc(kNodeKey + key.size());
   // Stage header + key with plain stores; publish() makes the whole node
   // durable with one flush pass and a single fence.
-  const NodeHeaderImage nh{
-      {0, 0}, val, val_size | std::uint64_t{key.size()} << 48, meta};
+  const NodeHeaderImage nh{{0, 0},
+                           val,
+                           val_size | std::uint64_t{key.size()} << 48,
+                           meta,
+                           fnv1a(key)};
   pool_->write(node, &nh, sizeof(nh));
   if (!key.empty()) {
     pool_->write(node + kNodeKey, key.data(), key.size());
   }
-  return Inserter(*this, key, node, val, val_size, meta);
+  return Inserter(*this, key, nh.hash, node, val, val_size, meta);
 }
 
 void HashTable::put(std::string_view key, const void* data, std::size_t len,
@@ -274,15 +314,14 @@ void HashTable::put(std::string_view key, const void* data, std::size_t len,
 }
 
 std::vector<HashTable::Match> HashTable::find_chain(
-    std::uint64_t slot, std::string_view key, std::uint64_t& head) const {
+    std::uint64_t b, std::string_view key, std::uint64_t hash) const {
   std::vector<Match> matches;
-  head = pool_->get<std::uint64_t>(slot);
   const std::uint64_t gen = s_->gen;
   std::uint64_t prev = 0;
   std::size_t depth = 0;
-  walk_chain(*pool_, head, gen, [&](std::uint64_t node,
-                                    const NodeHeaderImage& h) {
-    if (holds_key(*pool_, node, h, key)) {
+  walk_chain(*pool_, head(b), gen, [&](std::uint64_t node,
+                                      const NodeHeaderImage& h) {
+    if (holds_key(*pool_, node, h, key, hash)) {
       matches.push_back({prev, node, h.next[gen], h.val_off, depth});
     }
     prev = node;
@@ -292,21 +331,25 @@ std::vector<HashTable::Match> HashTable::find_chain(
   return matches;
 }
 
-void HashTable::unlink_free(std::uint64_t slot, std::uint64_t prev,
+void HashTable::unlink_free(std::uint64_t b, std::uint64_t prev,
                             std::uint64_t node) {
   const std::uint64_t gen = s_->gen;
   const auto h = read_header(*pool_, node);
-  pool_->set<std::uint64_t>(prev == 0 ? slot : next_word(prev, gen),
-                            h.next[gen]);
+  if (prev == 0) {
+    pool_->set<std::uint64_t>(bucket_slot(b), h.next[gen]);
+    s_->heads[b] = h.next[gen];  // durable now
+  } else {
+    pool_->set<std::uint64_t>(next_word(prev, gen), h.next[gen]);
+  }
   pool_->free(node);
   if (h.val_off != 0) pool_->free(h.val_off);
 }
 
 bool HashTable::erase(std::string_view key) {
+  const std::uint64_t hash = fnv1a(key);
   std::unique_lock<std::mutex> lk;
-  const std::uint64_t slot = lock_bucket(key, lk);
-  std::uint64_t head = 0;
-  auto matches = find_chain(slot, key, head);
+  const std::uint64_t b = lock_bucket(hash, lk);
+  auto matches = find_chain(b, key, hash);
   if (matches.empty()) return false;
   // Deepest-first: shadowed crash-leftover duplicates go before the live
   // head entry, so every intermediate crash point still reads exactly the
@@ -314,7 +357,7 @@ bool HashTable::erase(std::string_view key) {
   // single unlink was the resurrection bug the property fuzzer caught — it
   // re-exposed a stale duplicate as the live value.
   while (!matches.empty()) {
-    unlink_free(slot, matches.back().prev, matches.back().node);
+    unlink_free(b, matches.back().prev, matches.back().node);
     matches.pop_back();
   }
   bump_count(-1);
@@ -340,33 +383,28 @@ void HashTable::bump_count(std::int64_t delta) {
 
 void HashTable::for_each(
     const std::function<void(std::string_view, const ValueRef&)>& fn) const {
-  // Hold every stripe so the view is consistent.
-  StripeLocks all(s_->stripes);
-  all.lock_all();
-  // Scan the bucket array with one bulk read (a sequential-streaming
-  // access), not one charged random read per slot.
-  std::vector<std::uint64_t> heads(
-      s_->nbuckets.load(std::memory_order_relaxed));
-  pool_->read(bucket_slot(0), heads.data(), heads.size() * 8);
-  for (const std::uint64_t head : heads) {
-    walk_chain(*pool_, head, s_->gen,
-               [&](std::uint64_t node, const NodeHeaderImage& h) {
-                 fn(read_key(*pool_, node, h),
-                    ValueRef{node, h.val_off, h.val_size(), h.meta});
-                 return false;
-               });
-  }
+  for_each_prefix({}, fn);
 }
 
 void HashTable::for_each_prefix(
     std::string_view prefix,
     const std::function<void(std::string_view, const ValueRef&)>& fn) const {
-  for_each([&](std::string_view key, const ValueRef& ref) {
-    if (key.size() >= prefix.size() &&
-        key.compare(0, prefix.size(), prefix) == 0) {
-      fn(key, ref);
-    }
-  });
+  // Hold every stripe so the view is consistent, and walk the chains from
+  // the head mirror.  A key shorter than the prefix is skipped on the
+  // header already read, without reading the key.
+  StripeLocks all(s_->stripes);
+  all.lock_all();
+  for (std::uint64_t b = 0; b < s_->heads.size(); ++b) {
+    walk_chain(*pool_, head(b), s_->gen,
+               [&](std::uint64_t node, const NodeHeaderImage& h) {
+                 if (h.key_len() < prefix.size()) return false;
+                 const std::string key = read_key(*pool_, node, h.key_len());
+                 if (key.starts_with(prefix)) {
+                   fn(key, ValueRef{node, h.val_off, h.val_size(), h.meta});
+                 }
+                 return false;
+               });
+  }
 }
 
 void HashTable::rehash(std::size_t new_nbuckets) {
@@ -393,41 +431,51 @@ void HashTable::rebuild(std::size_t new_nbuckets) {
   trace::Span span("ht.rehash");
   const std::uint64_t gen = s_->gen;
   const std::uint64_t new_gen = 1 - gen;
-  std::vector<std::uint64_t> old_heads(
-      s_->nbuckets.load(std::memory_order_relaxed));
   const std::uint64_t old_off = s_->buckets_off;
-  pool_->read(bucket_slot(0), old_heads.data(), old_heads.size() * 8);
 
-  // Link every live node into the new array through its other next word.
-  // The live chains follow next[gen], so nothing reachable changes until
-  // the swap.  Each link is one 8-byte store flushed without a fence; the
-  // new array's image collects in DRAM, and one drain after its store makes
-  // all of it durable at once.
+  // Link every live node into the new array through its other next word,
+  // at the bucket its stored hash picks, so no key is read.  The live chains
+  // follow next[gen], so nothing reachable changes until the swap.  Each
+  // link is one 8-byte store flushed without a fence; the new array's image
+  // collects in DRAM, and one drain after its store makes all of it durable
+  // at once.
   auto new_array = empty_array(new_nbuckets, new_gen);
   const std::size_t array_bytes = new_array.size() * 8;
   const std::uint64_t new_off = pool_->alloc(array_bytes);
   std::vector<std::uint64_t> dropped;  // duplicate nodes and their values
   try {
-    const std::span<std::uint64_t> heads(new_array.data() + kHeadsOff / 8,
-                                         new_nbuckets);
-    for (const std::uint64_t old_head : old_heads) {
-      std::set<std::string> seen;  // keys linked from this chain
-      walk_chain(*pool_, old_head, gen, [&](std::uint64_t node,
-                                            const NodeHeaderImage& h) {
-        const std::string key = read_key(*pool_, node, h);
-        if (!seen.insert(key).second) {
-          // Shadowed crash-leftover duplicate (see link()): linking it
-          // would RE-ORDER it above the live entry, because this loop
-          // prepends while walking head-to-tail.  Drop it instead; it and
-          // its value are freed after the swap.
-          dropped.push_back(node);
-          if (h.val_off != 0) dropped.push_back(h.val_off);
-          return false;
+    const std::span<std::uint64_t> new_heads(
+        new_array.data() + kHeadsOff / 8, new_nbuckets);
+    // Nodes linked from the chain being walked, by hash.  A crash-leftover
+    // duplicate shares its key's hash, so keys are read and compared only
+    // when a hash repeats; distinct keys with equal hashes are both kept.
+    std::unordered_multimap<std::uint64_t, std::uint64_t> linked;
+    for (std::uint64_t b = 0; b < s_->heads.size(); ++b) {
+      linked.clear();
+      walk_chain(*pool_, head(b), gen, [&](std::uint64_t node,
+                                           const NodeHeaderImage& h) {
+        const auto [first, last] = linked.equal_range(h.hash);
+        if (first != last) {
+          const std::string key = read_key(*pool_, node, h.key_len());
+          if (std::any_of(first, last, [&](const auto& seen) {
+                return holds_key(*pool_, seen.second,
+                                 read_header(*pool_, seen.second), key,
+                                 h.hash);
+              })) {
+            // Shadowed crash-leftover duplicate (see link()): linking it
+            // would RE-ORDER it above the live entry, because this loop
+            // prepends while walking head-to-tail.  Drop it instead; it
+            // and its value are freed after the swap.
+            dropped.push_back(node);
+            if (h.val_off != 0) dropped.push_back(h.val_off);
+            return false;
+          }
         }
-        std::uint64_t& head = heads[fnv1a(key) % new_nbuckets];
-        pool_->write(next_word(node, new_gen), &head, sizeof(head));
-        pool_->flush(next_word(node, new_gen), sizeof(head));
-        head = node;
+        linked.emplace(h.hash, node);
+        std::uint64_t& top = new_heads[h.hash % new_nbuckets];
+        pool_->write(next_word(node, new_gen), &top, sizeof(top));
+        pool_->flush(next_word(node, new_gen), sizeof(top));
+        top = node;
         return false;
       });
     }
@@ -449,8 +497,11 @@ void HashTable::rebuild(std::size_t new_nbuckets) {
     }
     throw;
   }
-  // The swap is on media: move the mirror over before retiring the old
-  // storage (a fault while freeing must not leave it pointing back).
+  // The swap is on media: move the mirror over, the new array's image
+  // becoming the heads, before retiring the old storage (a fault while
+  // freeing must not leave it pointing back).
+  new_array.erase(new_array.begin(), new_array.begin() + kHeadsOff / 8);
+  s_->heads = std::move(new_array);
   s_->buckets_off = new_off;
   s_->gen = new_gen;
   s_->nbuckets.store(new_nbuckets, std::memory_order_release);
@@ -463,10 +514,12 @@ void HashTable::rebuild(std::size_t new_nbuckets) {
 // ---------------------------------------------------------------------------
 
 HashTable::Inserter::Inserter(HashTable& t, std::string_view key,
-                              std::uint64_t node_off, std::uint64_t val_off,
-                              std::uint64_t val_size, std::uint64_t meta)
+                              std::uint64_t hash, std::uint64_t node_off,
+                              std::uint64_t val_off, std::uint64_t val_size,
+                              std::uint64_t meta)
     : table_(&t),
       key_(key),
+      hash_(hash),
       node_off_(node_off),
       val_off_(val_off),
       val_size_(val_size),
@@ -475,6 +528,7 @@ HashTable::Inserter::Inserter(HashTable& t, std::string_view key,
 HashTable::Inserter::Inserter(Inserter&& o) noexcept
     : table_(o.table_),
       key_(std::move(o.key_)),
+      hash_(o.hash_),
       node_off_(o.node_off_),
       val_off_(o.val_off_),
       val_size_(o.val_size_),
@@ -606,21 +660,20 @@ std::size_t HashTable::link(std::span<GroupPut* const> puts) {
     }
   }
 
-  // Lock the stripes of every winning key's bucket, so the persistent
-  // chains are stable below us.  The stripes follow the bucket count, which
-  // is re-checked once they are held in case a rehash committed in between.
-  // RAII so a crash-point exception thrown below cannot leak the locks.
-  std::vector<std::uint64_t> hash(puts.size());
-  for (std::size_t i = 0; i < puts.size(); ++i) {
-    hash[i] = fnv1a(puts[i]->ins->key_);
-  }
+  // Lock the stripes of every winning key's bucket, so the chains and their
+  // mirrored heads are stable below us.  The stripes follow the bucket
+  // count, which is re-checked once they are held in case a rehash
+  // committed in between.  RAII so a crash-point exception thrown below
+  // cannot leak the locks.
   StripeLocks stripe_locks(s_->stripes);
   std::uint64_t nb = 0;
   do {
     nb = s_->nbuckets.load(std::memory_order_acquire);
     std::vector<std::size_t> stripe_ids;
     for (std::size_t i = 0; i < puts.size(); ++i) {
-      if (!discard[i]) stripe_ids.push_back(hash[i] % nb % kStripes);
+      if (!discard[i]) {
+        stripe_ids.push_back(puts[i]->ins->hash_ % nb % kStripes);
+      }
     }
     std::sort(stripe_ids.begin(), stripe_ids.end());
     stripe_ids.erase(std::unique(stripe_ids.begin(), stripe_ids.end()),
@@ -637,9 +690,8 @@ std::size_t HashTable::link(std::span<GroupPut* const> puts) {
   // keep_existing winners defer to an entry already in the chain.
   struct Link {
     GroupPut* put;
-    std::uint64_t slot;
-    std::uint64_t head;  ///< bucket head when the chain was walked
-    Match old;           ///< superseded entry; node 0 = a new key
+    std::uint64_t bucket;
+    Match old;  ///< superseded entry; node 0 = a new key
   };
   std::vector<Link> links;
   for (bool swept = true; swept;) {
@@ -647,20 +699,20 @@ std::size_t HashTable::link(std::span<GroupPut* const> puts) {
     links.clear();
     for (std::size_t i = 0; i < puts.size() && !swept; ++i) {
       if (discard[i]) continue;
-      const std::uint64_t slot = bucket_slot(hash[i] % nb);
-      std::uint64_t head = 0;
-      auto matches = find_chain(slot, puts[i]->ins->key_, head);
+      const Inserter& ins = *puts[i]->ins;
+      const std::uint64_t b = ins.hash_ % nb;
+      auto matches = find_chain(b, ins.key_, ins.hash_);
       if (!matches.empty() && puts[i]->keep_existing) {
         discard[i] = true;
         continue;
       }
       swept = matches.size() > 1;
       while (matches.size() > 1) {
-        unlink_free(slot, matches.back().prev, matches.back().node);
+        unlink_free(b, matches.back().prev, matches.back().node);
         matches.pop_back();
       }
       links.push_back(
-          {puts[i], slot, head, matches.empty() ? Match{} : matches.front()});
+          {puts[i], b, matches.empty() ? Match{} : matches.front()});
     }
   }
 
@@ -676,9 +728,10 @@ std::size_t HashTable::link(std::span<GroupPut* const> puts) {
     /// The first winner linked: the new predecessor of the old chain.
     std::uint64_t first = 0;
   };
-  std::map<std::uint64_t, Bucket> buckets;  // by slot
+  std::map<std::uint64_t, Bucket> buckets;  // by bucket index
   for (const Link& l : links) {
-    Bucket& b = buckets.try_emplace(l.slot, Bucket{l.head, l.head})
+    const std::uint64_t old_head = head(l.bucket);
+    Bucket& b = buckets.try_emplace(l.bucket, Bucket{old_head, old_head})
                     .first->second;
     if (l.old.node != 0 && l.old.prev == 0) {
       b.top = l.old.next;
@@ -690,7 +743,7 @@ std::size_t HashTable::link(std::span<GroupPut* const> puts) {
   std::size_t fresh = 0;
   for (const Link& l : links) {
     const Inserter& ins = *l.put->ins;
-    Bucket& b = buckets.find(l.slot)->second;
+    Bucket& b = buckets.find(l.bucket)->second;
     pool_->write(next_word(ins.node_off_, s_->gen), &b.top, sizeof(b.top));
     b.top = ins.node_off_;
     if (b.first == 0) b.first = ins.node_off_;
@@ -717,12 +770,14 @@ std::size_t HashTable::link(std::span<GroupPut* const> puts) {
     // The whole step runs under count_mu, so no other publisher stores to
     // a head or count line between this flush and its drain (bucket slots
     // of different stripes share lines), and the mirror follows the count.
+    // The mirrored heads follow once the drain returns.
     std::vector<Pool::Range> vis;
     vis.reserve(buckets.size() + 1);
     std::unique_lock clk(s_->count_mu);
     std::uint64_t count = 0;
     try {
-      for (const auto& [slot, b] : buckets) {
+      for (const auto& [bucket, b] : buckets) {
+        const std::uint64_t slot = bucket_slot(bucket);
         pool_->write(slot, &b.top, sizeof(b.top));
         vis.push_back({slot, sizeof(b.top)});
       }
@@ -739,18 +794,26 @@ std::size_t HashTable::link(std::span<GroupPut* const> puts) {
       // already, and freeing them would hand live storage to the next
       // alloc.  A head store that never landed, or whose line the fault
       // reverted, left its winners unreachable; their destructors free them.
+      // Either way the mirror takes the heads and the count the media
+      // holds: the head and count lines flush as separate runs, and a fault
+      // reverts only its own.
       for (const Link& l : links) {
-        std::uint64_t head = 0;
-        std::memcpy(&head, pool_->direct(l.slot), sizeof(head));
-        if (head == buckets.find(l.slot)->second.top) {
+        std::uint64_t& mirrored = s_->heads[l.bucket];
+        std::memcpy(&mirrored, pool_->direct(bucket_slot(l.bucket)),
+                    sizeof(mirrored));
+        if (mirrored == buckets.find(l.bucket)->second.top) {
           l.put->ins->published_ = true;
           l.put->linked = true;
         }
       }
+      std::memcpy(&count, pool_->direct(hoff_ + offsetof(TableHeader, count)),
+                  sizeof(count));
+      s_->count.store(count, std::memory_order_relaxed);
       throw;
     }
     if (fresh != 0) s_->count.store(count, std::memory_order_relaxed);
     clk.unlock();
+    for (const auto& [bucket, b] : buckets) s_->heads[bucket] = b.top;
     for (const Link& l : links) {
       l.put->ins->published_ = true;
       l.put->linked = true;
@@ -772,7 +835,7 @@ std::size_t HashTable::link(std::span<GroupPut* const> puts) {
   std::unordered_map<std::uint64_t, std::uint64_t> relinked;  // node -> next
   for (const Link* l : replaced) {
     if (l->old.prev != 0) {
-      const Bucket& b = buckets.find(l->slot)->second;
+      const Bucket& b = buckets.find(l->bucket)->second;
       // A replaced head's successor now hangs off the bucket's first winner.
       const std::uint64_t prev = b.head_replaced && l->old.prev == b.old_head
                                      ? b.first

@@ -25,7 +25,8 @@ constexpr std::uint64_t kMagic = 0x504d454d43505921ull;  // "PMEMCPY!"
 // 12 KiB.
 // v5: a hashtable node carries one next word per bucket-array generation,
 // and its bucket array records which one its chains follow.
-constexpr std::uint32_t kVersion = 5;
+// v6: a hashtable node header carries its key's hash (48 bytes).
+constexpr std::uint32_t kVersion = 6;
 constexpr std::size_t kChunkAlign = 64;
 constexpr std::size_t kChunkHeader = 16;
 /// Minimum remainder worth splitting off a large free chunk.

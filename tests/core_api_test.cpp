@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 namespace {
@@ -406,6 +407,46 @@ TEST(CoreApiHierarchical, SlashCreatesDirectories) {
   pmem.store("fields/energy", 2.5);
   EXPECT_TRUE(node.fs().is_dir("/out.bp/fields"));
   EXPECT_DOUBLE_EQ(pmem.load<double>("fields/density"), 1.25);
+  pmem.munmap();
+}
+
+TEST(CoreApiHierarchical, ListingReadsNoDeviceBytes) {
+  // pmemfs serves names and inode kinds from DRAM, so listing a tree of
+  // keys (one directory per step) reads nothing from the device, before
+  // and after a remount.
+  PmemNode node(small_node());
+  Config cfg;
+  cfg.node = &node;
+  cfg.layout = Layout::kHierarchical;
+  std::vector<std::string> ids;
+  for (int step = 0; step < 10; ++step) {
+    for (int field = 0; field < 10; ++field) {
+      ids.push_back("step" + std::to_string(step) + "/f" +
+                    std::to_string(field));
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  const auto listing_bytes = [&](PMEM& pmem) {
+    const std::uint64_t before = node.device().bytes_read();
+    auto listed = pmem.ids();
+    const std::uint64_t read = node.device().bytes_read() - before;
+    std::sort(listed.begin(), listed.end());
+    EXPECT_EQ(listed, ids);
+    return read;
+  };
+  {
+    PMEM pmem{cfg};
+    pmem.mmap("/list.bp");
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      pmem.store(ids[i], static_cast<double>(i));
+    }
+    EXPECT_EQ(listing_bytes(pmem), 0u);
+    pmem.munmap();
+  }
+  node.remount();
+  PMEM pmem{cfg};
+  pmem.mmap("/list.bp");
+  EXPECT_EQ(listing_bytes(pmem), 0u);
   pmem.munmap();
 }
 

@@ -18,8 +18,9 @@
 // mode, collective health agreement, a hashtable publish that faults
 // after a bucket-head store keeping the now reachable entry allocated,
 // pmemfs namespace ops whose faults leave the DRAM namespace equal to a
-// fresh mount of the image, and a rehash whose faults up to its swap leave
-// the old bucket array in force.
+// fresh mount of the image, a rehash whose faults up to its swap leave
+// the old bucket array in force, and publishes and erases whose faults
+// leave the table's DRAM mirror equal to a fresh open of the image.
 #include <pmemcpy/check/persist_checker.hpp>
 #include <pmemcpy/core/node.hpp>
 #include <pmemcpy/fs/filesystem.hpp>
@@ -39,6 +40,7 @@
 #include <functional>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -577,6 +579,16 @@ TEST(FaultMatrix, CrashDuringRepairLosesNothing) {
 // Publish unwinding: a fault after a head store never frees live storage
 // ---------------------------------------------------------------------------
 
+/// FNV-1a, the hash a node header stores and the table buckets keys by.
+std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : s) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 /// A 64-bucket table on a 32 MiB pool, for publishes whose second
 /// visibility store hits sticky-bad media after a bucket-head store landed.
 struct HeadFaultScene {
@@ -595,13 +607,8 @@ struct HeadFaultScene {
   /// array's offset, and the heads start 64 bytes into the array (all part
   /// of the on-media format).
   std::uint64_t head_slot(std::string_view key) {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char c : key) {
-      h ^= static_cast<std::uint8_t>(c);
-      h *= 1099511628211ull;
-    }
     const auto buckets = pool.get<std::uint64_t>(table.header_off());
-    return pool.base() + buckets + 64 + h % 64 * 8;
+    return pool.base() + buckets + 64 + fnv1a(key) % 64 * 8;
   }
 
   HashTable::Inserter reserve(const std::string& key) {
@@ -612,8 +619,9 @@ struct HeadFaultScene {
   }
 
   /// Every key find() returns reads back intact, and the next allocations
-  /// of its value and node sizes (a node is a 40-byte header plus the key)
-  /// hand out neither: reachable storage was not freed.
+  /// of its value and node sizes (a node is a 48-byte header plus the key)
+  /// hand out neither: reachable storage was not freed.  The value and the
+  /// node share a size class, so each allocation is checked against both.
   void expect_live_entries_kept(const std::vector<std::string>& keys) {
     for (const auto& key : keys) {
       SCOPED_TRACE(key);
@@ -622,8 +630,11 @@ struct HeadFaultScene {
       std::string got(ref->val_size, '\0');
       pool.read(ref->val_off, got.data(), ref->val_size);
       EXPECT_EQ(got, std::string(kValue, key.back()));
-      EXPECT_NE(pool.alloc(kValue), ref->val_off);
-      EXPECT_NE(pool.alloc(40 + key.size()), ref->node_off);
+      for (const std::uint64_t off :
+           {pool.alloc(kValue), pool.alloc(48 + key.size())}) {
+        EXPECT_NE(off, ref->val_off);
+        EXPECT_NE(off, ref->node_off);
+      }
     }
     const auto report = pool.check();
     EXPECT_TRUE(report.ok()) << (report.issues.empty()
@@ -896,13 +907,23 @@ TableView view_of(const HashTable& t) {
 }
 
 /// The live table's DRAM mirror shows what HashTable::open of a copy of
-/// the image shows.
-void expect_mirror_matches_fresh_open(pmemcpy::pmem::Device& dev,
-                                      const HashTable& live) {
+/// the image shows, and a find of each of @p keys agrees with it.
+void expect_mirror_matches_fresh_open(
+    pmemcpy::pmem::Device& dev, const HashTable& live,
+    const std::vector<std::string>& keys = {}) {
   pmemcpy::pmem::Device copy(dev.capacity());
   std::memcpy(copy.raw(0), dev.raw(0), dev.capacity());
   Pool pool = Pool::open(copy, 0);
-  EXPECT_TRUE(view_of(HashTable::open(pool, pool.root())) == view_of(live));
+  const HashTable fresh = HashTable::open(pool, pool.root());
+  EXPECT_TRUE(view_of(fresh) == view_of(live));
+  const auto fields = [](const std::optional<pmemcpy::obj::ValueRef>& ref) {
+    return ref ? std::array<std::uint64_t, 4>{ref->node_off, ref->val_off,
+                                              ref->val_size, ref->meta}
+               : std::array<std::uint64_t, 4>{};
+  };
+  for (const auto& key : keys) {
+    EXPECT_EQ(fields(live.find(key)), fields(fresh.find(key))) << key;
+  }
 }
 
 TEST(FaultMatrix, FaultedRehashKeepsTheOldTableInForce) {
@@ -979,6 +1000,103 @@ TEST(FaultMatrix, FaultedRehashKeepsTheOldTableInForce) {
     std::cout << "[ fault matrix ] " << attempts
               << " rehash persist attempts, the swap at " << swap << ", "
               << refused << " sticky re-runs refused\n";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Publish and erase: a fault leaves the head mirror equal to the media
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kChainBuckets = 64;
+
+/// The first six keys "c<j>" that share c0's bucket of a 64-bucket table.
+std::string chain_key(int i) {
+  static const std::vector<std::string> keys = [] {
+    std::vector<std::string> out;
+    for (int j = 0; out.size() < 6; ++j) {
+      std::string key = "c" + std::to_string(j);
+      if (fnv1a(key) % kChainBuckets == fnv1a("c0") % kChainBuckets) {
+        out.push_back(std::move(key));
+      }
+    }
+    return out;
+  }();
+  return keys.at(static_cast<std::size_t>(i));
+}
+
+/// One bucket of a 64-bucket table chaining c4 -> c3 -> c2 -> c1 -> c0 (as
+/// chain_key numbers them).  Its head and the table's count sit on lines
+/// that are not adjacent, so a publish flushes them as separate runs.  On
+/// either device a faulted flush reverts its lines, as the hardware would
+/// lose them.
+struct ChainFaultScene {
+  static constexpr std::size_t kBytes = 4ull << 20;
+
+  pmemcpy::pmem::Device dev;
+  Pool pool = Pool::create(dev, 0, kBytes);
+  HashTable table = HashTable::create(pool, kChainBuckets);
+
+  explicit ChainFaultScene(bool shadow) : dev(kBytes, shadow) {
+    pool.set_root(table.header_off());
+    for (int i = 0; i < 5; ++i) table.put(chain_key(i), "old", 3, 1);
+    // On-media format: the header is {buckets_off, count}, and the heads
+    // start 64 bytes into the bucket array.
+    const std::uint64_t head = pool.get<std::uint64_t>(table.header_off()) +
+                               64 + 8 * (fnv1a(chain_key(0)) % kChainBuckets);
+    const std::uint64_t count = table.header_off() + 8;
+    const std::uint64_t lo = std::min(head, count) / 64;
+    const std::uint64_t hi = std::max(head, count) / 64;
+    EXPECT_GT(hi - lo, 1u) << "the head and count lines would flush as one";
+  }
+};
+
+TEST(FaultMatrix, FaultedPublishLeavesTheMirrorEqualToAFreshOpen) {
+  struct Op {
+    const char* what;
+    std::function<void(HashTable&)> run;
+  };
+  const std::vector<Op> ops = {
+      {"fresh put", [](HashTable& t) { t.put(chain_key(5), "new", 3, 2); }},
+      {"overwrite of the head",
+       [](HashTable& t) { t.put(chain_key(4), "new", 3, 2); }},
+      {"overwrite mid-chain",
+       [](HashTable& t) { t.put(chain_key(2), "new", 3, 2); }},
+      {"erase of the head", [](HashTable& t) { (void)t.erase(chain_key(4)); }},
+      {"erase mid-chain", [](HashTable& t) { (void)t.erase(chain_key(2)); }},
+  };
+  std::vector<std::string> keys;
+  for (int i = 0; i <= 5; ++i) keys.push_back(chain_key(i));
+  for (const Op& op : ops) {
+    // Flushes and persists (the attempts a persist fault can hit) of the
+    // op without a fault: its allocations, the node's flush, the head and
+    // count flush or the unlink, and its frees.
+    int attempts = 0;
+    {
+      ChainFaultScene s(true);
+      const std::uint64_t before = ctr(Counter::kFlushOps);
+      op.run(s.table);
+      attempts = static_cast<int>(ctr(Counter::kFlushOps) - before);
+    }
+    ASSERT_GT(attempts, 0) << op.what;
+    for (const auto& [shadow, sticky] :
+         {std::pair{true, false}, std::pair{true, true},
+          std::pair{false, false}, std::pair{false, true}}) {
+      for (int k = 1; k <= attempts; ++k) {
+        SCOPED_TRACE(std::string(op.what) + ", " +
+                     (shadow ? "crash shadow, " : "plain, ") +
+                     (sticky ? "sticky" : "transient") + " fault at attempt " +
+                     std::to_string(k));
+        ChainFaultScene s(shadow);
+        s.dev.set_retry_policy(pmemcpy::ft::RetryPolicy{1});
+        s.dev.set_fault_plan(plan_faulting_attempt(k, sticky));
+        EXPECT_THROW(op.run(s.table), DeviceError);
+        s.dev.set_fault_plan(FaultPlan{});
+        expect_mirror_matches_fresh_open(s.dev, s.table, keys);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+    std::cout << "[ fault matrix ] " << op.what << ": " << attempts
+              << " persist attempts\n";
   }
 }
 

@@ -231,7 +231,7 @@ struct PoolImage {
 // {buckets_off, count}; the bucket array starts {nbuckets, generation (0 or
 // 1)} and its heads start 64 bytes in; a node is {next[2] by generation,
 // val_off, size word (val_size in the low 48 bits, key_len in the high 16),
-// meta} followed by the key.
+// meta, key hash} followed by the key.
 // ---------------------------------------------------------------------------
 
 std::vector<Field> table_fields(PoolImage& img) {
@@ -252,12 +252,14 @@ std::vector<Field> table_fields(PoolImage& img) {
       {"table buckets_off", base + table, 8, size - 64, nullptr, {}},
       {"array count", base + array, 8, (cap - 64) / 8, nullptr, {}},
       {"array generation", base + array + 8, 8, 1, nullptr, {}},
-      {"bucket head", head_at, 8, size - 40, nullptr, {}},
-      {"node next[gen]", base + node + 8 * gen, 8, size - 40, nullptr, {}},
+      {"bucket head", head_at, 8, size - 48, nullptr, {}},
+      {"node next[gen]", base + node + 8 * gen, 8, size - 48, nullptr, {}},
       // The limit keeps the key length and maximizes val_size; one past it
       // carries into the key length.
       {"node size word", base + node + 24, 8, size_word | kValSizeMask,
        nullptr, {}},
+      // Any hash decodes: a wrong one only hides the node from lookups.
+      {"node key hash", base + node + 40, 8, kAllOnes, nullptr, {}},
   };
 }
 
@@ -391,8 +393,9 @@ TEST(ImageMutation, FsMountsListsAndMapsOrThrowsTyped) {
 }
 
 // An entry naming a damaged inode number: a rename within the directory
-// over that name, and a link of an unnamed file over it, must decode the
-// inode before anything else uses the number.
+// over that name, a link of an unnamed file over it, and is_dir() of it
+// (which answers from the DRAM inode map) must check the number before
+// anything uses it.
 TEST(ImageMutation, FsRenamesOverADamagedEntryOrThrowsTyped) {
   FsImage img;
   const std::uint64_t entry = first_entry_at(img.dev, img.dir);
@@ -411,6 +414,7 @@ TEST(ImageMutation, FsRenamesOverADamagedEntryOrThrowsTyped) {
        }},
       {"link an unnamed file",
        [&](FileSystem& fs) { (void)fs.link(fs.create_unnamed(), target); }},
+      {"is_dir", [&](FileSystem& fs) { (void)fs.is_dir(target); }},
   };
   for (const auto& [what, op] : ops) {
     SCOPED_TRACE(std::string(what) + " over " + target);

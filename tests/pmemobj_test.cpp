@@ -44,20 +44,20 @@ TEST(PoolTest, OpenRejectsAnOlderLayoutVersion) {
   Device dev(kPool);
   { Pool p = Pool::create(dev, 0, kPool); }
   // The pool header sits at offset 64: magic, u32 version at +8, and a
-  // CRC32C over its first 32 bytes at +32.  Rewrite the version as 4 (one
-  // next word per hashtable node) with a valid checksum, so only the
-  // version check can refuse the image.
+  // CRC32C over its first 32 bytes at +32.  Rewrite the version as 5 (a
+  // 40-byte hashtable node header without the key's hash) with a valid
+  // checksum, so only the version check can refuse the image.
   constexpr std::size_t kHeader = 64;
   std::uint32_t crc = 0;
   std::memcpy(&crc, dev.raw(kHeader + 32), sizeof(crc));
   ASSERT_EQ(crc, pmemcpy::crc32c(dev.raw(kHeader), 32));
-  const std::uint32_t old_version = 4;
+  const std::uint32_t old_version = 5;
   dev.write(kHeader + 8, &old_version, sizeof(old_version));
   crc = pmemcpy::crc32c(dev.raw(kHeader), 32);
   dev.write(kHeader + 32, &crc, sizeof(crc));
   try {
     (void)Pool::open(dev, 0);
-    ADD_FAILURE() << "a version-4 image opened";
+    ADD_FAILURE() << "a version-5 image opened";
   } catch (const PoolError& e) {
     EXPECT_NE(std::string(e.what()).find("bad version"), std::string::npos)
         << e.what();
